@@ -176,7 +176,7 @@ func TestRunReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"ed_ea_", "lbd_gather_emulated", "table_lookup_seq", "SOFA stream"} {
+	for _, want := range []string{"ed_ea_", "lbd_gather_portable", "table_lookup_seq", "SOFA stream"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report output missing %q:\n%s", want, out)
 		}

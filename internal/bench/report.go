@@ -237,15 +237,14 @@ func kernelRows() []KernelRow {
 		{"dot_portable", func() { simd.DotPortable(a, b) }},
 		{"lbd_gather_" + simd.Impl(), func() { simd.LBDGatherEA(word, qr, lower, upper, weights, alpha, inf) }},
 		{"lbd_gather_portable", func() { simd.LBDGatherEAPortable(word, qr, lower, upper, weights, alpha, inf) }},
-		{"lbd_gather_emulated", func() { simd.LBDGatherEAEmulated(word, qr, lower, upper, weights, alpha, inf) }},
 		{"table_lookup_seq", func() { simd.LookupAccumEASeq(word, table, alpha, inf) }},
-		{"table_lookup_vec_" + simd.Impl(), func() { simd.LookupAccumEA(word, table, alpha, inf) }},
-		{"table_lookup_portable", func() { simd.LookupAccumEAPortable(word, table, alpha, inf) }},
 		// Block-granularity kernels: one call bounds a whole 256-series leaf
 		// block, so ns/op here is per LEAF, not per series (divide by 256 to
 		// compare against the per-series rows above).
 		{"block_table_lookup_" + simd.BlockImpl(), func() { simd.LookupAccumBlockEA(blockWords, blockN, table, alpha, blockOut, inf) }},
-		{"block_table_lookup_portable", func() { simd.LookupAccumBlockEAPortable(blockWords, blockN, table, alpha, blockOut, inf) }},
+		{"block_table_lookup_portable", func() {
+			simd.LookupAccumBlockSurvivorsPortable(blockWords, blockN, table, alpha, blockOut, inf, nil)
+		}},
 		{"block_lbd_gather_" + simd.BlockImpl(), func() {
 			simd.LBDGatherBlockEA(blockWords, blockN, qr, lower, upper, weights, alpha, blockOut, inf)
 		}},

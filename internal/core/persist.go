@@ -100,9 +100,20 @@ type savedIndex struct {
 	// ShardPubs[i] maps shard i's local ids to public ids; nil when every
 	// shard still has the identity layout (pub = local*S + shard).
 	ShardPubs [][]int32
-	// ShardSFA[i] is shard i's own quantization, re-learned at a compaction;
-	// nil entries (and a nil slice) mean the shard uses the collection's.
+	// ShardSFA[i] is shard i's own quantization, re-learned at a compaction.
+	// A nil slice means no shard re-learned; once one has, the others are
+	// stored as the zero State (gob cannot encode a nil element), which like
+	// a nil entry means the shard uses the collection's: see ownSFA.
 	ShardSFA []*sfa.State
+}
+
+// ownSFA returns shard i's own re-learned quantization state, or nil when
+// the shard shares the collection's.
+func (s *savedIndex) ownSFA(i int) *sfa.State {
+	if i >= len(s.ShardSFA) || s.ShardSFA[i] == nil || s.ShardSFA[i].N == 0 {
+		return nil
+	}
+	return s.ShardSFA[i]
 }
 
 // payloadChecksum hashes everything the container stores except the
@@ -155,7 +166,8 @@ func payloadChecksum(s *savedIndex) uint32 {
 			}
 		}
 		put(uint64(len(s.ShardSFA)))
-		for _, st := range s.ShardSFA {
+		for i := range s.ShardSFA {
+			st := s.ownSFA(i)
 			if st == nil {
 				put(0)
 				continue
@@ -467,6 +479,7 @@ func (c *Collection) fillSavedMutationState(s *savedIndex) {
 	if hasSFA {
 		s.ShardSFA = make([]*sfa.State, len(c.states))
 		for i := range c.states {
+			s.ShardSFA[i] = &sfa.State{} // shares the collection's quantization
 			st := c.state(i)
 			if !st.relearned {
 				continue
@@ -509,11 +522,9 @@ func (c *Collection) applySavedMutationState(s *savedIndex) error {
 	c.initMutationState(s.PubCount, dead)
 	c.mutSeq.Store(s.MutSeq)
 
-	if s.ShardSFA != nil {
-		for i := range c.states {
-			if s.ShardSFA[i] != nil {
-				c.state(i).relearned = true
-			}
+	for i := range c.states {
+		if s.ownSFA(i) != nil {
+			c.state(i).relearned = true
 		}
 	}
 
@@ -1017,10 +1028,10 @@ func LoadWithOptions(r io.Reader, opts LoadOptions, st *LoadStats) (*Index, erro
 				return nil, err
 			}
 			shardSum := sum
-			if s.Version >= 5 && s.ShardSFA != nil && s.ShardSFA[i] != nil {
+			if own := s.ownSFA(i); s.Version >= 5 && own != nil {
 				// The shard re-learned its SFA quantization at a compaction;
 				// its tree bounds only hold in the shard's own space.
-				q, err := sfa.FromState(*s.ShardSFA[i])
+				q, err := sfa.FromState(*own)
 				if err != nil {
 					return nil, fmt.Errorf("core: shard %d SFA state: %w", i, err)
 				}

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/index"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -164,5 +166,82 @@ func TestLoadRejectsCorruptStreams(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()/2]
 	if _, err := Load(bytes.NewReader(trunc)); err == nil {
 		t.Error("expected truncation error")
+	}
+}
+
+// A compaction that re-learns the SFA quantization of only SOME shards must
+// stay savable: the per-shard states are a slice gob cannot encode with nil
+// holes ("gob: encodeArray: nil element"), so shards that share the
+// collection's quantization are written as an empty state and read back as
+// such. S=4, exactly one shard re-learned; the loaded collection must mark
+// the same shard, keep the bounds of every shard valid in its own space —
+// same neighbours, distances equal up to the container's float32 rows, as
+// for any load — and stay savable itself.
+func TestSaveLoadPartiallyRelearned(t *testing.T) {
+	rng := rand.New(rand.NewSource(65))
+	data := mixedMatrix(rng, 800, 64)
+	queries := mixedMatrix(rng, 12, 64)
+	cfg := Config{Method: SOFA, LeafCapacity: 32, SampleRate: 0.5, Shards: 4, Workers: 1}
+	cfg.Compaction.RelearnChurnFraction = 0.05
+	orig, err := Build(data, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const relearned = 2
+	for local := 0; local < 40; local++ {
+		if err := orig.Delete(index.ID(local*cfg.Shards + relearned)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := orig.CompactShard(relearned); err != nil {
+		t.Fatal(err)
+	}
+	if got := orig.Collection().Relearns(); got != 1 {
+		t.Fatalf("%d shards re-learned, want exactly 1 — the test lost its subject", got)
+	}
+	var buf bytes.Buffer
+	if err := Save(orig, &buf); err != nil {
+		t.Fatalf("saving a partially re-learned collection: %v", err)
+	}
+	if err := SaveFile(orig, filepath.Join(t.TempDir(), "partial.sofa")); err != nil {
+		t.Fatalf("SaveFile of a partially re-learned collection: %v", err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < cfg.Shards; i++ {
+		want := orig.Collection().state(i).relearned
+		if got := loaded.Collection().state(i).relearned; got != want || want != (i == relearned) {
+			t.Errorf("shard %d: re-learned marker %v after load, %v before, want %v", i, got, want, i == relearned)
+		}
+	}
+	so, sl := orig.NewSearcher(), loaded.NewSearcher()
+	for qi := 0; qi < queries.Len(); qi++ {
+		a, err := so.Search(queries.Row(qi), 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := sl.Search(queries.Row(qi), 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(a) != len(b) {
+			t.Fatalf("query %d: %d results before, %d after load", qi, len(a), len(b))
+		}
+		for r := range a {
+			if a[r].ID != b[r].ID || math.Abs(a[r].Dist-b[r].Dist) > 1e-4*(a[r].Dist+1) {
+				t.Fatalf("query %d rank %d: %+v in memory, %+v after load", qi, r, a[r], b[r])
+			}
+		}
+	}
+	var again bytes.Buffer
+	if err := Save(loaded, &again); err != nil {
+		t.Fatal(err)
+	}
+	if reloaded, err := Load(bytes.NewReader(again.Bytes())); err != nil {
+		t.Fatalf("container of the loaded collection does not load: %v", err)
+	} else if !reloaded.Collection().state(relearned).relearned {
+		t.Error("re-learned marker lost on the second round trip")
 	}
 }

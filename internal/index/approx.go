@@ -129,12 +129,10 @@ func (s *Searcher) beginShard(query []float64, k int, kn *KNNCollector, pub []in
 			s.processLeafReal(s.approxNode, q, kn)
 		} else {
 			// Block path: the flat table must exist before the seed leaf's
-			// block LBD prefilter. A fresh build costs one l x alphabet
-			// sweep per query (microseconds; a qr-cache hit on repeats);
-			// the prefilter pays it back whenever the collector already
-			// carries a finite bound (later shards, hot queries).
-			s.kern.qr = s.qr
-			s.dt.build(&s.kern, s.t.gather.alphabet)
+			// block LBD prefilter, which pays the build back whenever the
+			// collector already carries a finite bound (later shards, hot
+			// queries).
+			s.buildTable()
 			s.processLeafApprox(s.approxNode, q, kn)
 		}
 	}
@@ -152,12 +150,12 @@ func (s *Searcher) finishShard() {
 	q := s.qbuf
 	s.seeded = false
 
-	// On the default block path beginShard already built the flat LBD table
-	// (its seed prefilter needs it) and this is a qr-cache hit; under
-	// PerSeriesLBD the approximate mode (seeding only) never pays for the
-	// build, so it happens here.
-	s.kern.qr = s.qr
-	s.dt.build(&s.kern, t.gather.alphabet)
+	// The descent and the refinement both read the flat LBD table. On the
+	// default block path beginShard already built it (its seed prefilter
+	// needs it) and this is a qr-cache hit; under PerSeriesLBD the
+	// approximate mode (seeding only) never pays for the build, so it
+	// happens here.
+	s.buildTable()
 
 	workers := t.opts.Workers
 	if s.serial {
@@ -170,7 +168,7 @@ func (s *Searcher) finishShard() {
 		for _, rk := range t.rootKeys {
 			s.traverseScaled(t.root[rk], kn, approx, scale)
 		}
-		s.drainScaled(0, q, kn, scale, &s.scratch)
+		s.drainScaled(0, q, kn, scale, &s.scratch[0])
 		return
 	}
 
@@ -202,13 +200,11 @@ func (s *Searcher) finishShard() {
 	var wg2 sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg2.Add(1)
-		go func(start int) {
+		go func(w int) {
 			defer wg2.Done()
 			defer trapPanic(&wp)
-			// Workers share this Searcher, so each gets its own block
-			// scratch (the parallel path allocates per query anyway).
-			s.drainScaled(start, q, kn, scale, &drainScratch{})
-		}(w % set.Size())
+			s.drainScaled(w%set.Size(), q, kn, scale, &s.scratch[w])
+		}(w)
 	}
 	wg2.Wait()
 	rethrow(&wp)
@@ -219,7 +215,7 @@ func (s *Searcher) traverseScaled(n *node, kn *KNNCollector, skip *node, scale f
 		return
 	}
 	s.nodesVisited.Add(1)
-	d := nodeMinDist(s.t.sum, s.qr, n.word, n.cards)
+	d := s.dt.nodeMinDist(s.qword, n.word, n.cards, s.t.maxBits)
 	if d >= kn.Bound()*scale {
 		return
 	}
@@ -233,14 +229,14 @@ func (s *Searcher) traverseScaled(n *node, kn *KNNCollector, skip *node, scale f
 
 // drainScaled pops surviving leaves in ascending lower-bound order and
 // refines them. The default path bounds the whole leaf with ONE block
-// kernel call (minDistBlockEA writes every member's exact LBD into the
-// pooled scratch) and then walks only the members whose bound beats the
-// BSF with real distances; Options.PerSeriesLBD restores the per-series
-// early-abandoning kernel call. Both paths make identical pruning
-// decisions — the per-series certificate and the full block value land on
-// the same side of the prune bound because table entries are nonnegative —
-// and read the shared BSF atomic once per boundRefreshInterval series,
-// re-reading early only when this worker improves the k-NN set. Under
+// kernel call (minDistBlockEA lists the members whose bound beats the BSF
+// in the pooled scratch) and then walks only those with real distances;
+// Options.PerSeriesLBD restores the per-series early-abandoning kernel
+// call. Both paths make identical pruning decisions — the per-series
+// certificate and the block kernel's land on the same side of the prune
+// bound because table entries are nonnegative — and read the shared BSF
+// atomic once per boundRefreshInterval series of the leaf, re-reading
+// early only when this worker improves the k-NN set. Under
 // Options.NoLeafBlocks leaves carry no contiguous block; the block path
 // gathers the rows into scratch first, the per-series path gathers from
 // the global buffer per series.
@@ -267,33 +263,11 @@ func (s *Searcher) drainScaled(start int, q []float64, kn *KNNCollector, scale f
 }
 
 // refineLeafBlock is the block-kernel refinement: one kernel call for the
-// whole leaf, then a survivor walk computing real distances.
+// whole leaf, then a walk over the survivors it lists. The kernel bounds
+// every member, tombstoned or not, so all of them count as LBDs.
 func (s *Searcher) refineLeafBlock(leaf *node, q []float64, kn *KNNCollector, scale float64, ds *drainScratch) {
-	n := len(leaf.ids)
-	if n == 0 {
-		return
-	}
-	t := s.t
-	dead := t.dead
-	words := s.leafWords(leaf, ds)
-	lbd := ds.lbdFor(n)
-	bound := kn.Bound()
-	s.dt.minDistBlockEA(words, n, lbd, bound*scale)
-	var nED int64
-	for i, id := range leaf.ids {
-		if i%boundRefreshInterval == 0 {
-			bound = kn.Bound()
-		}
-		if lbd[i] >= bound*scale || deadBit(dead, id) {
-			continue
-		}
-		nED++
-		d := distance.SquaredEDEarlyAbandon(t.data.Row(int(id)), q, bound)
-		if d < bound && kn.Offer(s.mapID(id), d) {
-			bound = kn.Bound()
-		}
-	}
-	s.seriesLBD.Add(int64(n))
+	nED := s.walkSurvivors(leaf, q, kn, scale, ds)
+	s.seriesLBD.Add(int64(len(leaf.ids)))
 	s.seriesED.Add(nED)
 }
 

@@ -1,11 +1,14 @@
 package index
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/dataset"
 	"repro/internal/distance"
 	"repro/internal/sfa"
 )
@@ -63,71 +66,167 @@ func TestSearchZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// shapeMatrix draws count z-normalized series of one of the benchmark's
+// dataset shapes: LenDB (high-frequency: SFA rules out almost every series
+// within its first positions), SALD (smooth) and SIFT1b (heavy-tailed
+// vectors that nearly all survive the lower bound).
+func shapeMatrix(t testing.TB, name string, count int, seed int64) (data, queries *distance.Matrix) {
+	t.Helper()
+	spec, err := dataset.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Count = count
+	if data, err = dataset.Generate(spec, seed); err != nil {
+		t.Fatal(err)
+	}
+	if queries, err = dataset.GenerateQueries(spec, 12, seed); err != nil {
+		t.Fatal(err)
+	}
+	return data, queries
+}
+
 // The block-kernel refinement path and the PerSeriesLBD fallback must
-// return IDENTICAL results — same ids, same distance bits — on the same
-// build: the block kernels are bit-identical to the per-series sequential
-// kernel and both paths make the same pruning decisions. Single worker
-// keeps the comparison deterministic.
+// return IDENTICAL results — same ids, same distance bits — and do identical
+// work on the same build: a survivor of the staged block kernel carries the
+// bits of the per-series sequential kernel, a dropped series exceeds the
+// same bound in both, and the survivor walk re-reads the bound where the
+// per-series walk does. Checked on the three dataset shapes of the
+// benchmark, which drive the kernel through its all-dropped, queued and
+// dense regimes, with and without tombstones and per-leaf word blocks.
+// Single worker keeps the comparison deterministic.
 func TestBlockRefinementMatchesPerSeries(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	n := 96
-	m := mixedMatrix(rng, 1500, n)
+	for _, shape := range []string{"LenDB", "SALD", "SIFT1b"} {
+		m, queries := shapeMatrix(t, shape, 3000, 44)
+		sum := newSFASum(t, m, sfa.Options{SampleRate: 0.2})
+		for _, noBlocks := range []bool{false, true} {
+			for _, tombstones := range []bool{false, true} {
+				opts := Options{LeafCapacity: 200, Workers: 1, Queues: 1, NoLeafBlocks: noBlocks}
+				block, err := Build(m, sum, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts.PerSeriesLBD = true
+				perSeries, err := Build(m, sum, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tombstones {
+					for id := int32(0); int(id) < m.Len(); id += 7 {
+						if err := block.Delete(id); err != nil {
+							t.Fatal(err)
+						}
+						if err := perSeries.Delete(id); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				name := fmt.Sprintf("%s noBlocks=%v tombstones=%v", shape, noBlocks, tombstones)
+				compareBlockToPerSeries(t, name, block, perSeries, queries, tombstones)
+			}
+		}
+	}
+}
+
+func compareBlockToPerSeries(t *testing.T, name string, block, perSeries *Tree, queries *distance.Matrix, tombstones bool) {
+	t.Helper()
+	sb := block.NewSearcher()
+	sp := perSeries.NewSearcher()
+	sameResults := func(what string, got, want []Result) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s %s: %d results vs %d", name, what, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s %s rank %d: block %+v != per-series %+v", name, what, i, got[i], want[i])
+			}
+		}
+	}
+	for qi := 0; qi < queries.Len(); qi++ {
+		query := queries.Row(qi)
+		k := 1 + qi%10
+		got, err := sb.Search(query, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sp.Search(query, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(fmt.Sprintf("query %d", qi), got, want)
+		// Identical pruning decisions imply identical work counters. The
+		// one exception is by definition: the block kernel bounds a leaf's
+		// tombstoned members too (and counts them), the per-series walk
+		// skips them first.
+		gs, ws := sb.LastStats(), sp.LastStats()
+		if tombstones && gs.SeriesLBD >= ws.SeriesLBD {
+			gs.SeriesLBD = ws.SeriesLBD
+		}
+		if gs != ws {
+			t.Fatalf("%s query %d: stats diverged: block %+v != per-series %+v", name, qi, sb.LastStats(), ws)
+		}
+		// Approximate mode: the seed prefilter must not change answers.
+		ga, err := sb.SearchApproximate(query, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wa, err := sp.SearchApproximate(query, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(fmt.Sprintf("query %d approx", qi), ga, wa)
+		// ε-search scales the bound the kernel abandons against.
+		ge, err := sb.SearchEpsilon(query, k, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		we, err := sp.SearchEpsilon(query, k, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(fmt.Sprintf("query %d eps", qi), ge, we)
+	}
+}
+
+// A parallel search (Workers >= 2) spawns its traversal and drain goroutines
+// per query, which allocates — but nothing whose size follows the leaves:
+// every drain worker refines into scratch the Searcher keeps (LBD buffer
+// and survivor list). Before that, every query allocated a drainScratch and
+// an n-float LBD slice per worker on top: 12.3 allocs and 15.8 KB per query
+// on this fixture, against 10 allocs and under 1 KB now.
+func TestParallelSearchAllocsDoNotScaleWithLeaves(t *testing.T) {
+	m, queries := shapeMatrix(t, "LenDB", 6000, 47)
 	sum := newSFASum(t, m, sfa.Options{SampleRate: 0.2})
-	for _, noBlocks := range []bool{false, true} {
-		block, err := Build(m, sum, Options{LeafCapacity: 64, Workers: 1, Queues: 1, NoLeafBlocks: noBlocks})
-		if err != nil {
-			t.Fatal(err)
-		}
-		perSeries, err := Build(m, sum, Options{LeafCapacity: 64, Workers: 1, Queues: 1, NoLeafBlocks: noBlocks, PerSeriesLBD: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sb := block.NewSearcher()
-		sp := perSeries.NewSearcher()
-		query := make([]float64, n)
-		for qi := 0; qi < 25; qi++ {
-			for j := range query {
-				query[j] = rng.NormFloat64()
-			}
-			k := 1 + qi%10
-			got, err := sb.Search(query, k)
-			if err != nil {
+	tr, err := Build(m, sum, Options{LeafCapacity: 1024, Workers: 2, Queues: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := tr.NewSearcher()
+	search := func() {
+		for qi := 0; qi < queries.Len(); qi++ {
+			if _, err := s.Search(queries.Row(qi), 10); err != nil {
 				t.Fatal(err)
-			}
-			want, err := sp.Search(query, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("noBlocks=%v query %d: %d results vs %d", noBlocks, qi, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("noBlocks=%v query %d rank %d: block %+v != per-series %+v", noBlocks, qi, i, got[i], want[i])
-				}
-			}
-			// Identical pruning decisions imply identical work counters.
-			if gs, ws := sb.LastStats(), sp.LastStats(); gs != ws {
-				t.Fatalf("noBlocks=%v query %d: stats diverged: block %+v != per-series %+v", noBlocks, qi, gs, ws)
-			}
-			// Approximate mode: the seed prefilter must not change answers.
-			ga, err := sb.SearchApproximate(query, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wa, err := sp.SearchApproximate(query, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(ga) != len(wa) {
-				t.Fatalf("noBlocks=%v query %d approx: %d results vs %d", noBlocks, qi, len(ga), len(wa))
-			}
-			for i := range wa {
-				if ga[i] != wa[i] {
-					t.Fatalf("noBlocks=%v query %d approx rank %d: %+v != %+v", noBlocks, qi, i, ga[i], wa[i])
-				}
 			}
 		}
+	}
+	search() // grow every pooled buffer to its steady-state size
+	if raceEnabled {
+		return // the detector's own allocations make the counts meaningless
+	}
+	perQuery := func(v float64) float64 { return v / float64(queries.Len()) }
+	allocs := perQuery(testing.AllocsPerRun(20, search))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	search()
+	runtime.ReadMemStats(&after)
+	bytes := perQuery(float64(after.TotalAlloc - before.TotalAlloc))
+	t.Logf("parallel search: %.1f allocs, %.0f bytes per query", allocs, bytes)
+	if allocs > 11 {
+		t.Errorf("parallel Search allocates %.1f allocs/query, want 10 (the goroutines and their join state)", allocs)
+	}
+	if leaf := 8.0 * 1024; bytes >= leaf/4 {
+		t.Errorf("parallel Search allocates %.0f bytes/query: something the size of a leaf's LBD buffer (%.0f bytes) is allocated per query", bytes, leaf)
 	}
 }
 

@@ -374,6 +374,67 @@ func TestNodeMinDistMatchesSAX(t *testing.T) {
 	}
 }
 
+// The descent reads node lower bounds out of the per-query distance table
+// (distTable.nodeMinDist); the breakpoint form (nodeMinDist) is its
+// reference. Both must produce the same bits for every node of a tree —
+// root children, inner nodes of every cardinality mix, leaves — under SFA
+// and SAX, on a pruning-friendly and a pruning-hostile dataset shape:
+// identical bits are what keeps every pruning decision of the descent, and
+// so every counter downstream, where it was.
+func TestNodeMinDistTableMatchesBreakpoints(t *testing.T) {
+	for _, shape := range []string{"LenDB", "SIFT1b"} {
+		m, queries := shapeMatrix(t, shape, 4000, 9)
+		for name, sum := range map[string]Summarization{
+			"SFA": newSFASum(t, m, sfa.Options{SampleRate: 0.2}),
+			"SAX": newSAXSum(t, m.Stride, 16, 8),
+		} {
+			tr, err := Build(m, sum, Options{LeafCapacity: 32, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := tr.NewSearcher()
+			nodes := 0
+			var walk func(n *node)
+			walk = func(n *node) {
+				nodes++
+				want := nodeMinDist(tr.sum, s.qr, n.word, n.cards)
+				got := s.dt.nodeMinDist(s.qword, n.word, n.cards, tr.maxBits)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s/%s node depth %d word %v cards %v: table %v (%#x) != breakpoints %v (%#x)",
+						shape, name, n.depth, n.word, n.cards, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+				if !n.isLeaf() {
+					walk(n.children[0])
+					walk(n.children[1])
+				}
+			}
+			for qi := 0; qi < queries.Len(); qi++ {
+				if _, err := s.prepareQuery(queries.Row(qi), 1); err != nil {
+					t.Fatal(err)
+				}
+				s.buildTable()
+				for _, rk := range tr.rootKeys {
+					walk(tr.root[rk])
+				}
+			}
+			// A series of the index itself sits exactly inside its own
+			// intervals, and a constant query has a NaN-free all-zero word.
+			for _, q := range [][]float64{m.Row(17), make([]float64, m.Stride)} {
+				if _, err := s.prepareQuery(q, 1); err != nil {
+					t.Fatal(err)
+				}
+				s.buildTable()
+				for _, rk := range tr.rootKeys {
+					walk(tr.root[rk])
+				}
+			}
+			if nodes < 100*queries.Len() {
+				t.Fatalf("%s/%s: walked only %d nodes", shape, name, nodes)
+			}
+		}
+	}
+}
+
 func TestStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	n := 64

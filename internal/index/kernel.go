@@ -70,13 +70,6 @@ func (k *kernel) minDistEA(word []byte, bsf float64) float64 {
 	return simd.LBDGatherEA(word[:k.l], k.qr, k.g.lower, k.g.upper, k.weights, k.g.alphabet, bsf)
 }
 
-// minDistEAEmulated is the pre-PR-3 Vec-emulated formulation of the same
-// kernel, kept so the ablation benchmarks can report how much of the gather
-// kernel's cost was emulation overhead versus intrinsic gather cost.
-func (k *kernel) minDistEAEmulated(word []byte, bsf float64) float64 {
-	return simd.LBDGatherEAEmulated(word[:k.l], k.qr, k.g.lower, k.g.upper, k.weights, k.g.alphabet, bsf)
-}
-
 // minDistScalar is the reference scalar implementation of the same bound;
 // tests assert exact agreement with minDistEA and distTable.
 func (k *kernel) minDistScalar(word []byte) float64 {
@@ -99,7 +92,11 @@ func (k *kernel) minDistScalar(word []byte) float64 {
 
 // nodeMinDist computes the squared lower-bound distance between the query
 // representation and a variable-cardinality node word (cards[j] bits of
-// prefix per position; cards[j] == 0 means the position is unconstrained).
+// prefix per position; cards[j] == 0 means the position is unconstrained)
+// from the summarization's breakpoints. Queries descend the tree through
+// distTable.nodeMinDist, which reads the same products out of the per-query
+// table; this form needs no table and serves MinRootBound's certificate,
+// and it is the reference the table form is pinned against.
 func nodeMinDist(s Summarizer, qr []float64, word []byte, cards []uint8) float64 {
 	l := s.Segments()
 	maxBits := s.MaxBits()
@@ -207,30 +204,55 @@ func newDistTable(k *kernel, alphabet int) *distTable {
 	return t
 }
 
+// nodeMinDist is the tree-descent lower bound read from the table: a
+// node's word constrains position j to the symbols lo..hi sharing its
+// cards[j]-bit prefix, and the table row of a position is V-shaped around
+// the query's own symbol qword[j] (zero there, growing with every
+// breakpoint further away), so the smallest entry of lo..hi sits at qword[j]
+// clamped into it. That entry is the same w*d*d product the breakpoint
+// form computes — bit for bit, one load per position instead of a
+// breakpoint search.
+func (t *distTable) nodeMinDist(qword, word []byte, cards []uint8, maxBits int) float64 {
+	var sum float64
+	for j := 0; j < t.l; j++ {
+		bits := int(cards[j])
+		if bits == 0 {
+			continue // interval is (-inf, +inf): contributes nothing
+		}
+		shift := uint(maxBits - bits)
+		lo := int(word[j]) << shift
+		hi := lo + 1<<shift - 1
+		sym := int(qword[j])
+		if sym < lo {
+			sym = lo
+		} else if sym > hi {
+			sym = hi
+		}
+		sum += t.flat[j*t.alphabet+sym]
+	}
+	return sum
+}
+
 // minDistEA computes the same early-abandoning squared lower bound as the
-// kernel, via flat table lookups in chunks of 8 positions.
-//
-// It deliberately uses the sequential-order lookup (simd.LookupAccumEASeq),
-// not the VGATHERQPD variant: on current AVX2 hardware two 4-lane gathers
-// plus the reduction tree measure slower than sixteen L1 loads feeding a
-// scalar add chain (see BenchmarkLBDKernels — the honest gather-vs-table
-// ablation this repo exists to report), and the sequential order keeps the
-// table bit-for-bit against the scalar reference. The vectorized variant
-// stays available as simd.LookupAccumEA for hardware where gathers win.
+// kernel, via flat table lookups in chunks of 8 positions: sixteen L1 loads
+// feeding one sequential add chain, which keeps the table bit-for-bit
+// against the scalar reference.
 func (t *distTable) minDistEA(word []byte, bsf float64) float64 {
 	return simd.LookupAccumEASeq(word[:t.l], t.flat, t.alphabet, bsf)
 }
 
-// minDistBlockEA computes the lower bounds of ALL n series of a contiguous
-// SoA word block (n rows of l symbols — exactly a leaf's refinement block)
-// in one kernel call, writing out[i] for every series and returning the
-// survivor count (<= bsf). Each out[i] is exact and bit-identical to
-// minDistEA's sequential value when that one is not abandoned; abandoned
-// per-series certificates and full block values land on the same side of
-// any bound >= bsf because table entries are nonnegative. This is the
-// default refinement kernel (Options.PerSeriesLBD restores minDistEA): it
-// pays dispatch and bounds checks once per leaf instead of once per series
-// and opens the series-across-lanes AVX2/AVX-512 tiers (see BlockImpl).
-func (t *distTable) minDistBlockEA(words []byte, n int, out []float64, bsf float64) int {
-	return simd.LookupAccumBlockEA(words, n, t.flat, t.alphabet, out, bsf)
+// minDistBlockEA lower-bounds ALL n series of a contiguous SoA word block
+// (n rows of l symbols — exactly a leaf's refinement block) in one staged
+// kernel call: the indices of the series whose bound is <= bsf go to surv,
+// ascending, and their number is returned; out[i] of such a survivor is
+// exact and bit-identical to minDistEA's sequential value, out[i] of any
+// other series is a partial sum that already exceeds bsf. The per-series
+// certificates of minDistEA and these land on the same side of any bound
+// >= bsf because table entries are nonnegative. This is the default
+// refinement kernel (Options.PerSeriesLBD restores minDistEA): it pays
+// dispatch and bounds checks once per leaf, stops after the first eight
+// positions for every series they already rule out, and opens the
+// series-across-lanes AVX2/AVX-512 tiers (see simd.BlockImpl).
+func (t *distTable) minDistBlockEA(words []byte, n int, out []float64, bsf float64, surv []int32) int {
+	return simd.LookupAccumBlockSurvivors(words, n, t.flat, t.alphabet, out, bsf, surv)
 }

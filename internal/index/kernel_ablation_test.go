@@ -98,15 +98,11 @@ func lbdFixture(b *testing.B) (*kernel, *distTable, [][]byte, []byte, int) {
 //   - Gather: Algorithm 3's mask/blend kernel gathering lower/upper bounds
 //     per symbol, dispatched (VGATHERQPD/VCMPPD/VBLENDVPD assembly on AVX2
 //     hardware, the bit-identical portable reference elsewhere);
-//   - GatherEmulated: the same algorithm through the 8-lane Vec emulation
-//     (the seed's refinement kernel) — the emulation-overhead baseline;
 //   - GatherPortable: the blocked pure-Go reference the assembly is
 //     bit-identical to;
 //   - Scalar: the branchy scalar reference;
 //   - FlatTable: the per-query flat distance table (sequential lookups, the
 //     default refinement kernel) over ragged per-series word slices;
-//   - FlatTableAsm: the VGATHERQPD lookup-accumulate variant of the table
-//     kernel — the honest gather-vs-table comparison on real SIMD;
 //   - FlatTableLeafBlock: the flat table streaming one contiguous
 //     leaf-style word block — the layout the refinement loop uses.
 //
@@ -120,16 +116,6 @@ func BenchmarkLBDKernels(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, w := range ragged {
 				k.minDistEA(w, math.Inf(1))
-			}
-		}
-	})
-	b.Run("GatherEmulated", func(b *testing.B) {
-		k, _, ragged, _, _ := lbdFixture(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, w := range ragged {
-				k.minDistEAEmulated(w, math.Inf(1))
 			}
 		}
 	})
@@ -163,16 +149,6 @@ func BenchmarkLBDKernels(b *testing.B) {
 			}
 		}
 	})
-	b.Run("FlatTableAsm-"+simd.Impl(), func(b *testing.B) {
-		_, dt, ragged, _, _ := lbdFixture(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, w := range ragged {
-				simd.LookupAccumEA(w[:dt.l], dt.flat, dt.alphabet, math.Inf(1))
-			}
-		}
-	})
 	b.Run("FlatTableLeafBlock", func(b *testing.B) {
 		_, dt, _, block, l := lbdFixture(b)
 		rows := len(block) / l
@@ -194,8 +170,9 @@ func BenchmarkLBDKernels(b *testing.B) {
 		out := make([]float64, rows)
 		b.ReportAllocs()
 		b.ResetTimer()
+		surv := make([]int32, rows)
 		for i := 0; i < b.N; i++ {
-			dt.minDistBlockEA(block, rows, out, math.Inf(1))
+			dt.minDistBlockEA(block, rows, out, math.Inf(1), surv)
 		}
 	})
 	b.Run("BlockTablePortable", func(b *testing.B) {
@@ -205,7 +182,7 @@ func BenchmarkLBDKernels(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			simd.LookupAccumBlockEAPortable(block, rows, dt.flat, dt.alphabet, out, math.Inf(1))
+			simd.LookupAccumBlockSurvivorsPortable(block, rows, dt.flat, dt.alphabet, out, math.Inf(1), nil)
 		}
 	})
 	b.Run("BlockGather-"+simd.BlockImpl(), func(b *testing.B) {

@@ -181,11 +181,11 @@ type Searcher struct {
 	set    *queue.Set[*node]
 	resBuf []Result
 
-	// scratch is the block-kernel scratch of the SERIAL paths (the seeding
-	// stage and single-worker drains). Parallel drains share one Searcher
-	// across worker goroutines, so finishShard hands each worker its own
-	// drainScratch instead of this field.
-	scratch drainScratch
+	// scratch is the block-kernel scratch, one per drain worker: parallel
+	// drains share this Searcher across worker goroutines, and worker w
+	// refines into scratch[w]. The serial paths (the seeding stage and
+	// single-worker drains) use scratch[0].
+	scratch []drainScratch
 
 	// Shard-query state, set by beginShard at the start of every search.
 	// A stand-alone Search points extKN at the searcher's own collector with
@@ -237,14 +237,15 @@ func (s *Searcher) LastStats() SearchStats {
 // NewSearcher creates a searcher over the tree.
 func (t *Tree) NewSearcher() *Searcher {
 	return &Searcher{
-		t:     t,
-		enc:   t.sum.NewIndexEncoder(),
-		qbuf:  make([]float64, t.data.Stride),
-		qr:    make([]float64, t.l),
-		qword: make([]byte, t.l),
-		kern:  kernel{weights: t.sum.Weights(), g: t.gather, l: t.l},
-		set:   queue.NewSet[*node](t.opts.Queues),
-		idMul: 1,
+		t:       t,
+		enc:     t.sum.NewIndexEncoder(),
+		qbuf:    make([]float64, t.data.Stride),
+		qr:      make([]float64, t.l),
+		qword:   make([]byte, t.l),
+		kern:    kernel{weights: t.sum.Weights(), g: t.gather, l: t.l},
+		set:     queue.NewSet[*node](t.opts.Queues),
+		scratch: make([]drainScratch, max(t.opts.Workers, 1)),
+		idMul:   1,
 	}
 }
 
@@ -307,10 +308,11 @@ func (s *Searcher) approximateLeaf() *node {
 	if !ok {
 		// No subtree under the query's key: pick the root child with the
 		// smallest node lower bound.
+		s.buildTable()
 		best := math.Inf(1)
 		for _, rk := range t.rootKeys {
 			c := t.root[rk]
-			if d := nodeMinDist(t.sum, s.qr, c.word, c.cards); d < best {
+			if d := s.dt.nodeMinDist(s.qword, c.word, c.cards, t.maxBits); d < best {
 				best = d
 				n = c
 			}
@@ -350,22 +352,33 @@ func (s *Searcher) processLeafReal(leaf *node, q []float64, kn *KNNCollector) {
 	}
 }
 
-// drainScratch is the per-drain-call scratch of the block refinement path:
-// the pooled LBD output slice and, for NoLeafBlocks trees, a staging buffer
-// the leaf's word rows are gathered into so the block kernel still sees one
-// contiguous SoA block. Both grow to the largest leaf seen and are then
-// reused, keeping the steady-state query path allocation-free.
+// buildTable (re)fills the flat per-query LBD table for the current query
+// representation: a fresh build costs one l x alphabet sweep (microseconds),
+// a repeat for the same representation is a qr-cache hit.
+func (s *Searcher) buildTable() {
+	s.kern.qr = s.qr
+	s.dt.build(&s.kern, s.t.gather.alphabet)
+}
+
+// drainScratch is one drain worker's scratch of the block refinement path:
+// the block kernel's two outputs — the members' LBDs and the survivor
+// list — and, for NoLeafBlocks trees, a staging buffer the leaf's word rows
+// are gathered into so the block kernel still sees one contiguous SoA
+// block. All grow to the largest leaf seen and are then reused, keeping the
+// steady-state query path allocation-free.
 type drainScratch struct {
 	lbd   []float64
+	surv  []int32
 	words []byte
 }
 
-func (ds *drainScratch) lbdFor(n int) []float64 {
+// forLeaf returns the kernel's output buffers for a leaf of n series.
+func (ds *drainScratch) forLeaf(n int) ([]float64, []int32) {
 	if cap(ds.lbd) < n {
 		ds.lbd = make([]float64, n)
+		ds.surv = make([]int32, n)
 	}
-	ds.lbd = ds.lbd[:n]
-	return ds.lbd
+	return ds.lbd[:n], ds.surv[:n]
 }
 
 // leafWords returns the leaf's contiguous word block, gathering the rows
@@ -390,35 +403,51 @@ func (s *Searcher) leafWords(leaf *node, ds *drainScratch) []byte {
 
 // processLeafApprox is the block-kernel variant of processLeafReal: one
 // kernel call bounds every member of the seed leaf, and real distances are
-// then computed only for members whose lower bound beats the current BSF.
-// With an empty collector (bound +Inf) nothing is skipped and the walk
-// degenerates to processLeafReal; with a finite bound — later shards of a
-// sharded query, warm repeat queries — most of the leaf's real distances
-// vanish. Skipping lb >= bound is exact: the true distance is >= lb, and
-// the bound only ever decreases, so such a candidate could never enter the
-// k-NN set. The seeding stage stays uncounted in SearchStats either way.
+// then computed only for the survivors it lists — members whose lower bound
+// beats the current BSF. With an empty collector (bound +Inf) everything
+// survives and the walk degenerates to processLeafReal; with a finite bound
+// — later shards of a sharded query, warm repeat queries — most of the
+// leaf's real distances vanish. Skipping lb >= bound is exact: the true
+// distance is >= lb, and the bound only ever decreases, so such a candidate
+// could never enter the k-NN set. The seeding stage stays uncounted in
+// SearchStats either way.
 func (s *Searcher) processLeafApprox(leaf *node, q []float64, kn *KNNCollector) {
+	s.walkSurvivors(leaf, q, kn, 1, &s.scratch[0])
+}
+
+// walkSurvivors bounds a whole leaf with one block kernel call and computes
+// real distances for the listed survivors only, returning how many it
+// computed. The cached bound is re-read when the walk enters another
+// boundRefreshInterval-sized block of the leaf (and whenever this worker
+// improves the k-NN set) — the cadence of a walk over every member, so the
+// pruning decisions, results and counters are those of such a walk. A
+// survivor's exact LBD is tested again, against the fresher bound; the
+// series the kernel dropped already exceed the older, larger one.
+func (s *Searcher) walkSurvivors(leaf *node, q []float64, kn *KNNCollector, scale float64, ds *drainScratch) (nED int64) {
 	n := len(leaf.ids)
 	if n == 0 {
-		return
+		return 0
 	}
+	lbd, surv := ds.forLeaf(n)
+	bound := kn.Bound()
+	surv = surv[:s.dt.minDistBlockEA(s.leafWords(leaf, ds), n, lbd, bound*scale, surv)]
 	t := s.t
 	dead := t.dead
-	ds := &s.scratch
-	words := s.leafWords(leaf, ds)
-	lbd := ds.lbdFor(n)
-	bound := kn.Bound()
-	s.dt.minDistBlockEA(words, n, lbd, bound)
-	for i, id := range leaf.ids {
-		if i%boundRefreshInterval == 0 {
+	block := 0
+	for _, i := range surv {
+		if b := int(i) / boundRefreshInterval; b != block {
+			block = b
 			bound = kn.Bound()
 		}
-		if lbd[i] >= bound || deadBit(dead, id) {
+		id := leaf.ids[i]
+		if lbd[i] >= bound*scale || deadBit(dead, id) {
 			continue
 		}
+		nED++
 		d := distance.SquaredEDEarlyAbandon(t.data.Row(int(id)), q, bound)
 		if d < bound && kn.Offer(s.mapID(id), d) {
 			bound = kn.Bound()
 		}
 	}
+	return nED
 }

@@ -26,7 +26,7 @@ type Options struct {
 	// PerSeriesLBD reverts query refinement to the per-series LBD kernel
 	// path (one early-abandoning table lookup call per series) instead of
 	// the default block kernels (one call per leaf, see
-	// simd.LookupAccumBlockEA). Results are identical either way — the
+	// simd.LookupAccumBlockSurvivors). Results are identical either way — the
 	// block kernels are bit-identical to the per-series sequential path —
 	// so the switch exists for the same-binary A/B benchmarks and as an
 	// escape hatch.

@@ -62,37 +62,68 @@ func lbdGatherBlocks8(word []byte, qr, lower, upper, weights []float64, alphabet
 	return lbdGatherBlocks8Ref(word, qr, lower, upper, weights, alphabet, bsf)
 }
 
-func lookupBlocks8(word []byte, table []float64, alphabet int, bsf float64) (float64, int) {
-	if useAVX2 {
-		return lookupBlocks8AVX2(word, table, alphabet, bsf)
+// lookupAccumBlock routes the staged table-lookup block kernel. The vector
+// bodies run both stages over the full 8-position groups and return how
+// many lanes outlived stage 1; position tails and the AVX2 tier's last
+// n%4 series are finished here. A block no lane of which outlived stage 1
+// has no survivor (the later positions only add), so the list is skipped.
+func lookupAccumBlock(words []byte, n, l int, table []float64, alphabet int, out []float64, bsf float64, surv []int32) int {
+	nb := l &^ (lbdBlock - 1)
+	nf := n // series covered by the vector body
+	if !useAVX512 {
+		nf = n &^ 3
 	}
-	return lookupBlocks8Ref(word, table, alphabet, bsf)
-}
-
-// Block kernel bodies: compute every series' partial sum over the full
-// 8-position groups (l &^ 7 positions) into out[:n]; the exported wrappers
-// in kernels_block.go append position tails and count survivors in shared
-// Go code. The AVX-512 bodies cover every series (tail stripes run under a
-// K mask); the AVX2 bodies cover the full stripes of 4 and leave the
-// remaining <4 series to the reference.
-
-func lookupAccumBlocks(words []byte, n, l int, table []float64, alphabet int, out []float64) {
+	if !useAVX2 || nb == 0 || nf == 0 {
+		return lookupAccumBlockRef(words, n, l, table, alphabet, out, bsf, surv)
+	}
+	var alive int
 	if useAVX512 {
-		lookupBlockAVX512(words, n, l, table, alphabet, out)
-		return
+		alive = lookupBlockAVX512(words, n, l, table, alphabet, out, bsf)
+	} else {
+		alive = lookupBlockAVX2(words, nf, l, table, alphabet, out, bsf)
 	}
-	if useAVX2 {
-		if nf := n &^ 3; nf > 0 {
-			lookupBlockAVX2(words, nf, l, table, alphabet, out)
-			if nf < n {
-				lookupAccumBlockRef(words[nf*l:], n-nf, l, table, alphabet, out[nf:])
-			}
-			return
-		}
+	for i := nf; i < n; i++ {
+		out[i] = LookupAccumEASeq(words[i*l:(i+1)*l], table, alphabet, bsf)
 	}
-	lookupAccumBlockRef(words, n, l, table, alphabet, out)
+	if alive == 0 && nf == n {
+		return 0
+	}
+	if nb < l {
+		lookupBlockTail(words, nf, l, nb, table, alphabet, out, bsf)
+	}
+	return survivors(out[:n], bsf, surv)
 }
 
+// lookupBlockTail appends the final sub-8 positions nb..l-1, sequentially,
+// to the partial sum of every series that is still alive.
+func lookupBlockTail(words []byte, n, l, nb int, table []float64, alphabet int, out []float64, bsf float64) {
+	for i := 0; i < n; i++ {
+		sum := out[i]
+		if sum > bsf {
+			continue
+		}
+		row := words[i*l+nb : (i+1)*l]
+		for j, sym := range row {
+			sum += table[(nb+j)*alphabet+int(sym)]
+		}
+		out[i] = sum
+	}
+}
+
+// survivors is survivorsRef, with VPCOMPRESSD writing the list on the
+// AVX-512 tier.
+func survivors(out []float64, bsf float64, surv []int32) int {
+	if useAVX512 {
+		return survivorsAVX512(out, bsf, surv)
+	}
+	return survivorsRef(out, bsf, surv)
+}
+
+// lbdGatherBlocks computes every series' partial sum over the full
+// 8-position groups into out[:n]; LBDGatherBlockEA appends position tails in
+// shared Go code. The AVX-512 body covers every series (tail stripes run
+// under a K mask); the AVX2 body covers the full stripes of 4 and leaves the
+// remaining <4 series to the reference.
 func lbdGatherBlocks(words []byte, n, l int, qr, lower, upper, weights []float64, alphabet int, out []float64) {
 	if useAVX512 {
 		lbdGatherBlockAVX512(words, n, l, qr, lower, upper, weights, alphabet, out)
@@ -124,16 +155,18 @@ func dotBlocks16AVX2(a, b []float64) (sum float64, idx int)
 //go:noescape
 func lbdGatherBlocks8AVX2(word []byte, qr, lower, upper, weights []float64, alphabet int, bsf float64) (sum float64, idx int)
 
-//go:noescape
-func lookupBlocks8AVX2(word []byte, table []float64, alphabet int, bsf float64) (sum float64, idx int)
-
 // Block kernel assembly (kernels_block_amd64.s).
 
-//go:noescape
-func lookupBlockAVX2(words []byte, n, l int, table []float64, alphabet int, out []float64)
+// The staged lookup bodies need l >= 8 and, for AVX2, n a multiple of 4.
 
 //go:noescape
-func lookupBlockAVX512(words []byte, n, l int, table []float64, alphabet int, out []float64)
+func lookupBlockAVX2(words []byte, n, l int, table []float64, alphabet int, out []float64, bsf float64) (alive int)
+
+//go:noescape
+func lookupBlockAVX512(words []byte, n, l int, table []float64, alphabet int, out []float64, bsf float64) (alive int)
+
+//go:noescape
+func survivorsAVX512(out []float64, bsf float64, surv []int32) int
 
 //go:noescape
 func lbdGatherBlockAVX2(words []byte, n, l int, qr, lower, upper, weights []float64, alphabet int, out []float64)

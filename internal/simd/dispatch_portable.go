@@ -28,12 +28,12 @@ func lbdGatherBlocks8(word []byte, qr, lower, upper, weights []float64, alphabet
 	return lbdGatherBlocks8Ref(word, qr, lower, upper, weights, alphabet, bsf)
 }
 
-func lookupBlocks8(word []byte, table []float64, alphabet int, bsf float64) (float64, int) {
-	return lookupBlocks8Ref(word, table, alphabet, bsf)
+func lookupAccumBlock(words []byte, n, l int, table []float64, alphabet int, out []float64, bsf float64, surv []int32) int {
+	return lookupAccumBlockRef(words, n, l, table, alphabet, out, bsf, surv)
 }
 
-func lookupAccumBlocks(words []byte, n, l int, table []float64, alphabet int, out []float64) {
-	lookupAccumBlockRef(words, n, l, table, alphabet, out)
+func survivors(out []float64, bsf float64, surv []int32) int {
+	return survivorsRef(out, bsf, surv)
 }
 
 func lbdGatherBlocks(words []byte, n, l int, qr, lower, upper, weights []float64, alphabet int, out []float64) {

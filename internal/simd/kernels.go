@@ -3,7 +3,7 @@ package simd
 import "math"
 
 // This file defines the dispatched kernel API and the portable reference
-// implementations of the four hot-loop kernels:
+// implementations of the per-series hot-loop kernels:
 //
 //   - SquaredEDEA:   chunked early-abandoning squared Euclidean distance
 //     (paper Section IV-H), 16 elements per block, 16 persistent FMA
@@ -13,8 +13,10 @@ import "math"
 //   - LBDGatherEA:   Algorithm 3's Gather_bound LBD kernel — per-symbol
 //     lower/upper interval gathers, mask/blend three-way select, weighted
 //     square, horizontal reduction, early abandon per 8-lane block;
-//   - LookupAccumEA: the flat per-query distance-table kernel — one table
-//     lookup per word position, 8-lane blocks with the same reduction tree.
+//   - LookupAccumEASeq: the flat per-query distance-table kernel — one
+//     table lookup per word position feeding a sequential add chain (pure
+//     Go on every platform; the block tier in kernels_block.go is its
+//     batched, vectorized form).
 //
 // Every kernel has exactly one canonical numeric semantics: a fixed block
 // width, a fixed accumulation structure (math.FMA where the assembly uses
@@ -217,43 +219,12 @@ func lbdGatherBlocks8Ref(word []byte, qr, lower, upper, weights []float64, alpha
 	return sum, c
 }
 
-// LookupAccumEA computes the early-abandoning flat distance-table lower
-// bound: sum over positions j of table[j*alphabet+word[j]], in 8-position
-// blocks with the canonical reduction tree and an abandon test per block.
-//
-// Contract: len(table) >= len(word)*alphabet and every word symbol
-// < alphabet (checked once per call).
-func LookupAccumEA(word []byte, table []float64, alphabet int, bsf float64) float64 {
-	l := len(word)
-	checkLookupBounds(word, len(table), alphabet)
-	sum, c := lookupBlocks8(word, table, alphabet, bsf)
-	if sum > bsf {
-		return sum
-	}
-	if c < l {
-		sum += lookupTail8(word, table, alphabet, c)
-	}
-	return sum
-}
-
-// LookupAccumEAPortable is the always-portable reference of LookupAccumEA.
-func LookupAccumEAPortable(word []byte, table []float64, alphabet int, bsf float64) float64 {
-	l := len(word)
-	checkLookupBounds(word, len(table), alphabet)
-	sum, c := lookupBlocks8Ref(word, table, alphabet, bsf)
-	if sum > bsf {
-		return sum
-	}
-	if c < l {
-		sum += lookupTail8(word, table, alphabet, c)
-	}
-	return sum
-}
-
-// LookupAccumEASeq is the PR-1 sequential formulation — one running scalar
-// add per position, abandon test per 8 — kept as the benchmark baseline the
-// vectorized kernels are judged against (it is NOT bit-identical to the
-// blocked tree reduction, only equal to rounding error).
+// LookupAccumEASeq computes the early-abandoning flat distance-table lower
+// bound: sum over positions j of table[j*alphabet+word[j]], one running
+// scalar add per position with an abandon test after every 8. A returned
+// value > bsf is only a certificate; values <= bsf are exact. It is the
+// per-series refinement kernel and defines the add order the block kernels
+// reproduce lane for lane.
 func LookupAccumEASeq(word []byte, table []float64, alphabet int, bsf float64) float64 {
 	var sum float64
 	l := len(word)
@@ -272,24 +243,6 @@ func LookupAccumEASeq(word []byte, table []float64, alphabet int, bsf float64) f
 	return sum
 }
 
-// lookupBlocks8Ref processes the full 8-position blocks of the table kernel.
-func lookupBlocks8Ref(word []byte, table []float64, alphabet int, bsf float64) (float64, int) {
-	n := len(word) &^ (lbdBlock - 1)
-	var sum float64
-	c := 0
-	for ; c < n; c += lbdBlock {
-		var t [lbdBlock]float64
-		for i := 0; i < lbdBlock; i++ {
-			t[i] = table[(c+i)*alphabet+int(word[c+i])]
-		}
-		sum += blockReduce8(&t)
-		if sum > bsf {
-			return sum, c + lbdBlock
-		}
-	}
-	return sum, c
-}
-
 // lbdTail8 computes the final sub-8 positions c..len(word)-1 of the gather
 // kernel as one zero-padded block — the single tail implementation shared
 // by the dispatched and portable wrappers, so their bit-identity cannot
@@ -302,17 +255,8 @@ func lbdTail8(word []byte, qr, lower, upper, weights []float64, alphabet, c int)
 	return blockReduce8(&t)
 }
 
-// lookupTail8 is lbdTail8's counterpart for the table-lookup kernel.
-func lookupTail8(word []byte, table []float64, alphabet, c int) float64 {
-	var t [lbdBlock]float64
-	for i := c; i < len(word); i++ {
-		t[i-c] = table[i*alphabet+int(word[i])]
-	}
-	return blockReduce8(&t)
-}
-
-// blockReduce8 is the canonical 8-lane horizontal reduction shared by the
-// LBD kernels (and their sub-8 tails, zero-padded): lane-wise fold of the
+// blockReduce8 is the canonical 8-lane horizontal reduction of the gather
+// kernel (and its sub-8 tail, zero-padded): lane-wise fold of the
 // two 4-lane registers, 128-bit fold, scalar add.
 func blockReduce8(t *[lbdBlock]float64) float64 {
 	y0 := t[0] + t[4]
@@ -326,13 +270,6 @@ func checkLBDBounds(word []byte, nq, nw, nlo, nhi, alphabet int) {
 	l := len(word)
 	if alphabet <= 0 || nq < l || nw < l || nlo < l*alphabet || nhi < l*alphabet {
 		panic("simd: LBDGatherEA slice lengths violate the kernel contract")
-	}
-	checkSymbols(word, alphabet)
-}
-
-func checkLookupBounds(word []byte, nt, alphabet int) {
-	if alphabet <= 0 || nt < len(word)*alphabet {
-		panic("simd: LookupAccumEA table shorter than len(word)*alphabet")
 	}
 	checkSymbols(word, alphabet)
 }

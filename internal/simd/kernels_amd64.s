@@ -217,70 +217,3 @@ lbd_done:
 	MOVQ   DX, idx+144(FP)
 	VZEROUPPER
 	RET
-
-// func lookupBlocks8AVX2(word []byte, table []float64, alphabet int,
-//                        bsf float64) (sum float64, idx int)
-//
-// Flat distance-table kernel: the same index pipeline as the gather kernel
-// but a single VGATHERQPD per half straight out of the per-query table,
-// then the canonical 8-lane reduction and the abandon test.
-TEXT ·lookupBlocks8AVX2(SB), NOSPLIT, $32-80
-	MOVQ word_base+0(FP), BX
-	MOVQ word_len+8(FP), CX
-	ANDQ $-8, CX
-	MOVQ table_base+24(FP), R12
-
-	MOVQ         alphabet+48(FP), R8
-	XORQ         R9, R9
-	MOVQ         R9, 0(SP)
-	MOVQ         R8, 8(SP)
-	LEAQ         (R8)(R8*1), R10
-	MOVQ         R10, 16(SP)
-	LEAQ         (R10)(R8*1), R11
-	MOVQ         R11, 24(SP)
-	VMOVDQU      0(SP), Y10
-	MOVQ         R8, R10
-	SHLQ         $2, R10
-	VMOVQ        R10, X12
-	VPBROADCASTQ X12, Y12
-	VPADDQ       Y12, Y10, Y11
-	VPADDQ       Y12, Y12, Y12
-
-	VMOVSD bsf+56(FP), X14
-	VXORPD X15, X15, X15
-	XORQ   DX, DX
-	CMPQ   CX, $0
-	JE     lut_done
-
-lut_loop:
-	VMOVQ     (BX)(DX*1), X4
-	VPSRLQ    $32, X4, X5          // before the extend: VPMOVZXBQ clobbers X4
-	VPMOVZXBQ X4, Y4
-	VPMOVZXBQ X5, Y5
-	VPADDQ    Y10, Y4, Y4
-	VPADDQ    Y11, Y5, Y5
-	VPADDQ    Y12, Y10, Y10
-	VPADDQ    Y12, Y11, Y11
-
-	VPCMPEQD   Y13, Y13, Y13
-	VGATHERQPD Y13, (R12)(Y4*8), Y6
-	VPCMPEQD   Y13, Y13, Y13
-	VGATHERQPD Y13, (R12)(Y5*8), Y7
-
-	VADDPD       Y7, Y6, Y6
-	VEXTRACTF128 $1, Y6, X7
-	VADDPD       X7, X6, X6
-	VUNPCKHPD    X6, X6, X7
-	VADDSD       X7, X6, X6
-	VADDSD       X6, X15, X15
-	ADDQ         $8, DX
-	VUCOMISD     X14, X15
-	JA           lut_done
-	CMPQ         DX, CX
-	JL           lut_loop
-
-lut_done:
-	VMOVSD X15, sum+64(FP)
-	MOVQ   DX, idx+72(FP)
-	VZEROUPPER
-	RET

@@ -69,14 +69,9 @@ func BenchmarkLBDGather(b *testing.B) {
 			LBDGatherEAPortable(word, qr, lower, upper, weights, alpha, math.Inf(1))
 		}
 	})
-	b.Run("emulated", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			LBDGatherEAEmulated(word, qr, lower, upper, weights, alpha, math.Inf(1))
-		}
-	})
 }
 
-func BenchmarkLookupAccum(b *testing.B) {
+func BenchmarkLookupAccumSeq(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	const l, alpha = 16, 256
 	word := make([]byte, l)
@@ -87,19 +82,7 @@ func BenchmarkLookupAccum(b *testing.B) {
 	for i := range table {
 		table[i] = rng.Float64()
 	}
-	b.Run("dispatched-"+Impl(), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			LookupAccumEA(word, table, alpha, math.Inf(1))
-		}
-	})
-	b.Run("portable", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			LookupAccumEAPortable(word, table, alpha, math.Inf(1))
-		}
-	})
-	b.Run("seq", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			LookupAccumEASeq(word, table, alpha, math.Inf(1))
-		}
-	})
+	for i := 0; i < b.N; i++ {
+		LookupAccumEASeq(word, table, alpha, math.Inf(1))
+	}
 }

@@ -155,38 +155,6 @@ func TestLBDGatherParityExhaustive(t *testing.T) {
 	}
 }
 
-func TestLookupAccumParityExhaustive(t *testing.T) {
-	rng := rand.New(rand.NewSource(104))
-	bounds := []float64{0, 0.1, 2, 100, math.Inf(1)}
-	for _, alpha := range []int{2, 8, 256} {
-		for l := 1; l <= 40; l++ {
-			word := make([]byte, l)
-			table := make([]float64, l*alpha)
-			for j := range word {
-				word[j] = byte(rng.Intn(alpha))
-			}
-			for i := range table {
-				table[i] = rng.Float64() * 10
-			}
-			// Inject ±Inf entries, including at looked-up positions: the
-			// gather must propagate them identically (Inf sums, and
-			// -Inf + +Inf = NaN through the same reduction tree).
-			if l >= 2 {
-				table[0*alpha+int(word[0])] = math.Inf(1)
-				table[1*alpha+int(word[1])] = math.Inf(-1)
-			}
-			for _, bsf := range bounds {
-				got := LookupAccumEA(word, table, alpha, bsf)
-				want := LookupAccumEAPortable(word, table, alpha, bsf)
-				if !eqBits(got, want) {
-					t.Fatalf("alpha=%d l=%d bsf=%v: asm %v (%#x) != portable %v (%#x)",
-						alpha, l, bsf, got, math.Float64bits(got), want, math.Float64bits(want))
-				}
-			}
-		}
-	}
-}
-
 // Property: for any data and bound, SquaredEDEA returns either the exact
 // blocked distance (when <= bound) or a certificate > bound, and the
 // sequential-vs-dispatched paths stay bit-identical.
@@ -300,36 +268,6 @@ func FuzzLBDGatherParity(f *testing.F) {
 		want := LBDGatherEAPortable(word, qr, lower, upper, weights, 1<<alphaBits, bsf)
 		if !eqBits(got, want) {
 			t.Fatalf("parity violation: l=%d alpha=%d bsf=%v", l, 1<<alphaBits, bsf)
-		}
-	})
-}
-
-func FuzzLookupAccumParity(f *testing.F) {
-	f.Add(int64(1), 16, 8, 10.0)
-	f.Add(int64(2), 7, 3, math.Inf(1))
-	f.Fuzz(func(t *testing.T, seed int64, l, alphaBits int, bsf float64) {
-		if l < 1 || l > 128 || alphaBits < 1 || alphaBits > 8 {
-			return
-		}
-		alpha := 1 << alphaBits
-		rng := rand.New(rand.NewSource(seed))
-		word := make([]byte, l)
-		table := make([]float64, l*alpha)
-		for j := range word {
-			word[j] = byte(rng.Intn(alpha))
-		}
-		for i := range table {
-			switch rng.Intn(20) {
-			case 0:
-				table[i] = math.Inf(1)
-			case 1:
-				table[i] = math.Inf(-1)
-			default:
-				table[i] = rng.Float64() * 10
-			}
-		}
-		if !eqBits(LookupAccumEA(word, table, alpha, bsf), LookupAccumEAPortable(word, table, alpha, bsf)) {
-			t.Fatalf("parity violation: l=%d alpha=%d bsf=%v", l, alpha, bsf)
 		}
 	})
 }

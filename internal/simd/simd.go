@@ -1,201 +1,18 @@
 // Package simd provides the hot-loop distance kernels of the SOFA
 // reproduction (paper Section IV-H) behind a runtime dispatch layer:
 //
-//   - kernels.go defines the exported kernel API (SquaredEDEA, Dot,
-//     LBDGatherEA, LookupAccumEA) and the portable pure-Go references that
-//     fix each kernel's canonical bit-level semantics;
+//   - kernels.go defines the exported per-series kernel API (SquaredEDEA,
+//     Dot, LBDGatherEA, LookupAccumEASeq) and the portable pure-Go
+//     references that fix each kernel's canonical bit-level semantics;
 //   - kernels_amd64.s implements the same semantics with AVX2+FMA assembly
 //     (VFMADD accumulation, VGATHERQPD bound gathers, VCMPPD/VBLENDVPD
 //     three-way selects); cpuid_amd64.go probes the hardware at init and
 //     dispatch_amd64.go routes each call. Assembly and reference are
 //     bit-identical on every input (kernels_parity_test.go), so results do
 //     not depend on the platform. Build with -tags noasm, or set
-//     SOFA_NOSIMD in the environment, to force the portable path.
-//
-// This file retains the original 8-lane Vec emulation of the AVX intrinsic
-// vocabulary: fixed-width vectors, comparison masks, blends and horizontal
-// reductions expressed as scalar lane loops. It remains the substrate of
-// the emulated ablation kernel (emulated.go) that the benchmarks compare
-// the real assembly against, and of tests that pin the mask/blend algebra.
+//     SOFA_NOSIMD in the environment, to force the portable path;
+//   - kernels_block.go and kernels_block_amd64.s hold the block tier: one
+//     call lower-bounds a whole leaf (series across lanes, AVX-512 over
+//     AVX2 over the reference), the table-lookup kernel in two
+//     early-abandoning stages that hand the caller a survivor list.
 package simd
-
-// Width is the number of float64 lanes per vector, matching an AVX-512
-// register of 64-bit floats (or two AVX2 registers).
-const Width = 8
-
-// Vec is an 8-lane float64 vector.
-type Vec [Width]float64
-
-// Mask is an 8-lane boolean mask produced by comparisons.
-type Mask [Width]bool
-
-// Load fills a vector from the first Width elements of x. Missing elements
-// (len(x) < Width) are zero-filled, mirroring a masked load.
-func Load(x []float64) Vec {
-	var v Vec
-	n := len(x)
-	if n > Width {
-		n = Width
-	}
-	for i := 0; i < n; i++ {
-		v[i] = x[i]
-	}
-	return v
-}
-
-// Broadcast returns a vector with all lanes set to s.
-func Broadcast(s float64) Vec {
-	var v Vec
-	for i := range v {
-		v[i] = s
-	}
-	return v
-}
-
-// Add returns a + b lane-wise.
-func Add(a, b Vec) Vec {
-	var r Vec
-	for i := range r {
-		r[i] = a[i] + b[i]
-	}
-	return r
-}
-
-// Sub returns a - b lane-wise.
-func Sub(a, b Vec) Vec {
-	var r Vec
-	for i := range r {
-		r[i] = a[i] - b[i]
-	}
-	return r
-}
-
-// Mul returns a * b lane-wise.
-func Mul(a, b Vec) Vec {
-	var r Vec
-	for i := range r {
-		r[i] = a[i] * b[i]
-	}
-	return r
-}
-
-// FMA returns a*b + c lane-wise (fused multiply-add shape).
-func FMA(a, b, c Vec) Vec {
-	var r Vec
-	for i := range r {
-		r[i] = a[i]*b[i] + c[i]
-	}
-	return r
-}
-
-// CmpLT returns the mask a < b.
-func CmpLT(a, b Vec) Mask {
-	var m Mask
-	for i := range m {
-		m[i] = a[i] < b[i]
-	}
-	return m
-}
-
-// CmpGT returns the mask a > b.
-func CmpGT(a, b Vec) Mask {
-	var m Mask
-	for i := range m {
-		m[i] = a[i] > b[i]
-	}
-	return m
-}
-
-// CmpGE returns the mask a >= b.
-func CmpGE(a, b Vec) Mask {
-	var m Mask
-	for i := range m {
-		m[i] = a[i] >= b[i]
-	}
-	return m
-}
-
-// And returns the lane-wise conjunction of two masks.
-func And(a, b Mask) Mask {
-	var m Mask
-	for i := range m {
-		m[i] = a[i] && b[i]
-	}
-	return m
-}
-
-// AndNot returns a && !b lane-wise.
-func AndNot(a, b Mask) Mask {
-	var m Mask
-	for i := range m {
-		m[i] = a[i] && !b[i]
-	}
-	return m
-}
-
-// Not returns the lane-wise negation of m.
-func Not(m Mask) Mask {
-	var r Mask
-	for i := range r {
-		r[i] = !m[i]
-	}
-	return r
-}
-
-// Blend selects a[i] where m[i] is true and b[i] otherwise — the masked
-// select the paper uses to resolve the UPPER/LOWER/ZERO branches without
-// conditional jumps.
-func Blend(m Mask, a, b Vec) Vec {
-	var r Vec
-	for i := range r {
-		if m[i] {
-			r[i] = a[i]
-		} else {
-			r[i] = b[i]
-		}
-	}
-	return r
-}
-
-// MaskedAccumulate adds a[i]*a[i] to the running sum for every true lane;
-// it is the fused "square and horizontally reduce under mask" step of the
-// LBD kernel.
-func MaskedAccumulate(m Mask, a Vec) float64 {
-	var s float64
-	for i := range a {
-		if m[i] {
-			s += a[i] * a[i]
-		}
-	}
-	return s
-}
-
-// Sum horizontally reduces the vector.
-func Sum(v Vec) float64 {
-	// Pairwise tree reduction, mirroring HADD sequences.
-	s01 := v[0] + v[1]
-	s23 := v[2] + v[3]
-	s45 := v[4] + v[5]
-	s67 := v[6] + v[7]
-	return (s01 + s23) + (s45 + s67)
-}
-
-// Any reports whether any lane of the mask is set.
-func Any(m Mask) bool {
-	for _, b := range m {
-		if b {
-			return true
-		}
-	}
-	return false
-}
-
-// All reports whether every lane of the mask is set.
-func All(m Mask) bool {
-	for _, b := range m {
-		if !b {
-			return false
-		}
-	}
-	return true
-}
