@@ -132,10 +132,10 @@ func DefaultFaultGuardConfig() FaultGuardConfig {
 		HookSites: map[string]map[string]bool{
 			"internal/core/collection.go": {"SiteTombstone": true, "SiteCompactSwap": true},
 			"internal/core/persist.go":    {"SitePersistRead": true, "SitePersistWrite": true, "SiteCheckpointRename": true},
+			"internal/core/search.go":     {"SiteBatchWorker": true},
 			"internal/core/stream.go":     {"SiteStreamWorker": true, "SiteStreamSubmit": true},
 			"internal/core/wal.go":        {"SiteWALAppend": true, "SiteWALSync": true},
 			"internal/index/approx.go":    {"SiteKernel": true},
-			"internal/index/batch.go":     {"SiteBatchWorker": true},
 			"internal/index/shard.go":     {"SiteShardSeed": true, "SiteShardFinish": true, "SiteKernel": true},
 		},
 		ExemptDirs: map[string]bool{"internal/faultinject": true},

@@ -122,26 +122,18 @@ func DefaultRetainConfig() RetainConfig {
 			"internal/bench/report.go": {
 				"Search": "searchSteadyStateAllocs discards results (alloc count only)",
 			},
-			"internal/core/collection.go": {
-				"Search":            "SearchBatch copies (append(nil, res...)) before the pooled searcher is reused; Search1 extracts res[0]; single-shard Search forwards the documented owned-slice contract",
-				"SearchApproximate": "forwards the owned-slice contract (documented)",
-				"SearchEpsilon":     "forwards the owned-slice contract (documented)",
-				"SearchPlan":        "SearchBatchPlan passes dst=nil, so each query's results are freshly allocated and caller-owned",
+			"internal/core/search.go": {
+				"Search":     "Search1 extracts res[0]",
+				"SearchPlan": "searchOwned appends into the searcher's own resBuf and forwards the documented owned-slice contract; batchQuery passes dst=nil, so each query's results are freshly allocated and caller-owned",
 			},
 			"internal/core/core.go": {
 				"NewStream": "doc example in package comment context; Index.NewStream forwards the callback-scoped contract",
-			},
-			"internal/core/stream.go": {
-				"SearchPlan": "worker appends into its own pooled resBuf and passes it straight to the callback; contract documents callback scope",
 			},
 			"sofa/query.go": {
 				"SearchPlan": "dst is nil (Search: fresh caller-owned slice) or the caller's own buf (SearchInto) — never searcher scratch; see TestSofaPublicOwnership",
 			},
 			"sofa/stream.go": {
 				"NewStream": "public wrapper forwarding the documented callback-scoped contract",
-			},
-			"internal/index/batch.go": {
-				"Search": "BatchSearchInto copies results into the caller buffer before the pooled searcher is reused",
 			},
 			"internal/index/search.go": {
 				"Search": "Search1 extracts res[0] before returning",

@@ -233,7 +233,6 @@ func Experiments() []Experiment {
 		{"fig15", "Fig 15: critical-difference ranks (Wilcoxon-Holm)", RunFig15},
 		{"approx", "Extension: approximate and \u03b5-bounded search trade-offs (paper Sec VI future work)", RunApprox},
 		{"qps", "Extension: sharded and streaming batched-query throughput", RunQPS},
-		{"qblock", "Extension: block-vs-per-series refinement kernel A/B by workload and k", RunQBlock},
 		{"load", "Extension: index load time by container version (v2 rebuild vs v3 decode)", RunLoad},
 		{"chaos", "Extension: degraded-mode throughput, top-k coverage and ε certificates with one shard quarantined", RunChaos},
 		{"wal", "Extension: durable insert throughput by WAL sync policy", RunWAL},

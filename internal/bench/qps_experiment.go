@@ -25,8 +25,8 @@ type QPSRow struct {
 // the system extension beyond the paper's one-query-at-a-time protocol. It
 // compares, at the maximum core count and k=10:
 //
-//   - the single tree's pooled BatchSearch,
-//   - the sharded collection's BatchSearch (S shards, merged k-NN),
+//   - the single-shard collection's SearchBatch,
+//   - the sharded collection's SearchBatch (S shards, merged k-NN),
 //   - the streaming engine over both (persistent workers, bounded channel),
 //   - the flat baseline, unsharded and sharded the same way.
 //
@@ -173,4 +173,18 @@ func timeStreamQPS(ix *core.Index, queries *distance.Matrix, k, workers, reps in
 		return 0, firstErr
 	}
 	return float64(reps*queries.Len()) / elapsed, nil
+}
+
+// hotQueries builds the skewed workload: `distinct` rows of qs cycled to
+// total rows, modelling a cache/dashboard pattern where a few queries
+// dominate.
+func hotQueries(qs *distance.Matrix, distinct, total int) *distance.Matrix {
+	if distinct > qs.Len() {
+		distinct = qs.Len()
+	}
+	out := distance.NewMatrix(total, qs.Stride)
+	for i := 0; i < total; i++ {
+		copy(out.Row(i), qs.Row(i%distinct))
+	}
+	return out
 }

@@ -46,12 +46,6 @@ type PerfReport struct {
 	DataLength int      `json:"data_length"`
 	EndToEnd   []QPSRow `json:"end_to_end"`
 
-	// KernelAB is the same-session interleaved block-vs-per-series
-	// refinement A/B on the snapshot dataset (the qblock experiment's
-	// rows): reps alternate between the two builds, so the speedups are
-	// immune to run-to-run machine drift.
-	KernelAB []QBlockRow `json:"kernel_ab"`
-
 	// SearchSteadyStateAllocs is allocations per exact Search call on a
 	// warmed pooled searcher (the PR-1 zero-allocation invariant).
 	SearchSteadyStateAllocs float64 `json:"search_steady_state_allocs"`
@@ -102,10 +96,6 @@ func RunReport(cfg SuiteConfig, w io.Writer) error {
 	fmt.Fprintln(tw, "engine\tshards\tworkers\tqueries/s")
 	for _, r := range rep.EndToEnd {
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%.0f\n", r.Engine, r.Shards, r.Workers, r.QPS)
-	}
-	fmt.Fprintln(tw, "kernel A/B (interleaved)\tk\tblock q/s\tper-series q/s\tspeedup")
-	for _, r := range rep.KernelAB {
-		fmt.Fprintf(tw, "\t%s k=%d\t%.0f\t%.0f\t%.2fx\n", r.Workload, r.K, r.BlockQPS, r.PerSeriesQPS, r.Speedup)
 	}
 	fmt.Fprintf(tw, "search steady-state allocs\t%.1f\n", rep.SearchSteadyStateAllocs)
 	fmt.Fprintf(tw, "load (S=%d)\tversion\tdecode ms\ttree ms\ttotal ms\tre-splits\n", rep.LoadShards)
@@ -173,10 +163,6 @@ func BuildReport(cfg SuiteConfig) (*PerfReport, error) {
 	rep.Dataset = spec.Name
 	rep.DataSeries = spec.Count
 	rep.DataLength = spec.Length
-	rep.KernelAB, err = qblockRows(c, data)
-	if err != nil {
-		return nil, err
-	}
 	allocs, err := searchSteadyStateAllocs(cfg)
 	if err != nil {
 		return nil, err

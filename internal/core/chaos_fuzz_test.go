@@ -90,7 +90,7 @@ func FuzzFaultSchedule(f *testing.F) {
 		if parallel {
 			s = ix.NewSearcher()
 		} else {
-			s = col.newSerialSearcher()
+			s = col.newSearcher(true)
 		}
 		for qi, q := range queries {
 			res, err := s.SearchPlan(context.Background(), q, Plan{K: 5, AllowPartial: true}, nil)

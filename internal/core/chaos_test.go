@@ -173,7 +173,7 @@ func TestChaosQuarantineAfterConsecutivePanics(t *testing.T) {
 	ix, queries := chaosIndex(t, 2)
 	defer faultinject.Reset()
 	col := ix.Collection()
-	s := col.newSerialSearcher()
+	s := col.newSearcher(true)
 	faultinject.Arm(faultinject.SiteShardSeed, faultinject.Trigger{Mode: faultinject.ModePanic, EveryN: 2})
 	for strike := 1; strike <= 3; strike++ {
 		res, err := s.SearchPlan(context.Background(), queries[0], Plan{K: 5, AllowPartial: true}, nil)
@@ -223,7 +223,7 @@ func TestChaosPanicCounterResetsOnSuccess(t *testing.T) {
 	ix, queries := chaosIndex(t, 2)
 	defer faultinject.Reset()
 	col := ix.Collection()
-	s := col.newSerialSearcher()
+	s := col.newSearcher(true)
 	for round := 0; round < 4; round++ {
 		faultinject.Arm(faultinject.SiteShardSeed, faultinject.Trigger{Mode: faultinject.ModePanic, OnCall: 1})
 		if _, err := s.SearchPlan(context.Background(), queries[0], Plan{K: 5, AllowPartial: true}, nil); err != nil {
@@ -292,6 +292,59 @@ func TestChaosStreamWorkerPanic(t *testing.T) {
 		}
 	}
 	st.Close()
+}
+
+// TestChaosBatchWorkerPanic: an injected panic inside a SearchBatchPlan
+// worker — outside any shard's containment — fails that batch with a
+// *PanicError (shard -1) instead of killing the process, keeps the searcher
+// it unwound through out of the pool, and the next batch answers exactly.
+func TestChaosBatchWorkerPanic(t *testing.T) {
+	ix, queries := chaosIndex(t, 2)
+	defer faultinject.Reset()
+	col := ix.Collection()
+	qs := make([]PlanQuery, len(queries))
+	for i, q := range queries {
+		qs[i] = PlanQuery{Series: q, Plan: Plan{K: 5}}
+	}
+	want, err := col.SearchBatchPlan(context.Background(), qs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		faultinject.Arm(faultinject.SiteBatchWorker, faultinject.Trigger{Mode: faultinject.ModePanic, OnCall: 2})
+		_, err := col.SearchBatchPlan(context.Background(), qs, workers)
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Shard != -1 {
+			t.Fatalf("workers=%d: batch err = %v, want *PanicError (shard -1)", workers, err)
+		}
+		if _, ok := pe.Value.(faultinject.Panic); !ok {
+			t.Fatalf("workers=%d: recovered value %T, want faultinject.Panic", workers, pe.Value)
+		}
+		faultinject.Disarm(faultinject.SiteBatchWorker)
+		got, err := col.SearchBatchPlan(context.Background(), qs, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: batch after fault: %v", workers, err)
+		}
+		for qi := range want {
+			for r := range want[qi] {
+				if got[qi][r] != want[qi][r] {
+					t.Fatalf("workers=%d q=%d rank %d: %+v != %+v after fault", workers, qi, r, got[qi][r], want[qi][r])
+				}
+			}
+		}
+	}
+}
+
+// TestChaosBatchWorkerError: error-mode injection fails the batch with the
+// injected error itself (no panic machinery involved).
+func TestChaosBatchWorkerError(t *testing.T) {
+	ix, queries := chaosIndex(t, 2)
+	defer faultinject.Reset()
+	qs := []PlanQuery{{Series: queries[0], Plan: Plan{K: 5}}, {Series: queries[1], Plan: Plan{K: 5}}}
+	faultinject.Arm(faultinject.SiteBatchWorker, faultinject.Trigger{Mode: faultinject.ModeError, OnCall: 1})
+	if _, err := ix.Collection().SearchBatchPlan(context.Background(), qs, 2); !faultinject.IsInjected(err) {
+		t.Fatalf("batch err = %v, want injected", err)
+	}
 }
 
 // TestChaosStreamSubmitError: injected submit-side faults surface to the

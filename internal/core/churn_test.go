@@ -455,46 +455,48 @@ func TestChurnConcurrentCompaction(t *testing.T) {
 
 // TestSearchZeroAllocTombstones: the tombstone skip is fused into the block
 // kernel's survivor pass, so a collection carrying deletes and upserts keeps
-// the steady-state search at zero allocations (single shard, the engine's
-// serial zero-alloc path).
+// the steady-state search at zero allocations on the executor's inline path:
+// a single shard, and four shards under a serial searcher.
 func TestSearchZeroAllocTombstones(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector perturbs sync.Pool allocation counts")
 	}
 	const n = 32
-	rng := rand.New(rand.NewSource(4104))
-	data := mixedMatrix(rng, 400, n)
-	ix, err := Build(data, Config{Method: SOFA, LeafCapacity: 32, SampleRate: 0.5, Shards: 1, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 60; i++ {
-		if err := ix.Delete(index.ID(rng.Intn(400))); err != nil && !errors.Is(err, ErrTombstoned) {
+	for _, shards := range []int{1, 4} {
+		rng := rand.New(rand.NewSource(4104))
+		data := mixedMatrix(rng, 400, n)
+		ix, err := Build(data, Config{Method: SOFA, LeafCapacity: 32, SampleRate: 0.5, Shards: shards, Workers: 1})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	for i := 0; i < 20; i++ { // materialize the explicit id tables too
-		id := index.ID(rng.Intn(400))
-		if err := ix.Upsert(id, churnSeries(rng, n)); err != nil && !errors.Is(err, ErrTombstoned) {
-			t.Fatal(err)
+		for i := 0; i < 60; i++ {
+			if err := ix.Delete(index.ID(rng.Intn(400))); err != nil && !errors.Is(err, ErrTombstoned) {
+				t.Fatal(err)
+			}
 		}
-	}
-	if ix.Collection().Tombstoned() == 0 {
-		t.Fatal("no tombstones — the test lost its subject")
-	}
-	query := churnSeries(rng, n)
-	s := ix.NewSearcher()
-	for i := 0; i < 3; i++ {
-		if _, err := s.Search(query, 10); err != nil {
-			t.Fatal(err)
+		for i := 0; i < 20; i++ { // materialize the explicit id tables too
+			id := index.ID(rng.Intn(400))
+			if err := ix.Upsert(id, churnSeries(rng, n)); err != nil && !errors.Is(err, ErrTombstoned) {
+				t.Fatal(err)
+			}
 		}
-	}
-	avg := testing.AllocsPerRun(50, func() {
-		if _, err := s.Search(query, 10); err != nil {
-			t.Fatal(err)
+		if ix.Collection().Tombstoned() == 0 {
+			t.Fatal("no tombstones — the test lost its subject")
 		}
-	})
-	if avg != 0 {
-		t.Errorf("steady-state Search with tombstones allocates %v allocs/op, want 0", avg)
+		query := churnSeries(rng, n)
+		s := ix.Collection().newSearcher(shards > 1)
+		for i := 0; i < 3; i++ {
+			if _, err := s.Search(query, 10); err != nil {
+				t.Fatal(err)
+			}
+		}
+		avg := testing.AllocsPerRun(50, func() {
+			if _, err := s.Search(query, 10); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg != 0 {
+			t.Errorf("S=%d: steady-state Search with tombstones allocates %v allocs/op, want 0", shards, avg)
+		}
 	}
 }

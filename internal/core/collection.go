@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -22,8 +20,8 @@ import (
 // summarization. It is the scale-out layer MESSI-style systems put in front
 // of the tree — partition the collection, query every partition, merge — and
 // the abstraction every core entry point (Build, Search, SearchBatch,
-// Insert, Save/Load, NewStream) routes through. Shards == 1 degenerates to
-// the single-tree index with no overhead on the query hot path.
+// Insert, Save/Load, NewStream) routes through. Shards == 1 is the same
+// path with one shard.
 //
 // Series ids are public and stable: Insert assigns them sequentially and
 // Delete/Upsert/compaction never renumber. While the collection is
@@ -244,8 +242,6 @@ func (c *Collection) shardOptions() index.Options {
 		LeafCapacity: c.cfg.LeafCapacity,
 		Workers:      perShard,
 		Queues:       queues,
-		NoLeafBlocks: c.cfg.NoLeafBlocks,
-		PerSeriesLBD: c.cfg.PerSeriesLBD,
 	}
 }
 
@@ -944,633 +940,4 @@ func (c *Collection) maybeAutoCompact() {
 		// place and the next mutation retriggers the policy.
 		_ = c.MaybeCompact()
 	}()
-}
-
-// Searcher answers similarity queries against the collection. Create one
-// per querying goroutine. Result slices returned by Search and its variants
-// are owned by the Searcher and reused by its next call — copy them if they
-// must survive.
-type Searcher struct {
-	c  *Collection
-	ss []*index.Searcher
-
-	// states pins each shard's state for the duration of a query (RCU read
-	// side): refreshShards adopts the current pointers at query start, and
-	// recreates a shard's tree searcher only when compaction swapped the
-	// shard since the last query.
-	states []*shardState
-
-	// kn is the shared cross-shard collector (unused when the collection has
-	// a single shard, where searches delegate to the tree engine directly).
-	kn     index.KNNCollector
-	resBuf []index.Result
-	errs   []error // per-shard fault scratch: errs[i] != nil when shard i failed
-	seeded []bool  // per-shard scratch: shard i's seed phase completed
-
-	// meta describes the last query's execution (see LastMeta).
-	meta QueryMeta
-
-	// Certificate scratch for degraded queries, lazily allocated on the
-	// first fault so healthy steady-state searches stay allocation-free. The
-	// representation is recomputed here rather than borrowed from a shard
-	// searcher, whose scratch a panic may have corrupted.
-	certEnc index.Encoder
-	certBuf []float64
-	certQR  []float64
-
-	// serial runs the shards sequentially on the calling goroutine (each
-	// shard searcher is single-threaded too); used by SearchBatch workers
-	// and the streaming engine so inter-query parallelism is not multiplied
-	// by intra-query parallelism.
-	serial bool
-}
-
-// NewSearcher creates a searcher over the collection; a single Search call
-// fans out across shards and, within each shard, across the tree's
-// configured workers.
-func (c *Collection) NewSearcher() *Searcher {
-	s := &Searcher{
-		c:      c,
-		ss:     make([]*index.Searcher, len(c.states)),
-		states: make([]*shardState, len(c.states)),
-		errs:   make([]error, len(c.states)),
-		seeded: make([]bool, len(c.states)),
-	}
-	s.refreshShards()
-	return s
-}
-
-// newSerialSearcher creates a fully single-threaded collection searcher.
-func (c *Collection) newSerialSearcher() *Searcher {
-	s := &Searcher{
-		c:      c,
-		ss:     make([]*index.Searcher, len(c.states)),
-		states: make([]*shardState, len(c.states)),
-		errs:   make([]error, len(c.states)),
-		seeded: make([]bool, len(c.states)),
-		serial: true,
-	}
-	s.refreshShards()
-	return s
-}
-
-// refreshShards adopts each shard's current state at query start, creating
-// a fresh tree searcher only for shards compaction swapped since this
-// searcher's previous query. The steady state without compaction is one
-// pointer compare per shard — no allocation on the query hot path.
-func (s *Searcher) refreshShards() {
-	for i := range s.ss {
-		cur := s.c.state(i)
-		if cur == s.states[i] {
-			continue
-		}
-		s.states[i] = cur
-		if cur.tree == nil {
-			s.ss[i] = nil // quarantined at load: no tree to search
-			continue
-		}
-		if s.serial {
-			s.ss[i] = cur.tree.NewSerialSearcher()
-		} else {
-			s.ss[i] = cur.tree.NewSearcher()
-		}
-	}
-}
-
-// respawnShard replaces shard i's searcher after a panic: the old one's
-// scratch (queues, collector registration, tables) is in an undefined state,
-// so it is discarded rather than reused — the price of a fault, not of the
-// steady state.
-func (s *Searcher) respawnShard(i int) {
-	cur := s.c.state(i)
-	s.states[i] = cur
-	if cur.tree == nil {
-		s.ss[i] = nil
-		return
-	}
-	if s.serial {
-		s.ss[i] = cur.tree.NewSerialSearcher()
-	} else {
-		s.ss[i] = cur.tree.NewSearcher()
-	}
-}
-
-// serialSearcher checks a serial searcher out of the collection's pool.
-func (c *Collection) serialSearcher() *Searcher {
-	if s, ok := c.searchers.Get().(*Searcher); ok {
-		return s
-	}
-	return c.newSerialSearcher()
-}
-
-// shardQuery builds shard i's ShardQuery for the current collector. The
-// public-id table of the pinned shard state (nil while the identity layout
-// holds) rides along, so offers map tree-local ids to stable public ids
-// against exactly the tree snapshot being searched.
-func (s *Searcher) shardQuery(i int, epsilon float64) index.ShardQuery {
-	return index.ShardQuery{
-		KN:      &s.kn,
-		PubIDs:  s.states[i].pubOf,
-		IDMul:   index.ID(len(s.ss)),
-		IDAdd:   index.ID(i),
-		Epsilon: epsilon,
-	}
-}
-
-// baseMeta seeds a query's meta with the collection-wide mutation counters.
-func (s *Searcher) baseMeta() QueryMeta {
-	return QueryMeta{
-		Live:                 int(s.c.live.Load()),
-		Tombstoned:           int(s.c.tomb.Load()),
-		Compactions:          s.c.compactions.Load(),
-		Relearns:             s.c.relearns.Load(),
-		RelearnChurnFraction: s.c.cfg.Compaction.RelearnChurnFraction,
-	}
-}
-
-// Plan describes one query's execution for the unified, context-aware query
-// path: exact (the zero value apart from K), ε-approximate, or best-leaf
-// approximate, with an optional per-query deadline. It is the single
-// internal representation every public query variant lowers to.
-type Plan struct {
-	// K is the number of neighbors to return (required, >= 1).
-	K int
-	// Epsilon relaxes pruning for (1+Epsilon)-approximate answers; 0 is
-	// exact. Ignored when Approximate is set.
-	Epsilon float64
-	// Approximate answers from each shard's best-matching leaf only (the
-	// classical iSAX approximate probe; stage 1 of the exact engine).
-	Approximate bool
-	// Deadline, when nonzero, aborts the query with context.DeadlineExceeded
-	// once passed. Checked at shard granularity, so an expired query stops
-	// between shard stages instead of running to completion.
-	Deadline time.Time
-	// AllowPartial accepts degraded answers: when one or more shards fail
-	// (panic, fault, or quarantine), the query returns the merged results of
-	// the surviving shards with nil error instead of failing, and
-	// Searcher.LastMeta carries the shard counts plus the ε certificate
-	// bounding the degradation. A degraded query that would return zero
-	// results still fails (with an error wrapping ErrDegraded): an empty
-	// answer certifies nothing. Cancellation and deadline expiry remain
-	// errors regardless — the caller asked the query to stop.
-	AllowPartial bool
-}
-
-// queryErr reports why in-flight query work must stop: context cancellation
-// (or context deadline) first, then plan-deadline expiry. The ctx.Err check
-// is skipped for non-cancellable contexts (Done() == nil), keeping the
-// common Background case free.
-func queryErr(ctx context.Context, deadline time.Time) error {
-	if ctx != nil && ctx.Done() != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	if !deadline.IsZero() && !time.Now().Before(deadline) {
-		return context.DeadlineExceeded
-	}
-	return nil
-}
-
-// SearchPlan is the unified query entry point: it executes p against all
-// shards, honoring ctx cancellation and p.Deadline at shard granularity, and
-// appends the answers (ascending distance) to dst, returning the extended
-// slice. Ownership of the result memory is therefore the caller's: passing a
-// reused buffer gives an allocation-free steady state, passing nil returns a
-// fresh slice. Exact, ε-approximate and best-leaf-approximate search are all
-// the same path here, selected by the plan.
-func (s *Searcher) SearchPlan(ctx context.Context, query []float64, p Plan, dst []index.Result) ([]index.Result, error) {
-	if p.K < 1 {
-		return nil, fmt.Errorf("core: k must be >= 1, got %d", p.K)
-	}
-	if p.Epsilon < 0 {
-		return nil, fmt.Errorf("core: epsilon must be >= 0, got %v", p.Epsilon)
-	}
-	if len(query) != s.c.stride {
-		return nil, fmt.Errorf("core: query length %d, want %d", len(query), s.c.stride)
-	}
-	if err := queryErr(ctx, p.Deadline); err != nil {
-		return nil, err
-	}
-	epsilon := p.Epsilon
-	if p.Approximate {
-		epsilon = 0
-	}
-	if err := s.searchShardsCtx(ctx, p.Deadline, query, p.K, epsilon, p.Approximate, p.AllowPartial); err != nil {
-		return nil, err
-	}
-	return s.kn.ResultsAppend(dst), nil
-}
-
-// searchShards runs one query across every shard with no cancellation
-// point — the legacy entry kept for the context-free Search* wrappers, which
-// predate partial results and stay fail-fast.
-func (s *Searcher) searchShards(query []float64, k int, epsilon float64, seedOnly bool) error {
-	return s.searchShardsCtx(context.Background(), time.Time{}, query, k, epsilon, seedOnly, false)
-}
-
-// searchShardsCtx runs one query across every shard: a seeding phase first
-// (every shard's approximate stage feeds the shared collector, so each
-// shard's exact stage starts from the best bound any shard established),
-// then the exact phase. With serial searchers both phases run inline on the
-// calling goroutine; otherwise shards run concurrently, and within each
-// shard the tree applies its own worker fan-out. Cancellation (ctx or
-// deadline) is checked before every per-shard stage, so a cancelled query
-// stops between shards rather than running every stage to completion.
-//
-// Faults are contained at shard granularity: a panic or engine error inside
-// one shard's stage is recorded in s.errs[i] (and fed to the health policy —
-// see fault.go) without touching the other shards, and resolveFaults decides
-// afterwards whether the query fails (the default) or returns the
-// survivors' partial answer with an ε certificate (allowPartial).
-// Cancellation errors are never shard faults; they abort the query as
-// before.
-func (s *Searcher) searchShardsCtx(ctx context.Context, deadline time.Time, query []float64, k int, epsilon float64, seedOnly, allowPartial bool) error {
-	if len(query) != s.c.stride {
-		return fmt.Errorf("core: query length %d, want %d", len(query), s.c.stride)
-	}
-	s.kn.Reset(k)
-	s.refreshShards()
-	s.meta = s.baseMeta()
-	if s.serial || len(s.ss) == 1 {
-		for i, sub := range s.ss {
-			s.seeded[i] = false
-			if s.errs[i] = s.c.shardGate(i); s.errs[i] != nil {
-				continue
-			}
-			if err := queryErr(ctx, deadline); err != nil {
-				return err
-			}
-			s.errs[i] = s.seedShardSafe(i, sub, query, k, epsilon)
-			s.seeded[i] = s.errs[i] == nil
-		}
-		if !seedOnly {
-			for i, sub := range s.ss {
-				if !s.seeded[i] {
-					continue
-				}
-				if err := queryErr(ctx, deadline); err != nil {
-					return err
-				}
-				s.errs[i] = s.finishShardSafe(i, sub)
-			}
-		}
-		return s.resolveFaults(query, allowPartial)
-	}
-	errs := s.errs
-	var wg sync.WaitGroup
-	for i, sub := range s.ss {
-		s.seeded[i] = false
-		if errs[i] = s.c.shardGate(i); errs[i] != nil {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, sub *index.Searcher) {
-			defer wg.Done()
-			if err := queryErr(ctx, deadline); err != nil {
-				errs[i] = err
-				return
-			}
-			errs[i] = s.seedShardSafe(i, sub, query, k, epsilon)
-			s.seeded[i] = errs[i] == nil
-		}(i, sub)
-	}
-	wg.Wait()
-	if !seedOnly {
-		var wg2 sync.WaitGroup
-		for i, sub := range s.ss {
-			if !s.seeded[i] {
-				continue
-			}
-			wg2.Add(1)
-			go func(i int, sub *index.Searcher) {
-				defer wg2.Done()
-				if err := queryErr(ctx, deadline); err != nil {
-					errs[i] = err
-					return
-				}
-				errs[i] = s.finishShardSafe(i, sub)
-			}(i, sub)
-		}
-		wg2.Wait()
-	}
-	return s.resolveFaults(query, allowPartial)
-}
-
-// seedShardSafe runs shard i's seeding stage with panic containment: a
-// panic in the engine (or one of its internal worker goroutines, which
-// forward theirs) comes back as a *PanicError, feeds the quarantine policy,
-// and costs this searcher's shard-i searcher (respawned fresh — its scratch
-// is unsafe to reuse). Engine errors are attributed to the shard. The
-// deferred recover is open-coded by the compiler, preserving the
-// allocation-free healthy path.
-func (s *Searcher) seedShardSafe(i int, sub *index.Searcher, query []float64, k int, epsilon float64) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = s.c.recordShardPanic(i, r)
-			s.respawnShard(i)
-		}
-	}()
-	if err := sub.SeedShard(query, k, s.shardQuery(i, epsilon)); err != nil {
-		return &ShardError{Shard: i, Err: err}
-	}
-	return nil
-}
-
-// finishShardSafe runs shard i's exact stage under the same containment
-// contract as seedShardSafe; a fully completed shard resets its
-// consecutive-panic count.
-func (s *Searcher) finishShardSafe(i int, sub *index.Searcher) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = s.c.recordShardPanic(i, r)
-			s.respawnShard(i)
-		}
-	}()
-	if err := sub.FinishShard(); err != nil {
-		return &ShardError{Shard: i, Err: err}
-	}
-	s.c.health[i].panics.Store(0)
-	return nil
-}
-
-// resolveFaults inspects the per-shard outcomes recorded by searchShardsCtx
-// and settles the query: cancellation errors abort it unchanged; shard
-// faults either fail it (fail-fast, the default) or are absorbed into a
-// degraded answer with meta and certificate (allowPartial) — unless nothing
-// survived, in which case the partial answer would be empty and the query
-// fails even under allowPartial.
-func (s *Searcher) resolveFaults(query []float64, allowPartial bool) error {
-	var firstFault error
-	failed := 0
-	for i := range s.ss {
-		err := s.errs[i]
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return err
-		}
-		failed++
-		if firstFault == nil {
-			firstFault = err
-		}
-	}
-	s.meta.ShardsSearched = len(s.ss) - failed
-	s.meta.ShardsFailed = failed
-	if failed == 0 {
-		return nil
-	}
-	if !allowPartial {
-		return firstFault
-	}
-	if s.kn.Len() == 0 {
-		return firstFault
-	}
-	s.meta.EpsilonBound = s.certificate(query)
-	return nil
-}
-
-// finishResults snapshots the shared collector into the searcher-owned
-// result buffer (sorted ascending) and returns it.
-func (s *Searcher) finishResults() []index.Result {
-	s.resBuf = s.kn.ResultsAppend(s.resBuf[:0])
-	return s.resBuf
-}
-
-// Search returns the exact k nearest neighbors of query (any scale; it is
-// z-normalized internally) under squared z-normalized Euclidean distance,
-// in ascending order. With a single shard this is exactly the PR-1 tree
-// engine (zero allocations in steady state); with S shards the shards share
-// one collector and prune against each other's best-so-far.
-func (s *Searcher) Search(query []float64, k int) ([]index.Result, error) {
-	if s.singleFast() {
-		return s.searchSingleSafe(query, k, 0, false)
-	}
-	if err := s.searchShards(query, k, 0, false); err != nil {
-		return nil, err
-	}
-	return s.finishResults(), nil
-}
-
-// singleFast reports whether the single-shard direct-delegation fast path
-// applies: one shard whose pinned state still uses the identity id layout,
-// so the tree's local ids ARE the public ids. A mutated single-shard
-// collection with an id table routes through the shard path instead, which
-// applies PubIDs at offer time. Refreshes the shard pin as a side effect.
-func (s *Searcher) singleFast() bool {
-	if len(s.ss) != 1 {
-		return false
-	}
-	s.refreshShards()
-	return s.states[0].pubOf == nil
-}
-
-// searchSingleSafe is the single-shard legacy fast path — a direct
-// delegation to the tree engine, skipping the cross-shard collector — under
-// the same containment contract as the sharded path: quarantine is checked
-// up front, a panic comes back as a *PanicError (feeding the health policy
-// and respawning the shard searcher), and LastMeta reflects the outcome.
-// With one shard there are no survivors to return, so every fault is an
-// error regardless of AllowPartial. The deferred recover is open-coded,
-// preserving the zero-allocation steady state.
-func (s *Searcher) searchSingleSafe(query []float64, k int, epsilon float64, approx bool) (res []index.Result, err error) {
-	if err := s.c.shardGate(0); err != nil {
-		s.meta = s.baseMeta()
-		s.meta.ShardsFailed = 1
-		s.meta.EpsilonBound = math.Inf(1)
-		return nil, err
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			res = nil
-			err = s.c.recordShardPanic(0, r)
-			s.respawnShard(0)
-			s.meta = s.baseMeta()
-			s.meta.ShardsFailed = 1
-			s.meta.EpsilonBound = math.Inf(1)
-		}
-	}()
-	s.meta = s.baseMeta()
-	s.meta.ShardsSearched = 1
-	switch {
-	case approx:
-		return s.ss[0].SearchApproximate(query, k)
-	case epsilon > 0:
-		return s.ss[0].SearchEpsilon(query, k, epsilon)
-	default:
-		res, err = s.ss[0].Search(query, k)
-		if err == nil {
-			s.c.health[0].panics.Store(0)
-		}
-		return res, err
-	}
-}
-
-// Search1 returns the exact nearest neighbor.
-func (s *Searcher) Search1(query []float64) (index.Result, error) {
-	res, err := s.Search(query, 1)
-	if err != nil {
-		return index.Result{}, err
-	}
-	return res[0], nil
-}
-
-// SearchApproximate returns up to k approximate nearest neighbors by probing
-// only the best-matching leaf of every shard — the classical iSAX-family
-// approximate search, run per shard and merged. The returned distances
-// upper-bound the true k-NN distances.
-func (s *Searcher) SearchApproximate(query []float64, k int) ([]index.Result, error) {
-	if s.singleFast() {
-		return s.searchSingleSafe(query, k, 0, true)
-	}
-	if err := s.searchShards(query, k, 0, true); err != nil {
-		return nil, err
-	}
-	return s.finishResults(), nil
-}
-
-// SearchEpsilon returns k neighbors guaranteed within a (1+epsilon) factor
-// of the exact k-NN distances. epsilon = 0 is exact search.
-func (s *Searcher) SearchEpsilon(query []float64, k int, epsilon float64) ([]index.Result, error) {
-	if epsilon < 0 {
-		return nil, fmt.Errorf("core: epsilon must be >= 0, got %v", epsilon)
-	}
-	if s.singleFast() {
-		return s.searchSingleSafe(query, k, epsilon, false)
-	}
-	if err := s.searchShards(query, k, epsilon, false); err != nil {
-		return nil, err
-	}
-	return s.finishResults(), nil
-}
-
-// LastStats sums the pruning counters of the most recent Search call across
-// shards.
-func (s *Searcher) LastStats() index.SearchStats {
-	var agg index.SearchStats
-	for _, sub := range s.ss {
-		if sub == nil {
-			continue
-		}
-		st := sub.LastStats()
-		agg.NodesVisited += st.NodesVisited
-		agg.LeavesRefined += st.LeavesRefined
-		agg.SeriesLBD += st.SeriesLBD
-		agg.SeriesED += st.SeriesED
-	}
-	return agg
-}
-
-// SearchBatch answers a batch of queries with inter-query parallelism: up to
-// workers queries run concurrently, each handled end-to-end (all shards) by
-// a pooled serial searcher. workers <= 0 selects GOMAXPROCS. Results are in
-// query order and safe to retain — which is why the output is freshly
-// allocated per call; sustained traffic that wants allocation-free
-// steady state should use NewStream (callback-scoped results) or, on a
-// single-shard collection, Tree.BatchSearchInto.
-//
-// SearchBatch is the fixed-k convenience over SearchBatchPlan, the unified
-// context-aware batch path.
-func (c *Collection) SearchBatch(queries *distance.Matrix, k, workers int) ([][]index.Result, error) {
-	if queries == nil || queries.Len() == 0 {
-		return nil, fmt.Errorf("core: empty query batch")
-	}
-	if queries.Stride != c.stride {
-		return nil, fmt.Errorf("core: query length %d, want %d", queries.Stride, c.stride)
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("core: k must be >= 1, got %d", k)
-	}
-	qs := make([]PlanQuery, queries.Len())
-	for i := range qs {
-		qs[i] = PlanQuery{Series: queries.Row(i), Plan: Plan{K: k}}
-	}
-	return c.SearchBatchPlan(context.Background(), qs, workers)
-}
-
-// PlanQuery pairs one query series with its execution plan for the batch
-// path, so a single batch can mix k values, approximation modes and
-// per-query deadlines.
-type PlanQuery struct {
-	Series []float64
-	Plan   Plan
-}
-
-// SearchBatchPlan answers a heterogeneous batch of planned queries with
-// inter-query parallelism: up to workers queries run concurrently, each
-// handled end-to-end (all shards) by a pooled serial searcher. workers <= 0
-// selects GOMAXPROCS. Results are in query order and caller-owned (freshly
-// allocated per query). Per-query validation (length, k, epsilon) happens
-// when each query executes, via SearchPlan.
-//
-// Cancellation is checked at batch granularity (before every query is
-// started) and, through SearchPlan, at shard granularity inside each query,
-// so cancelling ctx stops a large batch mid-flight. Any error — a ctx
-// error, an invalid query, or an individual query's expired plan deadline —
-// aborts the whole batch: every worker stops before its next query, and one
-// of the observed errors is returned.
-func (c *Collection) SearchBatchPlan(ctx context.Context, qs []PlanQuery, workers int) ([][]index.Result, error) {
-	if len(qs) == 0 {
-		return nil, fmt.Errorf("core: empty query batch")
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(qs) {
-		workers = len(qs)
-	}
-	out := make([][]index.Result, len(qs))
-	if workers == 1 {
-		s := c.serialSearcher()
-		defer c.searchers.Put(s)
-		for i, q := range qs {
-			if err := queryErr(ctx, time.Time{}); err != nil {
-				return nil, err
-			}
-			res, err := s.SearchPlan(ctx, q.Series, q.Plan, nil)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = res
-		}
-		return out, nil
-	}
-	errs := make([]error, workers)
-	var abort atomic.Bool // any worker's error stops the whole batch
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := c.serialSearcher()
-			defer c.searchers.Put(s)
-			for {
-				i := int(cursor.Add(1) - 1)
-				if i >= len(qs) || abort.Load() {
-					return
-				}
-				if err := queryErr(ctx, time.Time{}); err != nil {
-					errs[w] = err
-					abort.Store(true)
-					return
-				}
-				res, err := s.SearchPlan(ctx, qs[i].Series, qs[i].Plan, nil)
-				if err != nil {
-					errs[w] = err
-					abort.Store(true)
-					return
-				}
-				out[i] = res
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

@@ -9,11 +9,11 @@ import (
 	"repro/internal/distance"
 )
 
-// The throughput benchmarks mirror internal/index's BenchmarkBatchSearchQPS
-// exactly — same generator seed, dataset shape (20000 x 128), leaf capacity,
-// SFA sampling rate, k and query count — so the sharded and streaming paths
-// are directly comparable against the PR-1 single-tree batched numbers at
-// equal total workers.
+// The throughput benchmarks share one fixture with sofa's
+// BenchmarkBatchSearchQPS — same generator seed, dataset shape (20000 x 128),
+// leaf capacity, SFA sampling rate, k and query count — so the sharded and
+// streaming paths are directly comparable against the single-shard batched
+// numbers at equal total workers.
 
 func qpsFixture(b *testing.B, shards int) (*Index, [][]float64) {
 	b.Helper()

@@ -78,17 +78,6 @@ type Config struct {
 	// single-shard build. See the README for how to pick S.
 	Shards int
 
-	// NoLeafBlocks disables the per-leaf contiguous word blocks, roughly
-	// halving word memory at a refinement-locality cost — for
-	// memory-constrained builds (e.g. many shards per machine).
-	NoLeafBlocks bool
-
-	// PerSeriesLBD reverts query refinement to one lower-bound kernel call
-	// per series instead of one block call per leaf. Results are identical;
-	// the knob exists for the same-binary kernel A/B benchmarks. It is a
-	// query-time setting, not a structural one — it is not persisted.
-	PerSeriesLBD bool
-
 	// QuarantineAfter is how many consecutive panicking queries quarantine a
 	// shard (default 3). A shard whose tree fails its invariant check after
 	// a panic is quarantined immediately regardless. See Collection's fault

@@ -110,9 +110,10 @@ type QueryMeta struct {
 	// returned. 0 when the partial answer is provably identical to the
 	// complete one — including every non-degraded query — and +Inf when the
 	// failed shards cannot be bounded (no usable tree, or fewer than k
-	// results survived). It is computed from the surviving best-so-far and
-	// the failed shards' root lower bounds, so it is query-specific, not a
-	// static worst case.
+	// results survived) or the query returned an error, which certifies
+	// nothing. It is computed from the surviving best-so-far and the failed
+	// shards' root lower bounds, so it is query-specific, not a static worst
+	// case.
 	EpsilonBound float64
 	// Live and Tombstoned snapshot the collection's mutation state as the
 	// query started: live series searched and deleted-but-unreclaimed rows
@@ -300,6 +301,6 @@ func (s *Searcher) certificate(query []float64) float64 {
 }
 
 // LastMeta returns the execution metadata of the most recent SearchPlan (or
-// legacy Search*) call on this searcher: shard participation and, for
+// Search* wrapper) call on this searcher: shard participation and, for
 // degraded answers, the ε certificate.
 func (s *Searcher) LastMeta() QueryMeta { return s.meta }

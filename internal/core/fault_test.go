@@ -53,7 +53,9 @@ func TestQuarantinePartialResults(t *testing.T) {
 			} else if !errors.Is(err, ErrShardQuarantined) {
 				t.Fatalf("S=%d fail=%d: fail-fast err = %v, want ErrShardQuarantined", shards, fail, err)
 			}
-			if m := s.LastMeta(); m.ShardsFailed != 1 || m.ShardsSearched != shards-1 {
+			// A failed query certifies nothing: its bound is unbounded, never
+			// the 0 that means "provably identical".
+			if m := s.LastMeta(); m.ShardsFailed != 1 || m.ShardsSearched != shards-1 || !math.IsInf(m.EpsilonBound, 1) {
 				t.Fatalf("S=%d fail=%d: fail-fast meta %+v", shards, fail, m)
 			}
 			// AllowPartial: survivors answer, meta counts, certificate bounds.
@@ -123,8 +125,9 @@ func TestQuarantinePartialResults(t *testing.T) {
 	}
 }
 
-// TestQuarantineSingleShard pins the single-shard fast path's containment:
-// with no surviving shards a fault is an error even under AllowPartial.
+// TestQuarantineSingleShard pins the one-shard case of the shared path: with
+// no surviving shards a fault is an error even under AllowPartial, and the
+// failed query's meta carries an unbounded ε.
 func TestQuarantineSingleShard(t *testing.T) {
 	rng := rand.New(rand.NewSource(812))
 	ix, err := Build(mixedMatrix(rng, 200, 32), Config{Method: MESSI, LeafCapacity: 16})
@@ -145,7 +148,7 @@ func TestQuarantineSingleShard(t *testing.T) {
 	if _, err := s.SearchPlan(context.Background(), q, Plan{K: 3, AllowPartial: true}, nil); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("AllowPartial with zero survivors: %v, want ErrDegraded", err)
 	}
-	// The other single-shard variants hit the same gate.
+	// The other wrappers lower to the same plan path and hit the same gate.
 	if _, err := s.SearchApproximate(q, 3); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("SearchApproximate: %v", err)
 	}

@@ -59,7 +59,10 @@ type savedIndex struct {
 	Words        []byte    // version 1 only
 	SFA          *sfa.State
 
-	// Version 2 fields.
+	// Version 2 fields. NoLeafBlocks is legacy: older builds set it on
+	// containers saved without leaf blocks, and it is part of their header
+	// checksum. It is only ever read (and written false) — every tree carries
+	// blocks, and a shape saved without them is gathered at decode.
 	Shards       int
 	ShardWords   [][]byte
 	NoLeafBlocks bool
@@ -366,7 +369,6 @@ func SaveVersion(ix *Index, w io.Writer, version int) error {
 		SeriesLen:    col.SeriesLen(),
 		Count:        col.PhysLen(),
 		Shards:       col.Shards(),
-		NoLeafBlocks: col.cfg.NoLeafBlocks,
 		ShardWords:   make([][]byte, col.Shards()),
 	}
 	for i := range col.states {
@@ -982,7 +984,7 @@ func LoadWithOptions(r io.Reader, opts LoadOptions, st *LoadStats) (*Index, erro
 
 	cfg := Config{
 		Method: s.Method, WordLength: s.WordLength, Bits: s.Bits,
-		LeafCapacity: s.LeafCapacity, Shards: s.Shards, NoLeafBlocks: s.NoLeafBlocks,
+		LeafCapacity: s.LeafCapacity, Shards: s.Shards,
 	}
 	col := &Collection{method: s.Method, cfg: cfg, total: s.Count, stride: s.SeriesLen}
 	var sum index.Summarization

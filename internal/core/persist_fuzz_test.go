@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// fuzzSeedContainers builds small valid containers (v2 and v3, sharded and
-// not, blocks on and off) to seed the corpus with structurally meaningful
-// bytes the mutator can corrupt.
+// fuzzSeedContainers builds small valid containers (v2 to v4, one to three
+// shards) to seed the corpus with structurally meaningful bytes the mutator
+// can corrupt.
 func fuzzSeedContainers(tb testing.TB) [][]byte {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(91))
@@ -17,7 +17,7 @@ func fuzzSeedContainers(tb testing.TB) [][]byte {
 	for _, c := range []Config{
 		{Method: MESSI, LeafCapacity: 16},
 		{Method: SOFA, LeafCapacity: 16, SampleRate: 0.3, Shards: 3},
-		{Method: SOFA, LeafCapacity: 16, SampleRate: 0.3, Shards: 2, NoLeafBlocks: true},
+		{Method: SOFA, LeafCapacity: 16, SampleRate: 0.3, Shards: 2},
 	} {
 		ix, err := Build(data, c)
 		if err != nil {

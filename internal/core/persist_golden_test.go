@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/gob"
 	"encoding/json"
 	"flag"
@@ -73,11 +74,14 @@ func goldenQuerySet() *distance.Matrix {
 // goldenFixtureSpec describes one checked-in container. Mutate applies the
 // frozen mutation script before saving, so the fixture carries tombstones
 // and remapped ids (v5+ only — earlier containers cannot express them).
+// Legacy marks a container no current build can write: -regen-golden leaves
+// the file alone and only re-records its answers.
 type goldenFixtureSpec struct {
 	File    string
 	Version int
 	Build   Config
 	Mutate  bool
+	Legacy  bool
 }
 
 func goldenFixtureSpecs() []goldenFixtureSpec {
@@ -85,7 +89,9 @@ func goldenFixtureSpecs() []goldenFixtureSpec {
 		{File: "golden_v1.sofa", Version: 1, Build: Config{Method: MESSI, LeafCapacity: 16}},
 		{File: "golden_v2.sofa", Version: 2, Build: Config{Method: SOFA, LeafCapacity: 16, SampleRate: 0.25, Shards: 2}},
 		{File: "golden_v3.sofa", Version: 3, Build: Config{Method: SOFA, LeafCapacity: 16, SampleRate: 0.25, Shards: 2}},
-		{File: "golden_v3_noblocks.sofa", Version: 3, Build: Config{Method: SOFA, LeafCapacity: 16, SampleRate: 0.25, NoLeafBlocks: true}},
+		// Written by a build that could omit leaf blocks: its shapes carry
+		// none, and the load gathers them.
+		{File: "golden_v3_noblocks.sofa", Version: 3, Legacy: true},
 		{File: "golden_v4.sofa", Version: 4, Build: Config{Method: SOFA, LeafCapacity: 16, SampleRate: 0.25, Shards: 2}},
 		{File: "golden_v5.sofa", Version: 5, Build: Config{Method: SOFA, LeafCapacity: 16, SampleRate: 0.25, Shards: 2}},
 		{File: "golden_v5_churn.sofa", Version: 5, Build: Config{Method: SOFA, LeafCapacity: 16, SampleRate: 0.25, Shards: 2}, Mutate: true},
@@ -207,6 +213,36 @@ func goldenAnswers(tb testing.TB, ix *Index) [][]goldenResult {
 	return out
 }
 
+// regenGoldenFixture builds spec's index and writes it to path.
+func regenGoldenFixture(t *testing.T, data *distance.Matrix, spec goldenFixtureSpec, path string) {
+	t.Helper()
+	cfg := spec.Build
+	cfg.Seed = 1
+	ix, err := Build(data, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.Mutate {
+		goldenMutate(t, ix)
+	}
+	if spec.Version == 1 {
+		if err := saveV1(ix, path); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveVersion(ix, f, spec.Version); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRegenPersistGolden(t *testing.T) {
 	if !*regenGolden {
 		t.Skip("pass -regen-golden to rewrite the golden fixtures")
@@ -217,32 +253,9 @@ func TestRegenPersistGolden(t *testing.T) {
 	data := goldenMatrix(goldenDataSeed, goldenSeries, goldenLength)
 	exp := goldenExpected{Series: goldenSeries, Length: goldenLength, Queries: goldenQueries, K: goldenK}
 	for _, spec := range goldenFixtureSpecs() {
-		cfg := spec.Build
-		cfg.Seed = 1
-		ix, err := Build(data, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if spec.Mutate {
-			goldenMutate(t, ix)
-		}
 		path := filepath.Join("testdata", spec.File)
-		switch spec.Version {
-		case 1:
-			if err := saveV1(ix, path); err != nil {
-				t.Fatal(err)
-			}
-		default:
-			f, err := os.Create(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := SaveVersion(ix, f, spec.Version); err != nil {
-				t.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				t.Fatal(err)
-			}
+		if !spec.Legacy {
+			regenGoldenFixture(t, data, spec, path)
 		}
 		// Expected answers come from the loaded fixture, not the in-memory
 		// build: loading is what CI replays, and the f32 round trip shifts
@@ -314,8 +327,25 @@ func TestPersistCompatGolden(t *testing.T) {
 			if fx.Version < 3 && st.Splits == 0 {
 				t.Errorf("v%d fixture load performed no splits; rebuild path broken", fx.Version)
 			}
+			// Also proves every leaf carries its block (len(words) ==
+			// len(ids)*l), including the fixture saved without any.
 			if err := ix.CheckInvariants(); err != nil {
 				t.Fatalf("loaded fixture violates invariants: %v", err)
+			}
+			if fx.File == "golden_v3_noblocks.sofa" {
+				// Re-saving the block-less legacy container writes blocks.
+				var buf bytes.Buffer
+				var re savedIndex
+				if err := SaveVersion(ix, &buf, fx.Version); err != nil {
+					t.Fatal(err)
+				}
+				if err := gob.NewDecoder(&buf).Decode(&re); err != nil {
+					t.Fatal(err)
+				}
+				if want := goldenSeries * re.WordLength; re.NoLeafBlocks || len(re.ShardShapes[0].LeafBlocks) != want {
+					t.Errorf("re-saved legacy fixture: NoLeafBlocks=%v, %d block bytes, want false and %d",
+						re.NoLeafBlocks, len(re.ShardShapes[0].LeafBlocks), want)
+				}
 			}
 			got := goldenAnswers(t, ix)
 			for qi, want := range fx.Results {

@@ -10,95 +10,91 @@ import (
 // TestLoadV3DirectDecode pins the version-3 contract: loading a v3
 // container performs zero leaf splits (direct shape decode), while the same
 // index saved as v2 re-splits every shard tree — and both loads answer
-// every query bit-identically, across shard counts and with leaf blocks
-// disabled.
+// every query bit-identically, across shard counts.
 func TestLoadV3DirectDecode(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	data := mixedMatrix(rng, 700, 96)
 	queries := mixedMatrix(rng, 12, 96)
 	for _, shards := range []int{1, 2, 8} {
-		for _, noBlocks := range []bool{false, true} {
-			orig, err := Build(data, Config{
-				Method: SOFA, LeafCapacity: 32, SampleRate: 0.2,
-				Shards: shards, NoLeafBlocks: noBlocks,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var v2buf, v3buf bytes.Buffer
-			if err := SaveVersion(orig, &v2buf, 2); err != nil {
-				t.Fatal(err)
-			}
-			if err := SaveVersion(orig, &v3buf, 3); err != nil {
-				t.Fatal(err)
-			}
-			// v3 packs the series data as raw float32 bytes, which undercuts
-			// gob's per-element float encoding by enough to pay for the tree
-			// shapes; the container should not balloon.
-			if v3buf.Len() > 2*v2buf.Len() {
-				t.Errorf("S=%d noBlocks=%v: v3 container %d B vs v2 %d B", shards, noBlocks, v3buf.Len(), v2buf.Len())
-			}
+		orig, err := Build(data, Config{
+			Method: SOFA, LeafCapacity: 32, SampleRate: 0.2, Shards: shards,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v2buf, v3buf bytes.Buffer
+		if err := SaveVersion(orig, &v2buf, 2); err != nil {
+			t.Fatal(err)
+		}
+		if err := SaveVersion(orig, &v3buf, 3); err != nil {
+			t.Fatal(err)
+		}
+		// v3 packs the series data as raw float32 bytes, which undercuts
+		// gob's per-element float encoding by enough to pay for the tree
+		// shapes; the container should not balloon.
+		if v3buf.Len() > 2*v2buf.Len() {
+			t.Errorf("S=%d: v3 container %d B vs v2 %d B", shards, v3buf.Len(), v2buf.Len())
+		}
 
-			var st2, st3 LoadStats
-			l2, err := LoadWithStats(bytes.NewReader(v2buf.Bytes()), &st2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			l3, err := LoadWithStats(bytes.NewReader(v3buf.Bytes()), &st3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st2.Version != 2 || st3.Version != 3 {
-				t.Fatalf("S=%d: stats versions %d/%d, want 2/3", shards, st2.Version, st3.Version)
-			}
-			if st3.Splits != 0 {
-				t.Errorf("S=%d noBlocks=%v: v3 load performed %d splits, want 0", shards, noBlocks, st3.Splits)
-			}
-			if got := l3.Collection().SplitCount(); got != 0 {
-				t.Errorf("S=%d noBlocks=%v: v3-loaded collection reports %d splits", shards, noBlocks, got)
-			}
-			if st2.Splits == 0 {
-				t.Errorf("S=%d noBlocks=%v: v2 load reports zero splits; counter hook broken", shards, noBlocks)
-			}
-			if st3.Bytes != int64(v3buf.Len()) {
-				t.Errorf("S=%d: stats read %d bytes of a %d-byte container", shards, st3.Bytes, v3buf.Len())
-			}
-			if err := l3.CheckInvariants(); err != nil {
-				t.Fatalf("S=%d noBlocks=%v: v3-loaded invariants: %v", shards, noBlocks, err)
-			}
+		var st2, st3 LoadStats
+		l2, err := LoadWithStats(bytes.NewReader(v2buf.Bytes()), &st2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l3, err := LoadWithStats(bytes.NewReader(v3buf.Bytes()), &st3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st2.Version != 2 || st3.Version != 3 {
+			t.Fatalf("S=%d: stats versions %d/%d, want 2/3", shards, st2.Version, st3.Version)
+		}
+		if st3.Splits != 0 {
+			t.Errorf("S=%d: v3 load performed %d splits, want 0", shards, st3.Splits)
+		}
+		if got := l3.Collection().SplitCount(); got != 0 {
+			t.Errorf("S=%d: v3-loaded collection reports %d splits", shards, got)
+		}
+		if st2.Splits == 0 {
+			t.Errorf("S=%d: v2 load reports zero splits; counter hook broken", shards)
+		}
+		if st3.Bytes != int64(v3buf.Len()) {
+			t.Errorf("S=%d: stats read %d bytes of a %d-byte container", shards, st3.Bytes, v3buf.Len())
+		}
+		if err := l3.CheckInvariants(); err != nil {
+			t.Fatalf("S=%d: v3-loaded invariants: %v", shards, err)
+		}
 
-			// Both loads see the identical f32-rounded data and identical tree
-			// membership, so their answers must agree bit for bit.
-			s2, s3 := l2.NewSearcher(), l3.NewSearcher()
-			for qi := 0; qi < queries.Len(); qi++ {
-				for _, k := range []int{1, 10} {
-					a, err := s2.Search(queries.Row(qi), k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					b, err := s3.Search(queries.Row(qi), k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(a) != len(b) {
-						t.Fatalf("S=%d q=%d k=%d: %d vs %d results", shards, qi, k, len(a), len(b))
-					}
-					for i := range a {
-						if a[i] != b[i] {
-							t.Fatalf("S=%d noBlocks=%v q=%d k=%d rank %d: v2 %+v vs v3 %+v",
-								shards, noBlocks, qi, k, i, a[i], b[i])
-						}
+		// Both loads see the identical f32-rounded data and identical tree
+		// membership, so their answers must agree bit for bit.
+		s2, s3 := l2.NewSearcher(), l3.NewSearcher()
+		for qi := 0; qi < queries.Len(); qi++ {
+			for _, k := range []int{1, 10} {
+				a, err := s2.Search(queries.Row(qi), k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := s3.Search(queries.Row(qi), k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(a) != len(b) {
+					t.Fatalf("S=%d q=%d k=%d: %d vs %d results", shards, qi, k, len(a), len(b))
+				}
+				for i := range a {
+					if a[i] != b[i] {
+						t.Fatalf("S=%d q=%d k=%d rank %d: v2 %+v vs v3 %+v",
+							shards, qi, k, i, a[i], b[i])
 					}
 				}
 			}
+		}
 
-			// A v3-loaded index keeps accepting inserts and stays coherent.
-			if _, err := l3.Insert(queries.Row(0)); err != nil {
-				t.Fatal(err)
-			}
-			if err := l3.CheckInvariants(); err != nil {
-				t.Errorf("S=%d noBlocks=%v: invariants after post-load insert: %v", shards, noBlocks, err)
-			}
+		// A v3-loaded index keeps accepting inserts and stays coherent.
+		if _, err := l3.Insert(queries.Row(0)); err != nil {
+			t.Fatal(err)
+		}
+		if err := l3.CheckInvariants(); err != nil {
+			t.Errorf("S=%d: invariants after post-load insert: %v", shards, err)
 		}
 	}
 }

@@ -3,10 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/index"
 )
 
 // SearchPlan with a pre-cancelled context must return before seeding any
@@ -59,46 +63,92 @@ func TestSearchPlanExpiredDeadline(t *testing.T) {
 	}
 }
 
-// SearchPlan is the unified path: its exact answers must be identical to
-// the legacy Search wrapper, and plan validation must reject bad k and
-// epsilon.
+// SearchPlan is the one executor and the Search* wrappers are plan literals
+// over it: for S ∈ {1,4} × Workers ∈ {1,4} × {fresh, churned so the shards
+// carry explicit id tables} × {exact, ε = 0.5, approximate}, each wrapper
+// must return SearchPlan's answer bit for bit and leave the same LastStats
+// and LastMeta. Workers = 1 takes the serial searcher (the inline path),
+// Workers = 4 the parallel one — whose pruning order, and with it the work
+// counters and which ε-admissible answer comes back, depends on goroutine
+// timing, so there only what is deterministic is compared. Plan validation
+// must reject bad k and epsilon.
 func TestSearchPlanMatchesSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	m := mixedMatrix(rng, 500, 32)
-	for _, shards := range []int{1, 3} {
-		col, err := BuildCollection(m, Config{Method: SOFA, SampleRate: 0.2, LeafCapacity: 32, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := col.NewSearcher()
-		for qi := 0; qi < 5; qi++ {
-			query := make([]float64, 32)
-			for j := range query {
-				query[j] = rng.NormFloat64()
-			}
-			want, err := s.Search(query, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantCopy := append([]Result(nil), want...)
-			got, err := s.SearchPlan(context.Background(), query, Plan{K: 4}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(wantCopy) {
-				t.Fatalf("shards=%d: %d results, want %d", shards, len(got), len(wantCopy))
-			}
-			for i := range wantCopy {
-				if got[i] != wantCopy[i] {
-					t.Fatalf("shards=%d rank %d: %v != %v", shards, i, got[i], wantCopy[i])
+	modes := []struct {
+		name    string
+		plan    Plan
+		wrapper func(s *Searcher, q []float64) ([]Result, error)
+	}{
+		{"exact", Plan{K: 4}, func(s *Searcher, q []float64) ([]Result, error) { return s.Search(q, 4) }},
+		{"epsilon", Plan{K: 4, Epsilon: 0.5}, func(s *Searcher, q []float64) ([]Result, error) { return s.SearchEpsilon(q, 4, 0.5) }},
+		{"approximate", Plan{K: 4, Approximate: true}, func(s *Searcher, q []float64) ([]Result, error) { return s.SearchApproximate(q, 4) }},
+	}
+	for _, shards := range []int{1, 4} {
+		for _, workers := range []int{1, 4} {
+			for _, churned := range []bool{false, true} {
+				col, err := BuildCollection(m, Config{Method: SOFA, SampleRate: 0.2, LeafCapacity: 32, Shards: shards, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if churned {
+					for id := 0; id < 60; id += 3 {
+						if err := col.Delete(index.ID(id)); err != nil {
+							t.Fatal(err)
+						}
+						if err := col.Upsert(index.ID(id+1), churnSeries(rng, 32)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := col.CompactShard(0); err != nil {
+						t.Fatal(err)
+					}
+					if col.state(0).pubOf == nil {
+						t.Fatal("compaction left no id table — the churned arm lost its subject")
+					}
+				}
+				serial := workers == 1
+				s := col.newSearcher(serial)
+				for qi := 0; qi < 5; qi++ {
+					query := churnSeries(rng, 32)
+					for _, mode := range modes {
+						name := fmt.Sprintf("S=%d workers=%d churned=%v %s q=%d", shards, workers, churned, mode.name, qi)
+						res, err := mode.wrapper(s, query)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						want := append([]Result(nil), res...)
+						wantStats, wantMeta := s.LastStats(), s.LastMeta()
+						got, err := s.SearchPlan(context.Background(), query, mode.plan, nil)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if s.LastMeta() != wantMeta {
+							t.Fatalf("%s: meta %+v, wrapper left %+v", name, s.LastMeta(), wantMeta)
+						}
+						if !serial && mode.plan.Epsilon > 0 {
+							continue
+						}
+						if len(got) != len(want) {
+							t.Fatalf("%s: %d results, wrapper returned %d", name, len(got), len(want))
+						}
+						for i := range want {
+							if got[i].ID != want[i].ID || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
+								t.Fatalf("%s rank %d: %v, wrapper returned %v", name, i, got[i], want[i])
+							}
+						}
+						if serial && s.LastStats() != wantStats {
+							t.Fatalf("%s: stats %+v, wrapper left %+v", name, s.LastStats(), wantStats)
+						}
+					}
+				}
+				if _, err := s.SearchPlan(context.Background(), m.Row(0), Plan{K: 0}, nil); err == nil {
+					t.Error("k=0 plan accepted")
+				}
+				if _, err := s.SearchPlan(context.Background(), m.Row(0), Plan{K: 1, Epsilon: -1}, nil); err == nil {
+					t.Error("negative epsilon plan accepted")
 				}
 			}
-		}
-		if _, err := s.SearchPlan(context.Background(), m.Row(0), Plan{K: 0}, nil); err == nil {
-			t.Error("k=0 plan accepted")
-		}
-		if _, err := s.SearchPlan(context.Background(), m.Row(0), Plan{K: 1, Epsilon: -1}, nil); err == nil {
-			t.Error("negative epsilon plan accepted")
 		}
 	}
 }

@@ -162,7 +162,7 @@ func (st *Stream) answer(s **Searcher, job streamJob) (res []index.Result, err e
 		if r := recover(); r != nil {
 			res = nil
 			err = &PanicError{Shard: -1, Value: r, Stack: debug.Stack()}
-			*s = st.c.newSerialSearcher()
+			*s = st.c.newSearcher(true)
 		}
 	}()
 	if faultinject.Enabled {
@@ -170,12 +170,7 @@ func (st *Stream) answer(s **Searcher, job streamJob) (res []index.Result, err e
 			return nil, err
 		}
 	}
-	sr := *s
-	res, err = sr.SearchPlan(context.Background(), *job.q, job.plan, sr.resBuf[:0])
-	if err == nil {
-		sr.resBuf = res
-	}
-	return res, err
+	return (*s).searchOwned(context.Background(), *job.q, job.plan)
 }
 
 // Submit enqueues one query under the stream's default k. The query is

@@ -43,8 +43,9 @@ const (
 	// SiteStreamWorker fires in the stream worker loop before each query
 	// executes.
 	SiteStreamWorker = "stream/worker"
-	// SiteBatchWorker fires in the collection batch engine before each
-	// query executes.
+	// SiteBatchWorker fires in Collection.SearchBatchPlan's per-query step
+	// before each query executes — outside any shard's containment, under
+	// the batch's own recover.
 	SiteBatchWorker = "batch/worker"
 	// SiteWALAppend fires in WAL.Append before the record bytes reach the
 	// file. A fatal firing additionally tears the record (half its bytes are

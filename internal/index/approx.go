@@ -82,8 +82,8 @@ func (s *Searcher) SearchEpsilon(query []float64, k int, epsilon float64) ([]Res
 // 1/pruneScale of optimal in the squared domain.
 //
 // All per-query state lives in Searcher scratch. With one worker (or a
-// serial searcher, as in BatchSearch) the engine runs inline — no goroutines,
-// no WaitGroups — and performs zero heap allocations in steady state.
+// serial searcher) the engine runs inline — no goroutines, no WaitGroups —
+// and performs zero heap allocations in steady state.
 //
 // The engine runs in two phases shared with the collection-level sharded
 // search (see SeedShard/FinishShard): beginShard prepares the query and
@@ -125,16 +125,11 @@ func (s *Searcher) beginShard(query []float64, k int, kn *KNNCollector, pub []in
 	s.pruneScale = pruneScale
 	s.approxNode = s.approximateLeaf()
 	if s.approxNode != nil {
-		if s.t.opts.PerSeriesLBD {
-			s.processLeafReal(s.approxNode, q, kn)
-		} else {
-			// Block path: the flat table must exist before the seed leaf's
-			// block LBD prefilter, which pays the build back whenever the
-			// collector already carries a finite bound (later shards, hot
-			// queries).
-			s.buildTable()
-			s.processLeafApprox(s.approxNode, q, kn)
-		}
+		// The flat table must exist before the seed leaf's block LBD
+		// prefilter, which pays the build back whenever the collector already
+		// carries a finite bound (later shards, hot queries).
+		s.buildTable()
+		s.processLeafApprox(s.approxNode, q, kn)
 	}
 	s.seeded = true
 	return nil
@@ -150,11 +145,9 @@ func (s *Searcher) finishShard() {
 	q := s.qbuf
 	s.seeded = false
 
-	// The descent and the refinement both read the flat LBD table. On the
-	// default block path beginShard already built it (its seed prefilter
-	// needs it) and this is a qr-cache hit; under PerSeriesLBD the
-	// approximate mode (seeding only) never pays for the build, so it
-	// happens here.
+	// The descent and the refinement both read the flat LBD table. beginShard
+	// already built it for the seed prefilter unless the tree had no leaf to
+	// seed from, so this is normally a qr-cache hit.
 	s.buildTable()
 
 	workers := t.opts.Workers
@@ -228,22 +221,13 @@ func (s *Searcher) traverseScaled(n *node, kn *KNNCollector, skip *node, scale f
 }
 
 // drainScaled pops surviving leaves in ascending lower-bound order and
-// refines them. The default path bounds the whole leaf with ONE block
-// kernel call (minDistBlockEA lists the members whose bound beats the BSF
-// in the pooled scratch) and then walks only those with real distances;
-// Options.PerSeriesLBD restores the per-series early-abandoning kernel
-// call. Both paths make identical pruning decisions — the per-series
-// certificate and the block kernel's land on the same side of the prune
-// bound because table entries are nonnegative — and read the shared BSF
-// atomic once per boundRefreshInterval series of the leaf, re-reading
-// early only when this worker improves the k-NN set. Under
-// Options.NoLeafBlocks leaves carry no contiguous block; the block path
-// gathers the rows into scratch first, the per-series path gathers from
-// the global buffer per series.
+// refines each with ONE block kernel call (minDistBlockEA lists the members
+// whose bound beats the BSF in the pooled scratch) followed by a walk over
+// only those with real distances. The shared BSF atomic is read once per
+// boundRefreshInterval series of the leaf, and re-read early only when this
+// worker improves the k-NN set.
 func (s *Searcher) drainScaled(start int, q []float64, kn *KNNCollector, scale float64, ds *drainScratch) {
-	t := s.t
 	set := s.set
-	perSeries := t.opts.PerSeriesLBD
 	for qi := 0; qi < set.Size(); qi++ {
 		pq := set.Queue((start + qi) % set.Size())
 		for {
@@ -251,13 +235,8 @@ func (s *Searcher) drainScaled(start int, q []float64, kn *KNNCollector, scale f
 			if !ok {
 				break
 			}
-			leaf := it.Payload
 			s.leavesRefined.Add(1)
-			if perSeries {
-				s.refineLeafPerSeries(leaf, q, kn, scale)
-			} else {
-				s.refineLeafBlock(leaf, q, kn, scale, ds)
-			}
+			s.refineLeafBlock(it.Payload, q, kn, scale, ds)
 		}
 	}
 }
@@ -268,43 +247,5 @@ func (s *Searcher) drainScaled(start int, q []float64, kn *KNNCollector, scale f
 func (s *Searcher) refineLeafBlock(leaf *node, q []float64, kn *KNNCollector, scale float64, ds *drainScratch) {
 	nED := s.walkSurvivors(leaf, q, kn, scale, ds)
 	s.seriesLBD.Add(int64(len(leaf.ids)))
-	s.seriesED.Add(nED)
-}
-
-// refineLeafPerSeries is the pre-block refinement loop (one early-abandoning
-// table-lookup kernel call per series), kept verbatim behind
-// Options.PerSeriesLBD for the same-binary kernel A/B.
-func (s *Searcher) refineLeafPerSeries(leaf *node, q []float64, kn *KNNCollector, scale float64) {
-	t := s.t
-	dead := t.dead
-	l := t.l
-	words := leaf.words
-	var nLBD, nED int64
-	bound := kn.Bound()
-	for i, id := range leaf.ids {
-		if i%boundRefreshInterval == 0 {
-			bound = kn.Bound()
-		}
-		if deadBit(dead, id) {
-			continue
-		}
-		pruneAt := bound * scale
-		nLBD++
-		var wrow []byte
-		if words != nil {
-			wrow = words[i*l : (i+1)*l]
-		} else {
-			wrow = t.words[int(id)*l : (int(id)+1)*l]
-		}
-		if lb := s.dt.minDistEA(wrow, pruneAt); lb >= pruneAt {
-			continue
-		}
-		nED++
-		d := distance.SquaredEDEarlyAbandon(t.data.Row(int(id)), q, bound)
-		if d < bound && kn.Offer(s.mapID(id), d) {
-			bound = kn.Bound()
-		}
-	}
-	s.seriesLBD.Add(nLBD)
 	s.seriesED.Add(nED)
 }

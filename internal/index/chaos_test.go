@@ -3,15 +3,14 @@
 package index
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 
 	"repro/internal/faultinject"
 )
 
-// Tree-level chaos: injected faults at the batch-worker and kernel sites.
-// (The collection-level sites are exercised by internal/core's chaos suite.)
+// Tree-level chaos: injected faults at the kernel site. (The collection-level
+// sites are exercised by internal/core's chaos suite.)
 
 func chaosTree(tb testing.TB) (*Tree, [][]float64) {
 	tb.Helper()
@@ -31,52 +30,6 @@ func chaosTree(tb testing.TB) (*Tree, [][]float64) {
 		queries[i] = q
 	}
 	return t, queries
-}
-
-// TestChaosBatchWorkerPanic: an injected panic inside a batch worker fails
-// that batch with a *PanicError instead of killing the process, keeps the
-// corrupted searcher out of the pool, and the next batch answers exactly.
-func TestChaosBatchWorkerPanic(t *testing.T) {
-	tree, queries := chaosTree(t)
-	defer faultinject.Reset()
-	want, err := tree.BatchSearch(queries, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 3} {
-		faultinject.Arm(faultinject.SiteBatchWorker, faultinject.Trigger{Mode: faultinject.ModePanic, OnCall: 2})
-		_, err := tree.BatchSearchWorkers(queries, 5, workers)
-		var pe *PanicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("workers=%d: batch err = %v, want *PanicError", workers, err)
-		}
-		if _, ok := pe.Value.(faultinject.Panic); !ok {
-			t.Fatalf("workers=%d: recovered value %T, want faultinject.Panic", workers, pe.Value)
-		}
-		faultinject.Disarm(faultinject.SiteBatchWorker)
-		got, err := tree.BatchSearchWorkers(queries, 5, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: batch after fault: %v", workers, err)
-		}
-		for qi := range want {
-			for r := range want[qi] {
-				if got[qi][r] != want[qi][r] {
-					t.Fatalf("workers=%d q=%d rank %d: %+v != %+v after fault", workers, qi, r, got[qi][r], want[qi][r])
-				}
-			}
-		}
-	}
-}
-
-// TestChaosBatchWorkerError: error-mode injection fails the batch with the
-// injected error itself (no panic machinery involved).
-func TestChaosBatchWorkerError(t *testing.T) {
-	tree, queries := chaosTree(t)
-	defer faultinject.Reset()
-	faultinject.Arm(faultinject.SiteBatchWorker, faultinject.Trigger{Mode: faultinject.ModeError, OnCall: 1})
-	if _, err := tree.BatchSearch(queries, 5); !faultinject.IsInjected(err) {
-		t.Fatalf("batch err = %v, want injected", err)
-	}
 }
 
 // TestChaosKernelError: the kernel-dispatch site surfaces injected errors

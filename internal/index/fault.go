@@ -10,18 +10,17 @@ import (
 )
 
 // This file is the tree's fault-containment layer. The query engine fans out
-// across goroutines in two places — finishShard's traversal/drain workers and
-// BatchSearchInto's per-query workers — and a panic in any of them would kill
-// the whole process: Go panics do not cross goroutine boundaries, so a
-// recover in the caller alone is not enough. Worker goroutines therefore
-// trap their own panics and forward them to the goroutine that owns the
-// query, which either re-panics (finishShard, whose caller — the collection
-// layer — converts the panic to a typed error and quarantines the shard) or
-// converts the panic to a *PanicError itself (the batch engine).
+// across goroutines in finishShard's traversal/drain workers, and a panic in
+// any of them would kill the whole process: Go panics do not cross goroutine
+// boundaries, so a recover in the caller alone is not enough. Worker
+// goroutines therefore trap their own panics and forward them to the
+// goroutine that owns the query, which re-panics; its caller — the
+// collection layer — converts the panic to a typed error and quarantines the
+// shard.
 //
 // A searcher that panicked mid-query has undefined scratch state (queues,
-// collector, partially built tables), so it is never returned to a pool:
-// recovery paths discard it and respawn a fresh searcher in its place.
+// collector, partially built tables), so it is never reused: the recovery
+// path discards it and respawns a fresh searcher in its place.
 
 // WorkerPanic is the value finishShard re-panics with when one of its
 // internal worker goroutines panicked: the original panic value plus the
@@ -30,18 +29,6 @@ import (
 type WorkerPanic struct {
 	Value any
 	Stack []byte
-}
-
-// PanicError is a recovered query panic converted to an error, returned by
-// the batch engine (and wrapped by the collection layer's shard recovery).
-type PanicError struct {
-	Op    string // which engine caught it ("batch search", "shard seed", ...)
-	Value any    // the original panic value
-	Stack []byte // stack of the panicking goroutine
-}
-
-func (e *PanicError) Error() string {
-	return fmt.Sprintf("index: panic in %s: %v", e.Op, e.Value)
 }
 
 // recoveredPanic normalizes a recover() value into (value, stack),

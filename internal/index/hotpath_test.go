@@ -25,44 +25,31 @@ func TestSearchZeroAllocSteadyState(t *testing.T) {
 		"SFA": newSFASum(t, m, sfa.Options{SampleRate: 0.2}),
 		"SAX": newSAXSum(t, n, 16, 8),
 	} {
-		// All three refinement configurations share the zero-alloc contract:
-		// the default block-kernel path (pooled LBD scratch), the
-		// PerSeriesLBD fallback, and NoLeafBlocks (block path gathers word
-		// rows into pooled scratch).
-		for _, cfg := range []struct {
-			suffix string
-			opts   Options
-		}{
-			{"", Options{LeafCapacity: 64, Workers: 1, Queues: 1}},
-			{"/per-series", Options{LeafCapacity: 64, Workers: 1, Queues: 1, PerSeriesLBD: true}},
-			{"/no-leaf-blocks", Options{LeafCapacity: 64, Workers: 1, Queues: 1, NoLeafBlocks: true}},
-		} {
-			t.Run(name+cfg.suffix, func(t *testing.T) {
-				tr, err := Build(m, sum, cfg.opts)
-				if err != nil {
+		t.Run(name, func(t *testing.T) {
+			tr, err := Build(m, sum, Options{LeafCapacity: 64, Workers: 1, Queues: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := tr.NewSearcher()
+			query := make([]float64, n)
+			for j := range query {
+				query[j] = rng.NormFloat64()
+			}
+			// Warm up: grow every pooled buffer to its steady-state size.
+			for i := 0; i < 3; i++ {
+				if _, err := s.Search(query, 10); err != nil {
 					t.Fatal(err)
 				}
-				s := tr.NewSearcher()
-				query := make([]float64, n)
-				for j := range query {
-					query[j] = rng.NormFloat64()
-				}
-				// Warm up: grow every pooled buffer to its steady-state size.
-				for i := 0; i < 3; i++ {
-					if _, err := s.Search(query, 10); err != nil {
-						t.Fatal(err)
-					}
-				}
-				avg := testing.AllocsPerRun(50, func() {
-					if _, err := s.Search(query, 10); err != nil {
-						t.Fatal(err)
-					}
-				})
-				if avg != 0 {
-					t.Errorf("steady-state Search allocates %v allocs/op, want 0", avg)
+			}
+			avg := testing.AllocsPerRun(50, func() {
+				if _, err := s.Search(query, 10); err != nil {
+					t.Fatal(err)
 				}
 			})
-		}
+			if avg != 0 {
+				t.Errorf("steady-state Search allocates %v allocs/op, want 0", avg)
+			}
+		})
 	}
 }
 
@@ -86,52 +73,104 @@ func shapeMatrix(t testing.TB, name string, count int, seed int64) (data, querie
 	return data, queries
 }
 
-// The block-kernel refinement path and the PerSeriesLBD fallback must
-// return IDENTICAL results — same ids, same distance bits — and do identical
-// work on the same build: a survivor of the staged block kernel carries the
-// bits of the per-series sequential kernel, a dropped series exceeds the
-// same bound in both, and the survivor walk re-reads the bound where the
-// per-series walk does. Checked on the three dataset shapes of the
-// benchmark, which drive the kernel through its all-dropped, queued and
-// dense regimes, with and without tombstones and per-leaf word blocks.
-// Single worker keeps the comparison deterministic.
+// perSeriesSearch is the serial per-series reference of the query pipeline
+// (Section IV-C): approximate seed with real distances for every live member
+// of the best-matching leaf, traversal, then a drain that bounds each live
+// leaf member with its own early-abandoning dt.minDistEA call — no block
+// kernel, no survivor list. scale is the ε prune scale (1 = exact);
+// seedOnly stops after the seed (approximate mode).
+func perSeriesSearch(t *testing.T, s *Searcher, query []float64, k int, scale float64, seedOnly bool) ([]Result, SearchStats) {
+	t.Helper()
+	tr := s.t
+	q, err := s.prepareQuery(query, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kn := NewKNNCollector(k)
+	s.nodesVisited.Store(0)
+	s.buildTable()
+	var st SearchStats
+	refine := func(leaf *node, lbd bool) {
+		bound := kn.Bound()
+		for i, id := range leaf.ids {
+			if i%boundRefreshInterval == 0 {
+				bound = kn.Bound()
+			}
+			if deadBit(tr.dead, id) {
+				continue
+			}
+			if lbd {
+				st.SeriesLBD++
+				pruneAt := bound * scale
+				if s.dt.minDistEA(leaf.words[i*tr.l:(i+1)*tr.l], pruneAt) >= pruneAt {
+					continue
+				}
+				st.SeriesED++
+			}
+			d := distance.SquaredEDEarlyAbandon(tr.data.Row(int(id)), q, bound)
+			if d < bound && kn.Offer(ID(id), d) {
+				bound = kn.Bound()
+			}
+		}
+	}
+	approx := s.approximateLeaf()
+	if approx != nil {
+		refine(approx, false)
+	}
+	if !seedOnly {
+		s.set.Reset()
+		for _, rk := range tr.rootKeys {
+			s.traverseScaled(tr.root[rk], kn, approx, scale)
+		}
+		for qi := 0; qi < s.set.Size(); qi++ {
+			for {
+				it, ok := s.set.Queue(qi).PopIfBelow(kn.Bound() * scale)
+				if !ok {
+					break
+				}
+				st.LeavesRefined++
+				refine(it.Payload, true)
+			}
+		}
+	}
+	st.NodesVisited = s.nodesVisited.Load()
+	return kn.Results(), st
+}
+
+// The block-kernel refinement path must return what the per-series
+// reference returns — same ids, same distance bits — and do identical work:
+// a survivor of the staged block kernel carries the bits of the per-series
+// sequential kernel, a dropped series exceeds the same bound in both, and
+// the survivor walk re-reads the bound where the per-series walk does.
+// Checked on the three dataset shapes of the benchmark, which drive the
+// kernel through its all-dropped, queued and dense regimes, with and without
+// tombstones. Single worker keeps the comparison deterministic.
 func TestBlockRefinementMatchesPerSeries(t *testing.T) {
 	for _, shape := range []string{"LenDB", "SALD", "SIFT1b"} {
 		m, queries := shapeMatrix(t, shape, 3000, 44)
 		sum := newSFASum(t, m, sfa.Options{SampleRate: 0.2})
-		for _, noBlocks := range []bool{false, true} {
-			for _, tombstones := range []bool{false, true} {
-				opts := Options{LeafCapacity: 200, Workers: 1, Queues: 1, NoLeafBlocks: noBlocks}
-				block, err := Build(m, sum, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				opts.PerSeriesLBD = true
-				perSeries, err := Build(m, sum, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if tombstones {
-					for id := int32(0); int(id) < m.Len(); id += 7 {
-						if err := block.Delete(id); err != nil {
-							t.Fatal(err)
-						}
-						if err := perSeries.Delete(id); err != nil {
-							t.Fatal(err)
-						}
+		for _, tombstones := range []bool{false, true} {
+			tr, err := Build(m, sum, Options{LeafCapacity: 200, Workers: 1, Queues: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tombstones {
+				for id := int32(0); int(id) < m.Len(); id += 7 {
+					if err := tr.Delete(id); err != nil {
+						t.Fatal(err)
 					}
 				}
-				name := fmt.Sprintf("%s noBlocks=%v tombstones=%v", shape, noBlocks, tombstones)
-				compareBlockToPerSeries(t, name, block, perSeries, queries, tombstones)
 			}
+			name := fmt.Sprintf("%s tombstones=%v", shape, tombstones)
+			compareBlockToPerSeries(t, name, tr, queries, tombstones)
 		}
 	}
 }
 
-func compareBlockToPerSeries(t *testing.T, name string, block, perSeries *Tree, queries *distance.Matrix, tombstones bool) {
+func compareBlockToPerSeries(t *testing.T, name string, tr *Tree, queries *distance.Matrix, tombstones bool) {
 	t.Helper()
-	sb := block.NewSearcher()
-	sp := perSeries.NewSearcher()
+	sb := tr.NewSearcher()
+	sp := tr.NewSearcher()
 	sameResults := func(what string, got, want []Result) {
 		t.Helper()
 		if len(got) != len(want) {
@@ -150,16 +189,13 @@ func compareBlockToPerSeries(t *testing.T, name string, block, perSeries *Tree, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := sp.Search(query, k)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want, ws := perSeriesSearch(t, sp, query, k, 1, false)
 		sameResults(fmt.Sprintf("query %d", qi), got, want)
 		// Identical pruning decisions imply identical work counters. The
 		// one exception is by definition: the block kernel bounds a leaf's
 		// tombstoned members too (and counts them), the per-series walk
 		// skips them first.
-		gs, ws := sb.LastStats(), sp.LastStats()
+		gs := sb.LastStats()
 		if tombstones && gs.SeriesLBD >= ws.SeriesLBD {
 			gs.SeriesLBD = ws.SeriesLBD
 		}
@@ -171,20 +207,14 @@ func compareBlockToPerSeries(t *testing.T, name string, block, perSeries *Tree, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		wa, err := sp.SearchApproximate(query, k)
-		if err != nil {
-			t.Fatal(err)
-		}
+		wa, _ := perSeriesSearch(t, sp, query, k, 1, true)
 		sameResults(fmt.Sprintf("query %d approx", qi), ga, wa)
 		// ε-search scales the bound the kernel abandons against.
 		ge, err := sb.SearchEpsilon(query, k, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		we, err := sp.SearchEpsilon(query, k, 0.5)
-		if err != nil {
-			t.Fatal(err)
-		}
+		we, _ := perSeriesSearch(t, sp, query, k, 1/(1.5*1.5), false)
 		sameResults(fmt.Sprintf("query %d eps", qi), ge, we)
 	}
 }

@@ -43,9 +43,7 @@ func (t *Tree) Insert(series []float64, enc Encoder) (int32, error) {
 		n = n.children[b]
 	}
 	n.ids = append(n.ids, id)
-	if !t.opts.NoLeafBlocks {
-		n.words = append(n.words, word...) // keep the leaf refinement block row-aligned with ids
-	}
+	n.words = append(n.words, word...) // keep the leaf refinement block row-aligned with ids
 	n.count++
 	if len(n.ids) > t.opts.LeafCapacity && !n.noSplit {
 		t.splitToCapacity(n)
@@ -93,24 +91,18 @@ func (t *Tree) CheckInvariants() error {
 			if len(n.ids) > t.opts.LeafCapacity && !n.noSplit {
 				return fmt.Errorf("splittable leaf of size %d exceeds capacity %d", len(n.ids), t.opts.LeafCapacity)
 			}
-			if t.opts.NoLeafBlocks {
-				if len(n.words) != 0 {
-					return fmt.Errorf("leaf carries a %d-byte block despite NoLeafBlocks", len(n.words))
+			if len(n.words) != len(n.ids)*t.l {
+				return fmt.Errorf("leaf block has %d bytes, want %d", len(n.words), len(n.ids)*t.l)
+			}
+			for i, id := range n.ids {
+				if id < 0 || int(id) >= t.data.Len() {
+					return fmt.Errorf("leaf id %d out of range", id)
 				}
-			} else {
-				if len(n.words) != len(n.ids)*t.l {
-					return fmt.Errorf("leaf block has %d bytes, want %d", len(n.words), len(n.ids)*t.l)
-				}
-				for i, id := range n.ids {
-					if id < 0 || int(id) >= t.data.Len() {
-						return fmt.Errorf("leaf id %d out of range", id)
-					}
-					blockRow := n.words[i*t.l : (i+1)*t.l]
-					globalRow := t.words[int(id)*t.l : (int(id)+1)*t.l]
-					for j := range blockRow {
-						if blockRow[j] != globalRow[j] {
-							return fmt.Errorf("leaf block row %d diverges from global word of series %d", i, id)
-						}
+				blockRow := n.words[i*t.l : (i+1)*t.l]
+				globalRow := t.words[int(id)*t.l : (int(id)+1)*t.l]
+				for j := range blockRow {
+					if blockRow[j] != globalRow[j] {
+						return fmt.Errorf("leaf block row %d diverges from global word of series %d", i, id)
 					}
 				}
 			}

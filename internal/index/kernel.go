@@ -54,7 +54,7 @@ func newGatherTables(s Summarizer) *gatherTables {
 // early abandoning per 8-lane block — dispatched through internal/simd to
 // VGATHERQPD/VCMPPD/VBLENDVPD assembly on AVX2 hardware and to the
 // bit-identical portable reference elsewhere. It remains the reference
-// gather-style kernel; the default refinement path uses distTable below.
+// gather-style kernel; the refinement path uses distTable below.
 type kernel struct {
 	qr      []float64 // query representation, length l
 	weights []float64
@@ -123,7 +123,7 @@ func nodeMinDist(s Summarizer, qr []float64, word []byte, cards []uint8) float64
 	return sum
 }
 
-// distTable is the default per-series LBD kernel of the refinement loop: for
+// distTable is the LBD kernel of the refinement loop: for
 // one query, precompute the weighted squared distance contribution of every
 // (position, symbol) pair, reducing the per-series LBD to l table lookups
 // plus adds. It trades one l x alphabet build per query for branch-free
@@ -248,9 +248,9 @@ func (t *distTable) minDistEA(word []byte, bsf float64) float64 {
 // exact and bit-identical to minDistEA's sequential value, out[i] of any
 // other series is a partial sum that already exceeds bsf. The per-series
 // certificates of minDistEA and these land on the same side of any bound
-// >= bsf because table entries are nonnegative. This is the default
-// refinement kernel (Options.PerSeriesLBD restores minDistEA): it pays
-// dispatch and bounds checks once per leaf, stops after the first eight
+// >= bsf because table entries are nonnegative. This is the refinement
+// kernel (minDistEA stays as the per-series reference tests compare it
+// against): it pays dispatch and bounds checks once per leaf, stops after the first eight
 // positions for every series they already rule out, and opens the
 // series-across-lanes AVX2/AVX-512 tiers (see simd.BlockImpl).
 func (t *distTable) minDistBlockEA(words []byte, n int, out []float64, bsf float64, surv []int32) int {

@@ -165,9 +165,9 @@ func (s *KNNCollector) ResultsAppend(dst []Result) []Result {
 // word, the flat per-query distance table, the k-NN collector, the leaf
 // priority queues and the result buffer — so a steady-state Search performs
 // zero heap allocations. It is NOT safe for concurrent use; create one per
-// querying goroutine (or use Tree.BatchSearch, which pools them). A single
-// Search call internally uses the tree's configured worker parallelism,
-// matching the paper's one-query-at-a-time protocol.
+// querying goroutine. A single Search call internally uses the tree's
+// configured worker parallelism, matching the paper's one-query-at-a-time
+// protocol.
 type Searcher struct {
 	t     *Tree
 	enc   Encoder
@@ -175,7 +175,7 @@ type Searcher struct {
 	qr    []float64
 	qword []byte
 	kern  kernel
-	dt    distTable // flat per-query LBD table (default refinement kernel)
+	dt    distTable // flat per-query LBD table (the refinement kernel)
 
 	kn     KNNCollector
 	set    *queue.Set[*node]
@@ -203,9 +203,9 @@ type Searcher struct {
 	approxNode *node
 	seeded     bool
 
-	// serial forces single-threaded query answering (no goroutine fan-out);
-	// BatchSearch sets it so inter-query parallelism is not multiplied by
-	// intra-query parallelism.
+	// serial forces single-threaded query answering (no goroutine fan-out),
+	// so a caller's inter-query parallelism is not multiplied by intra-query
+	// parallelism (see NewSerialSearcher).
 	serial bool
 
 	// stats for the last Search call (atomic: workers update concurrently).
@@ -247,6 +247,20 @@ func (t *Tree) NewSearcher() *Searcher {
 		scratch: make([]drainScratch, max(t.opts.Workers, 1)),
 		idMul:   1,
 	}
+}
+
+// NewSerialSearcher creates a single-threaded searcher: the query engine
+// runs inline with no goroutine fan-out, which is the right building block
+// when the caller manages inter-query parallelism itself (the collection's
+// batch and streaming engines). A single-threaded searcher gains nothing
+// from the multi-queue split (it exists to spread lock contention between
+// workers) and loses refinement order across queues; one queue drains leaves
+// in global ascending-LBD order, tightening the BSF fastest.
+func (t *Tree) NewSerialSearcher() *Searcher {
+	s := t.NewSearcher()
+	s.serial = true
+	s.set = queue.NewSet[*node](1)
+	return s
 }
 
 // mapID translates a tree-local series id to the id space of the current
@@ -332,26 +346,6 @@ func (s *Searcher) approximateLeaf() *node {
 	return n
 }
 
-// processLeafReal computes real (early-abandoning) distances for every live
-// series in the leaf — used by the approximate stage to establish the BSF.
-func (s *Searcher) processLeafReal(leaf *node, q []float64, kn *KNNCollector) {
-	t := s.t
-	dead := t.dead
-	bound := kn.Bound()
-	for i, id := range leaf.ids {
-		if i%boundRefreshInterval == 0 {
-			bound = kn.Bound()
-		}
-		if deadBit(dead, id) {
-			continue
-		}
-		d := distance.SquaredEDEarlyAbandon(t.data.Row(int(id)), q, bound)
-		if d < bound && kn.Offer(s.mapID(id), d) {
-			bound = kn.Bound()
-		}
-	}
-}
-
 // buildTable (re)fills the flat per-query LBD table for the current query
 // representation: a fresh build costs one l x alphabet sweep (microseconds),
 // a repeat for the same representation is a qr-cache hit.
@@ -362,14 +356,11 @@ func (s *Searcher) buildTable() {
 
 // drainScratch is one drain worker's scratch of the block refinement path:
 // the block kernel's two outputs — the members' LBDs and the survivor
-// list — and, for NoLeafBlocks trees, a staging buffer the leaf's word rows
-// are gathered into so the block kernel still sees one contiguous SoA
-// block. All grow to the largest leaf seen and are then reused, keeping the
+// list. Both grow to the largest leaf seen and are then reused, keeping the
 // steady-state query path allocation-free.
 type drainScratch struct {
-	lbd   []float64
-	surv  []int32
-	words []byte
+	lbd  []float64
+	surv []int32
 }
 
 // forLeaf returns the kernel's output buffers for a leaf of n series.
@@ -381,31 +372,11 @@ func (ds *drainScratch) forLeaf(n int) ([]float64, []int32) {
 	return ds.lbd[:n], ds.surv[:n]
 }
 
-// leafWords returns the leaf's contiguous word block, gathering the rows
-// from the global buffer into scratch when the tree carries no per-leaf
-// blocks (Options.NoLeafBlocks). The copy is n*l sequential bytes — far
-// cheaper than what the per-leaf kernel call saves.
-func (s *Searcher) leafWords(leaf *node, ds *drainScratch) []byte {
-	if leaf.words != nil {
-		return leaf.words
-	}
-	t := s.t
-	need := len(leaf.ids) * t.l
-	if cap(ds.words) < need {
-		ds.words = make([]byte, need)
-	}
-	ds.words = ds.words[:need]
-	for i, id := range leaf.ids {
-		copy(ds.words[i*t.l:(i+1)*t.l], t.words[int(id)*t.l:(int(id)+1)*t.l])
-	}
-	return ds.words
-}
-
-// processLeafApprox is the block-kernel variant of processLeafReal: one
+// processLeafApprox seeds the BSF from the query's best-matching leaf: one
 // kernel call bounds every member of the seed leaf, and real distances are
 // then computed only for the survivors it lists — members whose lower bound
 // beats the current BSF. With an empty collector (bound +Inf) everything
-// survives and the walk degenerates to processLeafReal; with a finite bound
+// survives and every live member gets a real distance; with a finite bound
 // — later shards of a sharded query, warm repeat queries — most of the
 // leaf's real distances vanish. Skipping lb >= bound is exact: the true
 // distance is >= lb, and the bound only ever decreases, so such a candidate
@@ -430,7 +401,7 @@ func (s *Searcher) walkSurvivors(leaf *node, q []float64, kn *KNNCollector, scal
 	}
 	lbd, surv := ds.forLeaf(n)
 	bound := kn.Bound()
-	surv = surv[:s.dt.minDistBlockEA(s.leafWords(leaf, ds), n, lbd, bound*scale, surv)]
+	surv = surv[:s.dt.minDistBlockEA(leaf.words, n, lbd, bound*scale, surv)]
 	t := s.t
 	dead := t.dead
 	block := 0

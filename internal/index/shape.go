@@ -41,8 +41,9 @@ type TreeShape struct {
 	// preorder — the exact in-leaf order of the saved tree.
 	IDs []int32
 	// LeafBlocks is the preorder concatenation of every leaf's contiguous
-	// refinement block (len(IDs) x word-length bytes), or nil when the tree
-	// was built with NoLeafBlocks (or the encoder chose to omit them).
+	// refinement block (len(IDs) x word-length bytes). nil — a container
+	// written without blocks — makes the decoder gather them from the word
+	// buffer instead.
 	LeafBlocks []byte
 }
 
@@ -67,9 +68,6 @@ func (t *Tree) Shape() TreeShape {
 	}
 	for _, k := range t.rootKeys {
 		walk(t.root[k])
-	}
-	if t.opts.NoLeafBlocks {
-		sh.LeafBlocks = nil
 	}
 	return sh
 }
@@ -128,13 +126,8 @@ func (t *Tree) decodeShape(shape TreeShape) error {
 	if len(shape.IDs) != t.data.Len() {
 		return fmt.Errorf("index: shape holds %d ids for %d series", len(shape.IDs), t.data.Len())
 	}
-	if shape.LeafBlocks != nil {
-		if t.opts.NoLeafBlocks {
-			return fmt.Errorf("index: shape carries leaf blocks despite NoLeafBlocks")
-		}
-		if len(shape.LeafBlocks) != len(shape.IDs)*t.l {
-			return fmt.Errorf("index: leaf blocks length %d, want %d", len(shape.LeafBlocks), len(shape.IDs)*t.l)
-		}
+	if shape.LeafBlocks != nil && len(shape.LeafBlocks) != len(shape.IDs)*t.l {
+		return fmt.Errorf("index: leaf blocks length %d, want %d", len(shape.LeafBlocks), len(shape.IDs)*t.l)
 	}
 	// Depth is bounded by the total prefix bits a word can absorb; rejecting
 	// deeper shapes both catches corruption and bounds the decode recursion.
@@ -159,25 +152,23 @@ func (t *Tree) decodeShape(shape TreeShape) error {
 			n.ids = shape.IDs[cur.id : cur.id+cnt : cur.id+cnt]
 			n.count = int32(cnt)
 			n.noSplit = shape.LeafNoSplit[cur.leaf]
-			if !t.opts.NoLeafBlocks {
-				if shape.LeafBlocks != nil {
-					// Cap the block slice at its own end so a post-load
-					// Insert's append reallocates instead of clobbering the
-					// next leaf's block in the shared buffer.
-					lo, hi := cur.blk, cur.blk+cnt*t.l
-					n.words = shape.LeafBlocks[lo:hi:hi]
-					cur.blk = hi
-				} else {
-					// The gather indexes the word buffer by id, so ids must
-					// be range-checked here; the blocks path defers that to
-					// CheckInvariants, which runs before it touches words.
-					for _, id := range n.ids {
-						if id < 0 || int(id) >= t.data.Len() {
-							return fmt.Errorf("index: leaf id %d out of range", id)
-						}
+			if shape.LeafBlocks != nil {
+				// Cap the block slice at its own end so a post-load
+				// Insert's append reallocates instead of clobbering the
+				// next leaf's block in the shared buffer.
+				lo, hi := cur.blk, cur.blk+cnt*t.l
+				n.words = shape.LeafBlocks[lo:hi:hi]
+				cur.blk = hi
+			} else {
+				// The gather indexes the word buffer by id, so ids must
+				// be range-checked here; the blocks path defers that to
+				// CheckInvariants, which runs before it touches words.
+				for _, id := range n.ids {
+					if id < 0 || int(id) >= t.data.Len() {
+						return fmt.Errorf("index: leaf id %d out of range", id)
 					}
-					n.words = t.gatherLeafWords(n.ids)
 				}
+				n.words = t.gatherLeafWords(n.ids)
 			}
 			cur.leaf++
 			cur.id += cnt

@@ -31,13 +31,19 @@ func shapeFixture(t *testing.T, n, length int, opts Options) (*Tree, *distance.M
 }
 
 func TestShapeRoundTrip(t *testing.T) {
+	// noBlocks strips the leaf blocks from the exported shape, as a container
+	// written without them carries it: the decoder gathers them from the word
+	// buffer and the tree it yields is the same block-carrying tree.
 	for _, noBlocks := range []bool{false, true} {
-		opts := Options{LeafCapacity: 16, Workers: 2, NoLeafBlocks: noBlocks}
+		opts := Options{LeafCapacity: 16, Workers: 2}
 		tree, data, sum := shapeFixture(t, 400, 64, opts)
 		if tree.SplitCount() == 0 {
 			t.Fatal("build performed no splits; fixture too small to exercise the shape")
 		}
 		shape := tree.Shape()
+		if noBlocks {
+			shape.LeafBlocks = nil
+		}
 		words := append([]byte(nil), tree.Words()...)
 		dec, err := FromShape(data, sum, opts, words, shape)
 		if err != nil {
@@ -206,11 +212,5 @@ func TestFromShapeRejectsCorruptShapes(t *testing.T) {
 	// The unmutated control must still decode.
 	if _, err := FromShape(data, sum, opts, words, base); err != nil {
 		t.Fatalf("control shape failed to decode: %v", err)
-	}
-	// Blocks present under NoLeafBlocks is a contradiction.
-	noBlockOpts := opts
-	noBlockOpts.NoLeafBlocks = true
-	if _, err := FromShape(data, sum, noBlockOpts, words, base); err == nil {
-		t.Error("shape with blocks decoded under NoLeafBlocks")
 	}
 }

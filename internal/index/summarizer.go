@@ -20,7 +20,7 @@
 //     per-query distance table are single flat []float64 slices indexed
 //     j*alphabet+sym, not ragged [][]float64: one base pointer, no
 //     slice-header loads in the inner loop. The per-query table (distTable)
-//     is the default refinement kernel — it folds query position, weights
+//     is the refinement kernel — it folds query position, weights
 //     and breakpoint intervals into one lookup per word position, built
 //     once per query into Searcher-owned scratch (32 KiB at l=16,
 //     alphabet=256; L1/L2-resident for the whole refinement phase) and
@@ -47,11 +47,10 @@
 //     zero heap allocations; the shared BSF atomic is read once per
 //     64-series block rather than per series.
 //
-//   - Batched throughput. Tree.BatchSearch fans independent queries across
-//     pooled single-threaded Searchers (the FAISS mini-batch protocol),
-//     trading intra-query latency for aggregate queries/second;
-//     BatchSearchInto reuses caller-owned output scaffolding for
-//     allocation-free steady-state batching.
+//   - Batched throughput. NewSerialSearcher is the single-threaded building
+//     block the collection's batch and streaming engines pool, one per
+//     concurrent query (the FAISS mini-batch protocol), trading intra-query
+//     latency for aggregate queries/second.
 //
 //   - Shard participation. The engine runs in two phases (seed the
 //     best-so-far from the best-matching leaf, then traverse and refine)

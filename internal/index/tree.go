@@ -23,20 +23,6 @@ type Options struct {
 	// Queues is the number of priority queues used during query answering
 	// (default = Workers, matching the paper's setup).
 	Queues int
-	// PerSeriesLBD reverts query refinement to the per-series LBD kernel
-	// path (one early-abandoning table lookup call per series) instead of
-	// the default block kernels (one call per leaf, see
-	// simd.LookupAccumBlockSurvivors). Results are identical either way — the
-	// block kernels are bit-identical to the per-series sequential path —
-	// so the switch exists for the same-binary A/B benchmarks and as an
-	// escape hatch.
-	PerSeriesLBD bool
-	// NoLeafBlocks disables the per-leaf contiguous word blocks (node.words).
-	// Blocks roughly double word memory (the global buffer stays the source
-	// of truth), so memory-constrained builds — e.g. many shards per machine
-	// — can trade the refinement loop's sequential streaming for per-series
-	// gathers from the global buffer.
-	NoLeafBlocks bool
 }
 
 func (o Options) withDefaults() Options {
@@ -90,10 +76,6 @@ type Tree struct {
 	root     map[uint64]*node
 	rootKeys []uint64
 	gather   *gatherTables
-
-	// searchers pools serial Searchers for BatchSearch so repeated batches
-	// reuse per-worker scratch.
-	searchers sync.Pool
 
 	// dead is the tombstone bitmap (bit id set = series id is deleted) and
 	// deadCount its population count. A tombstoned series stays in the data
@@ -297,9 +279,7 @@ func (t *Tree) buildTree() {
 				}
 				root := t.root[t.rootKeys[i]]
 				t.splitToCapacity(root)
-				if !t.opts.NoLeafBlocks {
-					t.fillLeafBlocks(root)
-				}
+				t.fillLeafBlocks(root)
 			}
 		}()
 	}

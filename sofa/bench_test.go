@@ -7,12 +7,11 @@ import (
 	"testing"
 )
 
-// BenchmarkBatchSearchQPS mirrors internal/index's benchmark of the same
-// name — identical generator seed, dataset shape (20000 x 128), leaf
-// capacity, SFA sampling rate, k and query count — but drives the public
-// SearchBatch API, so the cost of the redesigned boundary (per-query plans,
-// context checks, caller-owned copies) is directly comparable against the
-// internal engine's snapshot in BENCH_pr3.json.
+// BenchmarkBatchSearchQPS drives the public SearchBatch API over the fixture
+// of the BENCH_pr3.json batch snapshot — same generator seed, dataset shape
+// (20000 x 128), leaf capacity, SFA sampling rate, k and query count — so the
+// cost of the public boundary (per-query plans, context checks, caller-owned
+// copies) is directly comparable against it.
 func BenchmarkBatchSearchQPS(b *testing.B) {
 	rng := rand.New(rand.NewSource(53))
 	m := mixedMatrix(rng, 20000, 128)

@@ -151,17 +151,6 @@ func Workers(n int) Option { return func(c *config) { c.cfg.Workers = n } }
 // single-shard build.
 func Shards(s int) Option { return func(c *config) { c.cfg.Shards = s } }
 
-// NoLeafBlocks disables the per-leaf contiguous word blocks, roughly
-// halving word memory at a refinement-locality cost — for
-// memory-constrained builds (e.g. many shards per machine).
-func NoLeafBlocks() Option { return func(c *config) { c.cfg.NoLeafBlocks = true } }
-
-// PerSeriesLBD reverts query refinement to one lower-bound kernel call per
-// series instead of one block-granularity call per leaf. Results are
-// identical either way; the knob exists for same-binary kernel A/Bs and as
-// an escape hatch.
-func PerSeriesLBD() Option { return func(c *config) { c.cfg.PerSeriesLBD = true } }
-
 // EquiDepthBinning switches SFA to equi-depth (equal sample mass) bins,
 // the original SFA strategy; the default is the paper's equi-width bins.
 func EquiDepthBinning() Option { return func(c *config) { c.cfg.Binning = sfa.EquiDepth } }
