@@ -66,8 +66,8 @@ func TestQuickConfig(t *testing.T) {
 
 func TestExperimentRegistry(t *testing.T) {
 	exps := Experiments()
-	if len(exps) != 21 {
-		t.Fatalf("%d experiments, want 21", len(exps))
+	if len(exps) != 20 {
+		t.Fatalf("%d experiments, want 20", len(exps))
 	}
 	seen := map[string]bool{}
 	for _, e := range exps {
@@ -95,21 +95,6 @@ func TestRunQPS(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "SOFA stream") || !strings.Contains(out, "flat batch") {
 		t.Errorf("unexpected output:\n%s", out)
-	}
-}
-
-func TestRunLoad(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := tiny()
-	cfg.Shards = 2
-	if err := RunLoad(cfg, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"v2", "v3", "re-splits", "v3 vs v2"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("load output missing %q:\n%s", want, out)
-		}
 	}
 }
 
@@ -199,12 +184,6 @@ func TestRunReport(t *testing.T) {
 		t.Errorf("report chaos section incomplete: %+v", rep.Chaos)
 	} else if got := rep.Chaos.EpsilonZero + rep.Chaos.EpsilonFinite + rep.Chaos.EpsilonInf; got != rep.Chaos.Queries {
 		t.Errorf("chaos ε counts sum to %d, want %d", got, rep.Chaos.Queries)
-	}
-	if len(rep.Load) != 2 || rep.Load[0].Version != 2 || rep.Load[1].Version != 3 {
-		t.Fatalf("report load rows incomplete: %+v", rep.Load)
-	}
-	if rep.Load[1].Splits != 0 {
-		t.Errorf("v3 load re-split %d leaves, want 0", rep.Load[1].Splits)
 	}
 	if len(rep.WAL) != 3 {
 		t.Fatalf("report wal rows incomplete: %+v", rep.WAL)

@@ -50,12 +50,6 @@ type PerfReport struct {
 	// warmed pooled searcher (the PR-1 zero-allocation invariant).
 	SearchSteadyStateAllocs float64 `json:"search_steady_state_allocs"`
 
-	// Load: cold-start cost by container version on the same snapshot
-	// (Shards shards) — v2 rebuilds every shard tree from its words, v3
-	// decodes the serialized shape (zero re-splits).
-	LoadShards int       `json:"load_shards"`
-	Load       []LoadRow `json:"load"`
-
 	// Chaos: degraded-mode operation on the same snapshot with one shard
 	// quarantined — AllowPartial throughput, top-k coverage and the ε
 	// certificate distribution.
@@ -98,11 +92,6 @@ func RunReport(cfg SuiteConfig, w io.Writer) error {
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%.0f\n", r.Engine, r.Shards, r.Workers, r.QPS)
 	}
 	fmt.Fprintf(tw, "search steady-state allocs\t%.1f\n", rep.SearchSteadyStateAllocs)
-	fmt.Fprintf(tw, "load (S=%d)\tversion\tdecode ms\ttree ms\ttotal ms\tre-splits\n", rep.LoadShards)
-	for _, r := range rep.Load {
-		fmt.Fprintf(tw, "\tv%d\t%.1f\t%.1f\t%.1f\t%d\n",
-			r.Version, r.DecodeSeconds*1e3, r.TreeSeconds*1e3, r.TotalSeconds*1e3, r.Splits)
-	}
 	fmt.Fprintln(tw, "wal sync policy\tinserts/s\tµs/insert\treplay ms")
 	for _, r := range rep.WAL {
 		fmt.Fprintf(tw, "\t%s\t%.0f\t%.1f\t%.1f\n", r.Policy, r.InsertsPerSec, r.MicrosPerInsert, r.ReplaySeconds*1e3)
@@ -149,7 +138,7 @@ func BuildReport(cfg SuiteConfig) (*PerfReport, error) {
 		SIMDBlock: simd.BlockImpl(),
 	}
 	rep.Kernels = kernelRows()
-	// The qps and load measurements share one generated snapshot dataset.
+	// The snapshot measurements share one generated dataset.
 	c := cfg.withDefaults()
 	spec, data, err := snapshotData(c)
 	if err != nil {
@@ -168,12 +157,6 @@ func BuildReport(cfg SuiteConfig) (*PerfReport, error) {
 		return nil, err
 	}
 	rep.SearchSteadyStateAllocs = allocs
-	loads, _, err := loadRows(c, data)
-	if err != nil {
-		return nil, err
-	}
-	rep.Load = loads
-	rep.LoadShards = c.Shards
 	rep.Chaos, err = chaosReport(c, data)
 	if err != nil {
 		return nil, err

@@ -379,21 +379,6 @@ func (c *Collection) Stats() index.Stats {
 	return agg
 }
 
-// SplitCount sums the leaf splits every shard tree has performed — zero for
-// a collection decoded from a version-3 container, the full build's count
-// otherwise. Surfaced through LoadStats as the no-re-split proof.
-func (c *Collection) SplitCount() int64 {
-	var n int64
-	for i := range c.states {
-		t := c.tree(i)
-		if t == nil {
-			continue
-		}
-		n += t.SplitCount()
-	}
-	return n
-}
-
 // CheckInvariants verifies every shard tree's structural invariants, then
 // the collection-level id-mapping invariants (pub2loc and the per-shard
 // pubOf tables are mutually consistent bijections over the live series).

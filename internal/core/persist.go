@@ -19,34 +19,43 @@ import (
 	"repro/internal/sfa"
 )
 
-// savedIndex is the gob-serialized container format. Data values are stored
-// as float32 (the paper's on-disk precision) in global id order and
-// re-z-normalized on load, so the exactness guarantee is preserved against
-// the loaded data.
+// ErrUnsupportedVersion reports a container or write-ahead log written in a
+// format version this build does not read. There is exactly one container
+// version (savedIndexVersion) and one WAL version (walMagic); a file in any
+// other version is refused before a byte of it is trusted and is never
+// modified. Files older than the current versions upgrade by loading and
+// re-saving with an earlier build (README, "Persistence").
+var ErrUnsupportedVersion = errors.New("core: unsupported format version")
+
+// savedIndexVersion is the one container version Save writes and Load reads.
+const savedIndexVersion = 5
+
+// savedIndex is the gob-serialized container, in three parts.
 //
-// Version 1 stored a single word buffer (Words); version 2 stores the shard
-// count plus one word buffer per shard in shard-local row order, which lets
-// Load rebuild every shard tree in parallel; version 3 additionally stores
-// each shard's finalized tree shape and leaf refinement blocks, so Load
+// The header — the scalars, the collection's SFA tables and the mutable-index
+// state (mutation sequence, public-id count and tables, per-shard row counts,
+// tombstone bitmaps, re-learned shard quantizations) — is small and says how
+// to read the rest.
+//
+// DataBytes is the series data as raw little-endian float32 (the paper's
+// on-disk precision), shard-major: shard 0's rows then shard 1's, each in
+// local id order, because compaction makes per-shard row counts diverge.
+// Count is the physical row count (live + tombstoned). Rows are
+// re-z-normalized on load, so the exactness guarantee holds against the
+// loaded data.
+//
+// Each shard's payload is its full-cardinality word buffer in local row order
+// plus its finalized tree shape with the leaf refinement blocks, so Load
 // reconstructs every tree by direct decode — no re-bucketing, no
-// re-splitting — and re-encodes the bulk payloads (series data, shape
-// streams) as raw little-endian bytes, which gob transfers as single block
-// copies instead of per-element decodes. Version 4 restructures the
-// checksums for shard-granular fault isolation: the global checksum covers
-// only the header, the SFA tables and the series data, while each shard's
-// words + shape stream carries its own CRC — so one corrupt shard payload is
-// attributable to that shard, and LoadOptions.QuarantineCorruptShards can
-// load the healthy rest as a degraded collection instead of losing the whole
-// container. Version 5 adds the mutable-index state: per-shard tombstone
-// bitmaps, the stable public-id tables (when upserts or compaction diverged
-// them from the identity layout), per-shard re-learned SFA quantizations,
-// and the mutation sequence the WAL resumes from. A version-5 container
-// stores its data shard-major (shard 0's rows, then shard 1's, in local id
-// order) because compaction makes per-shard row counts diverge from the
-// round-robin interleave, and Count becomes the physical row count (live +
-// tombstoned). Version-1 files load as a single-shard collection; version-2
-// files re-split from their words. All five versions remain loadable (the
-// compatibility promise the persist-compat CI job enforces).
+// re-splitting. Bulk payloads are []byte because gob moves those as single
+// block copies instead of per-element decodes.
+//
+// Two CRC-32C tiers cover the file, because gob framing only detects
+// corruption that breaks its structure and a bit flip inside a payload would
+// otherwise load cleanly and silently change answers: Checksum covers the
+// header and DataBytes, ShardChecksums[i] shard i's payload — so a flip there
+// indicts one shard, and LoadOptions.QuarantineCorruptShards can load the
+// healthy rest as a degraded collection.
 type savedIndex struct {
 	Version      int
 	Method       Method
@@ -55,39 +64,15 @@ type savedIndex struct {
 	LeafCapacity int
 	SeriesLen    int
 	Count        int
-	Data         []float32 // versions 1-2; version 3 packs DataBytes instead
-	Words        []byte    // version 1 only
 	SFA          *sfa.State
 
-	// Version 2 fields. NoLeafBlocks is legacy: older builds set it on
-	// containers saved without leaf blocks, and it is part of their header
-	// checksum. It is only ever read (and written false) — every tree carries
-	// blocks, and a shape saved without them is gathered at decode.
-	Shards       int
-	ShardWords   [][]byte
-	NoLeafBlocks bool
-
-	// Version 3 fields.
-	DataBytes   []byte // raw little-endian float32, global id order
-	ShardShapes []packedShape
-	// Checksum is CRC-32C over the payloads. gob framing only detects
-	// corruption that breaks its structure; the checksum catches bit flips
-	// inside the payloads, which would otherwise load cleanly and silently
-	// change query answers. Version 3 hashes every payload buffer (data,
-	// shard words, shape streams); version 4 hashes the header, SFA tables
-	// and data only — the per-shard payloads move to ShardChecksums so a
-	// flipped bit indicts one shard, not the container.
-	Checksum uint32
-
-	// Version 4 fields.
-	// ShardChecksums[i] is CRC-32C over shard i's words and packed shape
-	// stream, enabling shard-granular corruption attribution (and optional
-	// quarantine) at load.
+	Shards         int
+	ShardWords     [][]byte
+	DataBytes      []byte
+	ShardShapes    []packedShape
+	Checksum       uint32
 	ShardChecksums []uint32
 
-	// Version 5 fields (mutable index). All are covered by the global
-	// checksum: they are small relative to the payloads, so shard-granular
-	// attribution is not worth splitting them.
 	// MutSeq is the collection's mutation sequence at save time; recovery
 	// replays only WAL records past it.
 	MutSeq uint64
@@ -119,11 +104,11 @@ func (s *savedIndex) ownSFA(i int) *sfa.State {
 	return s.ShardSFA[i]
 }
 
-// payloadChecksum hashes everything the container stores except the
-// checksum itself, in fixed order: the header scalars (a flipped Method or
+// globalChecksum is the global CRC: the header scalars (a flipped Method or
 // WordLength is as answer-corrupting as flipped data), the SFA learned
-// tables, and the payload buffers.
-func payloadChecksum(s *savedIndex) uint32 {
+// tables, the mutable-index state and the series data, in fixed order. The
+// per-shard payloads are not in it — they fail their own ShardChecksums.
+func globalChecksum(s *savedIndex) uint32 {
 	h := crc32.New(castagnoli)
 	var b [8]byte
 	put := func(v uint64) {
@@ -138,65 +123,48 @@ func payloadChecksum(s *savedIndex) uint32 {
 	put(uint64(s.SeriesLen))
 	put(uint64(s.Count))
 	put(uint64(s.Shards))
-	if s.NoLeafBlocks {
-		put(1)
-	} else {
-		put(0)
-	}
+	put(0) // a flag earlier builds hashed here; always false in this version
 	if s.SFA != nil {
 		hashSFAState(put, s.SFA)
 	}
-	if s.Version >= 5 {
-		put(s.MutSeq)
-		put(uint64(s.PubCount))
-		for _, v := range s.ShardCounts {
+	put(s.MutSeq)
+	put(uint64(s.PubCount))
+	for _, v := range s.ShardCounts {
+		put(uint64(uint32(v)))
+	}
+	for _, dead := range s.ShardDead {
+		put(uint64(len(dead)))
+		for _, w := range dead {
+			put(w)
+		}
+	}
+	for _, v := range s.ShardDeadCounts {
+		put(uint64(uint32(v)))
+	}
+	put(uint64(len(s.ShardPubs)))
+	for _, pubs := range s.ShardPubs {
+		put(uint64(len(pubs)))
+		for _, v := range pubs {
 			put(uint64(uint32(v)))
 		}
-		for _, dead := range s.ShardDead {
-			put(uint64(len(dead)))
-			for _, w := range dead {
-				put(w)
-			}
+	}
+	put(uint64(len(s.ShardSFA)))
+	for i := range s.ShardSFA {
+		st := s.ownSFA(i)
+		if st == nil {
+			put(0)
+			continue
 		}
-		for _, v := range s.ShardDeadCounts {
-			put(uint64(uint32(v)))
-		}
-		put(uint64(len(s.ShardPubs)))
-		for _, pubs := range s.ShardPubs {
-			put(uint64(len(pubs)))
-			for _, v := range pubs {
-				put(uint64(uint32(v)))
-			}
-		}
-		put(uint64(len(s.ShardSFA)))
-		for i := range s.ShardSFA {
-			st := s.ownSFA(i)
-			if st == nil {
-				put(0)
-				continue
-			}
-			put(1)
-			hashSFAState(put, st)
-		}
+		put(1)
+		hashSFAState(put, st)
 	}
 	h.Write(s.DataBytes)
-	// Version 4 moves the per-shard payloads out of the global hash and into
-	// ShardChecksums: a flipped bit in one shard's words must fail that
-	// shard's checksum, not the container's.
-	if s.Version < 4 {
-		for _, w := range s.ShardWords {
-			h.Write(w)
-		}
-		for _, p := range s.ShardShapes {
-			writeShapeHash(h, p)
-		}
-	}
 	return h.Sum32()
 }
 
 // hashSFAState feeds one SFA quantizer state into the running header hash
 // in fixed order (shared by the collection quantizer and the per-shard
-// re-learned ones a version-5 container may carry).
+// re-learned ones).
 func hashSFAState(put func(uint64), st *sfa.State) {
 	put(uint64(st.N))
 	put(uint64(st.L))
@@ -219,9 +187,11 @@ func hashSFAState(put func(uint64), st *sfa.State) {
 	}
 }
 
-// writeShapeHash feeds one packed shape's streams into a running hash in
-// fixed order (shared by the v3 global checksum and the v4 per-shard ones).
-func writeShapeHash(h io.Writer, p packedShape) {
+// shardChecksum is shard i's CRC: its word buffer plus its packed shape
+// streams, in fixed order.
+func shardChecksum(words []byte, p packedShape) uint32 {
+	h := crc32.New(castagnoli)
+	h.Write(words)
 	h.Write([]byte{p.RootBits})
 	h.Write(p.RootKeys)
 	h.Write(p.Splits)
@@ -229,14 +199,6 @@ func writeShapeHash(h io.Writer, p packedShape) {
 	h.Write(p.LeafNoSplit)
 	h.Write(p.IDs)
 	h.Write(p.LeafBlocks)
-}
-
-// shardChecksum is the version-4 per-shard CRC: shard i's word buffer plus
-// its packed shape stream.
-func shardChecksum(words []byte, p packedShape) uint32 {
-	h := crc32.New(castagnoli)
-	h.Write(words)
-	writeShapeHash(h, p)
 	return h.Sum32()
 }
 
@@ -245,7 +207,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // packedShape is an index.TreeShape with every stream packed into raw
 // little-endian bytes. gob decodes []byte with one block copy but pays a
 // per-element decode for typed slices — on a 20k-series container the
-// difference is what keeps the v3 load I/O-bound rather than gob-bound.
+// difference is what keeps the load I/O-bound rather than gob-bound.
 type packedShape struct {
 	RootBits    uint8  // root fan-out width of the saved tree
 	RootKeys    []byte // 8 bytes per key
@@ -253,7 +215,7 @@ type packedShape struct {
 	LeafCounts  []byte // 4 bytes per leaf (int32)
 	LeafNoSplit []byte // 1 byte per leaf
 	IDs         []byte // 4 bytes per series (int32)
-	LeafBlocks  []byte // as in TreeShape; empty means no blocks
+	LeafBlocks  []byte // as in TreeShape
 }
 
 func packShape(s index.TreeShape) packedShape {
@@ -297,9 +259,7 @@ func unpackShape(p packedShape) (index.TreeShape, error) {
 		LeafCounts:  make([]int32, len(p.LeafCounts)/4),
 		LeafNoSplit: make([]bool, len(p.LeafNoSplit)),
 		IDs:         make([]int32, len(p.IDs)/4),
-	}
-	if len(p.LeafBlocks) > 0 {
-		s.LeafBlocks = p.LeafBlocks
+		LeafBlocks:  p.LeafBlocks,
 	}
 	for i := range s.RootKeys {
 		s.RootKeys[i] = binary.LittleEndian.Uint64(p.RootKeys[8*i:])
@@ -319,38 +279,14 @@ func unpackShape(p packedShape) (index.TreeShape, error) {
 	return s, nil
 }
 
-const savedIndexVersion = 5
-
-// Save serializes the index to w in the current container version (5):
-// summarization tables, per-shard words and data, each shard's finalized
-// tree shape and leaf blocks so Load is a direct decode, per-shard payload
-// checksums so load-time corruption is attributable to (and optionally
-// quarantined at) shard granularity, and the mutable-index state (tombstone
-// bitmaps, public-id tables, re-learned shard quantizations, mutation
-// sequence).
+// Save serializes the index to w: summarization tables, per-shard words and
+// data, each shard's finalized tree shape and leaf blocks so Load is a direct
+// decode, per-shard payload checksums so load-time corruption is attributable
+// to (and optionally quarantined at) shard granularity, and the mutable-index
+// state (tombstone bitmaps, public-id tables, re-learned shard quantizations,
+// mutation sequence). See savedIndex for the layout.
 func Save(ix *Index, w io.Writer) error {
-	return SaveVersion(ix, w, savedIndexVersion)
-}
-
-// SaveVersion serializes the index in an explicit container version — 5
-// (the default: adds the mutable-index state), 4 (tree shapes and per-shard
-// checksums), 3 (tree shapes, one global checksum) or 2 (words only, Load
-// re-splits every shard tree). Writing old versions exists for the
-// compatibility fixtures and the load benchmark; new snapshots should use
-// Save. A collection that carries mutation state older versions cannot
-// express — tombstones, remapped ids, re-learned shards — refuses to write
-// them: silently dropping that state would resurrect deleted series on
-// load.
-func SaveVersion(ix *Index, w io.Writer, version int) error {
-	if version != 2 && version != 3 && version != 4 && version != savedIndexVersion {
-		return fmt.Errorf("core: cannot write container version %d (supported: 2, 3, 4, %d)", version, savedIndexVersion)
-	}
 	col := ix.col
-	if version < savedIndexVersion {
-		if err := col.requireLegacySavable(version); err != nil {
-			return err
-		}
-	}
 	for i := range col.states {
 		if col.tree(i) == nil {
 			// A load-quarantined shard has no tree (and its saved words were
@@ -361,96 +297,46 @@ func SaveVersion(ix *Index, w io.Writer, version int) error {
 	}
 	bw := bufio.NewWriterSize(w, 1<<20)
 	s := savedIndex{
-		Version:      version,
-		Method:       col.method,
-		WordLength:   col.cfg.WordLength,
-		Bits:         col.cfg.Bits,
-		LeafCapacity: col.cfg.LeafCapacity,
-		SeriesLen:    col.SeriesLen(),
-		Count:        col.PhysLen(),
-		Shards:       col.Shards(),
-		ShardWords:   make([][]byte, col.Shards()),
+		Version:        savedIndexVersion,
+		Method:         col.method,
+		WordLength:     col.cfg.WordLength,
+		Bits:           col.cfg.Bits,
+		LeafCapacity:   col.cfg.LeafCapacity,
+		SeriesLen:      col.SeriesLen(),
+		Count:          col.PhysLen(),
+		Shards:         col.Shards(),
+		ShardWords:     make([][]byte, col.Shards()),
+		ShardShapes:    make([]packedShape, col.Shards()),
+		ShardChecksums: make([]uint32, col.Shards()),
 	}
+	s.DataBytes = make([]byte, s.Count*col.SeriesLen()*4)
+	base := 0
 	for i := range col.states {
-		s.ShardWords[i] = col.tree(i).Words()
-	}
-	if version >= 3 {
-		s.ShardShapes = make([]packedShape, col.Shards())
-		for i := range col.states {
-			s.ShardShapes[i] = packShape(col.tree(i).Shape())
-		}
-		s.DataBytes = make([]byte, s.Count*col.SeriesLen()*4)
-		if version >= 5 {
-			// Shard-major: shard 0's rows then shard 1's, local id order.
-			base := 0
-			for i := range col.states {
-				st := col.state(i)
-				for local := 0; local < st.tree.Len(); local++ {
-					for j, v := range st.data.Row(local) {
-						binary.LittleEndian.PutUint32(s.DataBytes[base+4*j:], math.Float32bits(float32(v)))
-					}
-					base += col.SeriesLen() * 4
-				}
+		st := col.state(i)
+		s.ShardWords[i] = st.tree.Words()
+		s.ShardShapes[i] = packShape(st.tree.Shape())
+		s.ShardChecksums[i] = shardChecksum(s.ShardWords[i], s.ShardShapes[i])
+		for local := 0; local < st.tree.Len(); local++ {
+			for j, v := range st.data.Row(local) {
+				binary.LittleEndian.PutUint32(s.DataBytes[base+4*j:], math.Float32bits(float32(v)))
 			}
-		} else {
-			for g := 0; g < s.Count; g++ {
-				base := g * col.SeriesLen() * 4
-				for j, v := range col.Row(g) {
-					binary.LittleEndian.PutUint32(s.DataBytes[base+4*j:], math.Float32bits(float32(v)))
-				}
-			}
-		}
-	} else {
-		s.Data = make([]float32, s.Count*col.SeriesLen())
-		for g := 0; g < s.Count; g++ {
-			row := col.Row(g)
-			for j, v := range row {
-				s.Data[g*col.SeriesLen()+j] = float32(v)
-			}
+			base += col.SeriesLen() * 4
 		}
 	}
 	if col.sfaQ != nil {
 		st := col.sfaQ.State()
 		s.SFA = &st
 	}
-	if version >= 4 {
-		s.ShardChecksums = make([]uint32, col.Shards())
-		for i := range s.ShardChecksums {
-			s.ShardChecksums[i] = shardChecksum(s.ShardWords[i], s.ShardShapes[i])
-		}
-	}
-	if version >= 5 {
-		col.fillSavedMutationState(&s)
-	}
-	if version >= 3 {
-		s.Checksum = payloadChecksum(&s)
-	}
+	col.fillSavedMutationState(&s)
+	s.Checksum = globalChecksum(&s)
 	if err := gob.NewEncoder(bw).Encode(&s); err != nil {
 		return fmt.Errorf("core: encoding index: %w", err)
 	}
 	return bw.Flush()
 }
 
-// requireLegacySavable refuses a pre-v5 container for a collection whose
-// mutation state those versions cannot express.
-func (c *Collection) requireLegacySavable(version int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.tomb.Load() != 0 || c.pub2loc != nil {
-		return fmt.Errorf("core: cannot write container version %d: collection has tombstones or remapped ids (version %d required)",
-			version, savedIndexVersion)
-	}
-	for i := range c.states {
-		if c.state(i).relearned {
-			return fmt.Errorf("core: cannot write container version %d: shard %d carries a re-learned quantization (version %d required)",
-				version, i, savedIndexVersion)
-		}
-	}
-	return nil
-}
-
 // fillSavedMutationState copies the collection's mutable-index state into a
-// version-5 container under the mutation lock (bitmaps and id tables alias
+// container under the mutation lock (bitmaps and id tables alias
 // live mutation state, so they are deep-copied).
 func (c *Collection) fillSavedMutationState(s *savedIndex) {
 	c.mu.Lock()
@@ -494,9 +380,9 @@ func (c *Collection) fillSavedMutationState(s *savedIndex) {
 	}
 }
 
-// applySavedMutationState installs a version-5 container's mutation state
-// into a freshly built collection: per-shard tombstone bitmaps, the public
-// id tables, the mutation sequence number, and the re-learned markers. It
+// applySavedMutationState installs a container's mutation state into a
+// freshly built collection: per-shard tombstone bitmaps, the public id
+// tables, the mutation sequence number, and the re-learned markers. It
 // validates the id tables as a bijection over the live rows before trusting
 // them — a corrupted table must fail the load, not return wrong ids.
 func (c *Collection) applySavedMutationState(s *savedIndex) error {
@@ -661,8 +547,7 @@ func (fw *faultWriter) Write(p []byte) (int, error) {
 	return fw.w.Write(p)
 }
 
-// LoadStats reports where a Load spent its time — the introspection behind
-// the v3 "load is I/O + decode" contract.
+// LoadStats reports where a Load spent its time.
 type LoadStats struct {
 	// Version is the container version of the loaded file.
 	Version int
@@ -672,14 +557,11 @@ type LoadStats struct {
 	// float32 data into the per-shard matrices.
 	DecodeSeconds float64
 	// TreeSeconds is the wall-clock time of the parallel per-shard tree
-	// phase: shape decode for v3, full re-bucket + re-split for v1/v2.
+	// phase: decoding each shard's saved shape and re-verifying its
+	// invariants against the word buffer.
 	TreeSeconds float64
 	// TotalSeconds is the whole Load call.
 	TotalSeconds float64
-	// Splits counts leaf splits performed while reconstructing the shard
-	// trees: zero for a v3+ container (direct decode), the full build's
-	// split count for v1/v2 (re-split from words).
-	Splits int64
 	// QuarantinedShards lists the shards whose payloads failed their
 	// checksums and were quarantined under
 	// LoadOptions.QuarantineCorruptShards (nil for a clean load).
@@ -688,13 +570,14 @@ type LoadStats struct {
 
 // LoadOptions controls degraded-mode loading.
 type LoadOptions struct {
-	// QuarantineCorruptShards accepts a version-4 container with corrupt
-	// per-shard payloads as a degraded collection: shards whose checksum
-	// fails load with no tree, permanently quarantined (searches skip them,
+	// QuarantineCorruptShards accepts a container with corrupt per-shard
+	// payloads as a degraded collection: shards whose checksum fails load
+	// with no tree, permanently quarantined (searches skip them,
 	// partial-result queries report them failed with an unbounded ε, Insert
 	// and Save refuse them), while every healthy shard loads normally. The
-	// default (false) fails the whole load on any corruption, like version 3.
-	// A container whose every shard is corrupt fails to load regardless.
+	// default (false) fails the whole load on any corruption. A container
+	// whose every shard is corrupt fails to load regardless, as does one
+	// whose global checksum (header, SFA tables, series data) fails.
 	QuarantineCorruptShards bool
 }
 
@@ -756,28 +639,27 @@ func isTransientRead(err error) bool {
 	return errors.As(err, &t) && t.Temporary()
 }
 
-// Load deserializes an index previously written by Save (any container
-// version). The returned index answers queries identically to the one saved
-// (up to float32 round-trip of the underlying data, against which results
-// remain exact). Version-3+ containers decode their shard trees directly;
-// older versions rebuild them from the saved words. Shard reconstruction is
-// parallel across shards either way. Transient read errors from r (the
-// net-style Temporary contract) are retried under a bounded backoff before
-// the load fails.
+// Load deserializes an index previously written by Save. The returned index
+// answers queries identically to the one saved (up to float32 round-trip of
+// the underlying data, against which results remain exact). Shard trees are
+// decoded directly from their saved shapes, in parallel across shards. A
+// container in any version but the current one fails with
+// ErrUnsupportedVersion. Transient read errors from r (the net-style
+// Temporary contract) are retried under a bounded backoff before the load
+// fails.
 func Load(r io.Reader) (*Index, error) {
 	return LoadWithStats(r, nil)
 }
 
 // LoadWithStats is Load with phase timings: when st is non-nil it is filled
-// with the container version, byte count, decode/tree split and the number
-// of leaf re-splits the load performed (zero for v3+).
+// with the container version, byte count and decode/tree split.
 func LoadWithStats(r io.Reader, st *LoadStats) (*Index, error) {
 	return LoadWithOptions(r, LoadOptions{}, st)
 }
 
 // LoadWithOptions is LoadWithStats with degraded-mode control: see
 // LoadOptions.QuarantineCorruptShards for loading a partially corrupt
-// version-4 container as a degraded collection. st may be nil.
+// container as a degraded collection. st may be nil.
 func LoadWithOptions(r io.Reader, opts LoadOptions, st *LoadStats) (*Index, error) {
 	start := time.Now()
 	cr := &countingReader{r: r}
@@ -791,194 +673,36 @@ func LoadWithOptions(r io.Reader, opts LoadOptions, st *LoadStats) (*Index, erro
 	// containers, network streams). gob itself consumes whole length-
 	// prefixed messages and reads no further.
 	containerBytes := cr.n - int64(br.Buffered())
-	// corrupt marks version-4 shards whose payload checksum failed and that
-	// LoadOptions.QuarantineCorruptShards converts into load-time quarantine
-	// instead of load failure. nil for clean loads and older versions.
-	var corrupt []bool
-	switch s.Version {
-	case 1:
-		s.Shards = 1
-		s.ShardWords = [][]byte{s.Words}
-	case 2, 3, 4, savedIndexVersion:
-		if s.Shards < 1 || len(s.ShardWords) != s.Shards {
-			return nil, fmt.Errorf("core: corrupt shard table (%d shards, %d word buffers)",
-				s.Shards, len(s.ShardWords))
-		}
-		if s.Version >= 3 && len(s.ShardShapes) != s.Shards {
-			return nil, fmt.Errorf("core: version %d container with %d tree shapes for %d shards",
-				s.Version, len(s.ShardShapes), s.Shards)
-		}
-		if s.Version >= 4 && len(s.ShardChecksums) != s.Shards {
-			return nil, fmt.Errorf("core: version %d container with %d shard checksums for %d shards",
-				s.Version, len(s.ShardChecksums), s.Shards)
-		}
-		if s.Version >= 3 {
-			// For v3 this covers every payload; for v4 the header, SFA tables
-			// and data — the per-shard payloads are checked shard by shard
-			// below, which is what makes quarantine attributable.
-			if got := payloadChecksum(&s); got != s.Checksum {
-				return nil, fmt.Errorf("core: payload checksum mismatch (%08x, header says %08x)", got, s.Checksum)
-			}
-		}
-		if s.Version >= 4 {
-			nCorrupt := 0
-			for i := range s.ShardChecksums {
-				if shardChecksum(s.ShardWords[i], s.ShardShapes[i]) == s.ShardChecksums[i] {
-					continue
-				}
-				if !opts.QuarantineCorruptShards {
-					return nil, fmt.Errorf("core: shard %d payload checksum mismatch (load with QuarantineCorruptShards to keep the healthy shards)", i)
-				}
-				if corrupt == nil {
-					corrupt = make([]bool, s.Shards)
-				}
-				corrupt[i] = true
-				nCorrupt++
-			}
-			if nCorrupt == s.Shards {
-				return nil, fmt.Errorf("core: every shard payload failed its checksum; nothing to load")
-			}
-		}
-	default:
-		return nil, fmt.Errorf("core: unsupported index version %d", s.Version)
+	if s.Version != savedIndexVersion {
+		return nil, fmt.Errorf("core: container is version %d, this build reads only version %d "+
+			"(an older file upgrades by loading and re-saving it with an earlier build; see README \"Persistence\"): %w",
+			s.Version, savedIndexVersion, ErrUnsupportedVersion)
 	}
-	// Header sanity, before any size computation depends on it: each bound
-	// also keeps Count*SeriesLen and Count*WordLength inside int range, so a
-	// forged header cannot wrap a length check around integer overflow.
-	if s.Count < 1 || s.Count > math.MaxInt32 {
-		return nil, fmt.Errorf("core: corrupt series count %d", s.Count)
+	corrupt, err := s.verify(opts)
+	if err != nil {
+		return nil, err
 	}
-	if s.SeriesLen < 1 {
-		return nil, fmt.Errorf("core: corrupt series length %d", s.SeriesLen)
-	}
-	if int64(s.Count)*int64(s.SeriesLen) > 1<<40 {
-		// Far beyond any container Save can produce in practice, yet small
-		// enough that every downstream size computation (x8 for float64,
-		// x4 for the packed bytes) stays inside int64.
-		return nil, fmt.Errorf("core: index dimensions %d x %d overflow", s.Count, s.SeriesLen)
-	}
-	if s.WordLength < 1 || s.WordLength > 64 {
-		return nil, fmt.Errorf("core: corrupt word length %d", s.WordLength)
-	}
-	if s.Bits < 1 || s.Bits > 8 {
-		return nil, fmt.Errorf("core: corrupt symbol bits %d", s.Bits)
-	}
-	if s.LeafCapacity < 1 {
-		return nil, fmt.Errorf("core: corrupt leaf capacity %d", s.LeafCapacity)
-	}
-	if s.Shards > s.Count {
-		return nil, fmt.Errorf("core: %d shards for %d series", s.Shards, s.Count)
-	}
-	if s.Version >= 5 {
-		if len(s.ShardCounts) != s.Shards || len(s.ShardDead) != s.Shards || len(s.ShardDeadCounts) != s.Shards {
-			return nil, fmt.Errorf("core: corrupt version-5 shard tables (%d/%d/%d entries for %d shards)",
-				len(s.ShardCounts), len(s.ShardDead), len(s.ShardDeadCounts), s.Shards)
-		}
-		if s.ShardPubs != nil && len(s.ShardPubs) != s.Shards {
-			return nil, fmt.Errorf("core: corrupt id tables (%d for %d shards)", len(s.ShardPubs), s.Shards)
-		}
-		if s.ShardSFA != nil && len(s.ShardSFA) != s.Shards {
-			return nil, fmt.Errorf("core: corrupt per-shard SFA tables (%d for %d shards)", len(s.ShardSFA), s.Shards)
-		}
-		if s.Method != SOFA && s.ShardSFA != nil {
-			return nil, fmt.Errorf("core: non-SOFA container carries per-shard SFA state")
-		}
-		// Upserts add physical rows without assigning ids, so PubCount and
-		// Count are ordered either way; only the id-table bijection below
-		// ties them together.
-		if s.PubCount < 1 || s.PubCount > math.MaxInt32 {
-			return nil, fmt.Errorf("core: corrupt public id count %d", s.PubCount)
-		}
-		rows := 0
-		for i, n := range s.ShardCounts {
-			if n < 1 {
-				return nil, fmt.Errorf("core: corrupt shard %d row count %d", i, n)
-			}
-			rows += int(n)
-		}
-		if rows != s.Count {
-			return nil, fmt.Errorf("core: shard row counts sum to %d, header says %d", rows, s.Count)
-		}
-	}
-	if s.Version >= 3 {
-		if int64(len(s.DataBytes)) != int64(s.Count)*int64(s.SeriesLen)*4 {
-			return nil, fmt.Errorf("core: data length %d bytes, want %d", len(s.DataBytes), s.Count*s.SeriesLen*4)
-		}
-	} else if int64(len(s.Data)) != int64(s.Count)*int64(s.SeriesLen) {
-		return nil, fmt.Errorf("core: data length %d, want %d", len(s.Data), s.Count*s.SeriesLen)
-	}
-	// shardRows is shard sh's physical row count: explicit in a version-5
-	// container (compaction diverges the shards), the round-robin share
-	// before that.
-	shardRows := func(sh int) int {
-		if s.Version >= 5 {
-			return int(s.ShardCounts[sh])
-		}
-		return (s.Count - sh + s.Shards - 1) / s.Shards
-	}
-	for sh, words := range s.ShardWords {
-		if corrupt != nil && corrupt[sh] {
-			continue // quarantined payload: its bytes are not trusted enough to validate
-		}
-		if len(words) != shardRows(sh)*s.WordLength {
-			return nil, fmt.Errorf("core: shard %d words length %d, want %d",
-				sh, len(words), shardRows(sh)*s.WordLength)
-		}
-		for _, w := range words {
-			if s.Bits < 8 && int(w) >= 1<<s.Bits {
-				return nil, fmt.Errorf("core: word symbol %d exceeds alphabet %d", w, 1<<s.Bits)
-			}
-		}
-	}
-	// Decode the float32 data (stored in global id order) straight into the
-	// per-shard matrices — an intermediate full matrix would transiently
-	// double series memory, the dominant cost on the memory-constrained
-	// many-shard deployments sharding targets. Rows are re-z-normalized to
-	// restore exactness after the f32 round-trip.
+	// Decode the float32 data (shard-major: shard 0's rows, then shard 1's,
+	// local id order) straight into the per-shard matrices — an intermediate
+	// full matrix would transiently double series memory, the dominant cost
+	// on the memory-constrained many-shard deployments sharding targets.
+	// Rows are re-z-normalized to restore exactness after the f32 round-trip.
 	sdata := make([]*distance.Matrix, s.Shards)
+	g := 0
 	for sh := range sdata {
-		sdata[sh] = distance.NewMatrix(shardRows(sh), s.SeriesLen)
-	}
-	decodeRow := func(row []float64, g int) error {
-		base := g * s.SeriesLen * 4
-		for j := 0; j < s.SeriesLen; j++ {
-			f := float64(math.Float32frombits(binary.LittleEndian.Uint32(s.DataBytes[base+4*j:])))
-			if math.IsNaN(f) || math.IsInf(f, 0) {
-				return fmt.Errorf("core: non-finite data value at offset %d", g*s.SeriesLen+j)
-			}
-			row[j] = f
-		}
-		distance.ZNormalize(row)
-		return nil
-	}
-	if s.Version >= 5 {
-		// Shard-major layout: shard 0's rows, then shard 1's, local id order.
-		g := 0
-		for sh := 0; sh < s.Shards; sh++ {
-			for local := 0; local < shardRows(sh); local++ {
-				if err := decodeRow(sdata[sh].Row(local), g); err != nil {
-					return nil, err
+		sdata[sh] = distance.NewMatrix(int(s.ShardCounts[sh]), s.SeriesLen)
+		for local := 0; local < sdata[sh].Len(); local++ {
+			row := sdata[sh].Row(local)
+			base := g * s.SeriesLen * 4
+			for j := range row {
+				f := float64(math.Float32frombits(binary.LittleEndian.Uint32(s.DataBytes[base+4*j:])))
+				if math.IsNaN(f) || math.IsInf(f, 0) {
+					return nil, fmt.Errorf("core: non-finite data value at offset %d", g*s.SeriesLen+j)
 				}
-				g++
+				row[j] = f
 			}
-		}
-	} else {
-		for g := 0; g < s.Count; g++ {
-			row := sdata[g%s.Shards].Row(g / s.Shards)
-			if s.Version >= 3 {
-				if err := decodeRow(row, g); err != nil {
-					return nil, err
-				}
-			} else {
-				src := s.Data[g*s.SeriesLen : (g+1)*s.SeriesLen]
-				for j, v := range src {
-					if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
-						return nil, fmt.Errorf("core: non-finite data value at offset %d", g*s.SeriesLen+j)
-					}
-					row[j] = float64(v)
-				}
-				distance.ZNormalize(row)
-			}
+			distance.ZNormalize(row)
+			g++
 		}
 	}
 
@@ -1011,50 +735,38 @@ func LoadWithOptions(r io.Reader, opts LoadOptions, st *LoadStats) (*Index, erro
 	col.sum = sum
 	decodeSeconds := time.Since(start).Seconds()
 
-	// Per-shard tree phase, parallel across shards: version 3 decodes the
-	// serialized shape directly (no splitting; the decoder re-verifies every
-	// structural invariant against the word buffer), older versions
-	// re-bucket and re-split from the saved words.
+	// Per-shard tree phase, parallel across shards: decode the serialized
+	// shape directly (no splitting; the decoder re-verifies every structural
+	// invariant against the word buffer).
 	treeOpts := col.shardOptions()
 	treeStart := time.Now()
-	var err error
-	if s.Version >= 3 {
-		err = col.buildShardTrees(sdata, func(i int) (*index.Tree, error) {
-			if corrupt != nil && corrupt[i] {
-				// Quarantined at load: no tree. buildShardTrees marks the
-				// shard quarantined and untrusted.
-				return nil, nil
-			}
-			shape, err := unpackShape(s.ShardShapes[i])
+	err = col.buildShardTrees(sdata, func(i int) (*index.Tree, error) {
+		if corrupt != nil && corrupt[i] {
+			// Quarantined at load: no tree. buildShardTrees marks the
+			// shard quarantined and untrusted.
+			return nil, nil
+		}
+		shape, err := unpackShape(s.ShardShapes[i])
+		if err != nil {
+			return nil, err
+		}
+		shardSum := sum
+		if own := s.ownSFA(i); own != nil {
+			// The shard re-learned its SFA quantization at a compaction;
+			// its tree bounds only hold in the shard's own space.
+			q, err := sfa.FromState(*own)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("core: shard %d SFA state: %w", i, err)
 			}
-			shardSum := sum
-			if own := s.ownSFA(i); s.Version >= 5 && own != nil {
-				// The shard re-learned its SFA quantization at a compaction;
-				// its tree bounds only hold in the shard's own space.
-				q, err := sfa.FromState(*own)
-				if err != nil {
-					return nil, fmt.Errorf("core: shard %d SFA state: %w", i, err)
-				}
-				shardSum = sfaSummarization{q}
-			}
-			return index.FromShape(sdata[i], shardSum, treeOpts, s.ShardWords[i], shape)
-		})
-	} else {
-		err = col.buildShardTrees(sdata, func(i int) (*index.Tree, error) {
-			return index.BuildFromWords(sdata[i], sum, treeOpts, s.ShardWords[i])
-		})
-	}
+			shardSum = sfaSummarization{q}
+		}
+		return index.FromShape(sdata[i], shardSum, treeOpts, s.ShardWords[i], shape)
+	})
 	if err != nil {
 		return nil, err
 	}
-	if s.Version >= 5 {
-		if err := col.applySavedMutationState(&s); err != nil {
-			return nil, err
-		}
-	} else {
-		col.initMutationState(int64(col.total), 0)
+	if err := col.applySavedMutationState(&s); err != nil {
+		return nil, err
 	}
 	if st != nil {
 		st.Version = s.Version
@@ -1062,10 +774,116 @@ func LoadWithOptions(r io.Reader, opts LoadOptions, st *LoadStats) (*Index, erro
 		st.DecodeSeconds = decodeSeconds
 		st.TreeSeconds = time.Since(treeStart).Seconds()
 		st.TotalSeconds = time.Since(start).Seconds()
-		st.Splits = col.SplitCount()
 		st.QuarantinedShards = col.Quarantined()
 	}
 	return &Index{col: col, TreeSeconds: col.TreeSeconds}, nil
+}
+
+// verify checks a decoded container before any of it is used: table sizes
+// against the shard count, both checksum tiers, then the header bounds every
+// later size computation depends on, then the payload lengths. It returns
+// the shards whose payload checksum failed and that
+// LoadOptions.QuarantineCorruptShards converts into load-time quarantine
+// instead of load failure (nil for a clean load).
+func (s *savedIndex) verify(opts LoadOptions) (corrupt []bool, err error) {
+	if s.Shards < 1 || len(s.ShardWords) != s.Shards || len(s.ShardShapes) != s.Shards || len(s.ShardChecksums) != s.Shards {
+		return nil, fmt.Errorf("core: corrupt shard table (%d shards, %d word buffers, %d tree shapes, %d checksums)",
+			s.Shards, len(s.ShardWords), len(s.ShardShapes), len(s.ShardChecksums))
+	}
+	if got := globalChecksum(s); got != s.Checksum {
+		return nil, fmt.Errorf("core: payload checksum mismatch (%08x, header says %08x)", got, s.Checksum)
+	}
+	nCorrupt := 0
+	for i := range s.ShardChecksums {
+		if shardChecksum(s.ShardWords[i], s.ShardShapes[i]) == s.ShardChecksums[i] {
+			continue
+		}
+		if !opts.QuarantineCorruptShards {
+			return nil, fmt.Errorf("core: shard %d payload checksum mismatch (load with QuarantineCorruptShards to keep the healthy shards)", i)
+		}
+		if corrupt == nil {
+			corrupt = make([]bool, s.Shards)
+		}
+		corrupt[i] = true
+		nCorrupt++
+	}
+	if nCorrupt == s.Shards {
+		return nil, fmt.Errorf("core: every shard payload failed its checksum; nothing to load")
+	}
+	// Header sanity, before any size computation depends on it: each bound
+	// also keeps Count*SeriesLen and Count*WordLength inside int range, so a
+	// forged header cannot wrap a length check around integer overflow.
+	if s.Count < 1 || s.Count > math.MaxInt32 {
+		return nil, fmt.Errorf("core: corrupt series count %d", s.Count)
+	}
+	if s.SeriesLen < 1 {
+		return nil, fmt.Errorf("core: corrupt series length %d", s.SeriesLen)
+	}
+	if int64(s.Count)*int64(s.SeriesLen) > 1<<40 {
+		// Far beyond any container Save can produce in practice, yet small
+		// enough that every downstream size computation (x8 for float64,
+		// x4 for the packed bytes) stays inside int64.
+		return nil, fmt.Errorf("core: index dimensions %d x %d overflow", s.Count, s.SeriesLen)
+	}
+	if s.WordLength < 1 || s.WordLength > 64 {
+		return nil, fmt.Errorf("core: corrupt word length %d", s.WordLength)
+	}
+	if s.Bits < 1 || s.Bits > 8 {
+		return nil, fmt.Errorf("core: corrupt symbol bits %d", s.Bits)
+	}
+	if s.LeafCapacity < 1 {
+		return nil, fmt.Errorf("core: corrupt leaf capacity %d", s.LeafCapacity)
+	}
+	if s.Shards > s.Count {
+		return nil, fmt.Errorf("core: %d shards for %d series", s.Shards, s.Count)
+	}
+	if len(s.ShardCounts) != s.Shards || len(s.ShardDead) != s.Shards || len(s.ShardDeadCounts) != s.Shards {
+		return nil, fmt.Errorf("core: corrupt shard tables (%d/%d/%d entries for %d shards)",
+			len(s.ShardCounts), len(s.ShardDead), len(s.ShardDeadCounts), s.Shards)
+	}
+	if s.ShardPubs != nil && len(s.ShardPubs) != s.Shards {
+		return nil, fmt.Errorf("core: corrupt id tables (%d for %d shards)", len(s.ShardPubs), s.Shards)
+	}
+	if s.ShardSFA != nil && len(s.ShardSFA) != s.Shards {
+		return nil, fmt.Errorf("core: corrupt per-shard SFA tables (%d for %d shards)", len(s.ShardSFA), s.Shards)
+	}
+	if s.Method != SOFA && s.ShardSFA != nil {
+		return nil, fmt.Errorf("core: non-SOFA container carries per-shard SFA state")
+	}
+	// Upserts add physical rows without assigning ids, so PubCount and
+	// Count are ordered either way; only the id-table bijection
+	// (applySavedMutationState) ties them together.
+	if s.PubCount < 1 || s.PubCount > math.MaxInt32 {
+		return nil, fmt.Errorf("core: corrupt public id count %d", s.PubCount)
+	}
+	rows := 0
+	for i, n := range s.ShardCounts {
+		if n < 1 {
+			return nil, fmt.Errorf("core: corrupt shard %d row count %d", i, n)
+		}
+		rows += int(n)
+	}
+	if rows != s.Count {
+		return nil, fmt.Errorf("core: shard row counts sum to %d, header says %d", rows, s.Count)
+	}
+	if int64(len(s.DataBytes)) != int64(s.Count)*int64(s.SeriesLen)*4 {
+		return nil, fmt.Errorf("core: data length %d bytes, want %d", len(s.DataBytes), s.Count*s.SeriesLen*4)
+	}
+	for i, words := range s.ShardWords {
+		if corrupt != nil && corrupt[i] {
+			continue // quarantined payload: its bytes are not trusted enough to validate
+		}
+		if len(words) != int(s.ShardCounts[i])*s.WordLength {
+			return nil, fmt.Errorf("core: shard %d words length %d, want %d x %d",
+				i, len(words), s.ShardCounts[i], s.WordLength)
+		}
+		for _, w := range words {
+			if s.Bits < 8 && int(w) >= 1<<s.Bits {
+				return nil, fmt.Errorf("core: word symbol %d exceeds alphabet %d", w, 1<<s.Bits)
+			}
+		}
+	}
+	return corrupt, nil
 }
 
 // LoadFile reads an index from a file.

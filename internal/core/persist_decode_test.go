@@ -2,16 +2,49 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
+
+	"repro/internal/index"
 )
 
-// TestLoadV3DirectDecode pins the version-3 contract: loading a v3
-// container performs zero leaf splits (direct shape decode), while the same
-// index saved as v2 re-splits every shard tree — and both loads answer
-// every query bit-identically, across shard counts.
-func TestLoadV3DirectDecode(t *testing.T) {
+// splitCount sums the leaf splits every shard tree of ix has performed —
+// zero for a collection decoded from a container.
+func splitCount(ix *Index) int64 {
+	var n int64
+	for i := range ix.col.states {
+		if t := ix.col.tree(i); t != nil {
+			n += t.SplitCount()
+		}
+	}
+	return n
+}
+
+// leafSets reduces a shape to what a rebuild from the same words must
+// reproduce: the topology streams as they are, each leaf's membership sorted
+// (in-leaf order depends on build parallelism) and the blocks, a permutation
+// CheckInvariants already ties to the word buffer, dropped.
+func leafSets(s index.TreeShape) index.TreeShape {
+	s.LeafBlocks = nil
+	off := 0
+	for _, n := range s.LeafCounts {
+		leaf := s.IDs[off : off+int(n)]
+		sort.Slice(leaf, func(a, b int) bool { return leaf[a] < leaf[b] })
+		off += int(n)
+	}
+	return s
+}
+
+// TestLoadDirectDecode pins the load contract: loading a container performs
+// zero leaf splits (direct shape decode), and the decoded tree of every
+// shard is the tree a re-bucket + re-split of the same words builds — same
+// topology, same leaf membership — across shard counts.
+func TestLoadDirectDecode(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	data := mixedMatrix(rng, 700, 96)
 	queries := mixedMatrix(rng, 12, 96)
@@ -22,87 +55,56 @@ func TestLoadV3DirectDecode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var v2buf, v3buf bytes.Buffer
-		if err := SaveVersion(orig, &v2buf, 2); err != nil {
+		var buf bytes.Buffer
+		if err := Save(orig, &buf); err != nil {
 			t.Fatal(err)
 		}
-		if err := SaveVersion(orig, &v3buf, 3); err != nil {
-			t.Fatal(err)
-		}
-		// v3 packs the series data as raw float32 bytes, which undercuts
-		// gob's per-element float encoding by enough to pay for the tree
-		// shapes; the container should not balloon.
-		if v3buf.Len() > 2*v2buf.Len() {
-			t.Errorf("S=%d: v3 container %d B vs v2 %d B", shards, v3buf.Len(), v2buf.Len())
-		}
-
-		var st2, st3 LoadStats
-		l2, err := LoadWithStats(bytes.NewReader(v2buf.Bytes()), &st2)
+		var st LoadStats
+		loaded, err := LoadWithStats(bytes.NewReader(buf.Bytes()), &st)
 		if err != nil {
 			t.Fatal(err)
 		}
-		l3, err := LoadWithStats(bytes.NewReader(v3buf.Bytes()), &st3)
-		if err != nil {
-			t.Fatal(err)
+		if st.Version != savedIndexVersion {
+			t.Fatalf("S=%d: stats version %d, want %d", shards, st.Version, savedIndexVersion)
 		}
-		if st2.Version != 2 || st3.Version != 3 {
-			t.Fatalf("S=%d: stats versions %d/%d, want 2/3", shards, st2.Version, st3.Version)
+		if n := splitCount(loaded); n != 0 {
+			t.Errorf("S=%d: load performed %d splits, want 0", shards, n)
 		}
-		if st3.Splits != 0 {
-			t.Errorf("S=%d: v3 load performed %d splits, want 0", shards, st3.Splits)
+		if st.Bytes != int64(buf.Len()) {
+			t.Errorf("S=%d: stats read %d bytes of a %d-byte container", shards, st.Bytes, buf.Len())
 		}
-		if got := l3.Collection().SplitCount(); got != 0 {
-			t.Errorf("S=%d: v3-loaded collection reports %d splits", shards, got)
+		if err := loaded.CheckInvariants(); err != nil {
+			t.Fatalf("S=%d: loaded invariants: %v", shards, err)
 		}
-		if st2.Splits == 0 {
-			t.Errorf("S=%d: v2 load reports zero splits; counter hook broken", shards)
-		}
-		if st3.Bytes != int64(v3buf.Len()) {
-			t.Errorf("S=%d: stats read %d bytes of a %d-byte container", shards, st3.Bytes, v3buf.Len())
-		}
-		if err := l3.CheckInvariants(); err != nil {
-			t.Fatalf("S=%d: v3-loaded invariants: %v", shards, err)
-		}
-
-		// Both loads see the identical f32-rounded data and identical tree
-		// membership, so their answers must agree bit for bit.
-		s2, s3 := l2.NewSearcher(), l3.NewSearcher()
-		for qi := 0; qi < queries.Len(); qi++ {
-			for _, k := range []int{1, 10} {
-				a, err := s2.Search(queries.Row(qi), k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := s3.Search(queries.Row(qi), k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(a) != len(b) {
-					t.Fatalf("S=%d q=%d k=%d: %d vs %d results", shards, qi, k, len(a), len(b))
-				}
-				for i := range a {
-					if a[i] != b[i] {
-						t.Fatalf("S=%d q=%d k=%d rank %d: v2 %+v vs v3 %+v",
-							shards, qi, k, i, a[i], b[i])
-					}
-				}
+		col := loaded.Collection()
+		for i := 0; i < shards; i++ {
+			dec := col.tree(i)
+			rebuilt, err := index.BuildFromWords(col.state(i).data, dec.Sum(), col.shardOptions(), dec.Words())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rebuilt.SplitCount() == 0 {
+				t.Errorf("S=%d shard %d: rebuild reports zero splits; counter hook broken", shards, i)
+			}
+			if !reflect.DeepEqual(leafSets(dec.Shape()), leafSets(rebuilt.Shape())) {
+				t.Errorf("S=%d shard %d: decoded tree differs from a rebuild from the same words", shards, i)
 			}
 		}
 
-		// A v3-loaded index keeps accepting inserts and stays coherent.
-		if _, err := l3.Insert(queries.Row(0)); err != nil {
+		// A loaded index keeps accepting inserts and stays coherent.
+		if _, err := loaded.Insert(queries.Row(0)); err != nil {
 			t.Fatal(err)
 		}
-		if err := l3.CheckInvariants(); err != nil {
+		if err := loaded.CheckInvariants(); err != nil {
 			t.Errorf("S=%d: invariants after post-load insert: %v", shards, err)
 		}
 	}
 }
 
-// TestLoadV3MatchesFreshBuild is the tentpole regression: a v3 round trip
-// answers like the index it was saved from (S ∈ {1,4}, k ∈ {1,10}; data
+// TestLoadMatchesFreshBuild: a save/load round trip answers like the index
+// it was saved from (S ∈ {1,4}, k ∈ {1,10}; data
 // round-trips through float32, so distances carry the usual tolerance).
-func TestLoadV3MatchesFreshBuild(t *testing.T) {
+func TestLoadMatchesFreshBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	data := mixedMatrix(rng, 600, 96)
 	queries := mixedMatrix(rng, 10, 96)
@@ -116,17 +118,16 @@ func TestLoadV3MatchesFreshBuild(t *testing.T) {
 			if err := Save(orig, &buf); err != nil {
 				t.Fatal(err)
 			}
-			var st LoadStats
-			loaded, err := LoadWithStats(&buf, &st)
+			loaded, err := Load(&buf)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.Splits != 0 {
-				t.Errorf("%v S=%d: v3 load split %d leaves", method, shards, st.Splits)
+			if n := splitCount(loaded); n != 0 {
+				t.Errorf("%v S=%d: load split %d leaves", method, shards, n)
 			}
 			so, sl := orig.Stats(), loaded.Stats()
 			if so != sl {
-				t.Errorf("%v S=%d: structure changed across v3 round trip: %+v vs %+v", method, shards, so, sl)
+				t.Errorf("%v S=%d: structure changed across the round trip: %+v vs %+v", method, shards, so, sl)
 			}
 			os, ls := orig.NewSearcher(), loaded.NewSearcher()
 			for qi := 0; qi < queries.Len(); qi++ {
@@ -151,7 +152,7 @@ func TestLoadV3MatchesFreshBuild(t *testing.T) {
 }
 
 // TestSaveLoadAfterFanoutGrowth saves an index whose collection grew across
-// a root-fanout boundary via Insert after the original build: the v3
+// a root-fanout boundary via Insert after the original build: the
 // container must still load (the shape carries the build-time fan-out) and
 // answer exactly like the in-memory index.
 func TestSaveLoadAfterFanoutGrowth(t *testing.T) {
@@ -170,13 +171,12 @@ func TestSaveLoadAfterFanoutGrowth(t *testing.T) {
 	if err := Save(ix, &buf); err != nil {
 		t.Fatal(err)
 	}
-	var st LoadStats
-	loaded, err := LoadWithStats(&buf, &st)
+	loaded, err := Load(&buf)
 	if err != nil {
-		t.Fatalf("loading post-insert v3 container: %v", err)
+		t.Fatalf("loading post-insert container: %v", err)
 	}
-	if st.Splits != 0 {
-		t.Errorf("v3 load re-split %d leaves", st.Splits)
+	if n := splitCount(loaded); n != 0 {
+		t.Errorf("load re-split %d leaves", n)
 	}
 	if err := loaded.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -196,12 +196,12 @@ func TestSaveLoadAfterFanoutGrowth(t *testing.T) {
 	}
 }
 
-// TestLoadV3DetectsPayloadBitFlips flips single bytes across a valid v3
+// TestLoadDetectsPayloadBitFlips flips single bytes across a valid
 // container: every flip must fail the load — gob framing catches structural
 // damage, the CRC-32C payload checksum catches flips inside the data, word
 // and shape buffers, which would otherwise load cleanly and silently change
 // answers.
-func TestLoadV3DetectsPayloadBitFlips(t *testing.T) {
+func TestLoadDetectsPayloadBitFlips(t *testing.T) {
 	rng := rand.New(rand.NewSource(76))
 	ix, err := Build(mixedMatrix(rng, 120, 32), Config{Method: SOFA, LeafCapacity: 16, SampleRate: 0.3, Shards: 2})
 	if err != nil {
@@ -251,17 +251,31 @@ func TestLoadStatsBytesWithTrailingData(t *testing.T) {
 	}
 }
 
-// TestSaveVersionValidation rejects unknown container versions at write
-// time.
-func TestSaveVersionValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	ix, err := Build(mixedMatrix(rng, 60, 32), Config{Method: MESSI, LeafCapacity: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []int{0, 1, 6} {
-		if err := SaveVersion(ix, &bytes.Buffer{}, v); err == nil {
-			t.Errorf("SaveVersion accepted version %d", v)
+// TestLoadRejectsOtherVersions: a container in any version but the current
+// one is refused with ErrUnsupportedVersion on its header alone — whether it
+// is an older layout (including the fields only those carried) or a newer
+// one.
+func TestLoadRejectsOtherVersions(t *testing.T) {
+	encode := func(v any) *bytes.Buffer {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+			t.Fatal(err)
 		}
+		return &buf
+	}
+	for _, v := range []int{0, 1, 2, 3, 4, 6} {
+		_, err := Load(encode(&savedIndex{Version: v, Method: SOFA, WordLength: 16, Count: 10}))
+		if !errors.Is(err, ErrUnsupportedVersion) {
+			t.Errorf("version %d: %v, want ErrUnsupportedVersion", v, err)
+		}
+	}
+	legacy := struct {
+		Version int
+		Count   int
+		Data    []float32
+		Words   []byte
+	}{Version: 1, Count: 2, Data: []float32{1, 2}, Words: []byte{3, 4}}
+	if _, err := Load(encode(&legacy)); !errors.Is(err, ErrUnsupportedVersion) {
+		t.Errorf("legacy-shaped version 1 container: %v, want ErrUnsupportedVersion", err)
 	}
 }

@@ -2,30 +2,31 @@ package core
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 )
 
-// fuzzSeedContainers builds small valid containers (v2 to v4, one to three
-// shards) to seed the corpus with structurally meaningful bytes the mutator
-// can corrupt.
+// fuzzSeedContainers builds small valid containers (one to three shards,
+// each fresh and after the golden churn script, so tombstone bitmaps and id
+// tables are present) to seed the corpus with structurally meaningful bytes
+// the mutator can corrupt.
 func fuzzSeedContainers(tb testing.TB) [][]byte {
 	tb.Helper()
-	rng := rand.New(rand.NewSource(91))
-	data := mixedMatrix(rng, 120, 32)
 	var out [][]byte
 	for _, c := range []Config{
 		{Method: MESSI, LeafCapacity: 16},
 		{Method: SOFA, LeafCapacity: 16, SampleRate: 0.3, Shards: 3},
 		{Method: SOFA, LeafCapacity: 16, SampleRate: 0.3, Shards: 2},
 	} {
-		ix, err := Build(data, c)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		for _, v := range []int{2, 3, 4} {
+		for _, churn := range []bool{false, true} {
+			ix, err := Build(goldenMatrix(91, goldenSeries, goldenLength), c)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if churn {
+				goldenMutate(tb, ix)
+			}
 			var buf bytes.Buffer
-			if err := SaveVersion(ix, &buf, v); err != nil {
+			if err := Save(ix, &buf); err != nil {
 				tb.Fatal(err)
 			}
 			out = append(out, buf.Bytes())
@@ -44,10 +45,10 @@ func FuzzLoadCorrupt(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 		// Classic corruptions as explicit seeds: truncations and bit flips
-		// at a few offsets.
+		// spread over the type descriptor, header, data and shard payloads.
 		f.Add(s[:len(s)/2])
 		f.Add(s[:len(s)-7])
-		for _, off := range []int{10, len(s) / 3, len(s) - 20} {
+		for _, off := range []int{10, len(s) / 6, len(s) / 3, len(s) / 2, 5 * len(s) / 6, len(s) - 20} {
 			flipped := append([]byte(nil), s...)
 			flipped[off] ^= 0x41
 			f.Add(flipped)

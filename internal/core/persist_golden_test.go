@@ -1,12 +1,8 @@
 package core
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"flag"
-	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -17,10 +13,10 @@ import (
 	"repro/internal/index"
 )
 
-// The persist-compat golden suite: small v1–v4 containers checked
-// in under testdata/ together with the query answers they must keep
-// producing. TestPersistCompatGolden is the CI gate — it fails on any
-// format drift (a fixture stops loading) or result drift (a fixture loads
+// The persist-compat golden suite: small containers written by earlier
+// builds, checked in under testdata/ together with the query answers they
+// must keep producing. TestPersistCompatGolden is the CI gate — it fails on
+// any format drift (a fixture stops loading) or result drift (a fixture loads
 // but answers differently). Regenerate fixtures ONLY for an intentional,
 // documented format change:
 //
@@ -73,32 +69,22 @@ func goldenQuerySet() *distance.Matrix {
 
 // goldenFixtureSpec describes one checked-in container. Mutate applies the
 // frozen mutation script before saving, so the fixture carries tombstones
-// and remapped ids (v5+ only — earlier containers cannot express them).
-// Legacy marks a container no current build can write: -regen-golden leaves
-// the file alone and only re-records its answers.
+// and remapped ids.
 type goldenFixtureSpec struct {
-	File    string
-	Version int
-	Build   Config
-	Mutate  bool
-	Legacy  bool
+	File   string
+	Build  Config
+	Mutate bool
 }
 
 func goldenFixtureSpecs() []goldenFixtureSpec {
+	build := Config{Method: SOFA, LeafCapacity: 16, SampleRate: 0.25, Shards: 2}
 	return []goldenFixtureSpec{
-		{File: "golden_v1.sofa", Version: 1, Build: Config{Method: MESSI, LeafCapacity: 16}},
-		{File: "golden_v2.sofa", Version: 2, Build: Config{Method: SOFA, LeafCapacity: 16, SampleRate: 0.25, Shards: 2}},
-		{File: "golden_v3.sofa", Version: 3, Build: Config{Method: SOFA, LeafCapacity: 16, SampleRate: 0.25, Shards: 2}},
-		// Written by a build that could omit leaf blocks: its shapes carry
-		// none, and the load gathers them.
-		{File: "golden_v3_noblocks.sofa", Version: 3, Legacy: true},
-		{File: "golden_v4.sofa", Version: 4, Build: Config{Method: SOFA, LeafCapacity: 16, SampleRate: 0.25, Shards: 2}},
-		{File: "golden_v5.sofa", Version: 5, Build: Config{Method: SOFA, LeafCapacity: 16, SampleRate: 0.25, Shards: 2}},
-		{File: "golden_v5_churn.sofa", Version: 5, Build: Config{Method: SOFA, LeafCapacity: 16, SampleRate: 0.25, Shards: 2}, Mutate: true},
+		{File: "golden_v5.sofa", Build: build},
+		{File: "golden_v5_churn.sofa", Build: build, Mutate: true},
 	}
 }
 
-// goldenMutate is the frozen mutation script of the churned v5 fixture: a
+// goldenMutate is the frozen mutation script of the churned fixture: a
 // fixed interleave of inserts, deletes, and upserts. Like goldenMatrix it
 // must never change — the checked-in answers were computed after exactly
 // this history.
@@ -152,49 +138,6 @@ type goldenExpected struct {
 	Fixtures []goldenFixtureExpected `json:"fixtures"`
 }
 
-// saveV1 writes the pre-shard container format: one global word buffer, no
-// shard table. Only the fixture generator writes v1; Load keeps reading it.
-func saveV1(ix *Index, path string) error {
-	col := ix.col
-	if col.Shards() != 1 {
-		return fmt.Errorf("v1 containers are single-shard")
-	}
-	s := savedIndex{
-		Version:      1,
-		Method:       col.method,
-		WordLength:   col.cfg.WordLength,
-		Bits:         col.cfg.Bits,
-		LeafCapacity: col.cfg.LeafCapacity,
-		SeriesLen:    col.SeriesLen(),
-		Count:        col.Len(),
-		Words:        col.tree(0).Words(),
-	}
-	s.Data = make([]float32, col.Len()*col.SeriesLen())
-	for g := 0; g < col.Len(); g++ {
-		for j, v := range col.Row(g) {
-			s.Data[g*col.SeriesLen()+j] = float32(v)
-		}
-	}
-	if col.sfaQ != nil {
-		st := col.sfaQ.State()
-		s.SFA = &st
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(f)
-	if err := gob.NewEncoder(bw).Encode(&s); err != nil {
-		f.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // goldenAnswers runs the fixed query set against a loaded fixture.
 func goldenAnswers(tb testing.TB, ix *Index) [][]goldenResult {
 	tb.Helper()
@@ -225,20 +168,7 @@ func regenGoldenFixture(t *testing.T, data *distance.Matrix, spec goldenFixtureS
 	if spec.Mutate {
 		goldenMutate(t, ix)
 	}
-	if spec.Version == 1 {
-		if err := saveV1(ix, path); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveVersion(ix, f, spec.Version); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := SaveFile(ix, path); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -254,9 +184,7 @@ func TestRegenPersistGolden(t *testing.T) {
 	exp := goldenExpected{Series: goldenSeries, Length: goldenLength, Queries: goldenQueries, K: goldenK}
 	for _, spec := range goldenFixtureSpecs() {
 		path := filepath.Join("testdata", spec.File)
-		if !spec.Legacy {
-			regenGoldenFixture(t, data, spec, path)
-		}
+		regenGoldenFixture(t, data, spec, path)
 		// Expected answers come from the loaded fixture, not the in-memory
 		// build: loading is what CI replays, and the f32 round trip shifts
 		// distances slightly.
@@ -266,7 +194,7 @@ func TestRegenPersistGolden(t *testing.T) {
 		}
 		exp.Fixtures = append(exp.Fixtures, goldenFixtureExpected{
 			File:    spec.File,
-			Version: spec.Version,
+			Version: savedIndexVersion,
 			Method:  loaded.Method().String(),
 			Shards:  loaded.Shards(),
 			Results: goldenAnswers(t, loaded),
@@ -283,8 +211,8 @@ func TestRegenPersistGolden(t *testing.T) {
 }
 
 // TestPersistCompatGolden is the compatibility gate: every checked-in
-// container version must keep loading and keep answering the fixed-seed
-// queries exactly as recorded. It runs under both build variants (the
+// container must keep loading and keep answering the fixed-seed queries
+// exactly as recorded. It runs under both build variants (the
 // persist-compat CI job repeats it with -tags noasm).
 func TestPersistCompatGolden(t *testing.T) {
 	blob, err := os.ReadFile(filepath.Join("testdata", "golden_expected.json"))
@@ -319,33 +247,11 @@ func TestPersistCompatGolden(t *testing.T) {
 			if ix.Shards() != fx.Shards || ix.Method().String() != fx.Method {
 				t.Fatalf("loaded %s/%d shards, recorded %s/%d", ix.Method(), ix.Shards(), fx.Method, fx.Shards)
 			}
-			// The version contract: v3 decodes its trees, earlier versions
-			// re-split them.
-			if fx.Version >= 3 && st.Splits != 0 {
-				t.Errorf("v%d fixture load performed %d splits, want 0", fx.Version, st.Splits)
+			if n := splitCount(ix); n != 0 {
+				t.Errorf("fixture load performed %d splits, want 0", n)
 			}
-			if fx.Version < 3 && st.Splits == 0 {
-				t.Errorf("v%d fixture load performed no splits; rebuild path broken", fx.Version)
-			}
-			// Also proves every leaf carries its block (len(words) ==
-			// len(ids)*l), including the fixture saved without any.
 			if err := ix.CheckInvariants(); err != nil {
 				t.Fatalf("loaded fixture violates invariants: %v", err)
-			}
-			if fx.File == "golden_v3_noblocks.sofa" {
-				// Re-saving the block-less legacy container writes blocks.
-				var buf bytes.Buffer
-				var re savedIndex
-				if err := SaveVersion(ix, &buf, fx.Version); err != nil {
-					t.Fatal(err)
-				}
-				if err := gob.NewDecoder(&buf).Decode(&re); err != nil {
-					t.Fatal(err)
-				}
-				if want := goldenSeries * re.WordLength; re.NoLeafBlocks || len(re.ShardShapes[0].LeafBlocks) != want {
-					t.Errorf("re-saved legacy fixture: NoLeafBlocks=%v, %d block bytes, want false and %d",
-						re.NoLeafBlocks, len(re.ShardShapes[0].LeafBlocks), want)
-				}
 			}
 			got := goldenAnswers(t, ix)
 			for qi, want := range fx.Results {
@@ -357,7 +263,7 @@ func TestPersistCompatGolden(t *testing.T) {
 					if g.ID != w.ID {
 						t.Errorf("result drift: query %d rank %d id %d, recorded %d", qi, rank, g.ID, w.ID)
 					}
-					if math.Abs(g.Dist-w.Dist) > 1e-9*(math.Abs(w.Dist)+1) {
+					if math.Float64bits(g.Dist) != math.Float64bits(w.Dist) {
 						t.Errorf("result drift: query %d rank %d dist %v, recorded %v", qi, rank, g.Dist, w.Dist)
 					}
 				}

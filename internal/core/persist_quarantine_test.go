@@ -13,7 +13,7 @@ import (
 // saved container. Gob encodes byte slices as contiguous raw bytes, so the
 // shard's words appear verbatim in the blob; flipping inside that run damages
 // exactly one shard's payload (covered by its per-shard checksum, outside the
-// v4 global checksum).
+// global checksum).
 func corruptShardPayload(tb testing.TB, blob []byte, ix *Index, shard int) []byte {
 	tb.Helper()
 	words := ix.Collection().tree(shard).Words()
@@ -26,12 +26,12 @@ func corruptShardPayload(tb testing.TB, blob []byte, ix *Index, shard int) []byt
 	return out
 }
 
-// TestLoadV4QuarantineCorruptShard is the degraded-load contract: a v4
+// TestLoadQuarantineCorruptShard is the degraded-load contract: a
 // container with one corrupt shard payload fails to load by default, but
 // loads as a degraded collection under QuarantineCorruptShards — the corrupt
 // shard permanently quarantined, the healthy shards answering partial
 // queries, and Save/Insert/Reinstate refusing the hole.
-func TestLoadV4QuarantineCorruptShard(t *testing.T) {
+func TestLoadQuarantineCorruptShard(t *testing.T) {
 	rng := rand.New(rand.NewSource(821))
 	data := mixedMatrix(rng, 600, 64)
 	queries := mixedMatrix(rng, 5, 64)
@@ -41,16 +41,16 @@ func TestLoadV4QuarantineCorruptShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := SaveVersion(orig, &buf, 4); err != nil {
+	if err := Save(orig, &buf); err != nil {
 		t.Fatal(err)
 	}
-	// The clean container is v4 and loads normally.
+	// The clean container loads normally.
 	var st LoadStats
 	if _, err := LoadWithStats(bytes.NewReader(buf.Bytes()), &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Version != 4 || st.Splits != 0 || st.QuarantinedShards != nil {
-		t.Fatalf("clean v4 load stats %+v", st)
+	if st.QuarantinedShards != nil {
+		t.Fatalf("clean load stats %+v", st)
 	}
 
 	const bad = 1
@@ -154,16 +154,16 @@ func TestLoadV4QuarantineCorruptShard(t *testing.T) {
 	}
 }
 
-// TestLoadV4AllCorruptFails: a container whose every shard is corrupt fails
+// TestLoadAllShardsCorruptFails: a container whose every shard is corrupt fails
 // to load even in degraded mode — there is nothing to answer from.
-func TestLoadV4AllCorruptFails(t *testing.T) {
+func TestLoadAllShardsCorruptFails(t *testing.T) {
 	rng := rand.New(rand.NewSource(822))
 	ix, err := Build(mixedMatrix(rng, 200, 32), Config{Method: MESSI, LeafCapacity: 16, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := SaveVersion(ix, &buf, 4); err != nil {
+	if err := Save(ix, &buf); err != nil {
 		t.Fatal(err)
 	}
 	blob := corruptShardPayload(t, buf.Bytes(), ix, 0)
@@ -173,17 +173,17 @@ func TestLoadV4AllCorruptFails(t *testing.T) {
 	}
 }
 
-// TestLoadV4GlobalCorruptionStillFails: QuarantineCorruptShards only absorbs
+// TestLoadGlobalCorruptionStillFails: QuarantineCorruptShards only absorbs
 // per-shard payload damage; corruption in the global region (header, SFA
 // tables, series data) fails the load regardless.
-func TestLoadV4GlobalCorruptionStillFails(t *testing.T) {
+func TestLoadGlobalCorruptionStillFails(t *testing.T) {
 	rng := rand.New(rand.NewSource(823))
 	ix, err := Build(mixedMatrix(rng, 200, 32), Config{Method: SOFA, LeafCapacity: 16, SampleRate: 0.3, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := SaveVersion(ix, &buf, 4); err != nil {
+	if err := Save(ix, &buf); err != nil {
 		t.Fatal(err)
 	}
 	blob := buf.Bytes()

@@ -30,7 +30,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		if loaded.Method() != method || loaded.Len() != 500 || loaded.SeriesLen() != 96 {
 			t.Fatalf("%v: loaded header mismatch", method)
 		}
-		// Tree structure is rebuilt deterministically.
+		// Tree structure survives the round trip.
 		so, sl := orig.Stats(), loaded.Stats()
 		if so.Subtrees != sl.Subtrees || so.Leaves != sl.Leaves {
 			t.Errorf("%v: structure changed: %+v vs %+v", method, so, sl)
@@ -63,9 +63,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// A sharded collection must survive the v2 container round-trip: shard
-// count preserved, per-shard trees rebuilt (in parallel) from the per-shard
-// word buffers, answers identical to the saved index.
+// A sharded collection must survive the container round-trip: shard count
+// preserved, per-shard trees decoded (in parallel) from the per-shard
+// payloads, answers identical to the saved index.
 func TestSaveLoadSharded(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	data := mixedMatrix(rng, 600, 96)

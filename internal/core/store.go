@@ -62,17 +62,13 @@ func (c DurableConfig) withDefaults() DurableConfig {
 // RecoveryStats reports what Recover found and did.
 type RecoveryStats struct {
 	// CheckpointVersion is the container format version of the loaded
-	// checkpoint (see persist.go's version history).
+	// checkpoint.
 	CheckpointVersion int
 	// CheckpointLen is the number of series the checkpoint held.
 	CheckpointLen int
 	// Replayed is the number of WAL records re-applied through the mutation
 	// API (Insert, Delete, Upsert).
 	Replayed int
-	// MigratedWAL reports that the log was a version-1 (insert-only) file:
-	// after replay the store checkpointed and replaced it with a fresh
-	// version-2 log.
-	MigratedWAL bool
 	// Skipped is the number of valid WAL records already covered by the
 	// checkpoint (non-zero when a crash landed between a checkpoint's
 	// publication and its WAL truncation).
@@ -132,7 +128,9 @@ func CreateStore(dir string, ix *Index, cfg DurableConfig) (*Store, error) {
 // returns a Store ready for further inserts. A torn or corrupt WAL tail is
 // cut off and the valid prefix recovered (never a panic, never a wrong id)
 // unless cfg.StrictWAL is set; RecoveryStats on the returned Store reports
-// exactly what was replayed, skipped, and discarded.
+// exactly what was replayed, skipped, and discarded. A container or log in
+// another format version fails with ErrUnsupportedVersion under either
+// setting, and the directory is left exactly as it was.
 func Recover(dir string, cfg DurableConfig) (*Store, error) {
 	cfg = cfg.withDefaults()
 	var lst LoadStats
@@ -159,9 +157,7 @@ func Recover(dir string, cfg DurableConfig) (*Store, error) {
 // filling st.stats. A missing WAL (a crash between the initial checkpoint
 // and the log's creation) and a log whose header is unusable are both
 // replaced by a fresh empty log — in the latter case only after classifying
-// and counting the discarded bytes. A version-1 (insert-only) log is
-// replayed under its own sequence semantics and then migrated: the recovered
-// index is checkpointed and the old log replaced by a fresh version-2 one.
+// and counting the discarded bytes.
 func (st *Store) recoverWAL() error {
 	path := WALPath(st.dir)
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
@@ -172,42 +168,16 @@ func (st *Store) recoverWAL() error {
 		return fmt.Errorf("core: recover %s: %w", st.dir, err)
 	}
 	col := st.ix.col
-	// v2 records are sequenced by the collection's mutation counter; v1
-	// records (insert-only) by the assigned global id, which for the
-	// append-only histories v1 containers hold equals the collection length.
+	// Records are sequenced by the collection's mutation counter.
 	have := col.MutSeq()
-	haveLen := uint64(st.ix.Len())
 	var prev uint64
 	seen := false
-	version, validEnd, tailErr, err := scanWAL(f, st.ix.SeriesLen(), func(e walEntry) error {
+	validEnd, tailErr, err := scanWAL(f, st.ix.SeriesLen(), func(e walEntry) error {
 		if seen && e.seq != prev+1 {
 			return fmt.Errorf("core: wal record seq %d after %d (want %d): %w",
 				e.seq, prev, prev+1, ErrWALCorrupt)
 		}
 		seen, prev = true, e.seq
-		if e.version == 1 {
-			switch {
-			case e.seq < haveLen:
-				st.stats.Skipped++
-				return nil
-			case e.seq > haveLen:
-				return fmt.Errorf("core: wal record seq %d skips ahead of index length %d: %w",
-					e.seq, haveLen, ErrWALCorrupt)
-			}
-			id, err := st.ix.Insert(e.series)
-			if err != nil {
-				return fmt.Errorf("core: wal replay of record seq %d: %w", e.seq, err)
-			}
-			if uint64(id) != e.seq {
-				// v1 ids are structural (collection length), so a mismatch
-				// means the log and container disagree about history.
-				return fmt.Errorf("core: wal replay: record seq %d inserted as id %d: %w",
-					e.seq, id, ErrWALCorrupt)
-			}
-			st.stats.Replayed++
-			haveLen++
-			return nil
-		}
 		switch {
 		case e.seq < have:
 			// Already covered by the checkpoint: a crash landed between the
@@ -266,18 +236,6 @@ func (st *Store) recoverWAL() error {
 			f.Close()
 			return st.freshWAL()
 		}
-	}
-	if version == 1 {
-		// Migrate: the replayed state becomes the new checkpoint and the v1
-		// log is retired for a fresh v2 one. A crash mid-migration leaves
-		// either the old pair (before the rename) or the new checkpoint with
-		// a stale-but-skippable v1 log.
-		f.Close()
-		if err := SaveFile(st.ix, ContainerPath(st.dir)); err != nil {
-			return fmt.Errorf("core: recover %s: migrating v1 wal: %w", st.dir, err)
-		}
-		st.stats.MigratedWAL = true
-		return st.freshWAL()
 	}
 	if tailErr != nil {
 		if err := f.Truncate(validEnd); err != nil {

@@ -21,8 +21,8 @@ import (
 // so a process that dies between checkpoints can replay the suffix of
 // acknowledged mutations on restart.
 //
-// On-disk format, version 2 — all integers little-endian, checksums CRC-32C
-// (the container's checksum discipline):
+// On-disk format — all integers little-endian, checksums CRC-32C (the
+// container's checksum discipline):
 //
 //	header:  magic "SOFAWAL\x02" (8) | u32 seriesLen | u32 crc(magic+seriesLen)
 //	record:  u32 payloadLen | u32 crc(payload) | payload
@@ -39,10 +39,10 @@ import (
 // crash window between a checkpoint's rename and its WAL truncation cannot
 // duplicate mutations.
 //
-// Version 1 ("SOFAWAL\x01") logs are still read: they carry insert-only
-// records (payload u64 seq | f64 × seriesLen, seq = the assigned global id).
-// Recovery replays them and migrates the store to a fresh v2 log behind a
-// new checkpoint — see Store.recoverWAL.
+// The magic's last byte is the format version. A log whose magic has the
+// "SOFAWAL" prefix under any other version byte is some other build's log:
+// recovery refuses it with ErrUnsupportedVersion and leaves it untouched,
+// rather than classifying it as a corrupt header and replacing it.
 
 // SyncPolicy selects when the WAL fsyncs appended records. See the README's
 // durability table for what each policy guarantees after kill -9.
@@ -92,10 +92,9 @@ var ErrRecoveryTruncated = errors.New("core: write-ahead log truncated mid-recor
 
 const (
 	walMagic            = "SOFAWAL\x02"
-	walMagicV1          = "SOFAWAL\x01"
 	walHeaderSize       = 16
 	walRecordHeaderSize = 8
-	// The record type codes of the v2 format.
+	// The record type codes.
 	walOpInsert byte = 1
 	walOpDelete byte = 2
 	walOpUpsert byte = 3
@@ -128,30 +127,25 @@ type WAL struct {
 	failed error
 }
 
-// walRecordSize is the full on-disk size of one v2 series-carrying record
+// walRecordSize is the full on-disk size of one series-carrying record
 // (insert or upsert) for the given series length — the larger of the two
 // legal record sizes, and what crash tests size their tears against.
 func walRecordSize(seriesLen int) int {
 	return walRecordHeaderSize + 17 + 8*seriesLen
 }
 
-// walDeleteRecordSize is the full on-disk size of one v2 delete record
+// walDeleteRecordSize is the full on-disk size of one delete record
 // (series-free).
 const walDeleteRecordSize = walRecordHeaderSize + 17
 
-// walRecordSizeV1 is the full on-disk size of one version-1 record.
-func walRecordSizeV1(seriesLen int) int {
-	return walRecordHeaderSize + 8 + 8*seriesLen
-}
-
-// encodeWALHeader fills a 16-byte WAL file header with the given magic.
-func encodeWALHeader(dst []byte, magic string, seriesLen int) {
-	copy(dst[:8], magic)
+// encodeWALHeader fills a 16-byte WAL file header.
+func encodeWALHeader(dst []byte, seriesLen int) {
+	copy(dst[:8], walMagic)
 	binary.LittleEndian.PutUint32(dst[8:], uint32(seriesLen))
 	binary.LittleEndian.PutUint32(dst[12:], crc32.Checksum(dst[:12], castagnoli))
 }
 
-// createWAL writes a fresh v2 log at path (truncating any previous file)
+// createWAL writes a fresh log at path (truncating any previous file)
 // whose first record will carry sequence number next. The header is synced
 // before returning, so a crash right after createWAL leaves a valid empty
 // log.
@@ -161,7 +155,7 @@ func createWAL(path string, seriesLen int, next uint64, policy SyncPolicy, inter
 		return nil, err
 	}
 	var hdr [walHeaderSize]byte
-	encodeWALHeader(hdr[:], walMagic, seriesLen)
+	encodeWALHeader(hdr[:], seriesLen)
 	if _, err := f.Write(hdr[:]); err != nil {
 		f.Close()
 		return nil, err
@@ -361,67 +355,62 @@ func sleepJittered(delay *time.Duration) {
 	*delay = d * 2
 }
 
-// walEntry is one decoded record during recovery. version is the log format
-// it was read from; for version 1 records op is walOpInsert and id echoes
-// seq (v1 sequence numbers are the assigned global ids).
+// walEntry is one decoded record during recovery.
 type walEntry struct {
-	version int
-	op      byte
-	seq     uint64
-	id      uint64
-	series  []float64 // nil for delete records
+	op     byte
+	seq    uint64
+	id     uint64
+	series []float64 // nil for delete records
 }
 
 // scanWAL validates and decodes the log at f front to back, invoking apply
-// for every intact record. It returns the log's format version, the byte
-// offset just past the last valid record (validEnd), and classifies how the
-// scan ended: tailErr is nil for a log that ends exactly on a record
-// boundary, wraps ErrRecoveryTruncated for a torn tail, and wraps
-// ErrWALCorrupt for a checksum mismatch, forged length, unknown record type,
-// bad header, or an apply rejection — everything from the offending record
-// on is untrusted. Errors returned by apply that do not wrap ErrWALCorrupt
-// abort the scan as real failures (err non-nil); I/O errors from f do the
-// same.
-func scanWAL(f *os.File, seriesLen int, apply func(walEntry) error) (version int, validEnd int64, tailErr, err error) {
+// for every intact record. It returns the byte offset just past the last
+// valid record (validEnd) and classifies how the scan ended: tailErr is nil
+// for a log that ends exactly on a record boundary, wraps
+// ErrRecoveryTruncated for a torn tail, and wraps ErrWALCorrupt for a
+// checksum mismatch, forged length, unknown record type, bad header, or an
+// apply rejection — everything from the offending record on is untrusted.
+// Errors returned by apply that do not wrap ErrWALCorrupt abort the scan as
+// real failures (err non-nil); I/O errors from f do the same, and so does a
+// header carrying another format version (ErrUnsupportedVersion): that log
+// is not damaged, it is someone else's, and must not be repaired away.
+func scanWAL(f *os.File, seriesLen int, apply func(walEntry) error) (validEnd int64, tailErr, err error) {
 	info, err := f.Stat()
 	if err != nil {
-		return 0, 0, nil, err
+		return 0, nil, err
 	}
 	fileSize := info.Size()
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, 0, nil, err
+		return 0, nil, err
 	}
 	var hdr [walHeaderSize]byte
 	if _, err := io.ReadFull(f, hdr[:]); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			// Shorter than a header: nothing in this file is usable, not
 			// even the header — the whole file is the discarded tail.
-			return 0, 0, fmt.Errorf("core: wal header short (%d bytes): %w", fileSize, ErrRecoveryTruncated), nil
+			return 0, fmt.Errorf("core: wal header short (%d bytes): %w", fileSize, ErrRecoveryTruncated), nil
 		}
-		return 0, 0, nil, err
+		return 0, nil, err
 	}
 	var want [walHeaderSize]byte
-	encodeWALHeader(want[:], walMagic, seriesLen)
-	version = 2
+	encodeWALHeader(want[:], seriesLen)
 	if hdr != want {
-		encodeWALHeader(want[:], walMagicV1, seriesLen)
-		if hdr != want {
-			return 0, 0, fmt.Errorf("core: wal header mismatch: %w", ErrWALCorrupt), nil
+		if got, want := hdr[7], want[7]; got != want && string(hdr[:7]) == walMagic[:7] {
+			return 0, nil, fmt.Errorf("core: write-ahead log is version %d, this build reads only version %d "+
+				"(an older log upgrades by opening its directory once with an earlier build; see README \"Persistence\"): %w",
+				got, want, ErrUnsupportedVersion)
 		}
-		version = 1
+		return 0, fmt.Errorf("core: wal header mismatch: %w", ErrWALCorrupt), nil
 	}
 	validEnd = walHeaderSize
-	if version == 1 {
-		tailErr, err = scanRecordsV1(f, seriesLen, &validEnd, apply)
-		return version, validEnd, tailErr, err
-	}
-	tailErr, err = scanRecordsV2(f, seriesLen, &validEnd, apply)
-	return version, validEnd, tailErr, err
+	tailErr, err = scanRecords(f, seriesLen, &validEnd, apply)
+	return validEnd, tailErr, err
 }
 
-// scanRecordsV2 decodes version-2 typed records: a fixed 8-byte record
-// header declaring one of the two legal payload lengths, then the payload.
-func scanRecordsV2(f *os.File, seriesLen int, validEnd *int64, apply func(walEntry) error) (tailErr, err error) {
+// scanRecords decodes the typed records after the header: a fixed 8-byte
+// record header declaring one of the two legal payload lengths, then the
+// payload.
+func scanRecords(f *os.File, seriesLen int, validEnd *int64, apply func(walEntry) error) (tailErr, err error) {
 	fullPayload := 17 + 8*seriesLen
 	payload := make([]byte, fullPayload)
 	series := make([]float64, seriesLen)
@@ -456,10 +445,9 @@ func scanRecordsV2(f *os.File, seriesLen int, validEnd *int64, apply func(walEnt
 				*validEnd, got, want, ErrWALCorrupt), nil
 		}
 		e := walEntry{
-			version: 2,
-			op:      p[0],
-			seq:     binary.LittleEndian.Uint64(p[1:]),
-			id:      binary.LittleEndian.Uint64(p[9:]),
+			op:  p[0],
+			seq: binary.LittleEndian.Uint64(p[1:]),
+			id:  binary.LittleEndian.Uint64(p[9:]),
 		}
 		switch e.op {
 		case walOpInsert, walOpUpsert:
@@ -487,47 +475,6 @@ func scanRecordsV2(f *os.File, seriesLen int, validEnd *int64, apply func(walEnt
 			return nil, aerr
 		}
 		*validEnd += int64(walRecordHeaderSize) + int64(plen)
-	}
-}
-
-// scanRecordsV1 decodes version-1 records: fixed-size, insert-only, seq is
-// the assigned global id.
-func scanRecordsV1(f *os.File, seriesLen int, validEnd *int64, apply func(walEntry) error) (tailErr, err error) {
-	recSize := walRecordSizeV1(seriesLen)
-	rec := make([]byte, recSize)
-	series := make([]float64, seriesLen)
-	for {
-		n, rerr := io.ReadFull(f, rec)
-		if rerr == io.EOF {
-			return nil, nil
-		}
-		if rerr == io.ErrUnexpectedEOF {
-			return fmt.Errorf("core: wal record at offset %d short (%d of %d bytes): %w",
-				*validEnd, n, recSize, ErrRecoveryTruncated), nil
-		}
-		if rerr != nil {
-			return nil, rerr
-		}
-		payload := rec[walRecordHeaderSize:]
-		if got := binary.LittleEndian.Uint32(rec[0:]); got != uint32(len(payload)) {
-			return fmt.Errorf("core: wal record at offset %d: forged length %d (want %d): %w",
-				*validEnd, got, len(payload), ErrWALCorrupt), nil
-		}
-		if got, want := binary.LittleEndian.Uint32(rec[4:]), crc32.Checksum(payload, castagnoli); got != want {
-			return fmt.Errorf("core: wal record at offset %d: checksum %08x, want %08x: %w",
-				*validEnd, got, want, ErrWALCorrupt), nil
-		}
-		seq := binary.LittleEndian.Uint64(payload[0:])
-		for i := range series {
-			series[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8+8*i:]))
-		}
-		if aerr := apply(walEntry{version: 1, op: walOpInsert, seq: seq, id: seq, series: series}); aerr != nil {
-			if errors.Is(aerr, ErrWALCorrupt) {
-				return aerr, nil
-			}
-			return nil, aerr
-		}
-		*validEnd += int64(recSize)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"math"
 	"math/rand"
@@ -19,8 +20,8 @@ import (
 // prefix — never panic, never report stats that disagree with the bytes,
 // never apply a mutation that differs from what a valid record encodes. The
 // oracle is refWALParse, an independent bytes-only re-implementation of the
-// scan and replay rules for both the v2 typed format and v1 insert-only
-// logs (which recovery additionally migrates to v2).
+// scan and replay rules. A log carrying another format version is the one
+// input recovery must refuse outright, leaving the directory as it found it.
 func FuzzWALReplay(f *testing.F) {
 	const seriesLen = 32
 	rng := rand.New(rand.NewSource(93))
@@ -111,22 +112,14 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(bytes.Clone(mixed))
 	f.Add(mixed[:len(mixed)-9]) // torn tail inside the trailing delete record
 
-	// A version-1 insert-only log, hand-encoded — the migration path.
-	v1RecSize := walRecordSizeV1(seriesLen)
-	v1buf := make([]byte, walHeaderSize+2*v1RecSize)
-	encodeWALHeader(v1buf[:walHeaderSize], walMagicV1, seriesLen)
-	for i, s := range extra[:2] {
-		r := v1buf[walHeaderSize+i*v1RecSize : walHeaderSize+(i+1)*v1RecSize]
-		payload := r[walRecordHeaderSize:]
-		binary.LittleEndian.PutUint32(r[0:], uint32(len(payload)))
-		binary.LittleEndian.PutUint64(payload[0:], uint64(baseLen+i))
-		for j, v := range s {
-			binary.LittleEndian.PutUint64(payload[8+8*j:], math.Float64bits(v))
-		}
-		binary.LittleEndian.PutUint32(r[4:], crc32.Checksum(payload, castagnoli))
-	}
-	f.Add(bytes.Clone(v1buf))
-	f.Add(bytes.Clone(v1buf[:len(v1buf)-5]))
+	// Another build's log: the magic prefix under a different version byte,
+	// once with that version's own header checksum (what an older build
+	// wrote) and once as a bare byte change.
+	older := bytes.Clone(valid)
+	older[7] = 1
+	binary.LittleEndian.PutUint32(older[12:], crc32.Checksum(older[:12], castagnoli))
+	f.Add(older)
+	f.Add(mutate(7, 0x01)) // version byte 2 -> 3
 
 	f.Fuzz(func(t *testing.T, wal []byte) {
 		dir := t.TempDir()
@@ -137,13 +130,23 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatal(err)
 		}
 		st, err := Recover(dir, DurableConfig{Sync: SyncNone})
+		if foreign := len(wal) >= walHeaderSize && string(wal[:7]) == walMagic[:7] && wal[7] != walMagic[7]; foreign {
+			if !errors.Is(err, ErrUnsupportedVersion) {
+				t.Fatalf("recover of a version-%d log: %v, want ErrUnsupportedVersion", wal[7], err)
+			}
+			if _, err := Recover(dir, DurableConfig{StrictWAL: true}); !errors.Is(err, ErrUnsupportedVersion) {
+				t.Fatalf("strict recover of a version-%d log: %v, want ErrUnsupportedVersion", wal[7], err)
+			}
+			requireStoreFiles(t, dir, container.Bytes(), wal)
+			return
+		}
 		if err != nil {
 			// Refusing the log with an error is an acceptable outcome for
 			// arbitrary bytes; the fuzz engine catches the unacceptable one
 			// (a panic) on its own.
 			return
 		}
-		version, muts, skipped, validEnd, clean := refWALParse(wal, seriesLen, baseLen)
+		muts, skipped, validEnd, clean := refWALParse(wal, seriesLen, baseLen)
 		stats := st.RecoveryStats()
 		if stats.CheckpointLen != baseLen {
 			t.Fatalf("checkpoint len %d, want %d", stats.CheckpointLen, baseLen)
@@ -151,9 +154,6 @@ func FuzzWALReplay(f *testing.F) {
 		if stats.Replayed != len(muts) || stats.Skipped != skipped {
 			t.Fatalf("replayed %d skipped %d, oracle says %d/%d",
 				stats.Replayed, stats.Skipped, len(muts), skipped)
-		}
-		if stats.MigratedWAL != (version == 1) {
-			t.Fatalf("MigratedWAL = %v for a version-%d log", stats.MigratedWAL, version)
 		}
 		// Replay the oracle's mutation list against a trivial model: which
 		// ids are live and, for ids the log touched, the series they hold.
@@ -236,29 +236,42 @@ type refMutation struct {
 	series []float64 // raw record series; nil for delete
 }
 
+// requireStoreFiles asserts dir holds exactly the given container and log
+// bytes and nothing else — what a refused Recover must leave behind.
+func requireStoreFiles(t *testing.T, dir string, container, wal []byte) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 {
+		t.Fatalf("store directory holds %d entries after a refused recover, want 2", len(entries))
+	}
+	for path, want := range map[string][]byte{ContainerPath(dir): container, WALPath(dir): wal} {
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s changed by a refused recover", path)
+		}
+	}
+}
+
 // refWALParse is an independent re-implementation of the WAL scan and replay
 // rules, operating on raw bytes only — the differential oracle for
 // FuzzWALReplay. It models the collection's mutation state (live ids, the id
 // the next insert is assigned, the mutation sequence number) exactly as the
-// replay does, and returns the log format version it recognized (0 for an
-// unusable header), the mutations recovery must apply in order, the count it
-// must skip as checkpoint-covered, the byte offset just past the last valid
-// record, and whether the log ends cleanly on a record boundary. The
-// checkpoint is a fresh build: checkpointLen live ids 0..checkpointLen-1,
-// mutation seq 0.
-func refWALParse(b []byte, seriesLen, checkpointLen int) (version int, muts []refMutation, skipped int, validEnd int64, clean bool) {
+// replay does, and returns the mutations recovery must apply in order, the
+// count it must skip as checkpoint-covered, the byte offset just past the
+// last valid record (0 for an unusable header), and whether the log ends
+// cleanly on a record boundary. The checkpoint is a fresh build:
+// checkpointLen live ids 0..checkpointLen-1, mutation seq 0.
+func refWALParse(b []byte, seriesLen, checkpointLen int) (muts []refMutation, skipped int, validEnd int64, clean bool) {
 	var want [walHeaderSize]byte
-	encodeWALHeader(want[:], walMagic, seriesLen)
-	if len(b) < walHeaderSize {
-		return 0, nil, 0, 0, false
-	}
-	version = 2
-	if !bytes.Equal(b[:walHeaderSize], want[:]) {
-		encodeWALHeader(want[:], walMagicV1, seriesLen)
-		if !bytes.Equal(b[:walHeaderSize], want[:]) {
-			return 0, nil, 0, 0, false
-		}
-		version = 1
+	encodeWALHeader(want[:], seriesLen)
+	if len(b) < walHeaderSize || !bytes.Equal(b[:walHeaderSize], want[:]) {
+		return nil, 0, 0, false
 	}
 	validEnd = walHeaderSize
 	off := walHeaderSize
@@ -274,72 +287,28 @@ func refWALParse(b []byte, seriesLen, checkpointLen int) (version int, muts []re
 	var prev uint64
 	seen := false
 
-	if version == 1 {
-		// v1 records are fixed-size, insert-only, sequenced by the assigned
-		// global id.
-		recSize := walRecordSizeV1(seriesLen)
-		haveLen := uint64(checkpointLen)
-		for {
-			rem := len(b) - off
-			if rem == 0 {
-				return version, muts, skipped, validEnd, true
-			}
-			if rem < recSize {
-				return version, muts, skipped, validEnd, false
-			}
-			r := b[off : off+recSize]
-			payload := r[walRecordHeaderSize:]
-			if binary.LittleEndian.Uint32(r[0:]) != uint32(len(payload)) {
-				return version, muts, skipped, validEnd, false
-			}
-			if binary.LittleEndian.Uint32(r[4:]) != crc32.Checksum(payload, castagnoli) {
-				return version, muts, skipped, validEnd, false
-			}
-			seq := binary.LittleEndian.Uint64(payload[0:])
-			if seen && seq != prev+1 {
-				return version, muts, skipped, validEnd, false
-			}
-			seen, prev = true, seq
-			switch {
-			case seq < haveLen:
-				skipped++
-			case seq > haveLen:
-				return version, muts, skipped, validEnd, false
-			default:
-				if seq != nextPub { // assigned-id mismatch
-					return version, muts, skipped, validEnd, false
-				}
-				muts = append(muts, refMutation{op: walOpInsert, id: seq, series: decodeSeries(payload[8:])})
-				nextPub++
-				haveLen++
-			}
-			off += recSize
-			validEnd = int64(off)
-		}
-	}
-
-	// v2: typed variable-size records sequenced by the mutation counter.
+	// Typed variable-size records sequenced by the mutation counter.
 	fullPayload := 17 + 8*seriesLen
 	var have uint64
 	for {
 		rem := len(b) - off
 		if rem == 0 {
-			return version, muts, skipped, validEnd, true
+			return muts, skipped, validEnd, true
 		}
 		if rem < walRecordHeaderSize {
-			return version, muts, skipped, validEnd, false
+			return muts, skipped, validEnd, false
 		}
 		rh := b[off : off+walRecordHeaderSize]
 		plen := binary.LittleEndian.Uint32(rh[0:])
 		if plen != 17 && plen != uint32(fullPayload) {
-			return version, muts, skipped, validEnd, false
+			return muts, skipped, validEnd, false
 		}
 		if rem < walRecordHeaderSize+int(plen) {
-			return version, muts, skipped, validEnd, false
+			return muts, skipped, validEnd, false
 		}
 		p := b[off+walRecordHeaderSize : off+walRecordHeaderSize+int(plen)]
 		if binary.LittleEndian.Uint32(rh[4:]) != crc32.Checksum(p, castagnoli) {
-			return version, muts, skipped, validEnd, false
+			return muts, skipped, validEnd, false
 		}
 		op := p[0]
 		seq := binary.LittleEndian.Uint64(p[1:])
@@ -347,42 +316,42 @@ func refWALParse(b []byte, seriesLen, checkpointLen int) (version int, muts []re
 		switch op {
 		case walOpInsert, walOpUpsert:
 			if int(plen) != fullPayload {
-				return version, muts, skipped, validEnd, false
+				return muts, skipped, validEnd, false
 			}
 		case walOpDelete:
 			if plen != 17 {
-				return version, muts, skipped, validEnd, false
+				return muts, skipped, validEnd, false
 			}
 		default:
-			return version, muts, skipped, validEnd, false
+			return muts, skipped, validEnd, false
 		}
 		if seen && seq != prev+1 {
-			return version, muts, skipped, validEnd, false
+			return muts, skipped, validEnd, false
 		}
 		seen, prev = true, seq
 		switch {
 		case seq < have:
 			skipped++
 		case seq > have:
-			return version, muts, skipped, validEnd, false
+			return muts, skipped, validEnd, false
 		default:
 			liveID := id < nextPub && !dead[id]
 			switch op {
 			case walOpInsert:
 				if id != nextPub { // replay assigns ids sequentially
-					return version, muts, skipped, validEnd, false
+					return muts, skipped, validEnd, false
 				}
 				muts = append(muts, refMutation{op: op, id: id, series: decodeSeries(p[17:])})
 				nextPub++
 			case walOpDelete:
 				if !liveID { // ErrNotFound/ErrTombstoned classify as corrupt
-					return version, muts, skipped, validEnd, false
+					return muts, skipped, validEnd, false
 				}
 				dead[id] = true
 				muts = append(muts, refMutation{op: op, id: id})
 			case walOpUpsert:
 				if !liveID {
-					return version, muts, skipped, validEnd, false
+					return muts, skipped, validEnd, false
 				}
 				muts = append(muts, refMutation{op: op, id: id, series: decodeSeries(p[17:])})
 			}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"math"
 	"math/rand"
@@ -79,7 +81,7 @@ func TestWALScanRoundTrip(t *testing.T) {
 	}
 	defer f.Close()
 	var got []walEntry
-	version, validEnd, tailErr, err := scanWAL(f, 8, func(e walEntry) error {
+	validEnd, tailErr, err := scanWAL(f, 8, func(e walEntry) error {
 		cp := e
 		cp.series = append([]float64(nil), e.series...)
 		got = append(got, cp)
@@ -87,9 +89,6 @@ func TestWALScanRoundTrip(t *testing.T) {
 	})
 	if err != nil || tailErr != nil {
 		t.Fatalf("scan: err=%v tail=%v", err, tailErr)
-	}
-	if version != 2 {
-		t.Fatalf("version %d, want 2", version)
 	}
 	if want := int64(walHeaderSize + 3*walRecordSize(8) + walDeleteRecordSize); validEnd != want {
 		t.Fatalf("validEnd %d, want %d", validEnd, want)
@@ -467,6 +466,60 @@ func TestRecoverBadHeader(t *testing.T) {
 			defer rec2.Close()
 			if got := rec2.Index().Len(); got != baseLen+1 {
 				t.Fatalf("re-recovered %d series, want %d", got, baseLen+1)
+			}
+		})
+	}
+}
+
+// TestRecoverRefusesOtherVersions: a store directory whose log (or
+// container) was written in another format version is some other build's
+// data, not damage. Recover must fail with ErrUnsupportedVersion — lenient
+// and strict alike, where a merely corrupt header would be repaired away —
+// and leave both files byte for byte as they were.
+func TestRecoverRefusesOtherVersions(t *testing.T) {
+	ix, _ := durableIndex(t, 2)
+	dir := t.TempDir()
+	st, err := CreateStore(dir, ix, DurableConfig{Sync: SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Insert(extraSeries(7, 1, 32)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	container, err := os.ReadFile(ContainerPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal, err := os.ReadFile(WALPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldWAL := append([]byte(nil), wal...)
+	oldWAL[7] = 1 // "SOFAWAL\x01": the acknowledged insert behind it must survive
+	var oldContainer bytes.Buffer
+	if err := gob.NewEncoder(&oldContainer).Encode(&savedIndex{Version: 4, Count: ix.Len()}); err != nil {
+		t.Fatal(err)
+	}
+	for name, files := range map[string][2][]byte{
+		"wal":       {container, oldWAL},
+		"container": {oldContainer.Bytes(), wal},
+	} {
+		t.Run(name, func(t *testing.T) {
+			sub := t.TempDir()
+			if err := os.WriteFile(ContainerPath(sub), files[0], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(WALPath(sub), files[1], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for _, strict := range []bool{false, true} {
+				if _, err := Recover(sub, DurableConfig{StrictWAL: strict}); !errors.Is(err, ErrUnsupportedVersion) {
+					t.Fatalf("strict=%v: %v, want ErrUnsupportedVersion", strict, err)
+				}
+				requireStoreFiles(t, sub, files[0], files[1])
 			}
 		})
 	}

@@ -8,18 +8,16 @@ import (
 )
 
 // TreeShape is the serializable form of a finalized tree: the node topology
-// and split positions in preorder, leaf membership in tree order, and
-// (optionally) the concatenated leaf refinement blocks. Together with the
-// global word buffer it reconstructs the exact tree — same nodes, same leaf
-// id order — by direct decode, with no re-bucketing and no re-splitting
-// (the persistence v3 fast path).
+// and split positions in preorder, leaf membership in tree order, and the
+// concatenated leaf refinement blocks. Together with the global word buffer
+// it reconstructs the exact tree — same nodes, same leaf id order — by
+// direct decode, with no re-bucketing and no re-splitting.
 //
 // Everything else a node carries is derived: prefixes (word/cards) follow
 // from the root key and the split positions on the path, depths from the
 // topology, and subtree counts from the leaf sizes. Leaf blocks are a
-// permutation of the word buffer, so LeafBlocks may be omitted and gathered
-// at decode time; serializing them trades file size for a load that only
-// slices one contiguous buffer.
+// permutation of the word buffer; serializing them trades file size for a
+// load that only slices one contiguous buffer.
 type TreeShape struct {
 	// RootBits is the tree's root fan-out width. It is part of the shape,
 	// not re-derived from the collection size at decode time: Insert grows
@@ -41,9 +39,7 @@ type TreeShape struct {
 	// preorder — the exact in-leaf order of the saved tree.
 	IDs []int32
 	// LeafBlocks is the preorder concatenation of every leaf's contiguous
-	// refinement block (len(IDs) x word-length bytes). nil — a container
-	// written without blocks — makes the decoder gather them from the word
-	// buffer instead.
+	// refinement block (len(IDs) x word-length bytes).
 	LeafBlocks []byte
 }
 
@@ -78,7 +74,7 @@ type shapeCursor struct {
 }
 
 // FromShape reconstructs a tree by direct decode of a previously exported
-// shape — the persistence v3 load path: no summarization transform, no
+// shape — the container load path: no summarization transform, no
 // re-bucketing, no re-splitting (SplitCount stays 0). words is the global
 // full-cardinality word buffer in tree-local row order, as for
 // BuildFromWords; both words and the shape's IDs/LeafBlocks slices are
@@ -126,7 +122,7 @@ func (t *Tree) decodeShape(shape TreeShape) error {
 	if len(shape.IDs) != t.data.Len() {
 		return fmt.Errorf("index: shape holds %d ids for %d series", len(shape.IDs), t.data.Len())
 	}
-	if shape.LeafBlocks != nil && len(shape.LeafBlocks) != len(shape.IDs)*t.l {
+	if len(shape.LeafBlocks) != len(shape.IDs)*t.l {
 		return fmt.Errorf("index: leaf blocks length %d, want %d", len(shape.LeafBlocks), len(shape.IDs)*t.l)
 	}
 	// Depth is bounded by the total prefix bits a word can absorb; rejecting
@@ -152,24 +148,13 @@ func (t *Tree) decodeShape(shape TreeShape) error {
 			n.ids = shape.IDs[cur.id : cur.id+cnt : cur.id+cnt]
 			n.count = int32(cnt)
 			n.noSplit = shape.LeafNoSplit[cur.leaf]
-			if shape.LeafBlocks != nil {
-				// Cap the block slice at its own end so a post-load
-				// Insert's append reallocates instead of clobbering the
-				// next leaf's block in the shared buffer.
-				lo, hi := cur.blk, cur.blk+cnt*t.l
-				n.words = shape.LeafBlocks[lo:hi:hi]
-				cur.blk = hi
-			} else {
-				// The gather indexes the word buffer by id, so ids must
-				// be range-checked here; the blocks path defers that to
-				// CheckInvariants, which runs before it touches words.
-				for _, id := range n.ids {
-					if id < 0 || int(id) >= t.data.Len() {
-						return fmt.Errorf("index: leaf id %d out of range", id)
-					}
-				}
-				n.words = t.gatherLeafWords(n.ids)
-			}
+			// Cap the block slice at its own end so a post-load Insert's
+			// append reallocates instead of clobbering the next leaf's
+			// block in the shared buffer. Ids are range-checked by
+			// CheckInvariants, which runs before anything indexes by them.
+			lo, hi := cur.blk, cur.blk+cnt*t.l
+			n.words = shape.LeafBlocks[lo:hi:hi]
+			cur.blk = hi
 			cur.leaf++
 			cur.id += cnt
 			return nil

@@ -31,80 +31,72 @@ func shapeFixture(t *testing.T, n, length int, opts Options) (*Tree, *distance.M
 }
 
 func TestShapeRoundTrip(t *testing.T) {
-	// noBlocks strips the leaf blocks from the exported shape, as a container
-	// written without them carries it: the decoder gathers them from the word
-	// buffer and the tree it yields is the same block-carrying tree.
-	for _, noBlocks := range []bool{false, true} {
-		opts := Options{LeafCapacity: 16, Workers: 2}
-		tree, data, sum := shapeFixture(t, 400, 64, opts)
-		if tree.SplitCount() == 0 {
-			t.Fatal("build performed no splits; fixture too small to exercise the shape")
+	opts := Options{LeafCapacity: 16, Workers: 2}
+	tree, data, sum := shapeFixture(t, 400, 64, opts)
+	if tree.SplitCount() == 0 {
+		t.Fatal("build performed no splits; fixture too small to exercise the shape")
+	}
+	shape := tree.Shape()
+	words := append([]byte(nil), tree.Words()...)
+	dec, err := FromShape(data, sum, opts, words, shape)
+	if err != nil {
+		t.Fatalf("FromShape: %v", err)
+	}
+	if got := dec.SplitCount(); got != 0 {
+		t.Errorf("decoded tree performed %d splits, want 0", got)
+	}
+	so, sd := tree.Stats(), dec.Stats()
+	if so != sd {
+		t.Errorf("stats diverge: %+v vs %+v", so, sd)
+	}
+	// The decode must reproduce the exact structure, not just one that
+	// validates: re-exporting yields an identical shape.
+	re := dec.Shape()
+	if len(re.Splits) != len(shape.Splits) || len(re.IDs) != len(shape.IDs) {
+		t.Fatalf("re-export shape size diverges")
+	}
+	for i := range shape.Splits {
+		if re.Splits[i] != shape.Splits[i] {
+			t.Fatalf("split stream diverges at %d", i)
 		}
-		shape := tree.Shape()
-		if noBlocks {
-			shape.LeafBlocks = nil
+	}
+	for i := range shape.IDs {
+		if re.IDs[i] != shape.IDs[i] {
+			t.Fatalf("leaf id order diverges at %d", i)
 		}
-		words := append([]byte(nil), tree.Words()...)
-		dec, err := FromShape(data, sum, opts, words, shape)
+	}
+	// Queries agree bit-for-bit: same data, same words, same tree.
+	rng := rand.New(rand.NewSource(8))
+	for qi := 0; qi < 5; qi++ {
+		q := make([]float64, 64)
+		for j := range q {
+			q[j] = rng.NormFloat64()
+		}
+		a, err := tree.NewSearcher().Search(q, 5)
 		if err != nil {
-			t.Fatalf("noBlocks=%v: FromShape: %v", noBlocks, err)
-		}
-		if got := dec.SplitCount(); got != 0 {
-			t.Errorf("noBlocks=%v: decoded tree performed %d splits, want 0", noBlocks, got)
-		}
-		so, sd := tree.Stats(), dec.Stats()
-		if so != sd {
-			t.Errorf("noBlocks=%v: stats diverge: %+v vs %+v", noBlocks, so, sd)
-		}
-		// The decode must reproduce the exact structure, not just one that
-		// validates: re-exporting yields an identical shape.
-		re := dec.Shape()
-		if len(re.Splits) != len(shape.Splits) || len(re.IDs) != len(shape.IDs) {
-			t.Fatalf("noBlocks=%v: re-export shape size diverges", noBlocks)
-		}
-		for i := range shape.Splits {
-			if re.Splits[i] != shape.Splits[i] {
-				t.Fatalf("noBlocks=%v: split stream diverges at %d", noBlocks, i)
-			}
-		}
-		for i := range shape.IDs {
-			if re.IDs[i] != shape.IDs[i] {
-				t.Fatalf("noBlocks=%v: leaf id order diverges at %d", noBlocks, i)
-			}
-		}
-		// Queries agree bit-for-bit: same data, same words, same tree.
-		rng := rand.New(rand.NewSource(8))
-		for qi := 0; qi < 5; qi++ {
-			q := make([]float64, 64)
-			for j := range q {
-				q[j] = rng.NormFloat64()
-			}
-			a, err := tree.NewSearcher().Search(q, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := dec.NewSearcher().Search(q, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("noBlocks=%v query %d rank %d: %+v vs %+v", noBlocks, qi, i, a[i], b[i])
-				}
-			}
-		}
-		// A decoded tree keeps accepting inserts.
-		series := make([]float64, 64)
-		for j := range series {
-			series[j] = rng.NormFloat64()
-		}
-		distance.ZNormalize(series)
-		if _, err := dec.Insert(series, dec.Encoder()); err != nil {
 			t.Fatal(err)
 		}
-		if err := dec.CheckInvariants(); err != nil {
-			t.Errorf("noBlocks=%v: invariants after post-load insert: %v", noBlocks, err)
+		b, err := dec.NewSearcher().Search(q, 5)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("query %d rank %d: %+v vs %+v", qi, i, a[i], b[i])
+			}
+		}
+	}
+	// A decoded tree keeps accepting inserts.
+	series := make([]float64, 64)
+	for j := range series {
+		series[j] = rng.NormFloat64()
+	}
+	distance.ZNormalize(series)
+	if _, err := dec.Insert(series, dec.Encoder()); err != nil {
+		t.Fatal(err)
+	}
+	if err := dec.CheckInvariants(); err != nil {
+		t.Errorf("invariants after post-load insert: %v", err)
 	}
 }
 
@@ -170,21 +162,18 @@ func TestFromShapeRejectsCorruptShapes(t *testing.T) {
 	words := tree.Words()
 
 	mutations := map[string]func(s *TreeShape){
-		"truncated node stream": func(s *TreeShape) { s.Splits = s.Splits[:len(s.Splits)-1] },
-		"extra node":            func(s *TreeShape) { s.Splits = append(s.Splits, -1) },
-		"leaf becomes inner":    func(s *TreeShape) { s.Splits[len(s.Splits)-1] = 0 },
-		"split out of range":    func(s *TreeShape) { s.Splits[0] = 64 },
-		"negative leaf count":   func(s *TreeShape) { s.LeafCounts[0] = -1 },
-		"oversized leaf count":  func(s *TreeShape) { s.LeafCounts[0] += 1000 },
-		"shifted leaf count":    func(s *TreeShape) { s.LeafCounts[0]++; s.LeafCounts[1]-- },
-		"duplicate id":          func(s *TreeShape) { s.IDs[0] = s.IDs[1] },
-		"id out of range":       func(s *TreeShape) { s.IDs[0] = int32(len(s.IDs)) },
-		"no blocks, id out of range": func(s *TreeShape) {
-			// The gather-fallback path must range-check before indexing the
-			// word buffer (this combination used to panic, not error).
-			s.LeafBlocks = nil
-			s.IDs[0] = 1 << 30
-		},
+		"truncated node stream":  func(s *TreeShape) { s.Splits = s.Splits[:len(s.Splits)-1] },
+		"extra node":             func(s *TreeShape) { s.Splits = append(s.Splits, -1) },
+		"leaf becomes inner":     func(s *TreeShape) { s.Splits[len(s.Splits)-1] = 0 },
+		"split out of range":     func(s *TreeShape) { s.Splits[0] = 64 },
+		"negative leaf count":    func(s *TreeShape) { s.LeafCounts[0] = -1 },
+		"oversized leaf count":   func(s *TreeShape) { s.LeafCounts[0] += 1000 },
+		"shifted leaf count":     func(s *TreeShape) { s.LeafCounts[0]++; s.LeafCounts[1]-- },
+		"duplicate id":           func(s *TreeShape) { s.IDs[0] = s.IDs[1] },
+		"id out of range":        func(s *TreeShape) { s.IDs[0] = int32(len(s.IDs)) },
+		"id far out of range":    func(s *TreeShape) { s.IDs[0] = 1 << 30 },
+		"no blocks":              func(s *TreeShape) { s.LeafBlocks = nil },
+		"empty blocks":           func(s *TreeShape) { s.LeafBlocks = []byte{} },
 		"dropped id":             func(s *TreeShape) { s.IDs = s.IDs[:len(s.IDs)-1] },
 		"unsorted root keys":     func(s *TreeShape) { s.RootKeys[0], s.RootKeys[1] = s.RootKeys[1], s.RootKeys[0] },
 		"zero root bits":         func(s *TreeShape) { s.RootBits = 0 },

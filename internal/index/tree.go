@@ -90,8 +90,8 @@ type Tree struct {
 	deadCount int
 
 	// splits counts successful leaf splits over the tree's lifetime (build,
-	// load, inserts). A tree decoded via FromShape performs none — the
-	// persistence v3 guarantee tests pin with SplitCount.
+	// inserts). A tree decoded via FromShape performs none — the direct-decode
+	// guarantee tests pin with SplitCount.
 	splits atomic.Int64
 
 	// BuildBreakdown records the two build phases for Fig. 7.
@@ -521,10 +521,14 @@ func (t *Tree) Stats() Stats {
 }
 
 // BuildFromWords constructs the index over data whose full-cardinality
-// words were already computed — the persistence fast path: it skips the
-// (expensive) summarization transform and only re-buckets and re-splits,
-// which is deterministic given the words and options. words is row-major
-// (data.Len() x sum.Segments()) and is retained by the tree.
+// words were already computed: it skips the (expensive) summarization
+// transform and only re-buckets and re-splits, which is deterministic given
+// the words and options. words is row-major (data.Len() x sum.Segments())
+// and is retained by the tree. No library path calls it today — container
+// loads decode the saved shape (FromShape) instead. It stays because
+// benchmark/ times it as index.build_from_words_s, and because a compaction
+// that does not re-learn could rebuild from its survivors' words through it
+// (ROADMAP 4a).
 func BuildFromWords(data *distance.Matrix, sum Summarization, opts Options, words []byte) (*Tree, error) {
 	if words == nil {
 		return nil, fmt.Errorf("index: words must not be nil")

@@ -96,7 +96,8 @@ type DurableIndex struct {
 // tail discarded (see StrictRecovery to fail instead, and WithRecoveryStats
 // for an exact account). Open never panics on damaged WAL bytes and never
 // invents data: recovered ids and series are exactly the acknowledged
-// prefix.
+// prefix. A container or log written in another format version fails with
+// ErrUnsupportedVersion, strict or not, and is left untouched.
 func Open(dir string, opts ...OpenOption) (*DurableIndex, error) {
 	var c openConfig
 	for _, opt := range opts {

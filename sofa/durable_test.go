@@ -1,6 +1,7 @@
 package sofa
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
@@ -246,6 +247,24 @@ func TestOpenSentinelIdentity(t *testing.T) {
 		defer re.Close()
 		if !errors.Is(stats.TailError, ErrWALCorrupt) || stats.Replayed != 1 {
 			t.Fatalf("lenient stats = %+v, want corrupt tail, 1 replayed", stats)
+		}
+	})
+	t.Run("other version", func(t *testing.T) {
+		b, err := os.ReadFile(wal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[7] = 1 // "SOFAWAL\x01": an older build's log, not a damaged one
+		if err := os.WriteFile(wal, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, opts := range [][]OpenOption{nil, {StrictRecovery()}} {
+			if _, err := Open(dir, opts...); !errors.Is(err, ErrUnsupportedVersion) {
+				t.Fatalf("open of a version-1 log: %v, want ErrUnsupportedVersion", err)
+			}
+		}
+		if after, err := os.ReadFile(wal); err != nil || !bytes.Equal(after, b) {
+			t.Fatalf("refused log was modified (read error %v)", err)
 		}
 	})
 }

@@ -3,11 +3,12 @@ package sofa
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
+	"errors"
 	"testing"
 )
 
-// WithLoadStats surfaces the load phase breakdown, and a current-format
-// (v5) load decodes the shard trees without performing any leaf splits.
+// WithLoadStats surfaces the load phase breakdown.
 func TestLoadStatsIntrospection(t *testing.T) {
 	ix, _, rng := buildFixture(t, 400, 32, Shards(2))
 	var buf bytes.Buffer
@@ -25,9 +26,6 @@ func TestLoadStatsIntrospection(t *testing.T) {
 	if st.Bytes != int64(buf.Len()) {
 		t.Errorf("stats saw %d bytes of a %d-byte container", st.Bytes, buf.Len())
 	}
-	if st.Splits != 0 {
-		t.Errorf("v5 load re-split %d leaves, want 0", st.Splits)
-	}
 	if st.TotalSeconds <= 0 || st.DecodeSeconds <= 0 {
 		t.Errorf("empty phase timings: %+v", st)
 	}
@@ -41,5 +39,13 @@ func TestLoadStatsIntrospection(t *testing.T) {
 	// Loading without the option still works (options are optional).
 	if _, err := Load(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
+	}
+	// A container of another version is refused under the public sentinel.
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode(struct{ Version int }{4}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&old); !errors.Is(err, ErrUnsupportedVersion) {
+		t.Errorf("load of a version-4 container: %v, want ErrUnsupportedVersion", err)
 	}
 }
