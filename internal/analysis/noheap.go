@@ -16,9 +16,7 @@ type NoHeapConfig struct {
 	// Packages are the import paths whose escape-analysis output is gated
 	// (the query hot path: simd, index, core).
 	Packages []string
-	// BudgetFile is the module-relative path of the checked-in budget. When
-	// the build-tag configuration has its own budget (asm vs noasm compile
-	// different files), Suite derives the name from the tags.
+	// BudgetFile is the module-relative path of the checked-in budget.
 	BudgetFile string
 }
 
@@ -112,13 +110,9 @@ func EscapeReport(moduleDir string, pkgs []string, tags string) (map[string]int,
 
 // FormatBudget renders a report in the checked-in budget format: a header
 // comment, then sorted "count<TAB>line" entries.
-func FormatBudget(report map[string]int, tags string) string {
+func FormatBudget(report map[string]int) string {
 	var b strings.Builder
-	b.WriteString("# Escape-analysis budget for the query hot path")
-	if tags != "" {
-		b.WriteString(" (tags: " + tags + ")")
-	}
-	b.WriteString(".\n")
+	b.WriteString("# Escape-analysis budget for the query hot path, under every build-tag set.\n")
 	b.WriteString("# Every line is one normalized `go build -gcflags=-m` heap-escape diagnostic\n")
 	b.WriteString("# (count, file, message; line numbers stripped). The noheap analyzer fails\n")
 	b.WriteString("# when compilation produces an escape not listed here — or stops producing\n")
@@ -170,20 +164,12 @@ func sortedKeys(m map[string]int) []string {
 	return out
 }
 
-// NoHeapBudgetFile derives the budget filename for a build-tag
-// configuration: the asm (default) and noasm builds compile different
-// kernel sources and therefore carry separate budgets.
-func NoHeapBudgetFile(tags string) string {
-	if strings.Contains(tags, "noasm") {
-		return "internal/analysis/testdata/escape_budget_noasm.txt"
-	}
-	return "internal/analysis/testdata/escape_budget.txt"
-}
-
-// DefaultNoHeapConfig gates the PR 1/3/7 hot-path packages.
-func DefaultNoHeapConfig(tags string) NoHeapConfig {
+// DefaultNoHeapConfig gates the hot-path packages against one budget. The
+// asm and noasm builds compile different kernel sources, but their escape
+// reports are identical, so both tag sets are held to the same file.
+func DefaultNoHeapConfig() NoHeapConfig {
 	return NoHeapConfig{
 		Packages:   []string{"repro/internal/simd", "repro/internal/index", "repro/internal/core"},
-		BudgetFile: NoHeapBudgetFile(tags),
+		BudgetFile: "internal/analysis/testdata/escape_budget.txt",
 	}
 }

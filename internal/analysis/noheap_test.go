@@ -73,7 +73,7 @@ func TestNoHeapGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "budget.txt"), []byte(FormatBudget(report, "")), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "budget.txt"), []byte(FormatBudget(report)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if diags := runNoHeap(t, dir); len(diags) != 0 {
@@ -107,7 +107,7 @@ func TestNoHeapGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "budget.txt"), []byte(FormatBudget(report, "")), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "budget.txt"), []byte(FormatBudget(report)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "esc", "esc.go"), []byte(escClean), 0o644); err != nil {
@@ -130,7 +130,7 @@ func TestBudgetRoundTrip(t *testing.T) {
 		"esc/esc.go: moved to heap: x":       2,
 		"esc/esc.go: new(T) escapes to heap": 1,
 	}
-	back := parseBudget(FormatBudget(report, "noasm"))
+	back := parseBudget(FormatBudget(report))
 	if len(back) != len(report) {
 		t.Fatalf("round trip changed entry count: %v vs %v", back, report)
 	}

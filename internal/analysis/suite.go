@@ -1,16 +1,14 @@
 package analysis
 
 // Suite returns the repo's full analyzer suite with its default
-// (human-audited) configurations. tags is the build-tag configuration the
-// run targets — it selects the matching escape budget, since the asm and
-// noasm builds compile different kernel sources.
-func Suite(tags string) []*Analyzer {
+// (human-audited) configurations.
+func Suite() []*Analyzer {
 	return []*Analyzer{
 		NewRetainAudit(DefaultRetainConfig()),
 		NewFaultGuard(DefaultFaultGuardConfig()),
 		NewImportBoundary(DefaultImportBoundaryConfig()),
 		NewAtomicField(DefaultAtomicFieldConfig()),
 		NewSentErr(DefaultSentErrConfig()),
-		NewNoHeap(DefaultNoHeapConfig(tags)),
+		NewNoHeap(DefaultNoHeapConfig()),
 	}
 }

@@ -137,6 +137,10 @@ func (c *Collection) tree(i int) *index.Tree { return c.state(i).tree }
 // (default 1; clamped to the number of series). The summarization is learned
 // once over the full collection and shared by every shard, so a sharded and
 // an unsharded build answer queries identically.
+//
+// At one shard the collection keeps data itself (PartitionRoundRobin returns
+// it aliased): its rows are searched and inserts append to it. More shards
+// copy the rows. The caller must not modify data after the build.
 func BuildCollection(data *distance.Matrix, cfg Config) (*Collection, error) {
 	if data == nil || data.Len() == 0 {
 		return nil, fmt.Errorf("core: cannot build over empty data")

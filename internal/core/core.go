@@ -124,7 +124,8 @@ func (s sfaSummarization) NewIndexEncoder() index.Encoder { return s.Quantizer.N
 // series (use Matrix.ZNormalizeAll; Build returns the paper's z-normalized
 // Euclidean distances only under that contract). With cfg.Shards > 1 the
 // series are partitioned round-robin across that many independent trees —
-// see Collection.
+// see Collection. The caller must not modify data after Build: at one shard
+// the index keeps it rather than a copy (see BuildCollection).
 func Build(data *distance.Matrix, cfg Config) (*Index, error) {
 	col, err := BuildCollection(data, cfg)
 	if err != nil {

@@ -850,6 +850,16 @@ func (s *savedIndex) verify(opts LoadOptions) (corrupt []bool, err error) {
 	if s.Method != SOFA && s.ShardSFA != nil {
 		return nil, fmt.Errorf("core: non-SOFA container carries per-shard SFA state")
 	}
+	// An SFA state transforms rows of its own length N, and FromState sizes
+	// the projection basis by it: a state must describe the stored rows.
+	if s.SFA != nil && s.SFA.N != s.SeriesLen {
+		return nil, fmt.Errorf("core: SFA state for series length %d, container holds %d", s.SFA.N, s.SeriesLen)
+	}
+	for i := range s.ShardSFA {
+		if own := s.ownSFA(i); own != nil && own.N != s.SeriesLen {
+			return nil, fmt.Errorf("core: shard %d SFA state for series length %d, container holds %d", i, own.N, s.SeriesLen)
+		}
+	}
 	// Upserts add physical rows without assigning ids, so PubCount and
 	// Count are ordered either way; only the id-table bijection
 	// (applySavedMutationState) ties them together.

@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/index"
+	"repro/internal/sfa"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -166,6 +168,39 @@ func TestLoadRejectsCorruptStreams(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()/2]
 	if _, err := Load(bytes.NewReader(trunc)); err == nil {
 		t.Error("expected truncation error")
+	}
+}
+
+// An SFA state that checksums cleanly but could not lower-bound — or that
+// describes rows of another length — fails the load instead of answering.
+func TestLoadRejectsForgedSFAState(t *testing.T) {
+	rng := rand.New(rand.NewSource(66))
+	ix, err := Build(mixedMatrix(rng, 120, 64), Config{Method: SOFA, LeafCapacity: 16, SampleRate: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Save(ix, &buf); err != nil {
+		t.Fatal(err)
+	}
+	for name, forge := range map[string]func(st *sfa.State){
+		"series length":   func(st *sfa.State) { st.N *= 2 },
+		"duplicate index": func(st *sfa.State) { st.Indices[1], st.Weights[1] = st.Indices[0], st.Weights[0] },
+		"over-weighted":   func(st *sfa.State) { st.Weights[0] *= 2 },
+	} {
+		var s savedIndex
+		if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&s); err != nil {
+			t.Fatal(err)
+		}
+		forge(s.SFA)
+		s.Checksum = globalChecksum(&s)
+		var forged bytes.Buffer
+		if err := gob.NewEncoder(&forged).Encode(&s); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&forged); err == nil {
+			t.Errorf("%s: forged SFA state loaded", name)
+		}
 	}
 }
 

@@ -1,12 +1,18 @@
-// Package fft implements the discrete Fourier transform used by the SFA
-// summarization. It provides an iterative radix-2 Cooley-Tukey FFT for
-// power-of-two lengths and Bluestein's chirp-z algorithm for arbitrary
-// lengths, plus a real-input convenience layer that returns the half
-// spectrum in the interleaved (real, imag, real, imag, ...) layout the SFA
-// code consumes.
+// Package fft implements the discrete Fourier transform. It provides an
+// iterative radix-2 Cooley-Tukey FFT for power-of-two lengths and
+// Bluestein's chirp-z algorithm for arbitrary lengths, plus a real-input
+// convenience layer that returns the half spectrum in the interleaved
+// (real, imag, real, imag, ...) layout, scaled by 1/sqrt(n).
 //
-// All transforms are allocation-conscious: callers that transform millions
-// of series reuse a Plan, which owns the twiddle tables and scratch buffers.
+// No engine path runs it. The SFA summarization (internal/sfa) projects the
+// l values a word keeps onto a precomputed basis instead of computing a full
+// spectrum, and tests that projection against NaiveDFT. What still uses the
+// package is the paper's Fig. 1 reconstruction experiment (internal/bench)
+// and the benchmark's fft.forward_real_ns layer, which times ForwardReal
+// even though no index call takes it any more.
+//
+// All transforms are allocation-conscious: callers that transform many
+// series reuse a Plan, which owns the twiddle tables and scratch buffers.
 package fft
 
 import (

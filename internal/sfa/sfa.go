@@ -4,17 +4,27 @@
 //
 //  1. Transformation: series are mapped to the frequency domain with the DFT
 //     (coefficients scaled by 1/sqrt(n) so Parseval yields the Euclidean
-//     lower bound of Eq. 1 directly).
+//     lower bound of Eq. 1 directly). A word keeps only l real/imaginary
+//     values, and each is one dot product of the series with a precomputed
+//     scaled cos or -sin row. The quantizer holds those l rows as an l×n
+//     projection basis, so a transform is l simd.Dot calls and no FFT.
 //  2. Feature selection: of the first MaxCoeffs complex coefficients, the l
 //     real/imaginary values with the highest variance are retained (the
 //     paper's novel selection; the classical first-l strategy is kept for
 //     the ablation study).
 //  3. Learned quantization: each retained value gets its own alphabet-sized
 //     bin table learned from a sample of the data, with equi-width
-//     (the paper's choice) or equi-depth (original SFA) binning.
+//     (the paper's choice) or equi-depth (original SFA) binning. On an
+//     equi-width table a value's bin is guessed from the first breakpoint
+//     and the mean bin width, then corrected against the table with a few
+//     compares, so the symbol is exactly stats.BinIndex's in O(1); other
+//     tables take the binary search.
 //
-// The resulting words admit a lower-bounding distance to the true Euclidean
-// distance (Eq. 2), which the SOFA index uses for GEMINI-style pruning.
+// A word is the quantization of the query representation (Transformer.Word
+// quantizes Transformer.QueryRepr), so both come from one arithmetic and a
+// value on a breakpoint falls on the same side of it in each. The words
+// admit a lower-bounding distance to the true Euclidean distance (Eq. 2),
+// which the SOFA index uses for GEMINI-style pruning.
 package sfa
 
 import (
@@ -24,8 +34,8 @@ import (
 	"sort"
 
 	"repro/internal/distance"
-	"repro/internal/fft"
 	"repro/internal/sax"
+	"repro/internal/simd"
 	"repro/internal/stats"
 )
 
@@ -123,20 +133,117 @@ func (o Options) withDefaults(n int) Options {
 }
 
 // Quantizer is a learned SFA summarization: the selected Fourier-value
-// indices and their per-value breakpoint tables. It is immutable after
-// Learn and safe for concurrent use; per-goroutine FFT state lives in
-// Transformer.
+// indices, their per-value breakpoint tables, and the projection basis
+// derived from the indices. It is immutable after Learn and safe for
+// concurrent use; per-goroutine scratch lives in Transformer.
 type Quantizer struct {
-	n       int     // series length
-	l       int     // word length (number of values)
-	bits    int     // bits per symbol
-	opts    Options // effective options (after defaults)
-	indices []int   // selected value indices into the interleaved spectrum,
+	n       int   // series length
+	l       int   // word length (number of values)
+	bits    int   // bits per symbol
+	indices []int // selected value indices into the interleaved spectrum,
 	// ordered by decreasing variance (early-abandon priority)
-	variances []float64   // variance of each selected value, same order
-	bps       [][]float64 // l tables of (1<<bits)-1 breakpoints
-	weights   []float64   // Parseval weight per value: 2, or 1 for Nyquist
-	nCoeffs   int         // complex coefficients a Transformer must compute
+	variances []float64  // variance of each selected value, same order
+	bins      []binTable // l tables of (1<<bits)-1 breakpoints
+	weights   []float64  // Parseval weight per value: 2, or 1 for Nyquist
+	nCoeffs   int        // candidate pool plus DC: every index is < 2*nCoeffs
+	// basis is the l×n row-major projection of a series onto the selected
+	// values (row j yields value indices[j]). Derived from indices and n,
+	// never persisted.
+	basis []float64
+}
+
+// newQuantizer assembles a quantizer from its learned tables and derives
+// the projection basis and bin locators; Learn and FromState both end here.
+func newQuantizer(n, bits, nCoeffs int, indices []int, variances, weights []float64, bps [][]float64) *Quantizer {
+	q := &Quantizer{
+		n: n, l: len(indices), bits: bits, nCoeffs: nCoeffs,
+		indices:   indices,
+		variances: variances,
+		weights:   weights,
+		bins:      make([]binTable, len(bps)),
+		basis:     projectionBasis(n, indices),
+	}
+	for j, b := range bps {
+		q.bins[j] = newBinTable(b)
+	}
+	return q
+}
+
+// projectionBasis returns the row-major len(indices)×n matrix whose row j
+// projects a series onto interleaved-spectrum value indices[j]: the real
+// part cos(2πkt/n)/√n, or the imaginary part -sin(2πkt/n)/√n, of
+// coefficient k = indices[j]/2 — the forward DFT's e^{-2πikt/n}, scaled as
+// fft.ForwardReal scales it. Reducing k·t mod n before the division keeps
+// the angle in [0, 2π), so it stays precise at high k and t.
+func projectionBasis(n int, indices []int) []float64 {
+	basis := make([]float64, len(indices)*n)
+	scale := 1 / math.Sqrt(float64(n))
+	for j, idx := range indices {
+		row, k := basis[j*n:(j+1)*n], idx/2
+		for t := range row {
+			angle := 2 * math.Pi * float64(k*t%n) / float64(n)
+			if idx%2 == 0 {
+				row[t] = math.Cos(angle) * scale
+			} else {
+				row[t] = -math.Sin(angle) * scale
+			}
+		}
+	}
+	return basis
+}
+
+// binTable locates values in one word position's sorted breakpoint table.
+type binTable struct {
+	bps []float64
+	lo  float64 // bps[0]
+	inv float64 // 1 / mean bin width; 0 when the table takes the binary search
+}
+
+// newBinTable enables the arithmetic guess when bps is equi-width: a finite
+// positive mean width, and every breakpoint within one mean width of where a
+// uniform table would put it, so the guess is at most a step or two off.
+// Learned equi-depth tables fail that test and keep the binary search; the
+// answer is exact either way.
+func newBinTable(bps []float64) binTable {
+	b := binTable{bps: bps}
+	m := len(bps)
+	if m < 2 || math.IsInf(bps[0], 0) || math.IsNaN(bps[0]) {
+		return b
+	}
+	lo, inv := bps[0], float64(m-1)/(bps[m-1]-bps[0])
+	if !(inv > 0) || math.IsInf(inv, 0) {
+		return b
+	}
+	for i, v := range bps {
+		if !(math.Abs((v-lo)*inv-float64(i)) <= 1) {
+			return b
+		}
+	}
+	b.lo, b.inv = lo, inv
+	return b
+}
+
+// index returns stats.BinIndex(b.bps, v): the number of breakpoints <= v.
+// An equi-width table guesses the bin from v's offset in mean widths and
+// walks the guess to that count; NaN compares false everywhere and lands in
+// bin 0, as in the binary search.
+func (b *binTable) index(v float64) int {
+	if b.inv == 0 {
+		return stats.BinIndex(b.bps, v)
+	}
+	m, g := len(b.bps), 0
+	if f := (v - b.lo) * b.inv; f >= float64(m-1) {
+		g = m
+	} else if f >= 0 {
+		g = int(f) + 1
+	}
+	for g > 0 && v < b.bps[g-1] {
+		g--
+	}
+	for g < m && v >= b.bps[g] {
+		g++
+	}
+	return g
 }
 
 // Learn runs MCB (Algorithm 1) over the dataset: sample, transform, select
@@ -161,23 +268,17 @@ func Learn(data *distance.Matrix, opts Options) (*Quantizer, error) {
 	}
 
 	sample := sampleRows(data, o.SampleRate, o.MinSamples, o.Seed)
-	plan, err := fft.NewPlan(n)
-	if err != nil {
-		return nil, err
-	}
-	nCoeffs := o.MaxCoeffs + 1 // coefficients 0..MaxCoeffs
-	spec := make([]float64, 2*nCoeffs)
-	// values[c][s]: value of candidate c for sample s.
+	// values[c][s]: value of candidate c for sample s, projected exactly as
+	// a Transformer projects it (same basis row, same Dot).
+	cand := projectionBasis(n, candidates)
 	values := make([][]float64, len(candidates))
 	for i := range values {
 		values[i] = make([]float64, len(sample))
 	}
 	for s, row := range sample {
-		if _, err := plan.ForwardReal(data.Row(row), nCoeffs, spec); err != nil {
-			return nil, err
-		}
-		for c, idx := range candidates {
-			values[c][s] = spec[idx]
+		x := data.Row(row)
+		for c := range candidates {
+			values[c][s] = simd.Dot(cand[c*n:(c+1)*n], x)
 		}
 	}
 
@@ -200,38 +301,32 @@ func Learn(data *distance.Matrix, opts Options) (*Quantizer, error) {
 	}
 	chosen := order[:o.WordLength]
 
-	q := &Quantizer{
-		n:         n,
-		l:         o.WordLength,
-		bits:      o.Bits,
-		opts:      o,
-		indices:   make([]int, o.WordLength),
-		variances: make([]float64, o.WordLength),
-		bps:       make([][]float64, o.WordLength),
-		weights:   make([]float64, o.WordLength),
-		nCoeffs:   nCoeffs,
-	}
-	alpha := 1 << o.Bits
+	var (
+		indices   = make([]int, o.WordLength)
+		variances = make([]float64, o.WordLength)
+		weights   = make([]float64, o.WordLength)
+		tables    = make([][]float64, o.WordLength)
+		alpha     = 1 << o.Bits
+		err       error
+	)
 	for j, c := range chosen {
 		idx := candidates[c]
-		q.indices[j] = idx
-		q.variances[j] = vars[c]
-		q.weights[j] = parsevalWeight(n, idx)
-		var bps []float64
+		indices[j] = idx
+		variances[j] = vars[c]
+		weights[j] = parsevalWeight(n, idx)
 		switch o.Binning {
 		case EquiWidth:
-			bps, err = stats.EquiWidthBreakpoints(values[c], alpha)
+			tables[j], err = stats.EquiWidthBreakpoints(values[c], alpha)
 		case EquiDepth:
-			bps, err = stats.EquiDepthBreakpoints(values[c], alpha)
+			tables[j], err = stats.EquiDepthBreakpoints(values[c], alpha)
 		default:
 			err = fmt.Errorf("sfa: unknown binning strategy %v", o.Binning)
 		}
 		if err != nil {
 			return nil, err
 		}
-		q.bps[j] = bps
 	}
-	return q, nil
+	return newQuantizer(n, o.Bits, o.MaxCoeffs+1, indices, variances, weights, tables), nil
 }
 
 // candidateIndices returns the interleaved-spectrum value indices eligible
@@ -297,7 +392,7 @@ func (q *Quantizer) Weights() []float64 { return q.weights }
 
 // Breakpoints returns the learned full-cardinality breakpoint table for the
 // j-th word position.
-func (q *Quantizer) Breakpoints(j int) []float64 { return q.bps[j] }
+func (q *Quantizer) Breakpoints(j int) []float64 { return q.bins[j].bps }
 
 // Indices returns the selected interleaved-spectrum value indices in
 // priority (descending variance) order.
@@ -323,7 +418,7 @@ func (q *Quantizer) MeanCoefficientIndex() float64 {
 // width bits at word position j (variable-cardinality semantics shared with
 // iSAX).
 func (q *Quantizer) SymbolBounds(j int, bits int, prefix byte) (lo, hi float64) {
-	return sax.BoundsFromTable(q.bps[j], q.bits, bits, prefix)
+	return sax.BoundsFromTable(q.bins[j].bps, q.bits, bits, prefix)
 }
 
 // MinDist computes the squared SFA lower-bounding distance (Eq. 2 summed
@@ -362,56 +457,48 @@ func breakpointDist(v, lo, hi float64) float64 {
 	}
 }
 
-// Transformer owns the per-goroutine FFT plan and scratch buffers needed to
-// transform series under a learned Quantizer. Not safe for concurrent use;
+// Transformer transforms series under a learned Quantizer, holding the
+// per-goroutine scratch Word quantizes from. Not safe for concurrent use;
 // create one per worker.
 type Transformer struct {
 	q    *Quantizer
-	plan *fft.Plan
-	spec []float64
+	repr []float64
 }
 
 // NewTransformer creates a transformer for the quantizer.
 func (q *Quantizer) NewTransformer() *Transformer {
-	return &Transformer{
-		q:    q,
-		plan: fft.MustPlan(q.n),
-		spec: make([]float64, 2*q.nCoeffs),
-	}
+	return &Transformer{q: q, repr: make([]float64, q.l)}
 }
 
 // QueryRepr computes the query-side representation — the selected scaled DFT
-// values in priority order — into dst (length >= l), returning dst[:l].
+// values in priority order, each one simd.Dot of query with its basis row —
+// into dst (length >= l), returning dst[:l].
 func (t *Transformer) QueryRepr(query []float64, dst []float64) ([]float64, error) {
-	if len(query) != t.q.n {
-		return nil, fmt.Errorf("sfa: query length %d, want %d", len(query), t.q.n)
+	q := t.q
+	if len(query) != q.n {
+		return nil, fmt.Errorf("sfa: query length %d, want %d", len(query), q.n)
 	}
-	if len(dst) < t.q.l {
-		return nil, fmt.Errorf("sfa: dst length %d < %d", len(dst), t.q.l)
+	if len(dst) < q.l {
+		return nil, fmt.Errorf("sfa: dst length %d < %d", len(dst), q.l)
 	}
-	if _, err := t.plan.ForwardReal(query, t.q.nCoeffs, t.spec); err != nil {
-		return nil, err
+	for j := range dst[:q.l] {
+		dst[j] = simd.Dot(q.basis[j*q.n:(j+1)*q.n], query)
 	}
-	for j, idx := range t.q.indices {
-		dst[j] = t.spec[idx]
-	}
-	return dst[:t.q.l], nil
+	return dst[:q.l], nil
 }
 
 // Word computes the full-cardinality SFA word of series (Algorithm 2) into
-// dst (length >= l), returning dst[:l].
+// dst (length >= l), returning dst[:l]: the quantization of QueryRepr(series).
 func (t *Transformer) Word(series []float64, dst []byte) ([]byte, error) {
-	if len(series) != t.q.n {
-		return nil, fmt.Errorf("sfa: series length %d, want %d", len(series), t.q.n)
-	}
 	if len(dst) < t.q.l {
 		return nil, fmt.Errorf("sfa: dst length %d < %d", len(dst), t.q.l)
 	}
-	if _, err := t.plan.ForwardReal(series, t.q.nCoeffs, t.spec); err != nil {
+	repr, err := t.QueryRepr(series, t.repr)
+	if err != nil {
 		return nil, err
 	}
-	for j, idx := range t.q.indices {
-		dst[j] = byte(stats.BinIndex(t.q.bps[j], t.spec[idx]))
+	for j, v := range repr {
+		dst[j] = byte(t.q.bins[j].index(v))
 	}
 	return dst[:t.q.l], nil
 }
@@ -433,49 +520,56 @@ func (q *Quantizer) State() State {
 		Indices:     append([]int(nil), q.indices...),
 		Variances:   append([]float64(nil), q.variances...),
 		Weights:     append([]float64(nil), q.weights...),
-		Breakpoints: make([][]float64, len(q.bps)),
+		Breakpoints: make([][]float64, len(q.bins)),
 	}
-	for j, bps := range q.bps {
-		st.Breakpoints[j] = append([]float64(nil), bps...)
+	for j, b := range q.bins {
+		st.Breakpoints[j] = append([]float64(nil), b.bps...)
 	}
 	return st
 }
 
 // FromState reconstructs a Quantizer from a serialized State, validating
-// structural consistency.
+// structural consistency and that the state still lower-bounds: each value
+// selected once, under its Parseval weight.
 func FromState(st State) (*Quantizer, error) {
 	if st.N < 1 || st.L < 1 || st.Bits < 1 || st.Bits > 8 {
 		return nil, fmt.Errorf("sfa: invalid state dimensions n=%d l=%d bits=%d", st.N, st.L, st.Bits)
 	}
-	if len(st.Indices) != st.L || len(st.Weights) != st.L || len(st.Breakpoints) != st.L {
+	if len(st.Indices) != st.L || len(st.Variances) != st.L || len(st.Weights) != st.L || len(st.Breakpoints) != st.L {
 		return nil, fmt.Errorf("sfa: state slice lengths do not match word length %d", st.L)
 	}
 	if st.NCoeffs < 1 || st.NCoeffs > st.N/2+1 {
 		return nil, fmt.Errorf("sfa: invalid coefficient count %d for series length %d", st.NCoeffs, st.N)
 	}
 	wantBPs := (1 << st.Bits) - 1
-	for j, bps := range st.Breakpoints {
-		if len(bps) != wantBPs {
-			return nil, fmt.Errorf("sfa: position %d has %d breakpoints, want %d", j, len(bps), wantBPs)
+	bps := make([][]float64, st.L)
+	for j, b := range st.Breakpoints {
+		if len(b) != wantBPs {
+			return nil, fmt.Errorf("sfa: position %d has %d breakpoints, want %d", j, len(b), wantBPs)
 		}
-		if !sort.Float64sAreSorted(bps) {
+		if !sort.Float64sAreSorted(b) {
 			return nil, fmt.Errorf("sfa: position %d breakpoints not sorted", j)
 		}
+		bps[j] = append([]float64(nil), b...)
 	}
-	for _, idx := range st.Indices {
+	// A value selected twice, or weighted above its Parseval multiplicity,
+	// counts its energy twice: the "lower bound" could exceed the distance.
+	seen := make(map[int]bool, st.L)
+	for j, idx := range st.Indices {
 		if idx < 0 || idx >= 2*st.NCoeffs {
 			return nil, fmt.Errorf("sfa: value index %d out of range [0,%d)", idx, 2*st.NCoeffs)
 		}
+		if seen[idx] {
+			return nil, fmt.Errorf("sfa: value index %d selected twice", idx)
+		}
+		seen[idx] = true
+		if w := parsevalWeight(st.N, idx); st.Weights[j] != w {
+			return nil, fmt.Errorf("sfa: position %d weight %v, want Parseval weight %v", j, st.Weights[j], w)
+		}
 	}
-	q := &Quantizer{
-		n: st.N, l: st.L, bits: st.Bits, nCoeffs: st.NCoeffs,
-		indices:   append([]int(nil), st.Indices...),
-		variances: append([]float64(nil), st.Variances...),
-		weights:   append([]float64(nil), st.Weights...),
-		bps:       make([][]float64, st.L),
-	}
-	for j, bps := range st.Breakpoints {
-		q.bps[j] = append([]float64(nil), bps...)
-	}
-	return q, nil
+	return newQuantizer(st.N, st.Bits, st.NCoeffs,
+		append([]int(nil), st.Indices...),
+		append([]float64(nil), st.Variances...),
+		append([]float64(nil), st.Weights...),
+		bps), nil
 }

@@ -1,12 +1,18 @@
 package sfa
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/dataset"
 	"repro/internal/distance"
+	"repro/internal/fft"
+	"repro/internal/simd"
+	"repro/internal/stats"
 )
 
 // randomMatrix builds a z-normalized matrix of random-walk series, which
@@ -358,6 +364,203 @@ func TestVarianceSelectionTightensBoundOnHighFreqData(t *testing.T) {
 	}
 	if tlb[0] <= tlb[1] {
 		t.Errorf("TLB: variance selection %v should beat first-coefficients %v on high-frequency data", tlb[0], tlb[1])
+	}
+}
+
+// Each basis row reproduces its DFT value: the projection of x equals the
+// 1/sqrt(n)-scaled naive DFT within 1e-12·‖x‖, on power-of-two lengths and
+// on lengths the FFT would take through Bluestein.
+func TestProjectionMatchesNaiveDFT(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, n := range []int{96, 100, 128, 256} {
+		indices := candidateIndices(n, n/2)
+		basis := projectionBasis(n, indices)
+		for trial := 0; trial < 4; trial++ {
+			x := make([]float64, n)
+			cx := make([]complex128, n)
+			var norm float64
+			for i := range x {
+				x[i] = rng.NormFloat64() * 3
+				cx[i] = complex(x[i], 0)
+				norm += x[i] * x[i]
+			}
+			tol := 1e-12 * math.Sqrt(norm)
+			spec := fft.NaiveDFT(cx)
+			scale := 1 / math.Sqrt(float64(n))
+			for j, idx := range indices {
+				want := real(spec[idx/2]) * scale
+				if idx%2 == 1 {
+					want = imag(spec[idx/2]) * scale
+				}
+				if got := simd.Dot(basis[j*n:(j+1)*n], x); math.Abs(got-want) > tol {
+					t.Fatalf("n=%d value %d: projection %v, naive DFT %v (|diff| %.3g > %.3g)", n, idx, got, want, math.Abs(got-want), tol)
+				}
+			}
+		}
+	}
+}
+
+// Word is the quantization of QueryRepr, bit for bit, and QueryRepr is the
+// portable Dot's value in whichever kernel tier serves it: containers store
+// words, so a word must not depend on the machine. Checked on learned
+// equi-width and equi-depth tables, and on tables built from the rows' own
+// values, which put every value on a breakpoint — where any difference
+// between the arithmetic of Word and of QueryRepr flips a symbol.
+func TestWordQuantizesQueryRepr(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	m := randomMatrix(rng, 100, 300)
+	var quantizers []*Quantizer
+	for _, binning := range []Binning{EquiWidth, EquiDepth} {
+		q, err := Learn(m, Options{Binning: binning, SampleRate: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		quantizers = append(quantizers, q)
+	}
+	st := quantizers[0].State()
+	tr := quantizers[0].NewTransformer()
+	for j := range st.Breakpoints {
+		for i := range st.Breakpoints[j] {
+			qr, err := tr.QueryRepr(m.Row(i), make([]float64, st.L))
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.Breakpoints[j][i] = qr[j]
+		}
+		sort.Float64s(st.Breakpoints[j])
+	}
+	onBreakpoints, err := FromState(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quantizers = append(quantizers, onBreakpoints)
+
+	for qi, q := range quantizers {
+		tr := q.NewTransformer()
+		qr, word := make([]float64, q.Segments()), make([]byte, q.Segments())
+		for i := 0; i < m.Len(); i++ {
+			if _, err := tr.QueryRepr(m.Row(i), qr); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tr.Word(m.Row(i), word); err != nil {
+				t.Fatal(err)
+			}
+			for j, v := range qr {
+				if ref := simd.DotPortable(q.basis[j*q.n:(j+1)*q.n], m.Row(i)); math.Float64bits(v) != math.Float64bits(ref) {
+					t.Fatalf("%s tier, row %d position %d: value %v, portable Dot %v", simd.Impl(), i, j, v, ref)
+				}
+				if want := stats.BinIndex(q.Breakpoints(j), v); int(word[j]) != want {
+					t.Fatalf("quantizer %d row %d position %d: word symbol %d, BinIndex(QueryRepr) %d", qi, i, j, word[j], want)
+				}
+			}
+		}
+	}
+}
+
+// The O(1) bin locator agrees with the binary search at every breakpoint,
+// at both float64 neighbours of it, at ±Inf and at NaN — on learned
+// equi-width tables (which take the guess) and equi-depth ones (which take
+// the binary search), and on degenerate tables.
+func TestBinTableMatchesBinIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	m := randomMatrix(rng, 64, 400)
+	tables := map[string][]float64{
+		"collapsed": make([]float64, 255), // a constant value: width 0
+		"one":       {0.5},
+		"inf-tail":  {-1, 0, 1, math.Inf(1)},
+	}
+	for _, binning := range []Binning{EquiWidth, EquiDepth} {
+		for _, bits := range []int{2, 8} {
+			q, err := Learn(m, Options{WordLength: 8, Bits: bits, Binning: binning, SampleRate: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := 0; j < q.Segments(); j++ {
+				if fast := q.bins[j].inv != 0; bits == 8 && fast != (binning == EquiWidth) {
+					t.Errorf("%v bits=%d position %d: arithmetic guess enabled=%v", binning, bits, j, fast)
+				}
+				tables[fmt.Sprintf("%v/%d/%d", binning, bits, j)] = q.Breakpoints(j)
+			}
+		}
+	}
+	for name, bps := range tables {
+		b := newBinTable(bps)
+		probes := []float64{math.Inf(-1), math.Inf(1), math.NaN(), 0}
+		for _, v := range bps {
+			probes = append(probes, v, math.Nextafter(v, math.Inf(-1)), math.Nextafter(v, math.Inf(1)))
+		}
+		for i := 0; i < 200; i++ {
+			probes = append(probes, rng.NormFloat64()*2)
+		}
+		for _, v := range probes {
+			if got, want := b.index(v), stats.BinIndex(bps, v); got != want {
+				t.Fatalf("table %s: index(%v) = %d, BinIndex %d", name, v, got, want)
+			}
+		}
+	}
+}
+
+// ROADMAP item 5's invariant under the projected transform, on stand-ins of
+// the benchmark's three datasets: the SFA lower bound never exceeds the
+// squared Euclidean distance.
+func TestLowerBoundOnDatasetStandIns(t *testing.T) {
+	for _, name := range []string{"LenDB", "SALD", "SIFT1b"} {
+		spec, err := dataset.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		train, err := dataset.GenerateQueries(spec, 600, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs, err := dataset.GenerateQueries(spec, 400, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := Learn(train, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := q.NewTransformer()
+		qr, word := make([]float64, q.Segments()), make([]byte, q.Segments())
+		for i := 0; i < pairs.Len(); i += 2 {
+			a, b := pairs.Row(i), pairs.Row(i+1)
+			if _, err := tr.QueryRepr(a, qr); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tr.Word(b, word); err != nil {
+				t.Fatal(err)
+			}
+			if lb, ed2 := q.MinDist(qr, word), distance.SquaredED(a, b); lb > ed2 {
+				t.Fatalf("%s pair %d: lower bound %v > squared ED %v", name, i/2, lb, ed2)
+			}
+		}
+	}
+}
+
+// FromState refuses states whose lower bound could exceed the true
+// distance, even when the container around them checksums cleanly.
+func TestFromStateRejectsForgedStates(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	q, err := Learn(randomMatrix(rng, 64, 200), Options{WordLength: 8, SampleRate: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FromState(q.State()); err != nil {
+		t.Fatalf("learned state rejected: %v", err)
+	}
+	for name, forge := range map[string]func(st *State){
+		"duplicate index":       func(st *State) { st.Indices[1] = st.Indices[0]; st.Weights[1] = st.Weights[0] },
+		"weight above Parseval": func(st *State) { st.Weights[2] = 4 },
+		"weight below Parseval": func(st *State) { st.Weights[3] = 1 },
+		"short variances":       func(st *State) { st.Variances = st.Variances[:st.L-1] },
+		"long variances":        func(st *State) { st.Variances = append(st.Variances, 1) },
+	} {
+		st := q.State()
+		forge(&st)
+		if _, err := FromState(st); err == nil {
+			t.Errorf("%s: forged state accepted", name)
+		}
 	}
 }
 

@@ -252,6 +252,11 @@ type Index struct {
 // Euclidean distance, and queries are normalized internally under that
 // contract.
 //
+// With one shard (the default) the index keeps data itself rather than a
+// copy — its rows are the rows searched, and Insert appends to it — while
+// more shards copy the rows into per-shard matrices. The caller must not
+// modify data after Build.
+//
 // Option validation failures return errors wrapping ErrBadConfig; an empty
 // collection returns ErrEmptyData.
 func Build(data *Matrix, opts ...Option) (*Index, error) {

@@ -17,7 +17,7 @@ import (
 )
 
 func TestStaticAnalysisSuite(t *testing.T) {
-	diags, err := analysis.Run(analysis.Suite(""), ".", []string{"./..."}, "")
+	diags, err := analysis.Run(analysis.Suite(), ".", []string{"./..."}, "")
 	if err != nil {
 		t.Fatalf("static analysis suite failed to run: %v", err)
 	}
