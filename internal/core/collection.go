@@ -760,7 +760,10 @@ const compactRetries = 2
 // On a SOFA collection whose shard churn has reached
 // CompactionPolicy.RelearnChurnFraction, the rebuild re-learns the shard's
 // SFA quantization from the survivors; the shard then carries its own
-// summarization and queries adapt transparently.
+// summarization and queries adapt transparently. Any other rebuild does not
+// re-transform: it copies each survivor's word from the old tree
+// (index.BuildFromWords). After a reopen, the words kept are the ones the
+// loaded tree already searches with, i.e. those the container stored.
 func (c *Collection) CompactShard(i int) error {
 	if i < 0 || i >= len(c.states) {
 		return fmt.Errorf("core: shard %d out of range [0,%d)", i, len(c.states))
@@ -801,15 +804,29 @@ func (c *Collection) compactOnce(i int, final bool) (done bool, err error) {
 	}
 	epoch := c.epochs[i].Load()
 	churn := c.relearnChurn[i].Load()
+	relearn := c.method == SOFA && c.cfg.Compaction.RelearnChurnFraction > 0 &&
+		float64(churn) >= c.cfg.Compaction.RelearnChurnFraction*float64(live)
+	sum := tree.Sum()
+	l := sum.Segments()
 	s := int32(len(c.states))
 	data := distance.NewMatrix(live, c.stride)
 	pubs := make([]int32, live)
+	// Unless the rebuild re-learns, each survivor keeps the word its tree
+	// already searches with.
+	var words []byte
+	if !relearn {
+		words = make([]byte, live*l)
+	}
+	oldWords := tree.Words()
 	j := 0
 	for local := int32(0); int(local) < n; local++ {
 		if tree.Tombstoned(local) {
 			continue
 		}
 		copy(data.Row(j), st.data.Row(int(local)))
+		if !relearn {
+			copy(words[j*l:(j+1)*l], oldWords[int(local)*l:])
+		}
 		if st.pubOf != nil {
 			pubs[j] = st.pubOf[local]
 		} else {
@@ -817,17 +834,18 @@ func (c *Collection) compactOnce(i int, final bool) (done bool, err error) {
 		}
 		j++
 	}
-	relearn := c.method == SOFA && c.cfg.Compaction.RelearnChurnFraction > 0 &&
-		float64(churn) >= c.cfg.Compaction.RelearnChurnFraction*float64(live)
 	if !final {
 		c.mu.Unlock()
 	}
 
 	// The rebuild: survivors only, dense local ids, fresh tree. A shard that
 	// was already re-learned keeps its own summarization unless this
-	// compaction re-learns again.
-	sum := tree.Sum()
-	if relearn {
+	// compaction re-learns again; only a re-learn re-transforms the rows.
+	var newTree *index.Tree
+	var berr error
+	if !relearn {
+		newTree, berr = index.BuildFromWords(data, sum, c.shardOptions(), words)
+	} else {
 		q, lerr := sfa.Learn(data, sfa.Options{
 			WordLength: c.cfg.WordLength,
 			Bits:       c.cfg.Bits,
@@ -843,9 +861,8 @@ func (c *Collection) compactOnce(i int, final bool) (done bool, err error) {
 			}
 			return true, fmt.Errorf("core: compaction re-learn of shard %d: %w", i, lerr)
 		}
-		sum = sfaSummarization{q}
+		newTree, berr = index.Build(data, sfaSummarization{q}, c.shardOptions())
 	}
-	newTree, berr := index.Build(data, sum, c.shardOptions())
 	if berr != nil {
 		if final {
 			c.mu.Unlock()

@@ -83,6 +83,12 @@ func SquaredED(a, b []float64) float64 {
 // multiply-accumulate with the abandon test after each block — AVX2+FMA
 // assembly where the hardware supports it, the bit-identical portable
 // reference everywhere else (paper Section IV-H).
+//
+//   - Row prefetch. The index's refinement walk calls the same kernel as
+//     simd.SquaredEDEARead, which also reports how many elements it read,
+//     and uses those lengths to size a prefetch (simd.Prefetch) of the rows
+//     of the survivors it will refine next. The sum is bit-identical to
+//     this function's.
 func SquaredEDEarlyAbandon(a, b []float64, bound float64) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("distance: length mismatch %d vs %d", len(a), len(b)))

@@ -167,6 +167,131 @@ func TestBlockRefinementMatchesPerSeries(t *testing.T) {
 	}
 }
 
+// The seed leaf is refined at bound +Inf, where every member survives the
+// block kernel, tombstoned ones included; the walk then prefetches rows of
+// dead survivors ahead of the EDs it skips. With large leaves and a third of
+// the rows tombstoned, answers and counters must still be the per-series
+// walk's.
+func TestBlockRefinementMatchesPerSeriesTombstonedSeed(t *testing.T) {
+	m, queries := shapeMatrix(t, "SIFT1b", 3000, 45)
+	sum := newSFASum(t, m, sfa.Options{SampleRate: 0.2})
+	tr, err := Build(m, sum, Options{LeafCapacity: 1024, Workers: 1, Queues: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := int32(0); int(id) < m.Len(); id += 3 {
+		if err := tr.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := tr.NewSearcher()
+	for qi := 0; qi < queries.Len(); qi++ {
+		if _, err := s.prepareQuery(queries.Row(qi), 10); err != nil {
+			t.Fatal(err)
+		}
+		leaf, dead := s.approximateLeaf(), 0
+		for _, id := range leaf.ids {
+			if deadBit(tr.dead, id) {
+				dead++
+			}
+		}
+		if len(leaf.ids) <= prefetchAhead || dead == 0 {
+			t.Fatalf("query %d: seed leaf of %d members, %d tombstoned: the case lost its subject", qi, len(leaf.ids), dead)
+		}
+	}
+	compareBlockToPerSeries(t, "SIFT1b tombstoned seed", tr, queries, true)
+}
+
+// walkWithoutPrefetch is walkSurvivors (scale 1) without the row prefetch:
+// the baseline BenchmarkRefineRandomRows measures the prefetch against.
+func walkWithoutPrefetch(s *Searcher, leaf *node, q []float64, kn *KNNCollector, ds *drainScratch) (nED int64) {
+	lbd, surv := ds.forLeaf(len(leaf.ids))
+	bound := kn.Bound()
+	surv = surv[:s.dt.minDistBlockEA(leaf.words, len(leaf.ids), lbd, bound, surv)]
+	block := 0
+	for _, i := range surv {
+		if b := int(i) / boundRefreshInterval; b != block {
+			block = b
+			bound = kn.Bound()
+		}
+		id := leaf.ids[i]
+		if lbd[i] >= bound || deadBit(s.t.dead, id) {
+			continue
+		}
+		nED++
+		d := distance.SquaredEDEarlyAbandon(s.t.data.Row(int(id)), q, bound)
+		if d < bound && kn.Offer(ID(id), d) {
+			bound = kn.Bound()
+		}
+	}
+	return nED
+}
+
+// BenchmarkRefineRandomRows refines one leaf per iteration, rotating over
+// every leaf of a 64 MiB SIFT-like matrix (2^16 rows of 128 floats, more
+// than a last-level cache holds), against a collector holding the query's
+// true 10-NN bound: the drain regime of a pruning-hostile query, where
+// nearly every member survives its LBD and each ED reads a random row. The
+// "walk" case is the engine's walkSurvivors; "no-prefetch" is the same walk
+// without the row prefetch. ns/ED is the metric to compare.
+func BenchmarkRefineRandomRows(b *testing.B) {
+	const k = 10
+	m, queries := shapeMatrix(b, "SIFT1b", 1<<16, 46)
+	sum := newSFASum(b, m, sfa.Options{SampleRate: 0.05})
+	tr, err := Build(m, sum, Options{LeafCapacity: 1024, Workers: 1, Queues: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := tr.NewSerialSearcher()
+	res, err := s.Search(queries.Row(0), k)
+	if err != nil {
+		b.Fatal(err)
+	}
+	kth := res[k-1].Dist
+	q, err := s.prepareQuery(queries.Row(0), k)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.buildTable()
+	var leaves []*node
+	var collect func(n *node)
+	collect = func(n *node) {
+		if n.isLeaf() {
+			if len(n.ids) > 0 {
+				leaves = append(leaves, n)
+			}
+			return
+		}
+		collect(n.children[0])
+		collect(n.children[1])
+	}
+	for _, rk := range tr.rootKeys {
+		collect(tr.root[rk])
+	}
+	for _, c := range []struct {
+		name string
+		walk func(*node, *KNNCollector, *drainScratch) int64
+	}{
+		{"walk", func(l *node, kn *KNNCollector, ds *drainScratch) int64 { return s.walkSurvivors(l, q, kn, 1, ds) }},
+		{"no-prefetch", func(l *node, kn *KNNCollector, ds *drainScratch) int64 { return walkWithoutPrefetch(s, l, q, kn, ds) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var ds drainScratch
+			kn := NewKNNCollector(k)
+			var eds int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				kn.Reset(k)
+				for j := 0; j < k; j++ {
+					kn.Offer(ID(-1-j), kth)
+				}
+				eds += c.walk(leaves[i%len(leaves)], kn, &ds)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(eds, 1)), "ns/ED")
+		})
+	}
+}
+
 func compareBlockToPerSeries(t *testing.T, name string, tr *Tree, queries *distance.Matrix, tombstones bool) {
 	t.Helper()
 	sb := tr.NewSearcher()

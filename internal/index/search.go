@@ -6,8 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/distance"
 	"repro/internal/queue"
+	"repro/internal/simd"
 )
 
 // ID identifies one indexed series in the id space of the caller's query.
@@ -356,12 +356,32 @@ func (s *Searcher) buildTable() {
 
 // drainScratch is one drain worker's scratch of the block refinement path:
 // the block kernel's two outputs — the members' LBDs and the survivor
-// list. Both grow to the largest leaf seen and are then reused, keeping the
+// list — and the running mean that sizes the walk's row prefetch. The
+// buffers grow to the largest leaf seen and are then reused, keeping the
 // steady-state query path allocation-free.
 type drainScratch struct {
 	lbd  []float64
 	surv []int32
+
+	// edLines is the running mean (rate prefetchRate) of the 64-byte lines
+	// this worker's recent EDs read; it starts at zero.
+	edLines float64
 }
+
+// prefetchAhead is how many survivors ahead of the current ED the walk
+// prefetches a row: far enough ahead that the row is in cache when its ED
+// starts, near enough that the survivor's LBD test against the current bound
+// still predicts whether the ED will run.
+const prefetchAhead = 8
+
+// prefetchRate is the weight of the newest ED in drainScratch.edLines, so
+// the prefetch depth follows how far EDs get into a row within a few dozen
+// EDs rather than jumping with each one.
+const prefetchRate = 1.0 / 16
+
+// prefetchSlackLines is what the prefetch depth adds to the mean read: one
+// 16-element ED block (two 64-byte lines), the granularity EDs read at.
+const prefetchSlackLines = 2
 
 // forLeaf returns the kernel's output buffers for a leaf of n series.
 func (ds *drainScratch) forLeaf(n int) ([]float64, []int32) {
@@ -394,6 +414,11 @@ func (s *Searcher) processLeafApprox(leaf *node, q []float64, kn *KNNCollector) 
 // pruning decisions, results and counters are those of such a walk. A
 // survivor's exact LBD is tested again, against the fresher bound; the
 // series the kernel dropped already exceed the older, larger one.
+//
+// Before the ED of survivor p the walk prefetches the row of survivor
+// p+prefetchAhead, if that survivor's LBD still beats the bound, to the depth
+// recent EDs read plus one block. The prefetch is a hint that changes no
+// decision, so answers and counters are those of a walk without it.
 func (s *Searcher) walkSurvivors(leaf *node, q []float64, kn *KNNCollector, scale float64, ds *drainScratch) (nED int64) {
 	n := len(leaf.ids)
 	if n == 0 {
@@ -405,17 +430,25 @@ func (s *Searcher) walkSurvivors(leaf *node, q []float64, kn *KNNCollector, scal
 	t := s.t
 	dead := t.dead
 	block := 0
-	for _, i := range surv {
+	for p, i := range surv {
 		if b := int(i) / boundRefreshInterval; b != block {
 			block = b
 			bound = kn.Bound()
+		}
+		if a := p + prefetchAhead; a < len(surv) {
+			if next := surv[a]; lbd[next] < bound*scale {
+				simd.Prefetch(t.data.Row(int(leaf.ids[next])), int(ds.edLines)+prefetchSlackLines)
+			}
 		}
 		id := leaf.ids[i]
 		if lbd[i] >= bound*scale || deadBit(dead, id) {
 			continue
 		}
 		nED++
-		d := distance.SquaredEDEarlyAbandon(t.data.Row(int(id)), q, bound)
+		// The row and the prepared query both have the tree's stride: the
+		// length check distance.SquaredEDEarlyAbandon makes holds here.
+		d, read := simd.SquaredEDEARead(t.data.Row(int(id)), q, bound)
+		ds.edLines += (float64((read+7)/8) - ds.edLines) * prefetchRate
 		if d < bound && kn.Offer(s.mapID(id), d) {
 			bound = kn.Bound()
 		}

@@ -38,6 +38,15 @@
 //     of truth; blocks are maintained through splits and inserts and
 //     checked by CheckInvariants.
 //
+//   - Row prefetch. A survivor's real distance reads a random row of the
+//     series matrix, which on pruning-hostile data is mostly a wait on
+//     DRAM. Before the ED of survivor p, the survivor walk hints the row of
+//     survivor p+8 into cache (simd.Prefetch), but only while that
+//     survivor's exact LBD still beats the bound, and only as deep as
+//     recent EDs actually read (a per-worker running mean plus one block).
+//     A prefetch is a hint: pruning, answers and SearchStats are unchanged,
+//     and the portable tier does not issue it.
+//
 //   - Zero-allocation searches. All per-query state — the z-normalized
 //     query copy, representation, word, flat table, k-NN collector, leaf
 //     priority queues (generic queue.PQ[*node], no interface boxing) and
@@ -78,7 +87,8 @@ type Summarizer interface {
 }
 
 // Encoder transforms raw series under a Summarizer. Encoders are
-// per-goroutine (they own scratch buffers and FFT plans).
+// per-goroutine (they own scratch buffers: the PAA values for SAX, the
+// selected DFT values for SFA).
 type Encoder interface {
 	// Word writes the full-cardinality word of series into dst.
 	Word(series []float64, dst []byte) ([]byte, error)

@@ -524,11 +524,9 @@ func (t *Tree) Stats() Stats {
 // words were already computed: it skips the (expensive) summarization
 // transform and only re-buckets and re-splits, which is deterministic given
 // the words and options. words is row-major (data.Len() x sum.Segments())
-// and is retained by the tree. No library path calls it today — container
-// loads decode the saved shape (FromShape) instead. It stays because
-// benchmark/ times it as index.build_from_words_s, and because a compaction
-// that does not re-learn could rebuild from its survivors' words through it
-// (ROADMAP 4a).
+// and is retained by the tree. A collection compaction that does not
+// re-learn rebuilds its shard through it from the survivors' words;
+// container loads decode the saved shape (FromShape) instead.
 func BuildFromWords(data *distance.Matrix, sum Summarization, opts Options, words []byte) (*Tree, error) {
 	if words == nil {
 		return nil, fmt.Errorf("index: words must not be nil")

@@ -48,6 +48,16 @@ func edBlocks16(a, b []float64, bound float64) (float64, int) {
 	return edBlocks16Ref(a, b, bound)
 }
 
+// Prefetch hints the first lines 64-byte cache lines of row into cache
+// (PREFETCHT0), capped at the row's length. It is only a hint: it never
+// faults and changes no value. The portable tier (SOFA_NOSIMD, -tags noasm,
+// other architectures) makes it a no-op.
+func Prefetch(row []float64, lines int) {
+	if useAVX2 {
+		prefetchLines(row, min(lines, (len(row)+7)/8))
+	}
+}
+
 func dotBlocks16(a, b []float64) (float64, int) {
 	if useAVX2 {
 		return dotBlocks16AVX2(a, b)
@@ -151,6 +161,9 @@ func edBlocks16AVX2(a, b []float64, bound float64) (sum float64, idx int)
 
 //go:noescape
 func dotBlocks16AVX2(a, b []float64) (sum float64, idx int)
+
+//go:noescape
+func prefetchLines(row []float64, lines int)
 
 //go:noescape
 func lbdGatherBlocks8AVX2(word []byte, qr, lower, upper, weights []float64, alphabet int, bsf float64) (sum float64, idx int)

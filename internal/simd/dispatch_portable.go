@@ -20,6 +20,10 @@ func edBlocks16(a, b []float64, bound float64) (float64, int) {
 	return edBlocks16Ref(a, b, bound)
 }
 
+// Prefetch is a no-op on the portable build: refinement reads its rows
+// exactly as it would without the hint.
+func Prefetch(row []float64, lines int) {}
+
 func dotBlocks16(a, b []float64) (float64, int) {
 	return dotBlocks16Ref(a, b)
 }

@@ -7,7 +7,8 @@ import "math"
 //
 //   - SquaredEDEA:   chunked early-abandoning squared Euclidean distance
 //     (paper Section IV-H), 16 elements per block, 16 persistent FMA
-//     accumulators, abandon test after every block;
+//     accumulators, abandon test after every block (SquaredEDEARead also
+//     reports how far it read);
 //   - Dot:           blocked FMA dot product (flat baseline's GEMM-style
 //     ‖q‖²−2q·x+‖x‖² decomposition);
 //   - LBDGatherEA:   Algorithm 3's Gather_bound LBD kernel — per-symbol
@@ -47,15 +48,18 @@ const lbdBlock = 8
 //
 // len(b) must be >= len(a); only the first len(a) elements participate.
 func SquaredEDEA(a, b []float64, bound float64) float64 {
-	sum, i := edBlocks16(a, b, bound)
-	if sum > bound {
-		return sum
-	}
-	for ; i < len(a); i++ {
-		d := a[i] - b[i]
-		sum += d * d
-	}
+	sum, _ := SquaredEDEARead(a, b, bound)
 	return sum
+}
+
+// SquaredEDEARead is SquaredEDEA that also reports how many elements of a
+// it read: len(a) when the scan ran to the end, otherwise the end of the
+// 16-element block after which it abandoned. Its sum is bit-identical to
+// SquaredEDEA's in every tier. The refinement walk sizes its row prefetch by
+// the read lengths (a row is only worth fetching as far as EDs get into it).
+func SquaredEDEARead(a, b []float64, bound float64) (sum float64, read int) {
+	sum, i := edBlocks16(a, b, bound)
+	return edTail(a, b, bound, sum, i)
 }
 
 // SquaredEDEAPortable is the always-portable reference of SquaredEDEA:
@@ -63,14 +67,22 @@ func SquaredEDEA(a, b []float64, bound float64) float64 {
 // parity tests compare the two; production code calls SquaredEDEA.
 func SquaredEDEAPortable(a, b []float64, bound float64) float64 {
 	sum, i := edBlocks16Ref(a, b, bound)
+	sum, _ = edTail(a, b, bound, sum, i)
+	return sum
+}
+
+// edTail finishes a blocked ED prefix (sum over a[:i]) the one way every
+// wrapper shares: an abandoned sum is returned as is, otherwise the sub-block
+// tail a[i:] is added sequentially. It returns the sum and the elements read.
+func edTail(a, b []float64, bound, sum float64, i int) (float64, int) {
 	if sum > bound {
-		return sum
+		return sum, i
 	}
 	for ; i < len(a); i++ {
 		d := a[i] - b[i]
 		sum += d * d
 	}
-	return sum
+	return sum, i
 }
 
 // edBlocks16Ref processes the full 16-element blocks of a and b: sixteen

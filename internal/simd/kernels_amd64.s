@@ -112,6 +112,26 @@ dot_reduce:
 	VZEROUPPER
 	RET
 
+// func prefetchLines(row []float64, lines int)
+//
+// PREFETCHT0 on lines consecutive 64-byte lines starting at row's first
+// element. A prefetch never faults and writes nothing; the Go wrapper caps
+// lines at the row's length.
+TEXT ·prefetchLines(SB), NOSPLIT, $0-32
+	MOVQ  row_base+0(FP), SI
+	MOVQ  lines+24(FP), CX
+	TESTQ CX, CX
+	JLE   pf_done
+
+pf_loop:
+	PREFETCHT0 (SI)
+	ADDQ       $64, SI
+	DECQ       CX
+	JNZ        pf_loop
+
+pf_done:
+	RET
+
 // func lbdGatherBlocks8AVX2(word []byte, qr, lower, upper, weights []float64,
 //                           alphabet int, bsf float64) (sum float64, idx int)
 //

@@ -2,8 +2,8 @@ package simd
 
 // Block-granularity LBD kernels: one call lower-bounds an ENTIRE SoA leaf
 // block — n contiguous words of l symbols, row-major, exactly the layout of
-// the index's per-leaf refinement blocks (which alias the on-disk container,
-// so the layout is not the kernels' to change). The per-series kernels pay
+// the index's per-leaf refinement blocks (which alias the decoded container
+// payload, so the layout is not the kernels' to change). The per-series kernels pay
 // their dispatch, bounds-check and early-abandon bookkeeping once PER
 // SERIES; at l=16 that overhead is comparable to the arithmetic itself. The
 // block kernels pay it once per LEAF and lay the SERIES across vector lanes:

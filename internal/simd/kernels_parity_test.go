@@ -75,6 +75,77 @@ func TestSquaredEDEAParityExhaustive(t *testing.T) {
 	}
 }
 
+// squaredEDEAReadPortable is the portable reference of SquaredEDEARead.
+func squaredEDEAReadPortable(a, b []float64, bound float64) (float64, int) {
+	sum, i := edBlocks16Ref(a, b, bound)
+	return edTail(a, b, bound, sum, i)
+}
+
+// SquaredEDEARead must return SquaredEDEA's bits and the portable
+// reference's read length in every tier, and read == len(a) exactly when it
+// did not abandon. The bounds make it abandon after each block in turn
+// (bound = the distance over the blocks before it), never (+Inf, NaN) or at
+// once (-Inf); the data carries ±Inf and NaN elements too.
+func TestSquaredEDEAReadParityExhaustive(t *testing.T) {
+	forEachBlockTier(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(106))
+		const maxN = 257
+		inf := math.Inf(1)
+		for n := 1; n <= maxN; n++ {
+			a := make([]float64, n)
+			b := make([]float64, n)
+			for i := range a {
+				a[i] = rng.NormFloat64()
+				b[i] = rng.NormFloat64()
+			}
+			full := SquaredEDEAPortable(a, b, inf)
+			bounds := []float64{inf, math.NaN(), math.Inf(-1), 0}
+			for blk := 1; blk*edBlock <= n; blk++ {
+				before, _ := edBlocks16Ref(a[:(blk-1)*edBlock], b, inf)
+				bounds = append(bounds, before)
+			}
+			// The second pass plants a non-finite element. A partial sum can
+			// then equal the full one (both +Inf), so only the finite pass
+			// pins "read == n iff the full distance came back".
+			for _, finite := range []bool{true, false} {
+				if !finite {
+					a[rng.Intn(n)] = []float64{inf, -inf, math.NaN()}[n%3]
+				}
+				for _, bound := range bounds {
+					sum, read := SquaredEDEARead(a, b, bound)
+					wantSum, wantRead := squaredEDEAReadPortable(a, b, bound)
+					if !eqBits(sum, SquaredEDEA(a, b, bound)) || !eqBits(sum, wantSum) || read != wantRead {
+						t.Fatalf("n=%d finite=%v bound=%v: (%v, %d), SquaredEDEA %v, portable (%v, %d)",
+							n, finite, bound, sum, read, SquaredEDEA(a, b, bound), wantSum, wantRead)
+					}
+					if complete := eqBits(sum, full); finite && (read == n) != complete {
+						t.Fatalf("n=%d bound=%v: read %d of %d, full distance %v", n, bound, read, n, complete)
+					}
+					if read < n && (!(sum > bound) || read%edBlock != 0) {
+						t.Fatalf("n=%d finite=%v bound=%v: abandoned at %d with sum %v", n, finite, bound, read, sum)
+					}
+				}
+			}
+		}
+	})
+}
+
+// Prefetch is a hint: any row and line count, including an empty row and
+// counts beyond the row, must leave the row unchanged and not fault.
+func TestPrefetchContract(t *testing.T) {
+	row := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9}
+	for _, lines := range []int{-1, 0, 1, 2, 100} {
+		Prefetch(row, lines)
+		Prefetch(row[:0], lines)
+		Prefetch(nil, lines)
+	}
+	for i, v := range row {
+		if v != float64(i+1) {
+			t.Fatalf("row[%d] = %v after Prefetch", i, v)
+		}
+	}
+}
+
 func TestDotParityExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(102))
 	const maxN, slack = 257, 8
@@ -250,6 +321,11 @@ func FuzzSquaredEDEAParity(f *testing.F) {
 		}
 		if !eqBits(SquaredEDEA(a, b, bound), SquaredEDEAPortable(a, b, bound)) {
 			t.Fatalf("parity violation: n=%d bound=%v", n, bound)
+		}
+		sum, read := SquaredEDEARead(a, b, bound)
+		wantSum, wantRead := squaredEDEAReadPortable(a, b, bound)
+		if !eqBits(sum, wantSum) || read != wantRead {
+			t.Fatalf("read-length parity violation: n=%d bound=%v: (%v, %d), portable (%v, %d)", n, bound, sum, read, wantSum, wantRead)
 		}
 	})
 }
