@@ -149,10 +149,10 @@ func BuildCollection(data *distance.Matrix, cfg Config) (*Collection, error) {
 		return nil, fmt.Errorf("core: shard count must be >= 1, got %d", cfg.Shards)
 	}
 	if cfg.WordLength == 0 {
-		cfg.WordLength = 16
+		cfg.WordLength = sfa.DefaultWordLength
 	}
 	if cfg.Bits == 0 {
-		cfg.Bits = 8
+		cfg.Bits = sfa.DefaultBits
 	}
 	if cfg.LeafCapacity == 0 {
 		cfg.LeafCapacity = 1024

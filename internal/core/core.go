@@ -61,13 +61,14 @@ func (m Method) String() string {
 	}
 }
 
-// Config configures Build. Zero values select the paper's defaults
-// (word length 16, alphabet 256, SFA with equi-width binning and variance
-// selection learned from a 1% sample, one shard).
+// Config configures Build. Zero values select the paper's defaults (the
+// summarization defaults sfa.DefaultWordLength and sfa.DefaultBits, SFA with
+// equi-width binning and variance selection learned from a 1% sample, one
+// shard).
 type Config struct {
 	Method       Method
-	WordLength   int // symbols per word (default 16)
-	Bits         int // bits per symbol (default 8; alphabet 256)
+	WordLength   int // symbols per word (default sfa.DefaultWordLength)
+	Bits         int // bits per symbol (default sfa.DefaultBits; alphabet 2^Bits)
 	LeafCapacity int // tree leaf size (default 1024)
 	Workers      int // build/query parallelism budget across shards (default GOMAXPROCS)
 	Queues       int // query priority queues across shards (default Workers)

@@ -93,6 +93,42 @@ func bruteKNN(data *distance.Matrix, query []float64, k int) []float64 {
 	return dists[:k]
 }
 
+// Build's word buffer — each worker's chunk transformed by one
+// Encoder.Words call — is byte-identical to one Encoder.Word per row, for
+// the SFA and the SAX encoders, at worker counts that split the rows into
+// uneven chunks.
+func TestBuildWordsMatchPerRowWords(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	data := mixedMatrix(rng, 1001, 128)
+	sums := map[string]Summarization{
+		"sfa": newSFASum(t, data, sfa.Options{}),
+		"sax": newSAXSum(t, 128, 16, 8),
+	}
+	for name, sum := range sums {
+		enc := sum.NewIndexEncoder()
+		l := sum.Segments()
+		want := make([]byte, data.Len()*l)
+		for i := 0; i < data.Len(); i++ {
+			if _, err := enc.Word(data.Row(i), want[i*l:(i+1)*l]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, workers := range []int{1, 3, 7} {
+			tree, err := Build(data, sum, Options{Workers: workers, LeafCapacity: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := tree.Words()
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s workers=%d: series %d position %d: built word symbol %d, per-row Word %d",
+						name, workers, i/l, i%l, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestBuildValidation(t *testing.T) {
 	s := newSAXSum(t, 64, 8, 8)
 	if _, err := Build(nil, s, Options{}); err == nil {

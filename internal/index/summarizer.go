@@ -88,10 +88,16 @@ type Summarizer interface {
 
 // Encoder transforms raw series under a Summarizer. Encoders are
 // per-goroutine (they own scratch buffers: the PAA values for SAX, the
-// selected DFT values for SFA).
+// selected DFT values of a block of series for SFA).
 type Encoder interface {
 	// Word writes the full-cardinality word of series into dst.
 	Word(series []float64, dst []byte) ([]byte, error)
+	// Words writes the full-cardinality words of a block of series, held
+	// back to back in rows, into dst: word r at dst[r*l:(r+1)*l],
+	// byte-identical to Word of series r. The build transforms each
+	// worker's chunk with one call; SFA projects the block with a
+	// register-tiled kernel (simd.Project), SAX loops over Word.
+	Words(rows []float64, dst []byte) error
 	// QueryRepr writes the real-valued query-side representation (PAA of the
 	// query for SAX, selected DFT values for SFA) into dst.
 	QueryRepr(query []float64, dst []float64) ([]float64, error)

@@ -153,8 +153,9 @@ func Build(data *distance.Matrix, sum Summarization, opts Options) (*Tree, error
 }
 
 // buildWords is build phase one: transform every series into its word, in
-// parallel over deterministic chunk assignments, and bucket series ids by
-// their root key (the vector of per-position top bits).
+// parallel over deterministic chunk assignments (one Encoder.Words call per
+// chunk of contiguous rows), and bucket series ids by their root key (the
+// vector of per-position top bits).
 func (t *Tree) buildWords() error {
 	n := t.data.Len()
 	workers := t.opts.Workers
@@ -183,13 +184,13 @@ func (t *Tree) buildWords() error {
 				if hi > n {
 					hi = n
 				}
+				stride := t.data.Stride
+				if err := enc.Words(t.data.Data[lo*stride:hi*stride], t.words[lo*t.l:hi*t.l]); err != nil {
+					errs[w] = err
+					return
+				}
 				for i := lo; i < hi; i++ {
-					word := t.words[i*t.l : (i+1)*t.l]
-					if _, err := enc.Word(t.data.Row(i), word); err != nil {
-						errs[w] = err
-						return
-					}
-					key := t.rootKey(word)
+					key := t.rootKey(t.words[i*t.l : (i+1)*t.l])
 					buf[key] = append(buf[key], int32(i))
 				}
 			}

@@ -7,7 +7,12 @@
 //     lower bound of Eq. 1 directly). A word keeps only l real/imaginary
 //     values, and each is one dot product of the series with a precomputed
 //     scaled cos or -sin row. The quantizer holds those l rows as an l×n
-//     projection basis, so a transform is l simd.Dot calls and no FFT.
+//     projection basis, so a transform is a projection and no FFT: one
+//     simd.Project call computes the l values of a whole block of series
+//     (Transformer.Words), register-tiled so each basis row is loaded once
+//     per few series, and one series (Word, QueryRepr) is the same call on
+//     a block of one. Every value is bit-identical to simd.Dot of the
+//     series with its basis row, in every kernel tier.
 //  2. Feature selection: of the first MaxCoeffs complex coefficients, the l
 //     real/imaginary values with the highest variance are retained (the
 //     paper's novel selection; the classical first-l strategy is kept for
@@ -85,11 +90,19 @@ func (s Selection) String() string {
 	}
 }
 
+// DefaultWordLength and DefaultBits are the summarization defaults: the word
+// length l and the bits per symbol a zero-valued configuration gets, here
+// (Options) and in core.Config, for SFA and iSAX alike.
+const (
+	DefaultWordLength = 16
+	DefaultBits       = 8
+)
+
 // Options configures MCB learning. The zero value is completed by
 // (*Options).withDefaults to the paper's defaults.
 type Options struct {
-	WordLength int       // l: number of real/imag values kept (default 16)
-	Bits       int       // bits per symbol; alphabet 2^Bits (default 8)
+	WordLength int       // l: number of real/imag values kept (default DefaultWordLength)
+	Bits       int       // bits per symbol; alphabet 2^Bits (default DefaultBits)
 	Binning    Binning   // default EquiWidth
 	Selection  Selection // default HighestVariance
 	SampleRate float64   // MCB sampling ratio r (default 0.01)
@@ -105,10 +118,10 @@ type Options struct {
 
 func (o Options) withDefaults(n int) Options {
 	if o.WordLength == 0 {
-		o.WordLength = 16
+		o.WordLength = DefaultWordLength
 	}
 	if o.Bits == 0 {
-		o.Bits = 8
+		o.Bits = DefaultBits
 	}
 	if o.SampleRate == 0 {
 		o.SampleRate = 0.01
@@ -197,6 +210,10 @@ type binTable struct {
 	bps []float64
 	lo  float64 // bps[0]
 	inv float64 // 1 / mean bin width; 0 when the table takes the binary search
+	// An offset pos(v) = (v-lo)*inv whose fraction lies in (near, far) is
+	// more than the table's slack from every integer, and v's bin is read
+	// off it (see index). near = 1, far = 0 disables that.
+	near, far float64
 }
 
 // newBinTable enables the arithmetic guess when bps is equi-width: a finite
@@ -205,7 +222,7 @@ type binTable struct {
 // Learned equi-depth tables fail that test and keep the binary search; the
 // answer is exact either way.
 func newBinTable(bps []float64) binTable {
-	b := binTable{bps: bps}
+	b := binTable{bps: bps, near: 1}
 	m := len(bps)
 	if m < 2 || math.IsInf(bps[0], 0) || math.IsNaN(bps[0]) {
 		return b
@@ -214,20 +231,51 @@ func newBinTable(bps []float64) binTable {
 	if !(inv > 0) || math.IsInf(inv, 0) {
 		return b
 	}
+	var slack float64 // max |pos(bps[k]) - k|
 	for i, v := range bps {
-		if !(math.Abs((v-lo)*inv-float64(i)) <= 1) {
+		d := math.Abs((v-lo)*inv - float64(i))
+		if !(d <= 1) {
 			return b
 		}
+		slack = max(slack, d)
 	}
-	b.lo, b.inv = lo, inv
+	// The margin covers the rounding of 1-slack (below 2^-53).
+	slack += 0x1p-40
+	b.lo, b.inv, b.near, b.far = lo, inv, slack, 1-slack
 	return b
 }
 
 // index returns stats.BinIndex(b.bps, v): the number of breakpoints <= v.
-// An equi-width table guesses the bin from v's offset in mean widths and
-// walks the guess to that count; NaN compares false everywhere and lands in
-// bin 0, as in the binary search.
+//
+// On an equi-width table pos(v) = (v-lo)*inv is monotone in v (a rounded
+// subtraction and a rounded product by a positive constant), so
+// pos(v) > pos(bps[k]) proves v > bps[k] and pos(v) < pos(bps[k]) proves
+// v < bps[k]. Every pos(bps[k]) lies within slack of k, so when pos(v) = i+r
+// with slack < r < 1-slack, v lies strictly between bps[i] and bps[i+1] and
+// the count is i+1, with no load from the table. r = pos(v)-i is exact
+// (Sterbenz) for 0 <= i < len(bps). Any other value, NaN and ±Inf among
+// them, takes locate.
 func (b *binTable) index(v float64) int {
+	if g, ok := b.offsetBin(v); ok {
+		return g
+	}
+	return b.locate(v)
+}
+
+// offsetBin is index's load-free path, small enough to inline into
+// quantize's loop: the count read off v's offset, and whether it holds.
+func (b *binTable) offsetBin(v float64) (int, bool) {
+	f := (v - b.lo) * b.inv
+	i := int(f)
+	r := f - float64(i)
+	return i + 1, uint(i) < uint(len(b.bps)) && r > b.near && r < b.far
+}
+
+// locate is index's exact path. An equi-width table guesses the bin from v's
+// offset in mean widths and walks the guess to the count; other tables take
+// the binary search. NaN compares false everywhere and lands in bin 0, as in
+// the binary search.
+func (b *binTable) locate(v float64) int {
 	if b.inv == 0 {
 		return stats.BinIndex(b.bps, v)
 	}
@@ -269,16 +317,27 @@ func Learn(data *distance.Matrix, opts Options) (*Quantizer, error) {
 
 	sample := sampleRows(data, o.SampleRate, o.MinSamples, o.Seed)
 	// values[c][s]: value of candidate c for sample s, projected exactly as
-	// a Transformer projects it (same basis row, same Dot).
+	// a Transformer projects it (same basis row, same simd.Project), a block
+	// of sampled rows at a time.
+	nc := len(candidates)
 	cand := projectionBasis(n, candidates)
-	values := make([][]float64, len(candidates))
+	values := make([][]float64, nc)
 	for i := range values {
 		values[i] = make([]float64, len(sample))
 	}
-	for s, row := range sample {
-		x := data.Row(row)
-		for c := range candidates {
-			values[c][s] = simd.Dot(cand[c*n:(c+1)*n], x)
+	rows := make([]float64, 0, wordsBlock*n)
+	proj := make([]float64, wordsBlock*nc)
+	for lo := 0; lo < len(sample); lo += wordsBlock {
+		block := sample[lo:min(lo+wordsBlock, len(sample))]
+		rows = rows[:0]
+		for _, row := range block {
+			rows = append(rows, data.Row(row)...)
+		}
+		simd.Project(cand, nc, n, rows, proj)
+		for s := range block {
+			for c, v := range proj[s*nc : (s+1)*nc] {
+				values[c][lo+s] = v
+			}
 		}
 	}
 
@@ -457,22 +516,27 @@ func breakpointDist(v, lo, hi float64) float64 {
 	}
 }
 
+// wordsBlock is the most series one simd.Project call of Words (or of
+// Learn's sample projection) covers: their values, at most 64 × 32 float64s
+// (16 KiB) at l = 32, stay in L1d for the quantization that follows.
+const wordsBlock = 64
+
 // Transformer transforms series under a learned Quantizer, holding the
-// per-goroutine scratch Word quantizes from. Not safe for concurrent use;
+// per-goroutine scratch Words quantizes from. Not safe for concurrent use;
 // create one per worker.
 type Transformer struct {
 	q    *Quantizer
-	repr []float64
+	vals []float64 // projected values of up to wordsBlock series
 }
 
 // NewTransformer creates a transformer for the quantizer.
 func (q *Quantizer) NewTransformer() *Transformer {
-	return &Transformer{q: q, repr: make([]float64, q.l)}
+	return &Transformer{q: q, vals: make([]float64, q.l)}
 }
 
 // QueryRepr computes the query-side representation — the selected scaled DFT
-// values in priority order, each one simd.Dot of query with its basis row —
-// into dst (length >= l), returning dst[:l].
+// values in priority order, simd.Project of query onto the basis — into dst
+// (length >= l), returning dst[:l].
 func (t *Transformer) QueryRepr(query []float64, dst []float64) ([]float64, error) {
 	q := t.q
 	if len(query) != q.n {
@@ -481,26 +545,62 @@ func (t *Transformer) QueryRepr(query []float64, dst []float64) ([]float64, erro
 	if len(dst) < q.l {
 		return nil, fmt.Errorf("sfa: dst length %d < %d", len(dst), q.l)
 	}
-	for j := range dst[:q.l] {
-		dst[j] = simd.Dot(q.basis[j*q.n:(j+1)*q.n], query)
-	}
+	simd.Project(q.basis, q.l, q.n, query, dst[:q.l])
 	return dst[:q.l], nil
 }
 
 // Word computes the full-cardinality SFA word of series (Algorithm 2) into
-// dst (length >= l), returning dst[:l]: the quantization of QueryRepr(series).
+// dst (length >= l), returning dst[:l]: the quantization of QueryRepr(series),
+// computed as Words on a block of one.
 func (t *Transformer) Word(series []float64, dst []byte) ([]byte, error) {
-	if len(dst) < t.q.l {
-		return nil, fmt.Errorf("sfa: dst length %d < %d", len(dst), t.q.l)
+	if len(series) != t.q.n {
+		return nil, fmt.Errorf("sfa: series length %d, want %d", len(series), t.q.n)
 	}
-	repr, err := t.QueryRepr(series, t.repr)
-	if err != nil {
+	if err := t.Words(series, dst); err != nil {
 		return nil, err
 	}
-	for j, v := range repr {
-		dst[j] = byte(t.q.bins[j].index(v))
-	}
 	return dst[:t.q.l], nil
+}
+
+// Words computes the full-cardinality words of a block of series, which
+// rows holds back to back (n values each), into dst (length >= series × l):
+// the word of series r at dst[r*l:(r+1)*l], byte-identical to Word of it.
+// One simd.Project call projects up to wordsBlock series, and their values
+// are quantized while they are still in cache.
+func (t *Transformer) Words(rows []float64, dst []byte) error {
+	q := t.q
+	if len(rows)%q.n != 0 {
+		return fmt.Errorf("sfa: block length %d is not a multiple of the series length %d", len(rows), q.n)
+	}
+	m := len(rows) / q.n
+	if len(dst) < m*q.l {
+		return fmt.Errorf("sfa: dst length %d < %d", len(dst), m*q.l)
+	}
+	if need := min(m, wordsBlock) * q.l; len(t.vals) < need {
+		t.vals = make([]float64, need)
+	}
+	for lo := 0; lo < m; lo += wordsBlock {
+		hi := min(lo+wordsBlock, m)
+		vals := t.vals[:(hi-lo)*q.l]
+		simd.Project(q.basis, q.l, q.n, rows[lo*q.n:hi*q.n], vals)
+		q.quantize(vals, dst[lo*q.l:hi*q.l])
+	}
+	return nil
+}
+
+// quantize writes the symbol of every value in vals, which holds whole
+// words' values (l per series), into dst.
+func (q *Quantizer) quantize(vals []float64, dst []byte) {
+	for r := 0; r < len(vals); r += q.l {
+		for j, v := range vals[r : r+q.l] {
+			b := &q.bins[j]
+			g, ok := b.offsetBin(v)
+			if !ok {
+				g = b.locate(v)
+			}
+			dst[r+j] = byte(g)
+		}
+	}
 }
 
 // State is the serializable form of a learned Quantizer, used by index

@@ -489,6 +489,13 @@ func TestBinTableMatchesBinIndex(t *testing.T) {
 		for _, v := range bps {
 			probes = append(probes, v, math.Nextafter(v, math.Inf(-1)), math.Nextafter(v, math.Inf(1)))
 		}
+		if b.inv != 0 {
+			// Mid-bin values take the offset path; the bins below the first
+			// breakpoint and past the last take the walk.
+			for i := -3; i <= len(bps)+2; i++ {
+				probes = append(probes, b.lo+(float64(i)+0.5)/b.inv, b.lo+(float64(i)+0.999)/b.inv)
+			}
+		}
 		for i := 0; i < 200; i++ {
 			probes = append(probes, rng.NormFloat64()*2)
 		}
@@ -535,6 +542,68 @@ func TestLowerBoundOnDatasetStandIns(t *testing.T) {
 				t.Fatalf("%s pair %d: lower bound %v > squared ED %v", name, i/2, lb, ed2)
 			}
 		}
+	}
+}
+
+// Words over a block is byte-identical to a per-row reference that shares
+// none of its code: l simd.DotPortable calls and stats.BinIndex, on every
+// dataset stand-in of the catalog, at l = 16 and 32, under both binnings.
+// 257 rows cover Words' 64-row blocks and every kernel tier's remainder
+// rows (an odd last row, and m%3 rows for the AVX2 tile).
+func TestBlockWordsOnDatasetStandIns(t *testing.T) {
+	const rows = 257
+	for _, spec := range dataset.Catalog() {
+		data, err := dataset.GenerateQueries(spec, rows, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := data.Stride
+		for _, l := range []int{16, 32} {
+			for _, binning := range []Binning{EquiWidth, EquiDepth} {
+				q, err := Learn(data, Options{WordLength: l, Binning: binning})
+				if err != nil {
+					t.Fatal(err)
+				}
+				words := make([]byte, rows*l)
+				if err := q.NewTransformer().Words(data.Data, words); err != nil {
+					t.Fatal(err)
+				}
+				for r := 0; r < rows; r++ {
+					for j := 0; j < l; j++ {
+						v := simd.DotPortable(q.basis[j*n:(j+1)*n], data.Row(r))
+						if want := stats.BinIndex(q.Breakpoints(j), v); int(words[r*l+j]) != want {
+							t.Fatalf("%s l=%d %v row %d position %d: block symbol %d, reference %d",
+								spec.Name, l, binning, r, j, words[r*l+j], want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// Words validates the block shape and writes nothing past dst[:rows*l].
+func TestWordsValidation(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	m := randomMatrix(rng, 64, 50)
+	q, err := Learn(m, Options{WordLength: 8, SampleRate: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := q.NewTransformer()
+	if err := tr.Words(make([]float64, 65), make([]byte, 16)); err == nil {
+		t.Error("expected block length error")
+	}
+	if err := tr.Words(m.Data[:3*64], make([]byte, 23)); err == nil {
+		t.Error("expected dst length error")
+	}
+	dst := make([]byte, 3*8+1)
+	dst[24] = 0xAB
+	if err := tr.Words(m.Data[:3*64], dst); err != nil || dst[24] != 0xAB {
+		t.Errorf("Words on 3 rows: err %v, byte past the words %#x", err, dst[24])
+	}
+	if err := tr.Words(nil, nil); err != nil {
+		t.Errorf("empty block: %v", err)
 	}
 }
 
@@ -630,20 +699,62 @@ func BenchmarkLearn(b *testing.B) {
 	}
 }
 
+// BenchmarkWord is the build's transform phase: every row of a 64 MiB
+// matrix (2^16 rows at n = 128, 2^15 at n = 256, so the rows stream from
+// DRAM as they do in a build), transformed by Words over chunks of 1024 rows
+// ("block", the path index.Build takes), one Word per row ("row", a block of
+// one), or by l simd.Dot calls per row and the same quantization ("dot",
+// the untiled baseline the tile is measured against). ns/row is per series.
 func BenchmarkWord(b *testing.B) {
-	rng := rand.New(rand.NewSource(12))
-	m := randomMatrix(rng, 256, 100)
-	q, err := Learn(m, Options{SampleRate: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr := q.NewTransformer()
-	word := make([]byte, 16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tr.Word(m.Row(i%100), word); err != nil {
-			b.Fatal(err)
+	const matrixBytes, chunk = 64 << 20, 1024
+	for _, n := range []int{128, 256} {
+		count := matrixBytes / 8 / n
+		m := randomMatrix(rand.New(rand.NewSource(12)), n, count)
+		for _, l := range []int{16, 32} {
+			q, err := Learn(m, Options{WordLength: l})
+			if err != nil {
+				b.Fatal(err)
+			}
+			words := make([]byte, count*l)
+			report := func(b *testing.B) {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/row")
+			}
+			b.Run(fmt.Sprintf("l=%d/n=%d/row", l, n), func(b *testing.B) {
+				tr := q.NewTransformer()
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					r := i % count
+					if _, err := tr.Word(m.Row(r), words[r*l:(r+1)*l]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				report(b)
+			})
+			b.Run(fmt.Sprintf("l=%d/n=%d/dot", l, n), func(b *testing.B) {
+				vals := make([]float64, l)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					r := i % count
+					for j := range vals {
+						vals[j] = simd.Dot(q.basis[j*n:(j+1)*n], m.Row(r))
+					}
+					q.quantize(vals, words[r*l:(r+1)*l])
+				}
+				report(b)
+			})
+			b.Run(fmt.Sprintf("l=%d/n=%d/block", l, n), func(b *testing.B) {
+				tr := q.NewTransformer()
+				b.ReportAllocs()
+				for done := 0; done < b.N; {
+					lo := done % count
+					hi := min(lo+chunk, count, lo+b.N-done)
+					if err := tr.Words(m.Data[lo*n:hi*n], words[lo*l:hi*l]); err != nil {
+						b.Fatal(err)
+					}
+					done += hi - lo
+				}
+				report(b)
+			})
 		}
 	}
 }

@@ -10,12 +10,13 @@ import "os"
 // for the asm-vs-portable benchmarks without rebuilding with -tags noasm.
 var useAVX2 = os.Getenv("SOFA_NOSIMD") == "" && detectAVX2FMA()
 
-// useAVX512 gates the AVX-512 tier of the BLOCK kernels (the per-series
-// kernels top out at AVX2 — their per-call overhead, not lane width, is
-// the bottleneck, which is what the block kernels exist to fix). It
-// requires the AVX2 tier (so SOFA_NOSIMD kills both), AVX512F and the OS
-// having enabled opmask+ZMM state. SOFA_NOAVX512 pins the block kernels to
-// the AVX2 path for same-binary tier A/Bs.
+// useAVX512 gates the AVX-512 tier of the BLOCK kernels: the leaf-at-a-time
+// LBD kernels and Project's row tile. The per-series kernels (one distance
+// per call) stay at AVX2 — their per-call overhead, not lane width, is the
+// bottleneck, which is what the block kernels exist to fix. It requires the
+// AVX2 tier (so SOFA_NOSIMD kills both), AVX512F and the OS having enabled
+// opmask+ZMM state. SOFA_NOAVX512 pins the block kernels to the AVX2 path
+// for same-binary tier A/Bs.
 var useAVX512 = useAVX2 && os.Getenv("SOFA_NOAVX512") == "" && detectAVX512()
 
 // Impl names the active kernel implementation: "avx2" when the hardware
@@ -63,6 +64,41 @@ func dotBlocks16(a, b []float64) (float64, int) {
 		return dotBlocks16AVX2(a, b)
 	}
 	return dotBlocks16Ref(a, b)
+}
+
+// projectTiles runs the tier's register tile over the full 16-element blocks
+// of rows [0, mt) × basis rows [0, lt) and returns that grid; Project does
+// the rest. The AVX-512 tile covers every row and l&^3 basis rows, the AVX2
+// tile every basis row and m-m%3 rows, the portable tier nothing.
+//
+// The tile kernel runs one tile's rows per call, and the next tile's rows
+// are hinted into cache (PREFETCHT0) before each call: a build's rows stream
+// from DRAM, and the arithmetic on one tile hides the fetch of the next
+// (measured with internal/sfa's BenchmarkWord, block path).
+func projectTiles(basis []float64, l, n int, rows, out []float64) (mt, lt int) {
+	m, t := len(rows)/n, 0
+	switch {
+	case n < edBlock:
+		return 0, 0
+	case useAVX512 && l >= 4:
+		t, mt, lt = 2, m, l&^3
+	case useAVX2 && m >= 3:
+		t, mt, lt = 3, m-m%3, l
+	default:
+		return 0, 0
+	}
+	for r := 0; r < mt; r += t {
+		e := min(r+t, mt)
+		if e < m {
+			prefetchLines(rows[e*n:], (min(e+t, m)-e)*n/8)
+		}
+		if t == 2 {
+			projectAVX512(basis, rows[r*n:e*n], out[r*l:e*l], l, n, e-r)
+		} else {
+			projectAVX2(basis, rows[r*n:e*n], out[r*l:e*l], l, n)
+		}
+	}
+	return mt, lt
 }
 
 func lbdGatherBlocks8(word []byte, qr, lower, upper, weights []float64, alphabet int, bsf float64) (float64, int) {
@@ -161,6 +197,15 @@ func edBlocks16AVX2(a, b []float64, bound float64) (sum float64, idx int)
 
 //go:noescape
 func dotBlocks16AVX2(a, b []float64) (sum float64, idx int)
+
+// The projection tiles need n >= 16; projectAVX512 takes m = 1 or 2 rows,
+// projectAVX2 exactly 3.
+
+//go:noescape
+func projectAVX512(basis, rows, out []float64, l, n, m int)
+
+//go:noescape
+func projectAVX2(basis, rows, out []float64, l, n int)
 
 //go:noescape
 func prefetchLines(row []float64, lines int)

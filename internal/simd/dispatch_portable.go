@@ -28,6 +28,8 @@ func dotBlocks16(a, b []float64) (float64, int) {
 	return dotBlocks16Ref(a, b)
 }
 
+func projectTiles(basis []float64, l, n int, rows, out []float64) (mt, lt int) { return 0, 0 }
+
 func lbdGatherBlocks8(word []byte, qr, lower, upper, weights []float64, alphabet int, bsf float64) (float64, int) {
 	return lbdGatherBlocks8Ref(word, qr, lower, upper, weights, alphabet, bsf)
 }

@@ -10,7 +10,9 @@ import "math"
 //     accumulators, abandon test after every block (SquaredEDEARead also
 //     reports how far it read);
 //   - Dot:           blocked FMA dot product (flat baseline's GEMM-style
-//     ‖q‖²−2q·x+‖x‖² decomposition);
+//     ‖q‖²−2q·x+‖x‖² decomposition, and the definition of an SFA value,
+//     which Project in kernels_project.go computes a block of rows at a
+//     time);
 //   - LBDGatherEA:   Algorithm 3's Gather_bound LBD kernel — per-symbol
 //     lower/upper interval gathers, mask/blend three-way select, weighted
 //     square, horizontal reduction, early abandon per 8-lane block;
@@ -113,15 +115,19 @@ func edBlocks16Ref(a, b []float64, bound float64) (float64, int) {
 // the same blocked FMA accumulation as SquaredEDEA (no early abandon).
 func Dot(a, b []float64) float64 {
 	sum, i := dotBlocks16(a, b)
-	for ; i < len(a); i++ {
-		sum = math.FMA(a[i], b[i], sum)
-	}
-	return sum
+	return dotTail(a, b, sum, i)
 }
 
 // DotPortable is the always-portable reference of Dot.
 func DotPortable(a, b []float64) float64 {
 	sum, i := dotBlocks16Ref(a, b)
+	return dotTail(a, b, sum, i)
+}
+
+// dotTail finishes a blocked dot prefix (sum over a[:i]) with the sub-block
+// tail a[i:], one sequential FMA per element: the one tail Dot, DotPortable
+// and Project share.
+func dotTail(a, b []float64, sum float64, i int) float64 {
 	for ; i < len(a); i++ {
 		sum = math.FMA(a[i], b[i], sum)
 	}

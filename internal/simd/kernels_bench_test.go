@@ -1,6 +1,7 @@
 package simd
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -84,5 +85,38 @@ func BenchmarkLookupAccumSeq(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		LookupAccumEASeq(word, table, alpha, math.Inf(1))
+	}
+}
+
+// BenchmarkProject compares one Project call over an L2-resident block of
+// 64 rows against the l × Dot loop it replaces, at the word lengths and
+// series lengths the benchmark's datasets use. ns/row is per series.
+func BenchmarkProject(b *testing.B) {
+	const rows = 64
+	for _, l := range []int{16, 32} {
+		for _, n := range []int{128, 256} {
+			rng := rand.New(rand.NewSource(5))
+			basis, block := projectCase(rng, l, n, rows, 0, 0)
+			out := make([]float64, rows*l)
+			report := func(b *testing.B) {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+			}
+			b.Run(fmt.Sprintf("l=%d/n=%d/project-%s", l, n, BlockImpl()), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					Project(basis, l, n, block, out)
+				}
+				report(b)
+			})
+			b.Run(fmt.Sprintf("l=%d/n=%d/dot-loop-%s", l, n, Impl()), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for r := 0; r < rows; r++ {
+						for j := 0; j < l; j++ {
+							out[r*l+j] = Dot(basis[j*n:(j+1)*n], block[r*n:(r+1)*n])
+						}
+					}
+				}
+				report(b)
+			})
+		}
 	}
 }

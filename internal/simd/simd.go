@@ -14,6 +14,11 @@
 //     SOFA_NOSIMD in the environment, to force the portable path;
 //   - Prefetch, the refinement walk's row hint, is PREFETCHT0 assembly
 //     dispatched the same way and a no-op on the portable path;
+//   - kernels_project.go and kernels_project_amd64.s hold Project, the SFA
+//     transform of a block of rows: every (row, basis row) dot product
+//     bit-identical to Dot, computed by a register tile (2 rows x 4 basis
+//     rows of ZMM accumulators on AVX-512, 3 rows x 1 of YMM on AVX2) that
+//     loads each basis block once per tile; the portable tier loops Dot;
 //   - kernels_block.go and kernels_block_amd64.s hold the block tier: one
 //     call lower-bounds a whole leaf (series across lanes, AVX-512 over
 //     AVX2 over the reference), the table-lookup kernel in two

@@ -124,7 +124,7 @@ const (
 )
 
 // config collects the option values; zero values select the paper's
-// defaults (word length 16, alphabet 256, leaf capacity 1024, SFA with
+// defaults (internal/sfa's summarization defaults, leaf capacity 1024, SFA with
 // equi-width binning and variance selection learned from a 1% sample, one
 // shard).
 type config struct {
@@ -142,10 +142,12 @@ func SFA() Option { return func(c *config) { c.cfg.Method = core.SOFA } }
 // fixed Normal-distribution breakpoints) over the same tree.
 func MESSI() Option { return func(c *config) { c.cfg.Method = core.MESSI } }
 
-// WordLength sets the symbols per summarization word (default 16).
+// WordLength sets the symbols per summarization word (default: the
+// summarization default, DefaultWordLength in internal/sfa).
 func WordLength(l int) Option { return func(c *config) { c.cfg.WordLength = l } }
 
-// SymbolBits sets the bits per symbol (default 8, i.e. alphabet 256).
+// SymbolBits sets the bits per symbol, the alphabet being 2^b (default: the
+// summarization default, DefaultBits in internal/sfa).
 func SymbolBits(b int) Option { return func(c *config) { c.cfg.Bits = b } }
 
 // LeafSize sets the tree leaf capacity (default 1024).
