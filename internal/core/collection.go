@@ -813,11 +813,11 @@ func (c *Collection) compactOnce(i int, final bool) (done bool, err error) {
 	pubs := make([]int32, live)
 	// Unless the rebuild re-learns, each survivor keeps the word its tree
 	// already searches with.
-	var words []byte
+	var words, oldWords []byte
 	if !relearn {
 		words = make([]byte, live*l)
+		oldWords = tree.Words()
 	}
-	oldWords := tree.Words()
 	j := 0
 	for local := int32(0); int(local) < n; local++ {
 		if tree.Tombstoned(local) {

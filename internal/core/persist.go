@@ -23,12 +23,11 @@ import (
 // format version this build does not read. There is exactly one container
 // version (savedIndexVersion) and one WAL version (walMagic); a file in any
 // other version is refused before a byte of it is trusted and is never
-// modified. Files older than the current versions upgrade by loading and
-// re-saving with an earlier build (README, "Persistence").
+// modified. README, "Persistence", gives each older version's upgrade path.
 var ErrUnsupportedVersion = errors.New("core: unsupported format version")
 
 // savedIndexVersion is the one container version Save writes and Load reads.
-const savedIndexVersion = 5
+const savedIndexVersion = 6
 
 // savedIndex is the gob-serialized container, in three parts.
 //
@@ -44,9 +43,9 @@ const savedIndexVersion = 5
 // re-z-normalized on load, so the exactness guarantee holds against the
 // loaded data.
 //
-// Each shard's payload is its full-cardinality word buffer in local row order
-// plus its finalized tree shape with the leaf refinement blocks, so Load
-// reconstructs every tree by direct decode — no re-bucketing, no
+// Each shard's payload is its finalized tree shape with the leaf refinement
+// blocks, which hold the shard's only copy of its full-cardinality words, so
+// Load reconstructs every tree by direct decode — no re-bucketing, no
 // re-splitting. Bulk payloads are []byte because gob moves those as single
 // block copies instead of per-element decodes.
 //
@@ -67,7 +66,6 @@ type savedIndex struct {
 	SFA          *sfa.State
 
 	Shards         int
-	ShardWords     [][]byte
 	DataBytes      []byte
 	ShardShapes    []packedShape
 	Checksum       uint32
@@ -187,11 +185,10 @@ func hashSFAState(put func(uint64), st *sfa.State) {
 	}
 }
 
-// shardChecksum is shard i's CRC: its word buffer plus its packed shape
-// streams, in fixed order.
-func shardChecksum(words []byte, p packedShape) uint32 {
+// shardChecksum is shard i's CRC: its packed shape streams, leaf blocks
+// included, in fixed order.
+func shardChecksum(p packedShape) uint32 {
 	h := crc32.New(castagnoli)
-	h.Write(words)
 	h.Write([]byte{p.RootBits})
 	h.Write(p.RootKeys)
 	h.Write(p.Splits)
@@ -279,17 +276,17 @@ func unpackShape(p packedShape) (index.TreeShape, error) {
 	return s, nil
 }
 
-// Save serializes the index to w: summarization tables, per-shard words and
-// data, each shard's finalized tree shape and leaf blocks so Load is a direct
-// decode, per-shard payload checksums so load-time corruption is attributable
-// to (and optionally quarantined at) shard granularity, and the mutable-index
+// Save serializes the index to w: summarization tables, series data, each
+// shard's finalized tree shape and leaf blocks so Load is a direct decode,
+// per-shard payload checksums so load-time corruption is attributable to
+// (and optionally quarantined at) shard granularity, and the mutable-index
 // state (tombstone bitmaps, public-id tables, re-learned shard quantizations,
 // mutation sequence). See savedIndex for the layout.
 func Save(ix *Index, w io.Writer) error {
 	col := ix.col
 	for i := range col.states {
 		if col.tree(i) == nil {
-			// A load-quarantined shard has no tree (and its saved words were
+			// A load-quarantined shard has no tree (and its saved payload was
 			// corrupt): a container written without it would silently drop
 			// 1/S of the collection under healthy-looking checksums.
 			return fmt.Errorf("core: cannot save: %w", &ShardError{Shard: i, Err: ErrShardQuarantined})
@@ -305,7 +302,6 @@ func Save(ix *Index, w io.Writer) error {
 		SeriesLen:      col.SeriesLen(),
 		Count:          col.PhysLen(),
 		Shards:         col.Shards(),
-		ShardWords:     make([][]byte, col.Shards()),
 		ShardShapes:    make([]packedShape, col.Shards()),
 		ShardChecksums: make([]uint32, col.Shards()),
 	}
@@ -313,9 +309,8 @@ func Save(ix *Index, w io.Writer) error {
 	base := 0
 	for i := range col.states {
 		st := col.state(i)
-		s.ShardWords[i] = st.tree.Words()
 		s.ShardShapes[i] = packShape(st.tree.Shape())
-		s.ShardChecksums[i] = shardChecksum(s.ShardWords[i], s.ShardShapes[i])
+		s.ShardChecksums[i] = shardChecksum(s.ShardShapes[i])
 		for local := 0; local < st.tree.Len(); local++ {
 			for j, v := range st.data.Row(local) {
 				binary.LittleEndian.PutUint32(s.DataBytes[base+4*j:], math.Float32bits(float32(v)))
@@ -558,7 +553,7 @@ type LoadStats struct {
 	DecodeSeconds float64
 	// TreeSeconds is the wall-clock time of the parallel per-shard tree
 	// phase: decoding each shard's saved shape and re-verifying its
-	// invariants against the word buffer.
+	// invariants, leaf blocks included.
 	TreeSeconds float64
 	// TotalSeconds is the whole Load call.
 	TotalSeconds float64
@@ -675,7 +670,7 @@ func LoadWithOptions(r io.Reader, opts LoadOptions, st *LoadStats) (*Index, erro
 	containerBytes := cr.n - int64(br.Buffered())
 	if s.Version != savedIndexVersion {
 		return nil, fmt.Errorf("core: container is version %d, this build reads only version %d "+
-			"(an older file upgrades by loading and re-saving it with an earlier build; see README \"Persistence\"): %w",
+			"(see README \"Persistence\" for the upgrade path): %w",
 			s.Version, savedIndexVersion, ErrUnsupportedVersion)
 	}
 	corrupt, err := s.verify(opts)
@@ -737,7 +732,7 @@ func LoadWithOptions(r io.Reader, opts LoadOptions, st *LoadStats) (*Index, erro
 
 	// Per-shard tree phase, parallel across shards: decode the serialized
 	// shape directly (no splitting; the decoder re-verifies every structural
-	// invariant against the word buffer).
+	// invariant, each leaf block row against its leaf's prefixes).
 	treeOpts := col.shardOptions()
 	treeStart := time.Now()
 	err = col.buildShardTrees(sdata, func(i int) (*index.Tree, error) {
@@ -760,7 +755,7 @@ func LoadWithOptions(r io.Reader, opts LoadOptions, st *LoadStats) (*Index, erro
 			}
 			shardSum = sfaSummarization{q}
 		}
-		return index.FromShape(sdata[i], shardSum, treeOpts, s.ShardWords[i], shape)
+		return index.FromShape(sdata[i], shardSum, treeOpts, shape)
 	})
 	if err != nil {
 		return nil, err
@@ -786,16 +781,16 @@ func LoadWithOptions(r io.Reader, opts LoadOptions, st *LoadStats) (*Index, erro
 // LoadOptions.QuarantineCorruptShards converts into load-time quarantine
 // instead of load failure (nil for a clean load).
 func (s *savedIndex) verify(opts LoadOptions) (corrupt []bool, err error) {
-	if s.Shards < 1 || len(s.ShardWords) != s.Shards || len(s.ShardShapes) != s.Shards || len(s.ShardChecksums) != s.Shards {
-		return nil, fmt.Errorf("core: corrupt shard table (%d shards, %d word buffers, %d tree shapes, %d checksums)",
-			s.Shards, len(s.ShardWords), len(s.ShardShapes), len(s.ShardChecksums))
+	if s.Shards < 1 || len(s.ShardShapes) != s.Shards || len(s.ShardChecksums) != s.Shards {
+		return nil, fmt.Errorf("core: corrupt shard table (%d shards, %d tree shapes, %d checksums)",
+			s.Shards, len(s.ShardShapes), len(s.ShardChecksums))
 	}
 	if got := globalChecksum(s); got != s.Checksum {
 		return nil, fmt.Errorf("core: payload checksum mismatch (%08x, header says %08x)", got, s.Checksum)
 	}
 	nCorrupt := 0
 	for i := range s.ShardChecksums {
-		if shardChecksum(s.ShardWords[i], s.ShardShapes[i]) == s.ShardChecksums[i] {
+		if shardChecksum(s.ShardShapes[i]) == s.ShardChecksums[i] {
 			continue
 		}
 		if !opts.QuarantineCorruptShards {
@@ -879,15 +874,13 @@ func (s *savedIndex) verify(opts LoadOptions) (corrupt []bool, err error) {
 	if int64(len(s.DataBytes)) != int64(s.Count)*int64(s.SeriesLen)*4 {
 		return nil, fmt.Errorf("core: data length %d bytes, want %d", len(s.DataBytes), s.Count*s.SeriesLen*4)
 	}
-	for i, words := range s.ShardWords {
+	// The tree checks each block row against its leaf's prefixes only; a
+	// symbol outside the alphabet has no entry in a query's distance table.
+	for i, p := range s.ShardShapes {
 		if corrupt != nil && corrupt[i] {
 			continue // quarantined payload: its bytes are not trusted enough to validate
 		}
-		if len(words) != int(s.ShardCounts[i])*s.WordLength {
-			return nil, fmt.Errorf("core: shard %d words length %d, want %d x %d",
-				i, len(words), s.ShardCounts[i], s.WordLength)
-		}
-		for _, w := range words {
+		for _, w := range p.LeafBlocks {
 			if s.Bits < 8 && int(w) >= 1<<s.Bits {
 				return nil, fmt.Errorf("core: word symbol %d exceeds alphabet %d", w, 1<<s.Bits)
 			}

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/index"
@@ -27,8 +29,8 @@ func splitCount(ix *Index) int64 {
 
 // leafSets reduces a shape to what a rebuild from the same words must
 // reproduce: the topology streams as they are, each leaf's membership sorted
-// (in-leaf order depends on build parallelism) and the blocks, a permutation
-// CheckInvariants already ties to the word buffer, dropped.
+// (in-leaf order depends on build parallelism) and the blocks, whose row
+// order follows the in-leaf order, dropped.
 func leafSets(s index.TreeShape) index.TreeShape {
 	s.LeafBlocks = nil
 	off := 0
@@ -198,8 +200,8 @@ func TestSaveLoadAfterFanoutGrowth(t *testing.T) {
 
 // TestLoadDetectsPayloadBitFlips flips single bytes across a valid
 // container: every flip must fail the load — gob framing catches structural
-// damage, the CRC-32C payload checksum catches flips inside the data, word
-// and shape buffers, which would otherwise load cleanly and silently change
+// damage, the CRC-32C payload checksums catch flips inside the data and
+// shape buffers, which would otherwise load cleanly and silently change
 // answers.
 func TestLoadDetectsPayloadBitFlips(t *testing.T) {
 	rng := rand.New(rand.NewSource(76))
@@ -219,6 +221,14 @@ func TestLoadDetectsPayloadBitFlips(t *testing.T) {
 		flipped[off] ^= 0x10
 		if _, err := Load(bytes.NewReader(flipped)); err == nil {
 			t.Errorf("bit flip at offset %d/%d loaded without error", off, len(blob))
+		}
+	}
+	// A flip inside a shard's leaf blocks: the tree checks block rows only
+	// against its prefixes, so the shard's checksum is what must refuse it.
+	for shard := 0; shard < ix.Shards(); shard++ {
+		_, err := Load(bytes.NewReader(corruptShardPayload(t, blob, ix, shard)))
+		if want := fmt.Sprintf("shard %d payload checksum mismatch", shard); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("leaf block flip in shard %d: %v, want %q", shard, err, want)
 		}
 	}
 	// The unflipped container still loads.
@@ -263,7 +273,10 @@ func TestLoadRejectsOtherVersions(t *testing.T) {
 		}
 		return &buf
 	}
-	for _, v := range []int{0, 1, 2, 3, 4, 6} {
+	for v := 0; v <= savedIndexVersion+1; v++ {
+		if v == savedIndexVersion {
+			continue
+		}
 		_, err := Load(encode(&savedIndex{Version: v, Method: SOFA, WordLength: 16, Count: 10}))
 		if !errors.Is(err, ErrUnsupportedVersion) {
 			t.Errorf("version %d: %v, want ErrUnsupportedVersion", v, err)
@@ -277,5 +290,36 @@ func TestLoadRejectsOtherVersions(t *testing.T) {
 	}{Version: 1, Count: 2, Data: []float32{1, 2}, Words: []byte{3, 4}}
 	if _, err := Load(encode(&legacy)); !errors.Is(err, ErrUnsupportedVersion) {
 		t.Errorf("legacy-shaped version 1 container: %v, want ErrUnsupportedVersion", err)
+	}
+}
+
+// TestLoadRejectsOutOfAlphabetSymbols: a leaf block symbol outside a
+// 6-bit alphabet, under valid checksums, must fail the load. The tree checks
+// block rows only against their leaves' prefixes, which need not cover the
+// symbol's top bits, so the range check on the blocks is what refuses it.
+func TestLoadRejectsOutOfAlphabetSymbols(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	ix, err := Build(mixedMatrix(rng, 200, 32), Config{Method: SOFA, Bits: 6, LeafCapacity: 16, SampleRate: 0.3, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Save(ix, &buf); err != nil {
+		t.Fatal(err)
+	}
+	var s savedIndex
+	if err := gob.NewDecoder(&buf).Decode(&s); err != nil {
+		t.Fatal(err)
+	}
+	blocks := s.ShardShapes[1].LeafBlocks
+	blocks[len(blocks)-1] |= 1 << 6
+	s.ShardChecksums[1] = shardChecksum(s.ShardShapes[1])
+	s.Checksum = globalChecksum(&s)
+	var forged bytes.Buffer
+	if err := gob.NewEncoder(&forged).Encode(&s); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&forged); err == nil || !strings.Contains(err.Error(), "exceeds alphabet 64") {
+		t.Fatalf("out-of-alphabet block symbol: %v, want an alphabet error", err)
 	}
 }

@@ -79,8 +79,8 @@ type goldenFixtureSpec struct {
 func goldenFixtureSpecs() []goldenFixtureSpec {
 	build := Config{Method: SOFA, LeafCapacity: 16, SampleRate: 0.25, Shards: 2}
 	return []goldenFixtureSpec{
-		{File: "golden_v5.sofa", Build: build},
-		{File: "golden_v5_churn.sofa", Build: build, Mutate: true},
+		{File: "golden_v6.sofa", Build: build},
+		{File: "golden_v6_churn.sofa", Build: build, Mutate: true},
 	}
 }
 

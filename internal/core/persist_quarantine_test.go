@@ -9,20 +9,20 @@ import (
 	"testing"
 )
 
-// corruptShardPayload flips one byte inside shard i's word buffer within a
+// corruptShardPayload flips one byte inside shard i's leaf blocks within a
 // saved container. Gob encodes byte slices as contiguous raw bytes, so the
-// shard's words appear verbatim in the blob; flipping inside that run damages
-// exactly one shard's payload (covered by its per-shard checksum, outside the
-// global checksum).
+// shard's blocks appear verbatim in the blob; flipping inside that run
+// damages exactly one shard's payload (covered by its per-shard checksum,
+// outside the global checksum).
 func corruptShardPayload(tb testing.TB, blob []byte, ix *Index, shard int) []byte {
 	tb.Helper()
-	words := ix.Collection().tree(shard).Words()
-	off := bytes.Index(blob, words)
+	blocks := ix.Collection().tree(shard).Shape().LeafBlocks
+	off := bytes.Index(blob, blocks)
 	if off < 0 {
-		tb.Fatalf("shard %d word bytes not found in container", shard)
+		tb.Fatalf("shard %d leaf blocks not found in container", shard)
 	}
 	out := append([]byte(nil), blob...)
-	out[off+len(words)/2] ^= 0x20
+	out[off+len(blocks)/2] ^= 0x20
 	return out
 }
 

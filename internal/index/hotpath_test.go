@@ -1,6 +1,7 @@
 package index
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -416,8 +417,9 @@ func TestFlatTableBitForBitScalar(t *testing.T) {
 	}
 }
 
-// Leaf refinement blocks must mirror the global word buffer after build and
-// stay consistent through post-build inserts (including leaf splits).
+// Leaf refinement blocks are the tree's only copy of the words: after build
+// and through post-build inserts (including leaf splits) every block row must
+// be its member's word, not just a row that fits the leaf's prefixes.
 func TestLeafBlocksConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	n := 64
@@ -429,6 +431,7 @@ func TestLeafBlocksConsistency(t *testing.T) {
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatalf("after build: %v", err)
 	}
+	built := tr.SplitCount()
 	enc := tr.Encoder()
 	for i := 0; i < 200; i++ {
 		series := make([]float64, n)
@@ -442,6 +445,18 @@ func TestLeafBlocksConsistency(t *testing.T) {
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatalf("after inserts: %v", err)
+	}
+	if tr.SplitCount() == built {
+		t.Fatal("no insert split a leaf; the fixture does not exercise block division")
+	}
+	words, want := tr.Words(), make([]byte, tr.l)
+	for id := 0; id < tr.Len(); id++ {
+		if _, err := enc.Word(tr.data.Row(id), want); err != nil {
+			t.Fatal(err)
+		}
+		if got := words[id*tr.l : (id+1)*tr.l]; !bytes.Equal(got, want) {
+			t.Fatalf("series %d: block row %v, word %v", id, got, want)
+		}
 	}
 	// Search over the mutated tree stays exact.
 	s := tr.NewSearcher()

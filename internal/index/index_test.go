@@ -93,8 +93,9 @@ func bruteKNN(data *distance.Matrix, query []float64, k int) []float64 {
 	return dists[:k]
 }
 
-// Build's word buffer — each worker's chunk transformed by one
-// Encoder.Words call — is byte-identical to one Encoder.Word per row, for
+// Build's words — each worker's chunk transformed by one Encoder.Words
+// call, then carried in the leaf blocks — are byte-identical to one
+// Encoder.Word per row, for
 // the SFA and the SAX encoders, at worker counts that split the rows into
 // uneven chunks.
 func TestBuildWordsMatchPerRowWords(t *testing.T) {

@@ -23,7 +23,6 @@ func (t *Tree) Insert(series []float64, enc Encoder) (int32, error) {
 		return 0, err
 	}
 	id := int32(t.data.Append(series))
-	t.words = append(t.words, word...)
 
 	key := t.rootKey(word)
 	root, ok := t.root[key]
@@ -43,7 +42,7 @@ func (t *Tree) Insert(series []float64, enc Encoder) (int32, error) {
 		n = n.children[b]
 	}
 	n.ids = append(n.ids, id)
-	n.words = append(n.words, word...) // keep the leaf refinement block row-aligned with ids
+	n.words = append(n.words, word...) // the block row of ids[len(ids)-1]
 	n.count++
 	if len(n.ids) > t.opts.LeafCapacity && !n.noSplit {
 		t.splitToCapacity(n)
@@ -73,10 +72,9 @@ func (t *Tree) insertRootKey(key uint64) {
 //
 // Invariants checked:
 //   - every series id appears in exactly one leaf;
-//   - each leaf series' word matches every prefix on its path (the symbol
+//   - each leaf's refinement block holds one word row per member;
+//   - each block row matches every prefix on its leaf's path (the symbol
 //     prefix of the node at the node's cardinality);
-//   - each leaf's contiguous refinement block mirrors the global word
-//     buffer row-for-row;
 //   - inner node counts equal the sum of their children's;
 //   - child prefixes extend their parent's at the split position;
 //   - no splittable leaf exceeds the leaf capacity.
@@ -98,23 +96,11 @@ func (t *Tree) CheckInvariants() error {
 				if id < 0 || int(id) >= t.data.Len() {
 					return fmt.Errorf("leaf id %d out of range", id)
 				}
-				blockRow := n.words[i*t.l : (i+1)*t.l]
-				globalRow := t.words[int(id)*t.l : (int(id)+1)*t.l]
-				for j := range blockRow {
-					if blockRow[j] != globalRow[j] {
-						return fmt.Errorf("leaf block row %d diverges from global word of series %d", i, id)
-					}
-				}
-			}
-			for _, id := range n.ids {
-				if id < 0 || int(id) >= t.data.Len() {
-					return fmt.Errorf("leaf id %d out of range", id)
-				}
 				if seen[id] {
 					return fmt.Errorf("series %d appears in more than one leaf", id)
 				}
 				seen[id] = true
-				word := t.words[int(id)*t.l : (int(id)+1)*t.l]
+				word := n.words[i*t.l : (i+1)*t.l]
 				for j := 0; j < t.l; j++ {
 					bits := int(n.cards[j])
 					if bits == 0 {

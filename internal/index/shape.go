@@ -9,15 +9,13 @@ import (
 
 // TreeShape is the serializable form of a finalized tree: the node topology
 // and split positions in preorder, leaf membership in tree order, and the
-// concatenated leaf refinement blocks. Together with the global word buffer
-// it reconstructs the exact tree — same nodes, same leaf id order — by
+// concatenated leaf refinement blocks — the tree's only copy of its words.
+// It reconstructs the exact tree — same nodes, same leaf id order — by
 // direct decode, with no re-bucketing and no re-splitting.
 //
 // Everything else a node carries is derived: prefixes (word/cards) follow
 // from the root key and the split positions on the path, depths from the
-// topology, and subtree counts from the leaf sizes. Leaf blocks are a
-// permutation of the word buffer; serializing them trades file size for a
-// load that only slices one contiguous buffer.
+// topology, and subtree counts from the leaf sizes.
 type TreeShape struct {
 	// RootBits is the tree's root fan-out width. It is part of the shape,
 	// not re-derived from the collection size at decode time: Insert grows
@@ -75,22 +73,20 @@ type shapeCursor struct {
 
 // FromShape reconstructs a tree by direct decode of a previously exported
 // shape — the container load path: no summarization transform, no
-// re-bucketing, no re-splitting (SplitCount stays 0). words is the global
-// full-cardinality word buffer in tree-local row order, as for
-// BuildFromWords; both words and the shape's IDs/LeafBlocks slices are
-// retained by the tree.
+// re-bucketing, no re-splitting (SplitCount stays 0). The shape's IDs and
+// LeafBlocks slices are retained by the tree as its leaves' members and
+// words.
 //
 // The shape is fully validated: the preorder streams must be exactly
 // consistent (every entry consumed, every series in exactly one leaf), split
 // positions and cardinalities in range, and the reconstructed tree must pass
-// CheckInvariants — which also verifies every leaf's membership and block
-// against the word buffer — so a corrupted container is rejected with an
-// error instead of answering queries wrongly.
-func FromShape(data *distance.Matrix, sum Summarization, opts Options, words []byte, shape TreeShape) (*Tree, error) {
-	if words == nil {
-		return nil, fmt.Errorf("index: words must not be nil")
-	}
-	t, err := newTree(data, sum, opts, words)
+// CheckInvariants — which also verifies every block row against the
+// prefixes on its leaf's path — so a corrupted container is rejected with an
+// error instead of answering queries wrongly. A symbol's bits below its
+// leaf's prefix are not constrained by the tree; a container's checksum
+// covers them.
+func FromShape(data *distance.Matrix, sum Summarization, opts Options, shape TreeShape) (*Tree, error) {
+	t, err := newTree(data, sum, opts)
 	if err != nil {
 		return nil, err
 	}

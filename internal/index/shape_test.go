@@ -37,8 +37,7 @@ func TestShapeRoundTrip(t *testing.T) {
 		t.Fatal("build performed no splits; fixture too small to exercise the shape")
 	}
 	shape := tree.Shape()
-	words := append([]byte(nil), tree.Words()...)
-	dec, err := FromShape(data, sum, opts, words, shape)
+	dec, err := FromShape(data, sum, opts, shape)
 	if err != nil {
 		t.Fatalf("FromShape: %v", err)
 	}
@@ -129,7 +128,7 @@ func TestShapeSurvivesFanoutGrowth(t *testing.T) {
 	if shape.RootBits != before {
 		t.Fatalf("shape records %d root bits, tree built with %d", shape.RootBits, before)
 	}
-	dec, err := FromShape(data, sum, opts, tree.Words(), shape)
+	dec, err := FromShape(data, sum, opts, shape)
 	if err != nil {
 		t.Fatalf("decoding post-insert tree: %v", err)
 	}
@@ -159,7 +158,6 @@ func TestFromShapeRejectsCorruptShapes(t *testing.T) {
 	opts := Options{LeafCapacity: 16, Workers: 1}
 	tree, data, sum := shapeFixture(t, 300, 64, opts)
 	base := tree.Shape()
-	words := tree.Words()
 
 	mutations := map[string]func(s *TreeShape){
 		"truncated node stream":  func(s *TreeShape) { s.Splits = s.Splits[:len(s.Splits)-1] },
@@ -179,9 +177,12 @@ func TestFromShapeRejectsCorruptShapes(t *testing.T) {
 		"zero root bits":         func(s *TreeShape) { s.RootBits = 0 },
 		"oversized root bits":    func(s *TreeShape) { s.RootBits = 65 },
 		"oversized root key":     func(s *TreeShape) { s.RootKeys[0] = 1 << 63 },
-		"flipped block byte":     func(s *TreeShape) { s.LeafBlocks[3] ^= 0xff },
 		"truncated blocks":       func(s *TreeShape) { s.LeafBlocks = s.LeafBlocks[:len(s.LeafBlocks)-1] },
 		"missing no-split flags": func(s *TreeShape) { s.LeafNoSplit = s.LeafNoSplit[:len(s.LeafNoSplit)-1] },
+		// The top bit of the first row's first symbol is the first root
+		// child's one-bit prefix at position 0. A flip below every prefix
+		// decodes; the container's shard checksum is what catches it.
+		"flipped prefix bit in block": func(s *TreeShape) { s.LeafBlocks[0] ^= 1 << (tree.maxBits - 1) },
 	}
 	for name, mutate := range mutations {
 		s := TreeShape{
@@ -194,12 +195,12 @@ func TestFromShapeRejectsCorruptShapes(t *testing.T) {
 			LeafBlocks:  append([]byte(nil), base.LeafBlocks...),
 		}
 		mutate(&s)
-		if _, err := FromShape(data, sum, opts, words, s); err == nil {
+		if _, err := FromShape(data, sum, opts, s); err == nil {
 			t.Errorf("%s: corrupt shape decoded without error", name)
 		}
 	}
 	// The unmutated control must still decode.
-	if _, err := FromShape(data, sum, opts, words, base); err != nil {
+	if _, err := FromShape(data, sum, opts, base); err != nil {
 		t.Fatalf("control shape failed to decode: %v", err)
 	}
 }

@@ -31,12 +31,12 @@
 //     variant. Real Euclidean distances dispatch to AVX2+FMA assembly the
 //     same way (internal/distance -> simd.SquaredEDEA).
 //
-//   - SoA leaf blocks. Every finalized leaf carries its members' words as
-//     one contiguous block (node.words, row i belonging to node.ids[i]), so
-//     refinement streams sequential memory instead of gathering
-//     t.words[id*l:] per series. The global word buffer remains the source
-//     of truth; blocks are maintained through splits and inserts and
-//     checked by CheckInvariants.
+//   - SoA leaf blocks. Every leaf carries its members' words as one
+//     contiguous block (node.words, row i belonging to node.ids[i]), so
+//     refinement streams sequential memory. The blocks are the tree's only
+//     copy of the words: splits divide a block's rows between the children,
+//     inserts append a row, and CheckInvariants checks every row against
+//     its leaf's prefixes.
 //
 //   - Row prefetch. A survivor's real distance reads a random row of the
 //     series matrix, which on pruning-hostile data is mostly a wait on

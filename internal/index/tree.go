@@ -49,12 +49,10 @@ type node struct {
 	children [2]*node
 
 	ids []int32 // leaf payload
-	// words is the leaf's refinement block: the members' full-cardinality
-	// words copied contiguously (len(ids) x l, row i belongs to ids[i]), so
-	// the refinement loop streams sequential memory instead of gathering
-	// t.words[id*l:] per series. The global t.words buffer remains the
-	// source of truth; blocks are filled when leaves are finalized during
-	// build and maintained through splits and inserts.
+	// words is the leaf's refinement block and the only copy of its
+	// members' full-cardinality words: len(ids) x l bytes, row i belongs to
+	// ids[i], so the refinement loop streams sequential memory. A split
+	// divides the rows between the two children; an insert appends one.
 	words   []byte
 	count   int32 // series in this subtree
 	noSplit bool  // leaf whose remaining words are all identical
@@ -65,11 +63,9 @@ func (n *node) isLeaf() bool { return n.split < 0 }
 // Tree is the MESSI-style index over an in-memory, z-normalized series
 // matrix. It is immutable (and safe for concurrent queries) after Build.
 type Tree struct {
-	sum  Summarization
-	opts Options
-	data *distance.Matrix
-	// words holds every series' full-cardinality word, row-major (N x l).
-	words    []byte
+	sum      Summarization
+	opts     Options
+	data     *distance.Matrix
 	l        int
 	maxBits  int
 	rootBits int // number of word positions contributing to the root key
@@ -79,7 +75,7 @@ type Tree struct {
 
 	// dead is the tombstone bitmap (bit id set = series id is deleted) and
 	// deadCount its population count. A tombstoned series stays in the data
-	// matrix, the word buffer and its leaf — removing it would renumber every
+	// matrix and in its leaf (id and word) — removing it would renumber every
 	// id — but the refinement loops skip it before any offer, so it can never
 	// reach a result set. The bitmap grows lazily to the highest deleted id;
 	// nil means nothing is deleted and costs the hot path one length test.
@@ -101,10 +97,7 @@ type Tree struct {
 
 // newTree validates the constructor contract shared by Build,
 // BuildFromWords and FromShape, and allocates the tree skeleton they fill.
-// words is the full-cardinality word matrix to retain (row-major,
-// data.Len() x segments); nil allocates an empty one for Build to compute
-// into.
-func newTree(data *distance.Matrix, sum Summarization, opts Options, words []byte) (*Tree, error) {
+func newTree(data *distance.Matrix, sum Summarization, opts Options) (*Tree, error) {
 	if data == nil || data.Len() == 0 {
 		return nil, fmt.Errorf("index: cannot build over empty data")
 	}
@@ -116,16 +109,10 @@ func newTree(data *distance.Matrix, sum Summarization, opts Options, words []byt
 	if o.LeafCapacity < 1 {
 		return nil, fmt.Errorf("index: leaf capacity must be >= 1, got %d", o.LeafCapacity)
 	}
-	if words == nil {
-		words = make([]byte, data.Len()*l)
-	} else if len(words) != data.Len()*l {
-		return nil, fmt.Errorf("index: words length %d, want %d", len(words), data.Len()*l)
-	}
 	return &Tree{
 		sum:      sum,
 		opts:     o,
 		data:     data,
-		words:    words,
 		l:        l,
 		maxBits:  sum.MaxBits(),
 		rootBits: rootFanoutBits(data.Len(), o.LeafCapacity, l),
@@ -137,17 +124,18 @@ func newTree(data *distance.Matrix, sum Summarization, opts Options, words []byt
 // Build constructs the index over data (which must already be z-normalized;
 // Build does not modify it) using the given summarization.
 func Build(data *distance.Matrix, sum Summarization, opts Options) (*Tree, error) {
-	t, err := newTree(data, sum, opts, nil)
+	t, err := newTree(data, sum, opts)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	if err := t.buildWords(); err != nil {
+	words, err := t.buildWords()
+	if err != nil {
 		return nil, err
 	}
 	t.TransformSeconds = time.Since(start).Seconds()
 	start = time.Now()
-	t.buildTree()
+	t.buildTree(words)
 	t.TreeSeconds = time.Since(start).Seconds()
 	return t, nil
 }
@@ -155,8 +143,11 @@ func Build(data *distance.Matrix, sum Summarization, opts Options) (*Tree, error
 // buildWords is build phase one: transform every series into its word, in
 // parallel over deterministic chunk assignments (one Encoder.Words call per
 // chunk of contiguous rows), and bucket series ids by their root key (the
-// vector of per-position top bits).
-func (t *Tree) buildWords() error {
+// vector of per-position top bits). It returns the word matrix (row-major,
+// one row per series), which phase two copies into the leaf blocks.
+func (t *Tree) buildWords() ([]byte, error) {
+	l := t.l
+	words := make([]byte, t.data.Len()*l)
 	n := t.data.Len()
 	workers := t.opts.Workers
 	if workers > n {
@@ -185,12 +176,12 @@ func (t *Tree) buildWords() error {
 					hi = n
 				}
 				stride := t.data.Stride
-				if err := enc.Words(t.data.Data[lo*stride:hi*stride], t.words[lo*t.l:hi*t.l]); err != nil {
+				if err := enc.Words(t.data.Data[lo*stride:hi*stride], words[lo*l:hi*l]); err != nil {
 					errs[w] = err
 					return
 				}
 				for i := lo; i < hi; i++ {
-					key := t.rootKey(t.words[i*t.l : (i+1)*t.l])
+					key := t.rootKey(words[i*l : (i+1)*l])
 					buf[key] = append(buf[key], int32(i))
 				}
 			}
@@ -199,7 +190,7 @@ func (t *Tree) buildWords() error {
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
 	// Merge per-worker buffers in worker order (deterministic for a fixed
@@ -210,15 +201,20 @@ func (t *Tree) buildWords() error {
 			merged[k] = append(merged[k], ids...)
 		}
 	}
-	t.rootKeys = make([]uint64, 0, len(merged))
-	for k := range merged {
+	t.plant(merged)
+	return words, nil
+}
+
+// plant creates one root child per bucket of ids, in ascending key order.
+func (t *Tree) plant(buckets map[uint64][]int32) {
+	t.rootKeys = make([]uint64, 0, len(buckets))
+	for k := range buckets {
 		t.rootKeys = append(t.rootKeys, k)
 	}
 	sort.Slice(t.rootKeys, func(a, b int) bool { return t.rootKeys[a] < t.rootKeys[b] })
 	for _, k := range t.rootKeys {
-		t.root[k] = t.newRootChild(k, merged[k])
+		t.root[k] = t.newRootChild(k, buckets[k])
 	}
-	return nil
 }
 
 // rootFanoutBits sizes the root fan-out to the collection: the classic iSAX
@@ -260,9 +256,11 @@ func (t *Tree) newRootChild(key uint64, ids []int32) *node {
 	return &node{word: word, cards: cards, depth: 1, split: -1, ids: ids, count: int32(len(ids))}
 }
 
-// buildTree is build phase two: split overfull root subtrees, one worker per
-// subtree (no synchronization needed inside a subtree, as in MESSI).
-func (t *Tree) buildTree() {
+// buildTree is build phase two, one worker per root subtree (no
+// synchronization needed inside a subtree, as in MESSI): copy the members'
+// rows of words (row-major, one row per series) into the subtree root's
+// block, then split the subtree to capacity. words is not kept.
+func (t *Tree) buildTree(words []byte) {
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	workers := t.opts.Workers
@@ -278,37 +276,17 @@ func (t *Tree) buildTree() {
 				if i >= len(t.rootKeys) {
 					return
 				}
-				root := t.root[t.rootKeys[i]]
-				t.splitToCapacity(root)
-				t.fillLeafBlocks(root)
+				sub := t.root[t.rootKeys[i]]
+				ids := sub.ids
+				sub.words = make([]byte, len(ids)*t.l)
+				for j, id := range ids {
+					copy(sub.words[j*t.l:(j+1)*t.l], words[int(id)*t.l:])
+				}
+				t.splitToCapacity(sub)
 			}
 		}()
 	}
 	wg.Wait()
-}
-
-// fillLeafBlocks walks a finalized subtree and materializes every leaf's
-// contiguous refinement block from the global word buffer.
-func (t *Tree) fillLeafBlocks(n *node) {
-	if n.isLeaf() {
-		n.words = t.gatherLeafWords(n.ids)
-		return
-	}
-	t.fillLeafBlocks(n.children[0])
-	t.fillLeafBlocks(n.children[1])
-}
-
-// gatherLeafWords copies the full-cardinality words of ids from the global
-// buffer into a fresh contiguous block. Returns nil for an empty leaf.
-func (t *Tree) gatherLeafWords(ids []int32) []byte {
-	if len(ids) == 0 {
-		return nil
-	}
-	dst := make([]byte, len(ids)*t.l)
-	for i, id := range ids {
-		copy(dst[i*t.l:(i+1)*t.l], t.words[int(id)*t.l:(int(id)+1)*t.l])
-	}
-	return dst
 }
 
 // splitToCapacity recursively splits a subtree until every leaf fits its
@@ -329,8 +307,9 @@ func (t *Tree) splitToCapacity(n *node) {
 
 // split converts a leaf into an inner node by extending one position's
 // prefix by one bit, choosing the position that balances the two children
-// best (the iSAX2.0 strategy MESSI inherits). It returns false when no
-// position can produce two non-empty children.
+// best (the iSAX2.0 strategy MESSI inherits), and divides the leaf's block
+// rows between the children in order. It returns false when no position can
+// produce two non-empty children.
 func (t *Tree) split(leaf *node) bool {
 	bestSeg := -1
 	bestScore := int(^uint(0) >> 1) // max int
@@ -342,8 +321,8 @@ func (t *Tree) split(leaf *node) bool {
 		}
 		shift := uint(t.maxBits - bits - 1)
 		ones := 0
-		for _, id := range leaf.ids {
-			ones += int((t.words[int(id)*t.l+j] >> shift) & 1)
+		for r := j; r < len(leaf.words); r += t.l {
+			ones += int((leaf.words[r] >> shift) & 1)
 		}
 		if ones == 0 || ones == size {
 			continue // degenerate split
@@ -371,19 +350,14 @@ func (t *Tree) split(leaf *node) bool {
 		cards[j]++
 		kids[b] = &node{word: word, cards: cards, depth: leaf.depth + 1, split: -1}
 	}
-	for _, id := range leaf.ids {
-		b := (t.words[int(id)*t.l+j] >> shift) & 1
-		kids[b].ids = append(kids[b].ids, id)
+	for i, id := range leaf.ids {
+		row := leaf.words[i*t.l : (i+1)*t.l]
+		kid := kids[(row[j]>>shift)&1]
+		kid.ids = append(kid.ids, id)
+		kid.words = append(kid.words, row...)
 	}
 	kids[0].count = int32(len(kids[0].ids))
 	kids[1].count = int32(len(kids[1].ids))
-	if leaf.words != nil {
-		// The leaf was already finalized (post-build insert path): give the
-		// children their own contiguous blocks. During the initial build
-		// blocks are filled once per subtree after splitting settles.
-		kids[0].words = t.gatherLeafWords(kids[0].ids)
-		kids[1].words = t.gatherLeafWords(kids[1].ids)
-	}
 	leaf.split = j
 	leaf.children = [2]*node{kids[0], kids[1]}
 	leaf.ids = nil
@@ -524,40 +498,54 @@ func (t *Tree) Stats() Stats {
 // BuildFromWords constructs the index over data whose full-cardinality
 // words were already computed: it skips the (expensive) summarization
 // transform and only re-buckets and re-splits, which is deterministic given
-// the words and options. words is row-major (data.Len() x sum.Segments())
-// and is retained by the tree. A collection compaction that does not
-// re-learn rebuilds its shard through it from the survivors' words;
-// container loads decode the saved shape (FromShape) instead.
+// the words and options. words is row-major (data.Len() x sum.Segments());
+// the tree copies each row into its leaf and does not keep words. A
+// collection compaction that does not re-learn rebuilds its shard through it
+// from the survivors' words; container loads decode the saved shape
+// (FromShape) instead.
 func BuildFromWords(data *distance.Matrix, sum Summarization, opts Options, words []byte) (*Tree, error) {
-	if words == nil {
-		return nil, fmt.Errorf("index: words must not be nil")
-	}
-	t, err := newTree(data, sum, opts, words)
+	t, err := newTree(data, sum, opts)
 	if err != nil {
 		return nil, err
+	}
+	l := t.l
+	if len(words) != data.Len()*l {
+		return nil, fmt.Errorf("index: words length %d, want %d", len(words), data.Len()*l)
 	}
 	start := time.Now()
 	buckets := make(map[uint64][]int32)
 	for i := 0; i < data.Len(); i++ {
-		key := t.rootKey(t.words[i*t.l : (i+1)*t.l])
+		key := t.rootKey(words[i*l : (i+1)*l])
 		buckets[key] = append(buckets[key], int32(i))
 	}
-	t.rootKeys = make([]uint64, 0, len(buckets))
-	for k := range buckets {
-		t.rootKeys = append(t.rootKeys, k)
-	}
-	sort.Slice(t.rootKeys, func(a, b int) bool { return t.rootKeys[a] < t.rootKeys[b] })
-	for _, k := range t.rootKeys {
-		t.root[k] = t.newRootChild(k, buckets[k])
-	}
-	t.buildTree()
+	t.plant(buckets)
+	t.buildTree(words)
 	t.TreeSeconds = time.Since(start).Seconds()
 	return t, nil
 }
 
-// Words returns the full-cardinality word matrix (row-major, aliased; do
-// not modify). Used by index persistence.
-func (t *Tree) Words() []byte { return t.words }
+// Words returns a fresh copy of every series' full-cardinality word,
+// row-major in id order (Len() x word length), gathered from the leaf
+// blocks. Compaction rebuilds a shard from it.
+func (t *Tree) Words() []byte {
+	l := t.l
+	words := make([]byte, t.data.Len()*l)
+	var walk func(n *node)
+	walk = func(n *node) {
+		if !n.isLeaf() {
+			walk(n.children[0])
+			walk(n.children[1])
+			return
+		}
+		for i, id := range n.ids {
+			copy(words[int(id)*l:(int(id)+1)*l], n.words[i*l:])
+		}
+	}
+	for _, k := range t.rootKeys {
+		walk(t.root[k])
+	}
+	return words
+}
 
 // Encoder returns a fresh per-goroutine encoder for the tree's
 // summarization (used by Insert callers).

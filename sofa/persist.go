@@ -42,11 +42,11 @@ func AllowQuarantinedShards() LoadOption {
 	return func(c *loadConfig) { c.opts.QuarantineCorruptShards = true }
 }
 
-// Save writes the index to w in the container format (version 5, the only
+// Save writes the index to w in the container format (version 6, the only
 // one): float32 series data shard by shard, the learned summarization state,
 // the mutation state (tombstones, public-id tables, re-learned shard
-// quantizations, mutation sequence), and per shard its word buffer and
-// finalized tree shape with the leaf refinement blocks — so Load
+// quantizations, mutation sequence), and per shard its finalized tree shape
+// with the leaf refinement blocks, which hold its words — so Load
 // reconstructs every shard tree by direct decode instead of rebuilding it —
 // under a global checksum plus per-shard payload checksums, so load-time
 // corruption is attributable to (and optionally survivable at) shard

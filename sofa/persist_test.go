@@ -20,8 +20,8 @@ func TestLoadStatsIntrospection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Version != 5 {
-		t.Errorf("saved container version %d, want 5", st.Version)
+	if st.Version != 6 {
+		t.Errorf("saved container version %d, want 6", st.Version)
 	}
 	if st.Bytes != int64(buf.Len()) {
 		t.Errorf("stats saw %d bytes of a %d-byte container", st.Bytes, buf.Len())
@@ -42,10 +42,10 @@ func TestLoadStatsIntrospection(t *testing.T) {
 	}
 	// A container of another version is refused under the public sentinel.
 	var old bytes.Buffer
-	if err := gob.NewEncoder(&old).Encode(struct{ Version int }{4}); err != nil {
+	if err := gob.NewEncoder(&old).Encode(struct{ Version int }{5}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Load(&old); !errors.Is(err, ErrUnsupportedVersion) {
-		t.Errorf("load of a version-4 container: %v, want ErrUnsupportedVersion", err)
+		t.Errorf("load of a version-5 container: %v, want ErrUnsupportedVersion", err)
 	}
 }

@@ -105,12 +105,11 @@ var (
 
 // ErrUnsupportedVersion reports a container (Load) or write-ahead log (Open)
 // written in a format version this build does not read: it reads exactly
-// what it writes, container version 5 and WAL version 2, which is everything
+// what it writes, container version 6 and WAL version 2, which is everything
 // any build since those formats were introduced has written. The file is
 // refused before any of it is trusted and — unlike a damaged log, under
-// StrictRecovery or not — is never repaired, truncated or replaced. Older
-// files upgrade by loading and re-saving with an earlier build; see the
-// README's "Persistence" section.
+// StrictRecovery or not — is never repaired, truncated or replaced. The
+// README's "Persistence" section gives each older version's upgrade path.
 var ErrUnsupportedVersion = core.ErrUnsupportedVersion
 
 // Method identifies the summarization behind an index.
