@@ -183,7 +183,10 @@ func kernelRows() []KernelRow {
 		a[i] = rng.NormFloat64()
 		b[i] = rng.NormFloat64()
 	}
-	word, qr, lower, upper, weights := lbdFixtureSynthetic(rng, l, alpha)
+	word := make([]byte, l)
+	for i := range word {
+		word[i] = byte(rng.Intn(alpha))
+	}
 	table := make([]float64, l*alpha)
 	for i := range table {
 		table[i] = rng.Float64()
@@ -204,8 +207,6 @@ func kernelRows() []KernelRow {
 		{"ed_ea_portable", func() { simd.SquaredEDEAPortable(a, b, inf) }},
 		{"dot_" + simd.Impl(), func() { simd.Dot(a, b) }},
 		{"dot_portable", func() { simd.DotPortable(a, b) }},
-		{"lbd_gather_" + simd.Impl(), func() { simd.LBDGatherEA(word, qr, lower, upper, weights, alpha, inf) }},
-		{"lbd_gather_portable", func() { simd.LBDGatherEAPortable(word, qr, lower, upper, weights, alpha, inf) }},
 		{"table_lookup_seq", func() { simd.LookupAccumEASeq(word, table, alpha, inf) }},
 		// Block-granularity kernels: one call bounds a whole 256-series leaf
 		// block, so ns/op here is per LEAF, not per series (divide by 256 to
@@ -213,12 +214,6 @@ func kernelRows() []KernelRow {
 		{"block_table_lookup_" + simd.BlockImpl(), func() { simd.LookupAccumBlockEA(blockWords, blockN, table, alpha, blockOut, inf) }},
 		{"block_table_lookup_portable", func() {
 			simd.LookupAccumBlockSurvivorsPortable(blockWords, blockN, table, alpha, blockOut, inf, nil)
-		}},
-		{"block_lbd_gather_" + simd.BlockImpl(), func() {
-			simd.LBDGatherBlockEA(blockWords, blockN, qr, lower, upper, weights, alpha, blockOut, inf)
-		}},
-		{"block_lbd_gather_portable", func() {
-			simd.LBDGatherBlockEAPortable(blockWords, blockN, qr, lower, upper, weights, alpha, blockOut, inf)
 		}},
 	}
 	rows := make([]KernelRow, 0, len(cases))
@@ -232,30 +227,6 @@ func kernelRows() []KernelRow {
 		rows = append(rows, KernelRow{Name: c.name, NsPerOp: float64(res.NsPerOp())})
 	}
 	return rows
-}
-
-// lbdFixtureSynthetic builds a structurally valid LBD problem (sorted
-// per-position breakpoints, -Inf/+Inf edge intervals) without needing a
-// learned summarization.
-func lbdFixtureSynthetic(rng *rand.Rand, l, alpha int) (word []byte, qr, lower, upper, weights []float64) {
-	word = make([]byte, l)
-	qr = make([]float64, l)
-	weights = make([]float64, l)
-	lower = make([]float64, l*alpha)
-	upper = make([]float64, l*alpha)
-	for j := 0; j < l; j++ {
-		word[j] = byte(rng.Intn(alpha))
-		qr[j] = rng.NormFloat64()
-		weights[j] = 1
-		step := 6.0 / float64(alpha)
-		for sym := 0; sym < alpha; sym++ {
-			lower[j*alpha+sym] = -3 + float64(sym)*step
-			upper[j*alpha+sym] = -3 + float64(sym+1)*step
-		}
-		lower[j*alpha+0] = math.Inf(-1)
-		upper[j*alpha+alpha-1] = math.Inf(1)
-	}
-	return
 }
 
 // searchSteadyStateAllocs verifies the zero-allocation hot path end to end:

@@ -812,20 +812,25 @@ func (c *Collection) compactOnce(i int, final bool) (done bool, err error) {
 	data := distance.NewMatrix(live, c.stride)
 	pubs := make([]int32, live)
 	// Unless the rebuild re-learns, each survivor keeps the word its tree
-	// already searches with.
-	var words, oldWords []byte
+	// already searches with: pos maps a local id to its dense position (-1
+	// for a tombstone), and one leaf walk copies the survivors' words there.
+	var words []byte
+	var pos []int32
 	if !relearn {
 		words = make([]byte, live*l)
-		oldWords = tree.Words()
+		pos = make([]int32, n)
 	}
 	j := 0
 	for local := int32(0); int(local) < n; local++ {
 		if tree.Tombstoned(local) {
+			if pos != nil {
+				pos[local] = -1
+			}
 			continue
 		}
 		copy(data.Row(j), st.data.Row(int(local)))
-		if !relearn {
-			copy(words[j*l:(j+1)*l], oldWords[int(local)*l:])
+		if pos != nil {
+			pos[local] = int32(j)
 		}
 		if st.pubOf != nil {
 			pubs[j] = st.pubOf[local]
@@ -833,6 +838,9 @@ func (c *Collection) compactOnce(i int, final bool) (done bool, err error) {
 			pubs[j] = local*s + int32(i)
 		}
 		j++
+	}
+	if pos != nil {
+		tree.CopyWords(words, pos)
 	}
 	if !final {
 		c.mu.Unlock()

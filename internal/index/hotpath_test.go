@@ -458,6 +458,22 @@ func TestLeafBlocksConsistency(t *testing.T) {
 			t.Fatalf("series %d: block row %v, word %v", id, got, want)
 		}
 	}
+	// Compaction's form: every third id dropped, the rest packed densely.
+	pos, kept := make([]int32, tr.Len()), 0
+	for id := range pos {
+		pos[id] = -1
+		if id%3 != 0 {
+			pos[id] = int32(kept)
+			kept++
+		}
+	}
+	dense := make([]byte, kept*tr.l)
+	tr.CopyWords(dense, pos)
+	for id, p := range pos {
+		if p >= 0 && !bytes.Equal(dense[int(p)*tr.l:(int(p)+1)*tr.l], words[id*tr.l:(id+1)*tr.l]) {
+			t.Fatalf("series %d: CopyWords row %d differs from Words", id, p)
+		}
+	}
 	// Search over the mutated tree stays exact.
 	s := tr.NewSearcher()
 	for qi := 0; qi < 10; qi++ {

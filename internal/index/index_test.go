@@ -10,6 +10,7 @@ import (
 	"repro/internal/distance"
 	"repro/internal/sax"
 	"repro/internal/sfa"
+	"repro/internal/simd"
 )
 
 // Local Summarization adapters (the public ones live in internal/core; the
@@ -296,8 +297,8 @@ func TestSearchSelfReturnsZero(t *testing.T) {
 	}
 }
 
-// Kernel: the SIMD-structured LBD must agree exactly with the scalar
-// reference, and must be a valid lower bound at full cardinality.
+// Kernel: the block kernel the refinement runs must agree bit for bit with
+// the scalar reference at bsf = +Inf.
 func TestKernelMatchesScalarProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	n := 96
@@ -325,50 +326,104 @@ func TestKernelMatchesScalarProperty(t *testing.T) {
 		if _, err := enc.Word(m.Row(r.Intn(m.Len())), word); err != nil {
 			return false
 		}
-		want := k.minDistScalar(word)
-		got := k.minDistEA(word, math.Inf(1))
-		return math.Abs(got-want) <= 1e-9*(want+1)
+		var out [1]float64
+		newDistTable(&k, 1<<sum.MaxBits()).minDistBlockEA(word, 1, out[:], math.Inf(1), nil)
+		return out[0] == k.minDistScalar(word)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Kernel early abandoning: a result <= bsf equals the exact bound; a result
-// > bsf certifies the exact bound also exceeds bsf.
+// Kernel early abandoning: the block kernel's survivors are exactly the
+// series whose exact bound (minDistScalar) is <= bsf, with the exact bound
+// as their value, and every other result exceeds bsf. That certificate is
+// sound only when every table entry is nonnegative, which the kernel does
+// not check, so the tables here come from learned SFA (at l = 16 and at
+// l = 12, which has a sub-8 tail) and from SAX summarizations, for query
+// representations that put large magnitudes into the ±Inf edge intervals:
+// every entry must be >= 0 and not NaN. The dispatched tier and the
+// portable reference run here; the tier-pinned test lanes cover the rest.
 func TestKernelEarlyAbandonProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	n := 64
-	m := mixedMatrix(rng, 200, n)
-	q, err := sfa.Learn(m, sfa.Options{WordLength: 12, SampleRate: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := sfaSum{q}
-	g := newGatherTables(sum)
-	enc := sum.NewIndexEncoder()
-	f := func(seed int64, bsfRaw float64) bool {
-		r := rand.New(rand.NewSource(seed))
-		query := make([]float64, n)
-		for j := range query {
-			query[j] = r.NormFloat64()
+	const n = 128
+	m := mixedMatrix(rng, 300, n)
+	rows := m.Len()
+	big := []float64{1e6, 1e150, 1e200, math.MaxFloat64}
+	for _, sum := range []Summarization{
+		newSFASum(t, m, sfa.Options{SampleRate: 0.5}),
+		newSFASum(t, m, sfa.Options{WordLength: 12, SampleRate: 0.3}),
+		newSAXSum(t, n, 16, 8),
+	} {
+		l, alpha := sum.Segments(), 1<<sum.MaxBits()
+		g := newGatherTables(sum)
+		enc := sum.NewIndexEncoder()
+		words := make([]byte, rows*l)
+		for i := 0; i < rows; i++ {
+			if _, err := enc.Word(m.Row(i), words[i*l:(i+1)*l]); err != nil {
+				t.Fatal(err)
+			}
 		}
-		distance.ZNormalize(query)
-		qr := make([]float64, 12)
-		enc.QueryRepr(query, qr)
-		k := kernel{qr: qr, weights: sum.Weights(), g: g, l: 12}
-		word := make([]byte, 12)
-		enc.Word(m.Row(r.Intn(m.Len())), word)
-		exact := k.minDistScalar(word)
-		bsf := math.Mod(math.Abs(bsfRaw), 1000)
-		got := k.minDistEA(word, bsf)
-		if got <= bsf {
-			return math.Abs(got-exact) <= 1e-9*(exact+1)
+		for j := 0; j < l; j++ { // two series entirely in the edge intervals
+			words[j], words[l+j] = 0, byte(alpha-1)
 		}
-		return exact > bsf || math.Abs(got-exact) <= 1e-9*(exact+1)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+		exact := make([]float64, rows)
+		out := make([]float64, rows)
+		surv := make([]int32, rows)
+		for trial := 0; trial < 20; trial++ {
+			query := make([]float64, n)
+			for j := range query {
+				query[j] = rng.NormFloat64()
+			}
+			distance.ZNormalize(query)
+			qr := make([]float64, l)
+			if _, err := enc.QueryRepr(query, qr); err != nil {
+				t.Fatal(err)
+			}
+			for j := range qr {
+				if rng.Intn(3) == 0 {
+					qr[j] = big[rng.Intn(len(big))] * float64(1-2*rng.Intn(2))
+				}
+			}
+			k := kernel{qr: qr, weights: sum.Weights(), g: g, l: l}
+			dt := newDistTable(&k, alpha)
+			for i, v := range dt.flat {
+				if !(v >= 0) {
+					t.Fatalf("%T l=%d trial %d: table entry (%d, %d) = %v for qr %v", sum, l, trial, i/alpha, i%alpha, v, qr)
+				}
+			}
+			for i := range exact {
+				exact[i] = k.minDistScalar(words[i*l : (i+1)*l])
+			}
+			sorted := append([]float64(nil), exact...)
+			sort.Float64s(sorted)
+			for _, bsf := range []float64{0, sorted[rows/10], sorted[rows/2], sorted[rows-3], math.Inf(1)} {
+				for _, portable := range []bool{false, true} {
+					var kept int
+					if portable {
+						kept = simd.LookupAccumBlockSurvivorsPortable(words, rows, dt.flat, alpha, out, bsf, surv)
+					} else {
+						kept = dt.minDistBlockEA(words, rows, out, bsf, surv)
+					}
+					want := 0
+					for i, e := range exact {
+						if e > bsf {
+							if !(out[i] > bsf) {
+								t.Fatalf("%T l=%d trial %d bsf=%v portable=%v: series %d (bound %v) is no survivor but out = %v", sum, l, trial, bsf, portable, i, e, out[i])
+							}
+							continue
+						}
+						if want >= kept || surv[want] != int32(i) || out[i] != e {
+							t.Fatalf("%T l=%d trial %d bsf=%v portable=%v: series %d (bound %v) missing from survivors %v", sum, l, trial, bsf, portable, i, e, surv[:kept])
+						}
+						want++
+					}
+					if kept != want {
+						t.Fatalf("%T l=%d trial %d bsf=%v portable=%v: %d survivors, minDistScalar keeps %d", sum, l, trial, bsf, portable, kept, want)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -9,11 +9,12 @@ import (
 // gatherTables holds, for every word position and every full-cardinality
 // symbol, the lower and upper interval bounds — the precomputed form of the
 // paper's Gather_bound step (Algorithm 3, line 5). They depend only on the
-// summarization, so the tree builds them once.
+// summarization, so the tree builds them once; each query's distTable.build
+// reads them, and minDistScalar is the reference that uses them directly.
 //
 // The tables are stored flat ([l*alphabet], indexed j*alphabet+sym) rather
 // than as ragged [][]float64: one allocation, one base pointer, and no
-// per-position slice-header load in the kernel inner loop.
+// per-position slice-header load in the table build's inner loop.
 type gatherTables struct {
 	lower    []float64 // [l*alphabet]
 	upper    []float64 // [l*alphabet]
@@ -48,13 +49,11 @@ func newGatherTables(s Summarizer) *gatherTables {
 	return g
 }
 
-// kernel is the per-query SIMD lower-bound distance state: the query
-// representation plus the shared gather tables and weights. minDistEA is
-// Algorithm 3 — per-symbol bound gathers, mask/blend three-way select and
-// early abandoning per 8-lane block — dispatched through internal/simd to
-// VGATHERQPD/VCMPPD/VBLENDVPD assembly on AVX2 hardware and to the
-// bit-identical portable reference elsewhere. It remains the reference
-// gather-style kernel; the refinement path uses distTable below.
+// kernel is the per-query lower-bound state: the query representation plus
+// the shared interval tables and weights. distTable.build folds it into the
+// flat table every LBD of the query reads; minDistScalar computes the same
+// bound straight from the intervals, as the reference tests pin the table
+// and the block kernel against.
 type kernel struct {
 	qr      []float64 // query representation, length l
 	weights []float64
@@ -62,16 +61,9 @@ type kernel struct {
 	l       int
 }
 
-// minDistEA computes the squared lower-bound distance between the query and
-// a full-cardinality word, abandoning as soon as the partial sum exceeds
-// bsf. A returned value > bsf is only a certificate; values <= bsf are
-// exact.
-func (k *kernel) minDistEA(word []byte, bsf float64) float64 {
-	return simd.LBDGatherEA(word[:k.l], k.qr, k.g.lower, k.g.upper, k.weights, k.g.alphabet, bsf)
-}
-
-// minDistScalar is the reference scalar implementation of the same bound;
-// tests assert exact agreement with minDistEA and distTable.
+// minDistScalar is the scalar reference of the lower bound: the weighted
+// squared distance from each qr[j] to its symbol's interval, summed over
+// positions; tests assert agreement with distTable and its block kernel.
 func (k *kernel) minDistScalar(word []byte) float64 {
 	var sum float64
 	alpha := k.g.alphabet
@@ -127,8 +119,9 @@ func nodeMinDist(s Summarizer, qr []float64, word []byte, cards []uint8) float64
 // one query, precompute the weighted squared distance contribution of every
 // (position, symbol) pair, reducing the per-series LBD to l table lookups
 // plus adds. It trades one l x alphabet build per query for branch-free
-// lookups per series — far cheaper than Algorithm 3's four gathers per lane
-// when a query refines thousands of series (the benchmarks quantify it).
+// lookups per series — cheaper than gathering each series' interval bounds
+// from the raw tables (Algorithm 3's Gather_bound), which was measured
+// slower per series and per leaf and is no longer a kernel.
 //
 // The table is one flat []float64 of length l*alphabet indexed
 // j*alphabet+sym: with alphabet 256 and l 16 it is 32 KiB, resident in L1/L2
@@ -233,8 +226,8 @@ func (t *distTable) nodeMinDist(qword, word []byte, cards []uint8, maxBits int) 
 	return sum
 }
 
-// minDistEA computes the same early-abandoning squared lower bound as the
-// kernel, via flat table lookups in chunks of 8 positions: sixteen L1 loads
+// minDistEA computes minDistScalar's lower bound, early-abandoning, via
+// flat table lookups in chunks of 8 positions: sixteen L1 loads
 // feeding one sequential add chain, which keeps the table bit-for-bit
 // against the scalar reference.
 func (t *distTable) minDistEA(word []byte, bsf float64) float64 {

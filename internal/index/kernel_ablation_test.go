@@ -91,44 +91,21 @@ func lbdFixture(b *testing.B) (*kernel, *distTable, [][]byte, []byte, int) {
 	return k, dt, ragged, block, l
 }
 
-// BenchmarkLBDKernels compares, per full pass over 400 series, every LBD
-// kernel design on the same workload — the paper's Figure-6-style ablation
+// BenchmarkLBDKernels compares, per full pass over 400 series, the LBD
+// kernel designs on the same workload — the paper's Figure-6-style ablation
 // measured on real vector units:
 //
-//   - Gather: Algorithm 3's mask/blend kernel gathering lower/upper bounds
-//     per symbol, dispatched (VGATHERQPD/VCMPPD/VBLENDVPD assembly on AVX2
-//     hardware, the bit-identical portable reference elsewhere);
-//   - GatherPortable: the blocked pure-Go reference the assembly is
-//     bit-identical to;
-//   - Scalar: the branchy scalar reference;
-//   - FlatTable: the per-query flat distance table (sequential lookups, the
-//     default refinement kernel) over ragged per-series word slices;
-//   - FlatTableLeafBlock: the flat table streaming one contiguous
-//     leaf-style word block — the layout the refinement loop uses.
+//   - Scalar: the branchy scalar reference on the interval tables;
+//   - FlatTable: the per-query flat distance table, one sequential
+//     per-series call (the refinement's per-series reference) over ragged
+//     word slices;
+//   - FlatTableLeafBlock: the same calls streaming one contiguous
+//     leaf-style word block — the layout the refinement loop uses;
+//   - BlockTable: one staged block-kernel call bounds all 400 series (the
+//     refinement kernel), dispatched and portable.
 //
-// CI runs this benchmark as a smoke test; the flat-table + leaf-block path
-// is the default query kernel and must stay ahead of the Gather variants.
+// CI runs this benchmark as a smoke test.
 func BenchmarkLBDKernels(b *testing.B) {
-	b.Run("Gather-"+simd.Impl(), func(b *testing.B) {
-		k, _, ragged, _, _ := lbdFixture(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, w := range ragged {
-				k.minDistEA(w, math.Inf(1))
-			}
-		}
-	})
-	b.Run("GatherPortable", func(b *testing.B) {
-		k, _, ragged, _, _ := lbdFixture(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, w := range ragged {
-				simd.LBDGatherEAPortable(w[:k.l], k.qr, k.g.lower, k.g.upper, k.weights, k.g.alphabet, math.Inf(1))
-			}
-		}
-	})
 	b.Run("Scalar", func(b *testing.B) {
 		k, _, ragged, _, _ := lbdFixture(b)
 		b.ReportAllocs()
@@ -160,10 +137,6 @@ func BenchmarkLBDKernels(b *testing.B) {
 			}
 		}
 	})
-	// Block-granularity contenders: ONE kernel call bounds all 400 series.
-	// BlockTable is the default refinement kernel; BlockGather re-runs the
-	// gather-vs-table ablation at block granularity (series-across-lanes
-	// gathers amortized over a whole leaf — the strongest case gathers get).
 	b.Run("BlockTable-"+simd.BlockImpl(), func(b *testing.B) {
 		_, dt, _, block, l := lbdFixture(b)
 		rows := len(block) / l
@@ -185,26 +158,7 @@ func BenchmarkLBDKernels(b *testing.B) {
 			simd.LookupAccumBlockSurvivorsPortable(block, rows, dt.flat, dt.alphabet, out, math.Inf(1), nil)
 		}
 	})
-	b.Run("BlockGather-"+simd.BlockImpl(), func(b *testing.B) {
-		k, _, _, block, l := lbdFixture(b)
-		rows := len(block) / l
-		out := make([]float64, rows)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			simd.LBDGatherBlockEA(block, rows, k.qr, k.g.lower, k.g.upper, k.weights, k.g.alphabet, out, math.Inf(1))
-		}
-	})
-	b.Run("BlockGatherPortable", func(b *testing.B) {
-		k, _, _, block, l := lbdFixture(b)
-		rows := len(block) / l
-		out := make([]float64, rows)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			simd.LBDGatherBlockEAPortable(block, rows, k.qr, k.g.lower, k.g.upper, k.weights, k.g.alphabet, out, math.Inf(1))
-		}
-	})
+
 }
 
 // BenchmarkDistTableBuild measures the per-query table build: Cold rebuilds

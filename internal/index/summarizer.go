@@ -24,12 +24,14 @@
 //     and breakpoint intervals into one lookup per word position, built
 //     once per query into Searcher-owned scratch (32 KiB at l=16,
 //     alphabet=256; L1/L2-resident for the whole refinement phase) and
-//     reused outright when the query representation repeats. The mask/blend
-//     gather kernel (kernel.minDistEA) is retained as the Algorithm 3
-//     reference, dispatched through internal/simd to real VGATHERQPD
-//     assembly on AVX2 hardware; BenchmarkLBDKernels compares every
-//     variant. Real Euclidean distances dispatch to AVX2+FMA assembly the
-//     same way (internal/distance -> simd.SquaredEDEA).
+//     reused outright when the query representation repeats. It is the
+//     only LBD kernel: a leaf's block of words is bounded in one call to
+//     the staged block kernel (distTable.minDistBlockEA, AVX-512 or AVX2
+//     assembly through internal/simd), and kernel.minDistScalar, which
+//     reads the interval tables directly, is the reference tests hold it
+//     to; BenchmarkLBDKernels compares the table variants. Real Euclidean
+//     distances dispatch to AVX2+FMA assembly the same way
+//     (internal/distance -> simd.SquaredEDEA).
 //
 //   - SoA leaf blocks. Every leaf carries its members' words as one
 //     contiguous block (node.words, row i belonging to node.ids[i]), so

@@ -526,10 +526,21 @@ func BuildFromWords(data *distance.Matrix, sum Summarization, opts Options, word
 
 // Words returns a fresh copy of every series' full-cardinality word,
 // row-major in id order (Len() x word length), gathered from the leaf
-// blocks. Compaction rebuilds a shard from it.
+// blocks.
 func (t *Tree) Words() []byte {
 	l := t.l
 	words := make([]byte, t.data.Len()*l)
+	t.CopyWords(words, nil)
+	return words
+}
+
+// CopyWords writes the full-cardinality word of every series id with
+// pos[id] >= 0 into row pos[id] of dst (row-major, word length wide), in one
+// walk over the leaf blocks; a nil pos writes every id into its own row.
+// Compaction passes the survivors' dense positions, so its rebuild buffer
+// receives their words and nothing else.
+func (t *Tree) CopyWords(dst []byte, pos []int32) {
+	l := t.l
 	var walk func(n *node)
 	walk = func(n *node) {
 		if !n.isLeaf() {
@@ -538,13 +549,18 @@ func (t *Tree) Words() []byte {
 			return
 		}
 		for i, id := range n.ids {
-			copy(words[int(id)*l:(int(id)+1)*l], n.words[i*l:])
+			row := id
+			if pos != nil {
+				if row = pos[id]; row < 0 {
+					continue
+				}
+			}
+			copy(dst[int(row)*l:(int(row)+1)*l], n.words[i*l:])
 		}
 	}
 	for _, k := range t.rootKeys {
 		walk(t.root[k])
 	}
-	return words
 }
 
 // Encoder returns a fresh per-goroutine encoder for the tree's

@@ -101,13 +101,6 @@ func projectTiles(basis []float64, l, n int, rows, out []float64) (mt, lt int) {
 	return mt, lt
 }
 
-func lbdGatherBlocks8(word []byte, qr, lower, upper, weights []float64, alphabet int, bsf float64) (float64, int) {
-	if useAVX2 {
-		return lbdGatherBlocks8AVX2(word, qr, lower, upper, weights, alphabet, bsf)
-	}
-	return lbdGatherBlocks8Ref(word, qr, lower, upper, weights, alphabet, bsf)
-}
-
 // lookupAccumBlock routes the staged table-lookup block kernel. The vector
 // bodies run both stages over the full 8-position groups and return how
 // many lanes outlived stage 1; position tails and the AVX2 tier's last
@@ -165,28 +158,6 @@ func survivors(out []float64, bsf float64, surv []int32) int {
 	return survivorsRef(out, bsf, surv)
 }
 
-// lbdGatherBlocks computes every series' partial sum over the full
-// 8-position groups into out[:n]; LBDGatherBlockEA appends position tails in
-// shared Go code. The AVX-512 body covers every series (tail stripes run
-// under a K mask); the AVX2 body covers the full stripes of 4 and leaves the
-// remaining <4 series to the reference.
-func lbdGatherBlocks(words []byte, n, l int, qr, lower, upper, weights []float64, alphabet int, out []float64) {
-	if useAVX512 {
-		lbdGatherBlockAVX512(words, n, l, qr, lower, upper, weights, alphabet, out)
-		return
-	}
-	if useAVX2 {
-		if nf := n &^ 3; nf > 0 {
-			lbdGatherBlockAVX2(words, nf, l, qr, lower, upper, weights, alphabet, out)
-			if nf < n {
-				lbdGatherBlockRef(words[nf*l:], n-nf, l, qr, lower, upper, weights, alphabet, out[nf:])
-			}
-			return
-		}
-	}
-	lbdGatherBlockRef(words, n, l, qr, lower, upper, weights, alphabet, out)
-}
-
 // Assembly kernels (kernels_amd64.s). Each processes only the full blocks
 // of its input and returns the reduced sum over the processed prefix plus
 // the index of the first unprocessed element; the exported wrappers in
@@ -210,9 +181,6 @@ func projectAVX2(basis, rows, out []float64, l, n int)
 //go:noescape
 func prefetchLines(row []float64, lines int)
 
-//go:noescape
-func lbdGatherBlocks8AVX2(word []byte, qr, lower, upper, weights []float64, alphabet int, bsf float64) (sum float64, idx int)
-
 // Block kernel assembly (kernels_block_amd64.s).
 
 // The staged lookup bodies need l >= 8 and, for AVX2, n a multiple of 4.
@@ -225,9 +193,3 @@ func lookupBlockAVX512(words []byte, n, l int, table []float64, alphabet int, ou
 
 //go:noescape
 func survivorsAVX512(out []float64, bsf float64, surv []int32) int
-
-//go:noescape
-func lbdGatherBlockAVX2(words []byte, n, l int, qr, lower, upper, weights []float64, alphabet int, out []float64)
-
-//go:noescape
-func lbdGatherBlockAVX512(words []byte, n, l int, qr, lower, upper, weights []float64, alphabet int, out []float64)

@@ -30,18 +30,10 @@ func dotBlocks16(a, b []float64) (float64, int) {
 
 func projectTiles(basis []float64, l, n int, rows, out []float64) (mt, lt int) { return 0, 0 }
 
-func lbdGatherBlocks8(word []byte, qr, lower, upper, weights []float64, alphabet int, bsf float64) (float64, int) {
-	return lbdGatherBlocks8Ref(word, qr, lower, upper, weights, alphabet, bsf)
-}
-
 func lookupAccumBlock(words []byte, n, l int, table []float64, alphabet int, out []float64, bsf float64, surv []int32) int {
 	return lookupAccumBlockRef(words, n, l, table, alphabet, out, bsf, surv)
 }
 
 func survivors(out []float64, bsf float64, surv []int32) int {
 	return survivorsRef(out, bsf, surv)
-}
-
-func lbdGatherBlocks(words []byte, n, l int, qr, lower, upper, weights []float64, alphabet int, out []float64) {
-	lbdGatherBlockRef(words, n, l, qr, lower, upper, weights, alphabet, out)
 }

@@ -13,9 +13,6 @@ import "math"
 //     ‖q‖²−2q·x+‖x‖² decomposition, and the definition of an SFA value,
 //     which Project in kernels_project.go computes a block of rows at a
 //     time);
-//   - LBDGatherEA:   Algorithm 3's Gather_bound LBD kernel — per-symbol
-//     lower/upper interval gathers, mask/blend three-way select, weighted
-//     square, horizontal reduction, early abandon per 8-lane block;
 //   - LookupAccumEASeq: the flat per-query distance-table kernel — one
 //     table lookup per word position feeding a sequential add chain (pure
 //     Go on every platform; the block tier in kernels_block.go is its
@@ -38,8 +35,8 @@ import "math"
 // kernels: four 4-lane AVX2 registers, 4x unrolled.
 const edBlock = 16
 
-// lbdBlock is the position count per block of the LBD kernels: two 4-lane
-// gathers per table, matching the paper's 8-lane formulation.
+// lbdBlock is the position count per early-abandon group of the LBD
+// kernels, matching the paper's 8-lane formulation.
 const lbdBlock = 8
 
 // SquaredEDEA computes the squared Euclidean distance between equal-length
@@ -160,83 +157,6 @@ func reduce16(acc *[edBlock]float64) float64 {
 	return (t[0] + t[2]) + (t[1] + t[3])
 }
 
-// LBDGatherEA computes Algorithm 3's early-abandoning squared lower-bound
-// distance between a query representation and a full-cardinality word:
-// for each position j the word symbol selects a quantization interval
-// [lower[j*alphabet+sym], upper[j*alphabet+sym]]; the contribution is
-// weights[j] * d² with d the distance from qr[j] to the interval (zero
-// inside). Blocks of 8 positions are reduced with the canonical tree and
-// the abandon test runs after every block.
-//
-// Contract: len(qr) and len(weights) >= len(word); len(lower) and
-// len(upper) >= len(word)*alphabet; every word symbol < alphabet. The
-// bounds are checked once per call (the assembly gathers cannot rely on
-// per-element bounds checks).
-func LBDGatherEA(word []byte, qr, lower, upper, weights []float64, alphabet int, bsf float64) float64 {
-	l := len(word)
-	checkLBDBounds(word, len(qr), len(weights), len(lower), len(upper), alphabet)
-	sum, c := lbdGatherBlocks8(word, qr, lower, upper, weights, alphabet, bsf)
-	if sum > bsf {
-		return sum
-	}
-	if c < l {
-		sum += lbdTail8(word, qr, lower, upper, weights, alphabet, c)
-	}
-	return sum
-}
-
-// LBDGatherEAPortable is the always-portable reference of LBDGatherEA.
-func LBDGatherEAPortable(word []byte, qr, lower, upper, weights []float64, alphabet int, bsf float64) float64 {
-	l := len(word)
-	checkLBDBounds(word, len(qr), len(weights), len(lower), len(upper), alphabet)
-	sum, c := lbdGatherBlocks8Ref(word, qr, lower, upper, weights, alphabet, bsf)
-	if sum > bsf {
-		return sum
-	}
-	if c < l {
-		sum += lbdTail8(word, qr, lower, upper, weights, alphabet, c)
-	}
-	return sum
-}
-
-// lbdTerm is one position's weighted squared interval distance, computed
-// exactly as the vector lanes do: d selected by (q < lo) / (q > hi) masks
-// (both false — including NaN — give zero), squared first, then scaled.
-func lbdTerm(word []byte, qr, lower, upper, weights []float64, alphabet, j int) float64 {
-	sym := int(word[j])
-	lo := lower[j*alphabet+sym]
-	hi := upper[j*alphabet+sym]
-	v := qr[j]
-	var d float64
-	switch {
-	case v < lo:
-		d = lo - v
-	case v > hi:
-		d = v - hi
-	}
-	return weights[j] * (d * d)
-}
-
-// lbdGatherBlocks8Ref processes the full 8-position blocks: per block the
-// eight weighted squared terms are formed lane-wise and reduced with
-// blockReduce8 into the running sum, then the abandon test runs.
-func lbdGatherBlocks8Ref(word []byte, qr, lower, upper, weights []float64, alphabet int, bsf float64) (float64, int) {
-	n := len(word) &^ (lbdBlock - 1)
-	var sum float64
-	c := 0
-	for ; c < n; c += lbdBlock {
-		var t [lbdBlock]float64
-		for i := 0; i < lbdBlock; i++ {
-			t[i] = lbdTerm(word, qr, lower, upper, weights, alphabet, c+i)
-		}
-		sum += blockReduce8(&t)
-		if sum > bsf {
-			return sum, c + lbdBlock
-		}
-	}
-	return sum, c
-}
-
 // LookupAccumEASeq computes the early-abandoning flat distance-table lower
 // bound: sum over positions j of table[j*alphabet+word[j]], one running
 // scalar add per position with an abandon test after every 8. A returned
@@ -261,42 +181,11 @@ func LookupAccumEASeq(word []byte, table []float64, alphabet int, bsf float64) f
 	return sum
 }
 
-// lbdTail8 computes the final sub-8 positions c..len(word)-1 of the gather
-// kernel as one zero-padded block — the single tail implementation shared
-// by the dispatched and portable wrappers, so their bit-identity cannot
-// drift at the tail.
-func lbdTail8(word []byte, qr, lower, upper, weights []float64, alphabet, c int) float64 {
-	var t [lbdBlock]float64
-	for i := c; i < len(word); i++ {
-		t[i-c] = lbdTerm(word, qr, lower, upper, weights, alphabet, i)
-	}
-	return blockReduce8(&t)
-}
-
-// blockReduce8 is the canonical 8-lane horizontal reduction of the gather
-// kernel (and its sub-8 tail, zero-padded): lane-wise fold of the
-// two 4-lane registers, 128-bit fold, scalar add.
-func blockReduce8(t *[lbdBlock]float64) float64 {
-	y0 := t[0] + t[4]
-	y1 := t[1] + t[5]
-	y2 := t[2] + t[6]
-	y3 := t[3] + t[7]
-	return (y0 + y2) + (y1 + y3)
-}
-
-func checkLBDBounds(word []byte, nq, nw, nlo, nhi, alphabet int) {
-	l := len(word)
-	if alphabet <= 0 || nq < l || nw < l || nlo < l*alphabet || nhi < l*alphabet {
-		panic("simd: LBDGatherEA slice lengths violate the kernel contract")
-	}
-	checkSymbols(word, alphabet)
-}
-
 // checkSymbols rejects word symbols >= alphabet. Without it, a corrupt word
 // would index the wrong table row silently in pure Go (the flat j*alphabet+
 // sym index stays inside the slice for every position but the last) and
-// make the assembly gather read out of bounds. Free for the common
-// alphabet=256 (a byte cannot exceed 255).
+// make the block kernels' assembly gathers read out of bounds. Free for the
+// common alphabet=256 (a byte cannot exceed 255).
 func checkSymbols(word []byte, alphabet int) {
 	if alphabet >= 256 {
 		return

@@ -37,8 +37,9 @@ package simd
 // survivor's value is exact, callers can re-test it against a fresher
 // (smaller) bound for free.
 //
-// The gather kernel (Algorithm 3's Gather_bound on raw intervals) is the
-// ablation sibling: it never abandons, every out[i] is exact.
+// LBDGatherBlockEA computes the same bound from the raw quantization
+// intervals (Algorithm 3's Gather_bound) in pure Go. No search runs it: it
+// is the interval-form reference the table kernel is checked against.
 //
 // Dispatch: an AVX-512 tier (8 series per stripe, K-masked tail stripes)
 // above an AVX2 tier (4 series per stripe, remainder series through the
@@ -105,13 +106,14 @@ func survivorsRef(out []float64, bsf float64, surv []int32) int {
 	return k
 }
 
-// LBDGatherBlockEA is the gather sibling of LookupAccumBlockSurvivors: the
-// same block shape, but each position's contribution is computed from the raw
-// quantization intervals (Algorithm 3's Gather_bound) instead of a
-// precomputed table: d = max(max(lo-v, v-hi), 0), term = w*(d*d), with the
-// max-select lane semantics of VMAXPD (NaN v yields 0, as in the
-// per-series kernels). It never abandons: every out[i] is exact, and the
-// return value counts the entries <= bsf.
+// LBDGatherBlockEA is the interval-form reference of
+// LookupAccumBlockSurvivors: the same block shape, but each position's
+// contribution is computed from the raw quantization intervals instead of a
+// precomputed table, d = max(max(lo-v, v-hi), 0) and term = w*(d*d) (NaN v
+// yields 0), added sequentially per series. It never abandons: every out[i]
+// is exact, and the return value counts the entries <= bsf. On a table
+// built from the same terms, LookupAccumBlockSurvivors keeps exactly that
+// many series.
 //
 // Contract: the LookupAccumBlockSurvivors shape contract, plus len(qr) and
 // len(weights) >= l and len(lower), len(upper) >= l*alphabet.
@@ -122,34 +124,21 @@ func LBDGatherBlockEA(words []byte, n int, qr, lower, upper, weights []float64, 
 	l := checkBlockShape(len(words), n, len(out))
 	checkGatherBlockBounds(l, len(qr), len(weights), len(lower), len(upper), alphabet)
 	checkSymbols(words, alphabet)
-	lbdGatherBlocks(words, n, l, qr, lower, upper, weights, alphabet, out)
-	if nb := l &^ (lbdBlock - 1); nb < l {
-		lbdGatherBlockTail(words, n, l, nb, qr, lower, upper, weights, alphabet, out)
-	}
-	return survivors(out[:n], bsf, nil)
-}
-
-// LBDGatherBlockEAPortable is the always-portable reference of
-// LBDGatherBlockEA.
-func LBDGatherBlockEAPortable(words []byte, n int, qr, lower, upper, weights []float64, alphabet int, out []float64, bsf float64) int {
-	if n == 0 {
-		return 0
-	}
-	l := checkBlockShape(len(words), n, len(out))
-	checkGatherBlockBounds(l, len(qr), len(weights), len(lower), len(upper), alphabet)
-	checkSymbols(words, alphabet)
-	lbdGatherBlockRef(words, n, l, qr, lower, upper, weights, alphabet, out)
-	if nb := l &^ (lbdBlock - 1); nb < l {
-		lbdGatherBlockTail(words, n, l, nb, qr, lower, upper, weights, alphabet, out)
+	for i := 0; i < n; i++ {
+		var sum float64
+		for j, sym := range words[i*l : (i+1)*l] {
+			sum += lbdBlockTerm(qr[j], lower[j*alphabet+int(sym)], upper[j*alphabet+int(sym)], weights[j])
+		}
+		out[i] = sum
 	}
 	return survivorsRef(out[:n], bsf, nil)
 }
 
-// lbdBlockTerm is one (series, position) contribution of the gather block
-// kernel in max-select form: d = MAX(MAX(lo-v, v-hi), 0) with Intel MAXPD
-// semantics (the second operand wins when the compare is false, including
-// NaN), then w*(d*d). For well-formed intervals this equals lbdTerm's
-// three-way switch; the max form is what a vector lane computes.
+// lbdBlockTerm is one (series, position) contribution of LBDGatherBlockEA in
+// max-select form: d = max(max(lo-v, v-hi), 0), where a false compare (NaN
+// included) takes the second operand, then w*(d*d). For well-formed
+// intervals this equals the three-way switch of the index's scalar
+// reference.
 func lbdBlockTerm(v, lo, hi, w float64) float64 {
 	dLo := lo - v
 	dHi := v - hi
@@ -161,32 +150,6 @@ func lbdBlockTerm(v, lo, hi, w float64) float64 {
 		d = 0
 	}
 	return w * (d * d)
-}
-
-// lbdGatherBlockRef is the canonical gather block body (full 8-position
-// groups; tails via lbdGatherBlockTail).
-func lbdGatherBlockRef(words []byte, n, l int, qr, lower, upper, weights []float64, alphabet int, out []float64) {
-	nb := l &^ (lbdBlock - 1)
-	for i := 0; i < n; i++ {
-		row := words[i*l : i*l+nb]
-		var sum float64
-		for j, sym := range row {
-			sum += lbdBlockTerm(qr[j], lower[j*alphabet+int(sym)], upper[j*alphabet+int(sym)], weights[j])
-		}
-		out[i] = sum
-	}
-}
-
-func lbdGatherBlockTail(words []byte, n, l, nb int, qr, lower, upper, weights []float64, alphabet int, out []float64) {
-	for i := 0; i < n; i++ {
-		sum := out[i]
-		row := words[i*l+nb : (i+1)*l]
-		for j, sym := range row {
-			p := nb + j
-			sum += lbdBlockTerm(qr[p], lower[p*alphabet+int(sym)], upper[p*alphabet+int(sym)], weights[p])
-		}
-		out[i] = sum
-	}
 }
 
 // checkBlockShape validates the (words, n, out) block shape and returns the

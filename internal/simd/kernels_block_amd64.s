@@ -10,9 +10,8 @@
 // Per 8-position group, ONE VPGATHERQQ pulls 8 symbol bytes per series as
 // a qword (the SoA block rows are contiguous, stride l); each position is
 // then extracted with VPSRLQ/VPAND and turned into a table index
-// j*alphabet+sym feeding a VGATHERQPD. The per-series kernels pay two
-// 4-lane gathers per 8 positions of ONE series; here the same two gathers
-// serve 4 (AVX2) or 8 (AVX-512) series.
+// j*alphabet+sym feeding a VGATHERQPD, so one gather per position serves
+// 4 (AVX2) or 8 (AVX-512) series.
 //
 // All bodies cover the full 8-position groups (l &^ 7 positions); the Go
 // wrappers append position tails sequentially.
@@ -29,7 +28,6 @@
 // the series index (index*l), so a queued lane needs nothing else. They
 // return the number of lanes that outlived stage 1.
 //
-// The gather bodies never abandon: they write every lane's full-group sum.
 // The AVX-512 bodies process tail stripes (< 8 series) under a K mask, so
 // no scalar series remainder exists; the AVX2 bodies cover n &^ 3 series
 // and the dispatcher routes the rest through the reference.
@@ -234,110 +232,7 @@ l2_done:
 	VZEROUPPER
 	RET
 
-// One gather position: extract symbol, gather lower+upper interval bounds,
-// d = MAX(MAX(lo-q, q-hi), 0) with MAXPD lane semantics, accumulate
-// w*(d*d) — unfused, matching the reference. disp selects qr[j]/weights[j]
-// within the current 8-position group (base+R11*8+disp). Y14 = zeros.
-#define GB2_POS(shift, disp) \
-	VPSRLQ       $shift, Y2, Y4; \
-	VPAND        Y6, Y4, Y4; \
-	VPADDQ       Y3, Y4, Y4; \
-	VPADDQ       Y7, Y3, Y3; \
-	VPCMPEQD     Y13, Y13, Y13; \
-	VGATHERQPD   Y13, (R12)(Y4*8), Y5; \
-	VPCMPEQD     Y13, Y13, Y13; \
-	VGATHERQPD   Y13, (R13)(Y4*8), Y10; \
-	VBROADCASTSD disp(R9)(R11*8), Y11; \
-	VSUBPD       Y11, Y5, Y5; \
-	VSUBPD       Y10, Y11, Y10; \
-	VMAXPD       Y10, Y5, Y5; \
-	VMAXPD       Y14, Y5, Y5; \
-	VMULPD       Y5, Y5, Y5; \
-	VBROADCASTSD disp(R14)(R11*8), Y11; \
-	VMULPD       Y5, Y11, Y5; \
-	VADDPD       Y5, Y0, Y0
-
-// func lbdGatherBlockAVX2(words []byte, n, l int, qr, lower, upper,
-//                         weights []float64, alphabet int, out []float64)
-TEXT ·lbdGatherBlockAVX2(SB), NOSPLIT, $32-168
-	MOVQ words_base+0(FP), SI
-	MOVQ n+24(FP), CX
-	ANDQ $-4, CX
-	MOVQ l+32(FP), R15
-	MOVQ qr_base+40(FP), R9
-	MOVQ lower_base+64(FP), R12
-	MOVQ upper_base+88(FP), R13
-	MOVQ weights_base+112(FP), R14
-	MOVQ out_base+144(FP), DI
-
-	MOVQ R15, BX
-	ANDQ $-8, BX
-
-	MOVQ         alphabet+136(FP), R8
-	VMOVQ        R8, X7
-	VPBROADCASTQ X7, Y7
-	MOVQ         $8, R10
-	VMOVQ        R10, X8
-	VPBROADCASTQ X8, Y8
-	MOVQ         $0xff, R10
-	VMOVQ        R10, X6
-	VPBROADCASTQ X6, Y6
-	VXORPD       Y14, Y14, Y14
-
-	XORQ    R10, R10
-	MOVQ    R10, 0(SP)
-	MOVQ    R15, 8(SP)
-	LEAQ    (R15)(R15*1), R10
-	MOVQ    R10, 16(SP)
-	LEAQ    (R10)(R15*1), R10
-	MOVQ    R10, 24(SP)
-	VMOVDQU 0(SP), Y1
-
-	MOVQ         R15, R10
-	SHLQ         $2, R10
-	SUBQ         BX, R10
-	VMOVQ        R10, X9
-	VPBROADCASTQ X9, Y9
-
-	XORQ DX, DX
-	CMPQ CX, $0
-	JE   gb2_done
-
-gb2_stripe:
-	VXORPD Y0, Y0, Y0
-	VPXOR  Y3, Y3, Y3
-	XORQ   R11, R11
-	CMPQ   BX, $0
-	JE     gb2_store
-
-gb2_pos:
-	VPCMPEQD   Y13, Y13, Y13
-	VPGATHERQQ Y13, (SI)(Y1*1), Y2
-	GB2_POS(0, 0)
-	GB2_POS(8, 8)
-	GB2_POS(16, 16)
-	GB2_POS(24, 24)
-	GB2_POS(32, 32)
-	GB2_POS(40, 40)
-	GB2_POS(48, 48)
-	GB2_POS(56, 56)
-	VPADDQ     Y8, Y1, Y1
-	ADDQ       $8, R11
-	CMPQ       R11, BX
-	JL         gb2_pos
-
-gb2_store:
-	VMOVUPD Y0, (DI)(DX*8)
-	VPADDQ  Y9, Y1, Y1
-	ADDQ    $4, DX
-	CMPQ    DX, CX
-	JL      gb2_stripe
-
-gb2_done:
-	VZEROUPPER
-	RET
-
-// AVX-512 variants: 8 series per stripe in ZMM lanes, the final partial
+// AVX-512 bodies: 8 series per stripe in ZMM lanes, the final partial
 // stripe fully handled under a K mask (gathers skip masked-off lanes, the
 // out store writes only live lanes), so no scalar series remainder exists.
 // Gather destinations are pre-zeroed because EVEX gathers merge: the zeroing
@@ -568,122 +463,5 @@ sv_next:
 
 sv_done:
 	MOVQ AX, ret+56(FP)
-	VZEROUPPER
-	RET
-
-#define GB5_POS(shift, disp) \
-	VPSRLQ       $shift, Z2, Z4; \
-	VPANDQ       Z6, Z4, Z4; \
-	VPADDQ       Z3, Z4, Z4; \
-	VPADDQ       Z7, Z3, Z3; \
-	VPXORQ       Z5, Z5, Z5; \
-	KMOVW        K1, K2; \
-	VGATHERQPD   (R12)(Z4*8), K2, Z5; \
-	VPXORQ       Z10, Z10, Z10; \
-	KMOVW        K1, K2; \
-	VGATHERQPD   (R14)(Z4*8), K2, Z10; \
-	VBROADCASTSD disp(R9)(R11*8), Z11; \
-	VSUBPD       Z11, Z5, Z5; \
-	VSUBPD       Z10, Z11, Z10; \
-	VMAXPD       Z10, Z5, Z5; \
-	VMAXPD       Z14, Z5, Z5; \
-	VMULPD       Z5, Z5, Z5; \
-	VBROADCASTSD disp(AX)(R11*8), Z11; \
-	VMULPD       Z5, Z11, Z5; \
-	VADDPD       Z5, Z0, Z0
-
-// func lbdGatherBlockAVX512(words []byte, n, l int, qr, lower, upper,
-//                           weights []float64, alphabet int, out []float64)
-TEXT ·lbdGatherBlockAVX512(SB), NOSPLIT, $64-168
-	MOVQ words_base+0(FP), SI
-	MOVQ n+24(FP), R13
-	MOVQ l+32(FP), R15
-	MOVQ qr_base+40(FP), R9
-	MOVQ lower_base+64(FP), R12
-	MOVQ upper_base+88(FP), R14
-	MOVQ weights_base+112(FP), AX
-	MOVQ out_base+144(FP), DI
-
-	MOVQ R15, BX
-	ANDQ $-8, BX
-
-	MOVQ         alphabet+136(FP), R8
-	VPBROADCASTQ R8, Z7
-	MOVQ         $8, R10
-	VPBROADCASTQ R10, Z8
-	MOVQ         $0xff, R10
-	VPBROADCASTQ R10, Z6
-	VPXORQ       Z14, Z14, Z14
-
-	XORQ      R10, R10
-	MOVQ      R10, 0(SP)
-	ADDQ      R15, R10
-	MOVQ      R10, 8(SP)
-	ADDQ      R15, R10
-	MOVQ      R10, 16(SP)
-	ADDQ      R15, R10
-	MOVQ      R10, 24(SP)
-	ADDQ      R15, R10
-	MOVQ      R10, 32(SP)
-	ADDQ      R15, R10
-	MOVQ      R10, 40(SP)
-	ADDQ      R15, R10
-	MOVQ      R10, 48(SP)
-	ADDQ      R15, R10
-	MOVQ      R10, 56(SP)
-	VMOVDQU64 0(SP), Z1
-
-	MOVQ         R15, R10
-	SHLQ         $3, R10
-	SUBQ         BX, R10
-	VPBROADCASTQ R10, Z9
-
-	XORQ DX, DX
-	CMPQ R13, $0
-	JE   gb5_done
-
-gb5_stripe:
-	MOVQ  R13, R10
-	SUBQ  DX, R10
-	MOVQ  $0xff, R8
-	CMPQ  R10, $8
-	JGE   gb5_mask
-	MOVQ  R10, CX
-	MOVQ  $1, R8
-	SHLQ  CX, R8
-	DECQ  R8
-
-gb5_mask:
-	KMOVW  R8, K1
-	VPXORQ Z0, Z0, Z0
-	VPXORQ Z3, Z3, Z3
-	XORQ   R11, R11
-	CMPQ   BX, $0
-	JE     gb5_store
-
-gb5_pos:
-	KMOVW      K1, K2
-	VPGATHERQQ (SI)(Z1*1), K2, Z2
-	GB5_POS(0, 0)
-	GB5_POS(8, 8)
-	GB5_POS(16, 16)
-	GB5_POS(24, 24)
-	GB5_POS(32, 32)
-	GB5_POS(40, 40)
-	GB5_POS(48, 48)
-	GB5_POS(56, 56)
-	VPADDQ     Z8, Z1, Z1
-	ADDQ       $8, R11
-	CMPQ       R11, BX
-	JL         gb5_pos
-
-gb5_store:
-	VMOVUPD Z0, K1, (DI)(DX*8)
-	VPADDQ  Z9, Z1, Z1
-	ADDQ    $8, DX
-	CMPQ    DX, R13
-	JL      gb5_stripe
-
-gb5_done:
 	VZEROUPPER
 	RET

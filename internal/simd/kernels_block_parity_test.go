@@ -8,16 +8,17 @@ package simd
 // per-series sequential calls (LookupAccumEASeq at bsf=+Inf): the survivor
 // list is exactly the series whose full sum is <= bsf, ascending; a
 // survivor's out[i] has the oracle's bits; every other out[i] exceeds bsf;
-// the returned count is the list's length, with or without a list, and
-// equals what the never-abandoning gather kernel counts on the same
-// problem. The gather kernel keeps the plain parity contract: every out[i]
-// bit-identical to its portable reference.
+// the returned count is the list's length, with or without a list. On a
+// table built from interval terms it keeps exactly the series the pure-Go
+// interval-form reference (LBDGatherBlockEA) counts, with the reference's
+// bits, and that reference adds the terms of the index's three-way-switch
+// form.
 //
 // The corpus straddles every stripe boundary of both tiers (n around 4/8
 // multiples for AVX2/AVX-512 stripes, l around 8 multiples for position
 // groups), puts bounds inside the stage-1 partial sums as well as the full
 // sums so that stripes die, stay dense and get queued, and injects +Inf
-// table entries and NaN bounds and query lanes.
+// table entries, NaN bounds and NaN query lanes.
 
 import (
 	"math"
@@ -184,9 +185,10 @@ func TestLookupAccumBlockSurvivorsContract(t *testing.T) {
 	})
 }
 
-// The table kernel and the gather kernel are two formulations of one bound:
-// on a table built from the gather kernel's own terms both must keep the
-// same number of series (the benchmark harness asserts exactly this).
+// The table kernel and the interval-form reference are two formulations of
+// one bound: on a table built from the reference's own terms both must keep
+// the same number of series, on every tier (the benchmark harness asserts
+// exactly this).
 func TestLookupBlockCountParityWithGatherBlock(t *testing.T) {
 	forEachBlockTier(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(203))
@@ -194,18 +196,13 @@ func TestLookupBlockCountParityWithGatherBlock(t *testing.T) {
 			for _, l := range []int{8, 16, 24, 17} {
 				const alpha = 256
 				words, qr, lower, upper, weights := lbdBlockCase(rng, n, l, alpha)
-				table := make([]float64, l*alpha)
-				for j := 0; j < l; j++ {
-					for sym := 0; sym < alpha; sym++ {
-						table[j*alpha+sym] = lbdBlockTerm(qr[j], lower[j*alpha+sym], upper[j*alpha+sym], weights[j])
-					}
-				}
+				table := intervalTable(qr, lower, upper, weights, l, alpha)
 				want := seqLoop(words, n, l, table, alpha)
 				for _, bsf := range lookupBlockBounds(words, n, l, table, alpha, want) {
 					k := LookupAccumBlockEA(words, n, table, alpha, make([]float64, n), bsf)
 					g := LBDGatherBlockEA(words, n, qr, lower, upper, weights, alpha, make([]float64, n), bsf)
 					if k != g {
-						t.Fatalf("n=%d l=%d bsf=%v: lookup kernel keeps %d series, gather kernel %d", n, l, bsf, k, g)
+						t.Fatalf("n=%d l=%d bsf=%v: lookup kernel keeps %d series, interval reference %d", n, l, bsf, k, g)
 					}
 				}
 			}
@@ -213,18 +210,50 @@ func TestLookupBlockCountParityWithGatherBlock(t *testing.T) {
 	})
 }
 
-// lbdBlockCase reuses lbdCase's structurally valid interval problem and
-// adds n-1 more words over the same breakpoints.
+// lbdBlockCase builds a random but structurally valid interval problem: n
+// words of l symbols < alpha, a query representation, nonnegative weights
+// and sorted breakpoints per position (lower[0] = -Inf, upper[alpha-1] =
+// +Inf, shared inner bounds).
 func lbdBlockCase(rng *rand.Rand, n, l, alpha int) (words []byte, qr, lower, upper, weights []float64) {
-	word, qr, lower, upper, weights := lbdCase(rng, l, alpha)
 	words = make([]byte, n*l)
-	copy(words, word)
-	for i := l; i < n*l; i++ {
+	for i := range words {
 		words[i] = byte(rng.Intn(alpha))
+	}
+	qr = make([]float64, l)
+	weights = make([]float64, l)
+	lower = make([]float64, l*alpha)
+	upper = make([]float64, l*alpha)
+	bps := make([]float64, alpha-1)
+	for j := 0; j < l; j++ {
+		qr[j] = rng.NormFloat64() * 2
+		weights[j] = rng.Float64() * 3
+		for i := range bps {
+			bps[i] = rng.NormFloat64()
+		}
+		sort.Float64s(bps)
+		lower[j*alpha] = math.Inf(-1)
+		upper[j*alpha+alpha-1] = math.Inf(1)
+		copy(lower[j*alpha+1:(j+1)*alpha], bps)
+		copy(upper[j*alpha:(j+1)*alpha-1], bps)
 	}
 	return
 }
 
+// intervalTable is the flat lookup table of an interval problem: entry
+// (j, sym) is the interval reference's own term.
+func intervalTable(qr, lower, upper, weights []float64, l, alpha int) []float64 {
+	table := make([]float64, l*alpha)
+	for j := 0; j < l; j++ {
+		for sym := 0; sym < alpha; sym++ {
+			table[j*alpha+sym] = lbdBlockTerm(qr[j], lower[j*alpha+sym], upper[j*alpha+sym], weights[j])
+		}
+	}
+	return table
+}
+
+// The interval-form reference must add, series by series, the terms of the
+// three-way switch (zero inside the interval, and for a NaN query lane), and
+// the dispatched table kernel must hand its survivors the reference's bits.
 func TestLBDGatherBlockParityExhaustive(t *testing.T) {
 	forEachBlockTier(t, testLBDGatherBlockParity)
 }
@@ -237,20 +266,32 @@ func testLBDGatherBlockParity(t *testing.T) {
 			for _, l := range blockLs {
 				words, qr, lower, upper, weights := lbdBlockCase(rng, n, l, alpha)
 				if l > 2 {
-					qr[l/2] = math.NaN() // NaN query lanes must select zero in every lane
+					qr[l/2] = math.NaN()
 				}
 				want := make([]float64, n)
-				wantKInf := LBDGatherBlockEAPortable(words, n, qr, lower, upper, weights, alpha, want, inf)
-				if wantKInf != n {
-					t.Fatalf("alpha=%d n=%d l=%d: portable survivors at +Inf = %d, want n=%d", alpha, n, l, wantKInf, n)
+				for i := range want {
+					for j, sym := range words[i*l : (i+1)*l] {
+						lo, hi, v := lower[j*alpha+int(sym)], upper[j*alpha+int(sym)], qr[j]
+						var d float64
+						switch {
+						case v < lo:
+							d = lo - v
+						case v > hi:
+							d = v - hi
+						}
+						want[i] += weights[j] * (d * d)
+					}
 				}
+				table := intervalTable(qr, lower, upper, weights, l, alpha)
 				got := make([]float64, n)
+				out := make([]float64, n)
+				surv := make([]int32, n)
 				for _, bsf := range []float64{0, want[n/2], inf} {
 					k := LBDGatherBlockEA(words, n, qr, lower, upper, weights, alpha, got, bsf)
 					wantK := 0
 					for i := 0; i < n; i++ {
 						if !eqBits(got[i], want[i]) {
-							t.Fatalf("alpha=%d n=%d l=%d series %d: dispatched %v (%#x) != portable %v (%#x)",
+							t.Fatalf("alpha=%d n=%d l=%d series %d: %v (%#x) != switch form %v (%#x)",
 								alpha, n, l, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 						}
 						if want[i] <= bsf {
@@ -260,16 +301,14 @@ func testLBDGatherBlockParity(t *testing.T) {
 					if k != wantK {
 						t.Fatalf("alpha=%d n=%d l=%d bsf=%v: survivors %d, want %d", alpha, n, l, bsf, k, wantK)
 					}
-				}
-				// Cross-check against the per-series gather kernel at +Inf.
-				// That kernel reduces positions through a lane tree, so only
-				// approximate agreement is possible (the block kernels'
-				// canonical order is the sequential chain); a real logic bug
-				// would diverge by far more than reassociation slack.
-				for i := 0; i < n; i++ {
-					seq := LBDGatherEAPortable(words[i*l:(i+1)*l], qr, lower, upper, weights, alpha, inf)
-					if diff := math.Abs(want[i] - seq); diff > 1e-9*(math.Abs(seq)+1) {
-						t.Fatalf("alpha=%d n=%d l=%d series %d: block %v vs per-series gather %v (diff %v)", alpha, n, l, i, want[i], seq, diff)
+					ks := LookupAccumBlockSurvivors(words, n, table, alpha, out, bsf, surv)
+					if ks != k {
+						t.Fatalf("alpha=%d n=%d l=%d bsf=%v: table kernel keeps %d series, interval reference %d", alpha, n, l, bsf, ks, k)
+					}
+					for _, i := range surv[:ks] {
+						if !eqBits(out[i], want[i]) {
+							t.Fatalf("alpha=%d n=%d l=%d bsf=%v survivor %d: table kernel %v != interval reference %v", alpha, n, l, bsf, i, out[i], want[i])
+						}
 					}
 				}
 			}
@@ -361,35 +400,6 @@ func FuzzLookupAccumBlockSurvivors(f *testing.F) {
 	})
 }
 
-func FuzzLBDGatherBlockParity(f *testing.F) {
-	f.Add(int64(1), 9, 16, 8, 10.0)
-	f.Add(int64(2), 65, 9, 2, 0.0)
-	f.Add(int64(3), 8, 33, 1, math.Inf(1))
-	f.Fuzz(func(t *testing.T, seed int64, n, l, alphaBits int, bsf float64) {
-		if n < 1 || n > 200 || l < 1 || l > 64 || alphaBits < 1 || alphaBits > 8 {
-			return
-		}
-		alpha := 1 << alphaBits
-		rng := rand.New(rand.NewSource(seed))
-		words, qr, lower, upper, weights := lbdBlockCase(rng, n, l, alpha)
-		if l > 1 && seed%3 == 0 {
-			qr[rng.Intn(l)] = math.NaN()
-		}
-		got := make([]float64, n)
-		want := make([]float64, n)
-		k := LBDGatherBlockEA(words, n, qr, lower, upper, weights, alpha, got, bsf)
-		kWant := LBDGatherBlockEAPortable(words, n, qr, lower, upper, weights, alpha, want, bsf)
-		if k != kWant {
-			t.Fatalf("survivor mismatch: n=%d l=%d alpha=%d bsf=%v: %d != %d", n, l, alpha, bsf, k, kWant)
-		}
-		for i := range got {
-			if !eqBits(got[i], want[i]) {
-				t.Fatalf("parity violation: n=%d l=%d alpha=%d series %d", n, l, alpha, i)
-			}
-		}
-	})
-}
-
 // BenchmarkBlockKernels compares the block entry points against the
 // equivalent loop of per-series calls on a leaf-sized block (n=256, l=16,
 // alpha=256 — the shapes the index refinement path actually runs).
@@ -397,7 +407,6 @@ func BenchmarkBlockKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	const n, l, alpha = 256, 16, 256
 	words, table := lookupBlockCase(rng, n, l, alpha)
-	_, qr, lower, upper, weights := lbdBlockCase(rng, 1, l, alpha)
 	out := make([]float64, n)
 	inf := math.Inf(1)
 	perSeries := func(v float64) float64 { return v / n }
@@ -433,26 +442,6 @@ func BenchmarkBlockKernels(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for s := 0; s < n; s++ {
 				out[s] = LookupAccumEASeq(words[s*l:(s+1)*l], table, alpha, inf)
-			}
-		}
-		b.ReportMetric(perSeries(float64(b.Elapsed().Nanoseconds())/float64(b.N)), "ns/series")
-	})
-	b.Run("gather/block", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			LBDGatherBlockEA(words, n, qr, lower, upper, weights, alpha, out, inf)
-		}
-		b.ReportMetric(perSeries(float64(b.Elapsed().Nanoseconds())/float64(b.N)), "ns/series")
-	})
-	b.Run("gather/block-portable", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			LBDGatherBlockEAPortable(words, n, qr, lower, upper, weights, alpha, out, inf)
-		}
-		b.ReportMetric(perSeries(float64(b.Elapsed().Nanoseconds())/float64(b.N)), "ns/series")
-	})
-	b.Run("gather/per-series-loop", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for s := 0; s < n; s++ {
-				out[s] = LBDGatherEA(words[s*l:(s+1)*l], qr, lower, upper, weights, alpha, inf)
 			}
 		}
 		b.ReportMetric(perSeries(float64(b.Elapsed().Nanoseconds())/float64(b.N)), "ns/series")

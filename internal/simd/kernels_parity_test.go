@@ -8,8 +8,9 @@ package simd
 // CI runs it in both variants so neither path can rot.
 //
 // The corpus sweeps lengths 1..257 (every block-boundary straddle), all
-// slice offsets 0..7 (unaligned loads), ±Inf table entries, NaN queries,
-// and early-abandon bounds from 0 through +Inf.
+// slice offsets 0..7 (unaligned loads), ±Inf and NaN elements, and
+// early-abandon bounds from 0 through +Inf. The block kernels have their own
+// suite in kernels_block_parity_test.go.
 
 import (
 	"math"
@@ -167,65 +168,6 @@ func TestDotParityExhaustive(t *testing.T) {
 	}
 }
 
-// lbdCase builds a random but structurally valid LBD problem: sorted
-// breakpoints per position (lower[0] = -Inf, upper[alpha-1] = +Inf, shared
-// inner bounds), nonneg weights, symbols < alpha.
-func lbdCase(rng *rand.Rand, l, alpha int) (word []byte, qr, lower, upper, weights []float64) {
-	word = make([]byte, l)
-	qr = make([]float64, l)
-	weights = make([]float64, l)
-	lower = make([]float64, l*alpha)
-	upper = make([]float64, l*alpha)
-	for j := 0; j < l; j++ {
-		word[j] = byte(rng.Intn(alpha))
-		qr[j] = rng.NormFloat64() * 2
-		weights[j] = rng.Float64() * 3
-		bps := make([]float64, alpha-1)
-		for i := range bps {
-			bps[i] = rng.NormFloat64()
-		}
-		for i := 1; i < len(bps); i++ { // insertion sort: alpha is small here
-			for k := i; k > 0 && bps[k] < bps[k-1]; k-- {
-				bps[k], bps[k-1] = bps[k-1], bps[k]
-			}
-		}
-		for sym := 0; sym < alpha; sym++ {
-			if sym == 0 {
-				lower[j*alpha+sym] = math.Inf(-1)
-			} else {
-				lower[j*alpha+sym] = bps[sym-1]
-			}
-			if sym == alpha-1 {
-				upper[j*alpha+sym] = math.Inf(1)
-			} else {
-				upper[j*alpha+sym] = bps[sym]
-			}
-		}
-	}
-	return
-}
-
-func TestLBDGatherParityExhaustive(t *testing.T) {
-	rng := rand.New(rand.NewSource(103))
-	bounds := []float64{0, 0.1, 2, 100, math.Inf(1)}
-	for _, alpha := range []int{2, 4, 16, 256} {
-		for l := 1; l <= 40; l++ {
-			word, qr, lower, upper, weights := lbdCase(rng, l, alpha)
-			if l > 2 {
-				qr[l/2] = math.NaN() // NaN query lanes must select zero in both paths
-			}
-			for _, bsf := range bounds {
-				got := LBDGatherEA(word, qr, lower, upper, weights, alpha, bsf)
-				want := LBDGatherEAPortable(word, qr, lower, upper, weights, alpha, bsf)
-				if !eqBits(got, want) {
-					t.Fatalf("alpha=%d l=%d bsf=%v: asm %v (%#x) != portable %v (%#x)",
-						alpha, l, bsf, got, math.Float64bits(got), want, math.Float64bits(want))
-				}
-			}
-		}
-	}
-}
-
 // Property: for any data and bound, SquaredEDEA returns either the exact
 // blocked distance (when <= bound) or a certificate > bound, and the
 // sequential-vs-dispatched paths stay bit-identical.
@@ -244,27 +186,6 @@ func TestSquaredEDEAParityProperty(t *testing.T) {
 			bound = 1
 		}
 		return eqBits(SquaredEDEA(a, b, bound), SquaredEDEAPortable(a, b, bound))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: random LBD problems (including degenerate alpha=2) stay
-// bit-identical at random bounds.
-func TestLBDGatherParityProperty(t *testing.T) {
-	f := func(seed int64, bsfRaw float64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		alpha := []int{2, 4, 8, 32, 64, 128, 256}[rng.Intn(7)]
-		l := 1 + rng.Intn(64)
-		word, qr, lower, upper, weights := lbdCase(rng, l, alpha)
-		bsf := math.Abs(bsfRaw)
-		if math.IsNaN(bsf) {
-			bsf = math.Inf(1)
-		}
-		return eqBits(
-			LBDGatherEA(word, qr, lower, upper, weights, alpha, bsf),
-			LBDGatherEAPortable(word, qr, lower, upper, weights, alpha, bsf))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -326,24 +247,6 @@ func FuzzSquaredEDEAParity(f *testing.F) {
 		wantSum, wantRead := squaredEDEAReadPortable(a, b, bound)
 		if !eqBits(sum, wantSum) || read != wantRead {
 			t.Fatalf("read-length parity violation: n=%d bound=%v: (%v, %d), portable (%v, %d)", n, bound, sum, read, wantSum, wantRead)
-		}
-	})
-}
-
-func FuzzLBDGatherParity(f *testing.F) {
-	f.Add(int64(1), 16, 8, 10.0)
-	f.Add(int64(2), 9, 2, 0.0)
-	f.Add(int64(3), 33, 1, math.Inf(1))
-	f.Fuzz(func(t *testing.T, seed int64, l, alphaBits int, bsf float64) {
-		if l < 1 || l > 128 || alphaBits < 1 || alphaBits > 8 {
-			return
-		}
-		rng := rand.New(rand.NewSource(seed))
-		word, qr, lower, upper, weights := lbdCase(rng, l, 1<<alphaBits)
-		got := LBDGatherEA(word, qr, lower, upper, weights, 1<<alphaBits, bsf)
-		want := LBDGatherEAPortable(word, qr, lower, upper, weights, 1<<alphaBits, bsf)
-		if !eqBits(got, want) {
-			t.Fatalf("parity violation: l=%d alpha=%d bsf=%v", l, 1<<alphaBits, bsf)
 		}
 	})
 }
