@@ -176,7 +176,7 @@ func BuildReport(cfg SuiteConfig) (*PerfReport, error) {
 // fixed synthetic inputs: 256-element series, l=16 words, 256 symbols.
 func kernelRows() []KernelRow {
 	rng := rand.New(rand.NewSource(9))
-	const n, l, alpha = 256, 16, 256
+	const n, l = 256, 16
 	a := make([]float64, n)
 	b := make([]float64, n)
 	for i := range a {
@@ -185,9 +185,9 @@ func kernelRows() []KernelRow {
 	}
 	word := make([]byte, l)
 	for i := range word {
-		word[i] = byte(rng.Intn(alpha))
+		word[i] = byte(rng.Intn(simd.Alphabet))
 	}
-	table := make([]float64, l*alpha)
+	table := make([]float64, l*simd.Alphabet)
 	for i := range table {
 		table[i] = rng.Float64()
 	}
@@ -195,7 +195,7 @@ func kernelRows() []KernelRow {
 	const blockN = 256
 	blockWords := make([]byte, blockN*l)
 	for i := range blockWords {
-		blockWords[i] = byte(rng.Intn(alpha))
+		blockWords[i] = byte(rng.Intn(simd.Alphabet))
 	}
 	blockOut := make([]float64, blockN)
 	inf := math.Inf(1)
@@ -207,13 +207,13 @@ func kernelRows() []KernelRow {
 		{"ed_ea_portable", func() { simd.SquaredEDEAPortable(a, b, inf) }},
 		{"dot_" + simd.Impl(), func() { simd.Dot(a, b) }},
 		{"dot_portable", func() { simd.DotPortable(a, b) }},
-		{"table_lookup_seq", func() { simd.LookupAccumEASeq(word, table, alpha, inf) }},
+		{"table_lookup_seq", func() { simd.LookupAccumEASeq(word, table, inf) }},
 		// Block-granularity kernels: one call bounds a whole 256-series leaf
 		// block, so ns/op here is per LEAF, not per series (divide by 256 to
 		// compare against the per-series rows above).
-		{"block_table_lookup_" + simd.BlockImpl(), func() { simd.LookupAccumBlockEA(blockWords, blockN, table, alpha, blockOut, inf) }},
+		{"block_table_lookup_" + simd.BlockImpl(), func() { simd.LookupAccumBlockSurvivors(blockWords, blockN, table, blockOut, inf, nil) }},
 		{"block_table_lookup_portable", func() {
-			simd.LookupAccumBlockSurvivorsPortable(blockWords, blockN, table, alpha, blockOut, inf, nil)
+			simd.LookupAccumBlockSurvivorsPortable(blockWords, blockN, table, blockOut, inf, nil)
 		}},
 	}
 	rows := make([]KernelRow, 0, len(cases))

@@ -151,9 +151,6 @@ func BuildCollection(data *distance.Matrix, cfg Config) (*Collection, error) {
 	if cfg.WordLength == 0 {
 		cfg.WordLength = sfa.DefaultWordLength
 	}
-	if cfg.Bits == 0 {
-		cfg.Bits = sfa.DefaultBits
-	}
 	if cfg.LeafCapacity == 0 {
 		cfg.LeafCapacity = 1024
 	}
@@ -198,7 +195,7 @@ func (c *Collection) initMutationState(pubCount int64, dead int) {
 func newSummarization(data *distance.Matrix, cfg Config) (index.Summarization, *sfa.Quantizer, float64, error) {
 	switch cfg.Method {
 	case MESSI:
-		q, err := sax.NewQuantizer(data.Stride, cfg.WordLength, cfg.Bits)
+		q, err := sax.NewQuantizer(data.Stride, cfg.WordLength, index.SymbolBits)
 		if err != nil {
 			return nil, nil, 0, err
 		}
@@ -207,7 +204,7 @@ func newSummarization(data *distance.Matrix, cfg Config) (index.Summarization, *
 		start := time.Now()
 		q, err := sfa.Learn(data, sfa.Options{
 			WordLength: cfg.WordLength,
-			Bits:       cfg.Bits,
+			Bits:       index.SymbolBits,
 			Binning:    cfg.Binning,
 			Selection:  cfg.Selection,
 			SampleRate: cfg.SampleRate,
@@ -856,7 +853,7 @@ func (c *Collection) compactOnce(i int, final bool) (done bool, err error) {
 	} else {
 		q, lerr := sfa.Learn(data, sfa.Options{
 			WordLength: c.cfg.WordLength,
-			Bits:       c.cfg.Bits,
+			Bits:       index.SymbolBits,
 			Binning:    c.cfg.Binning,
 			Selection:  c.cfg.Selection,
 			SampleRate: c.cfg.SampleRate,

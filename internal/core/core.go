@@ -61,14 +61,14 @@ func (m Method) String() string {
 	}
 }
 
-// Config configures Build. Zero values select the paper's defaults (the
-// summarization defaults sfa.DefaultWordLength and sfa.DefaultBits, SFA with
-// equi-width binning and variance selection learned from a 1% sample, one
-// shard).
+// Config configures Build. Zero values select the paper's defaults (words
+// of sfa.DefaultWordLength symbols, SFA with equi-width binning and
+// variance selection learned from a 1% sample, one shard). A symbol is
+// always a byte (index.SymbolBits): the paper's alphabet of 256 is the only
+// one the index's tables and kernels are laid out for.
 type Config struct {
 	Method       Method
 	WordLength   int // symbols per word (default sfa.DefaultWordLength)
-	Bits         int // bits per symbol (default sfa.DefaultBits; alphabet 2^Bits)
 	LeafCapacity int // tree leaf size (default 1024)
 	Workers      int // build/query parallelism budget across shards (default GOMAXPROCS)
 	Queues       int // query priority queues across shards (default Workers)

@@ -150,7 +150,6 @@ func TestConfigPropagation(t *testing.T) {
 	ix, err := Build(m, Config{
 		Method:       SOFA,
 		WordLength:   8,
-		Bits:         4,
 		LeafCapacity: 16,
 		Workers:      2,
 		Binning:      sfa.EquiDepth,
@@ -161,7 +160,7 @@ func TestConfigPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := ix.SFAQuantizer()
-	if q.Segments() != 8 || q.MaxBits() != 4 {
+	if q.Segments() != 8 || q.MaxBits() != 8 {
 		t.Errorf("word config not propagated: l=%d bits=%d", q.Segments(), q.MaxBits())
 	}
 	// FirstCoefficients ordering is ascending spectral order.

@@ -59,7 +59,7 @@ type savedIndex struct {
 	Version      int
 	Method       Method
 	WordLength   int
-	Bits         int
+	Bits         int // always index.SymbolBits; a load refuses anything else
 	LeafCapacity int
 	SeriesLen    int
 	Count        int
@@ -297,7 +297,7 @@ func Save(ix *Index, w io.Writer) error {
 		Version:        savedIndexVersion,
 		Method:         col.method,
 		WordLength:     col.cfg.WordLength,
-		Bits:           col.cfg.Bits,
+		Bits:           index.SymbolBits,
 		LeafCapacity:   col.cfg.LeafCapacity,
 		SeriesLen:      col.SeriesLen(),
 		Count:          col.PhysLen(),
@@ -702,7 +702,7 @@ func LoadWithOptions(r io.Reader, opts LoadOptions, st *LoadStats) (*Index, erro
 	}
 
 	cfg := Config{
-		Method: s.Method, WordLength: s.WordLength, Bits: s.Bits,
+		Method: s.Method, WordLength: s.WordLength,
 		LeafCapacity: s.LeafCapacity, Shards: s.Shards,
 	}
 	col := &Collection{method: s.Method, cfg: cfg, total: s.Count, stride: s.SeriesLen}
@@ -823,7 +823,7 @@ func (s *savedIndex) verify(opts LoadOptions) (corrupt []bool, err error) {
 	if s.WordLength < 1 || s.WordLength > 64 {
 		return nil, fmt.Errorf("core: corrupt word length %d", s.WordLength)
 	}
-	if s.Bits < 1 || s.Bits > 8 {
+	if s.Bits != index.SymbolBits {
 		return nil, fmt.Errorf("core: corrupt symbol bits %d", s.Bits)
 	}
 	if s.LeafCapacity < 1 {
@@ -846,13 +846,16 @@ func (s *savedIndex) verify(opts LoadOptions) (corrupt []bool, err error) {
 		return nil, fmt.Errorf("core: non-SOFA container carries per-shard SFA state")
 	}
 	// An SFA state transforms rows of its own length N, and FromState sizes
-	// the projection basis by it: a state must describe the stored rows.
-	if s.SFA != nil && s.SFA.N != s.SeriesLen {
-		return nil, fmt.Errorf("core: SFA state for series length %d, container holds %d", s.SFA.N, s.SeriesLen)
+	// the projection basis by it: a state must describe the stored rows, in
+	// the index's one symbol width.
+	if s.SFA != nil && (s.SFA.N != s.SeriesLen || s.SFA.Bits != index.SymbolBits) {
+		return nil, fmt.Errorf("core: SFA state for series length %d at %d bits, container holds %d at %d",
+			s.SFA.N, s.SFA.Bits, s.SeriesLen, index.SymbolBits)
 	}
 	for i := range s.ShardSFA {
-		if own := s.ownSFA(i); own != nil && own.N != s.SeriesLen {
-			return nil, fmt.Errorf("core: shard %d SFA state for series length %d, container holds %d", i, own.N, s.SeriesLen)
+		if own := s.ownSFA(i); own != nil && (own.N != s.SeriesLen || own.Bits != index.SymbolBits) {
+			return nil, fmt.Errorf("core: shard %d SFA state for series length %d at %d bits, container holds %d at %d",
+				i, own.N, own.Bits, s.SeriesLen, index.SymbolBits)
 		}
 	}
 	// Upserts add physical rows without assigning ids, so PubCount and
@@ -873,18 +876,6 @@ func (s *savedIndex) verify(opts LoadOptions) (corrupt []bool, err error) {
 	}
 	if int64(len(s.DataBytes)) != int64(s.Count)*int64(s.SeriesLen)*4 {
 		return nil, fmt.Errorf("core: data length %d bytes, want %d", len(s.DataBytes), s.Count*s.SeriesLen*4)
-	}
-	// The tree checks each block row against its leaf's prefixes only; a
-	// symbol outside the alphabet has no entry in a query's distance table.
-	for i, p := range s.ShardShapes {
-		if corrupt != nil && corrupt[i] {
-			continue // quarantined payload: its bytes are not trusted enough to validate
-		}
-		for _, w := range p.LeafBlocks {
-			if s.Bits < 8 && int(w) >= 1<<s.Bits {
-				return nil, fmt.Errorf("core: word symbol %d exceeds alphabet %d", w, 1<<s.Bits)
-			}
-		}
 	}
 	return corrupt, nil
 }

@@ -12,7 +12,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/distance"
 	"repro/internal/index"
+	"repro/internal/scan"
+	"repro/internal/sfa"
 )
 
 // splitCount sums the leaf splits every shard tree of ix has performed —
@@ -293,16 +296,11 @@ func TestLoadRejectsOtherVersions(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsOutOfAlphabetSymbols: a leaf block symbol outside a
-// 6-bit alphabet, under valid checksums, must fail the load. The tree checks
-// block rows only against their leaves' prefixes, which need not cover the
-// symbol's top bits, so the range check on the blocks is what refuses it.
-func TestLoadRejectsOutOfAlphabetSymbols(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	ix, err := Build(mixedMatrix(rng, 200, 32), Config{Method: SOFA, Bits: 6, LeafCapacity: 16, SampleRate: 0.3, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+// forgeContainer saves ix, applies mutate to the decoded container,
+// recomputes both checksum tiers and re-encodes it: a forgery only the
+// load's own validation can refuse.
+func forgeContainer(t *testing.T, ix *Index, mutate func(*savedIndex)) *bytes.Buffer {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := Save(ix, &buf); err != nil {
 		t.Fatal(err)
@@ -311,15 +309,105 @@ func TestLoadRejectsOutOfAlphabetSymbols(t *testing.T) {
 	if err := gob.NewDecoder(&buf).Decode(&s); err != nil {
 		t.Fatal(err)
 	}
-	blocks := s.ShardShapes[1].LeafBlocks
-	blocks[len(blocks)-1] |= 1 << 6
-	s.ShardChecksums[1] = shardChecksum(s.ShardShapes[1])
+	mutate(&s)
+	for i := range s.ShardShapes {
+		s.ShardChecksums[i] = shardChecksum(s.ShardShapes[i])
+	}
 	s.Checksum = globalChecksum(&s)
 	var forged bytes.Buffer
 	if err := gob.NewEncoder(&forged).Encode(&s); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(&forged); err == nil || !strings.Contains(err.Error(), "exceeds alphabet 64") {
-		t.Fatalf("out-of-alphabet block symbol: %v, want an alphabet error", err)
+	return &forged
+}
+
+// TestLoadRejectsSubByteSymbolBits: a symbol is a byte, so a container that
+// declares another width — in its header, its SFA state or a shard's
+// re-learned state — is refused under valid checksums by the container's
+// own checks, before any tree is decoded. The states are real 7-bit ones,
+// which FromState would accept on their own.
+func TestLoadRejectsSubByteSymbolBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	data := mixedMatrix(rng, 200, 32)
+	ix, err := Build(data, Config{Method: SOFA, LeafCapacity: 16, SampleRate: 0.3, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q7, err := sfa.Learn(data, sfa.Options{Bits: 7, SampleRate: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st7 := q7.State()
+	for name, c := range map[string]struct {
+		mutate func(*savedIndex)
+		want   string
+	}{
+		"header":               {func(s *savedIndex) { s.Bits = 7 }, "corrupt symbol bits 7"},
+		"collection SFA state": {func(s *savedIndex) { s.SFA = &st7 }, "SFA state for series length 32 at 7 bits"},
+		"shard SFA state": {func(s *savedIndex) {
+			s.ShardSFA = []*sfa.State{{}, &st7}
+		}, "shard 1 SFA state for series length 32 at 7 bits"},
+	} {
+		if _, err := Load(forgeContainer(t, ix, c.mutate)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s at 7 bits: %v, want an error containing %q", name, err, c.want)
+		}
+	}
+}
+
+// TestLoadAcceptsEverySymbolByte: every byte is a symbol. Learned from the
+// whole collection, equi-width bins put each position's largest value in
+// the top bin, so the leaf blocks hold symbol 255 (and 0); the container
+// loads, and the loaded index answers exactly what a scan of its own rows
+// answers.
+func TestLoadAcceptsEverySymbolByte(t *testing.T) {
+	rng := rand.New(rand.NewSource(78))
+	ix, err := Build(mixedMatrix(rng, 300, 32), Config{Method: SOFA, LeafCapacity: 16, SampleRate: 1, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var top, bottom int
+	for i := range ix.col.states {
+		for _, w := range ix.col.tree(i).Shape().LeafBlocks {
+			switch w {
+			case 255:
+				top++
+			case 0:
+				bottom++
+			}
+		}
+	}
+	if top == 0 || bottom == 0 {
+		t.Fatalf("leaf blocks hold symbol 255 %d times and 0 %d times, want both", top, bottom)
+	}
+	var buf bytes.Buffer
+	if err := Save(ix, &buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatalf("container with symbol 255: %v", err)
+	}
+	rows := distance.NewMatrix(loaded.Len(), loaded.SeriesLen())
+	for i := 0; i < loaded.Len(); i++ {
+		copy(rows.Row(i), loaded.Row(i))
+	}
+	sc, err := scan.New(rows, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := loaded.NewSearcher()
+	queries := mixedMatrix(rng, 10, 32)
+	for qi := 0; qi < queries.Len(); qi++ {
+		got, err := s.Search(queries.Row(qi), 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sc.Search(queries.Row(qi), 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %d: loaded index %v, scan %v", qi, got, want)
+		}
 	}
 }

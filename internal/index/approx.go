@@ -208,7 +208,7 @@ func (s *Searcher) traverseScaled(n *node, kn *KNNCollector, skip *node, scale f
 		return
 	}
 	s.nodesVisited.Add(1)
-	d := s.dt.nodeMinDist(s.qword, n.word, n.cards, s.t.maxBits)
+	d := s.dt.nodeMinDist(s.qword, n.word, n.cards)
 	if d >= kn.Bound()*scale {
 		return
 	}

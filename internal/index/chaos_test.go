@@ -17,7 +17,7 @@ func chaosTree(tb testing.TB) (*Tree, [][]float64) {
 	faultinject.Reset()
 	rng := rand.New(rand.NewSource(841))
 	data := mixedMatrix(rng, 500, 48)
-	t, err := Build(data, newSAXSum(tb, 48, 16, 8), Options{LeafCapacity: 32})
+	t, err := Build(data, newSAXSum(tb, 48, 16), Options{LeafCapacity: 32})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func TestSearchZeroAllocSteadyState(t *testing.T) {
 	m := mixedMatrix(rng, 2000, n)
 	for name, sum := range map[string]Summarization{
 		"SFA": newSFASum(t, m, sfa.Options{SampleRate: 0.2}),
-		"SAX": newSAXSum(t, n, 16, 8),
+		"SAX": newSAXSum(t, n, 16),
 	} {
 		t.Run(name, func(t *testing.T) {
 			tr, err := Build(m, sum, Options{LeafCapacity: 64, Workers: 1, Queues: 1})
@@ -405,7 +405,7 @@ func TestFlatTableBitForBitScalar(t *testing.T) {
 			return false
 		}
 		k := kernel{qr: qr, weights: sum.Weights(), g: g, l: 16}
-		dt.build(&k, 1<<sum.MaxBits()) // reused across seeds, as in the searcher
+		dt.build(&k) // reused across seeds, as in the searcher
 		word := make([]byte, 16)
 		if _, err := enc.Word(m.Row(r.Intn(m.Len())), word); err != nil {
 			return false
@@ -424,7 +424,7 @@ func TestLeafBlocksConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	n := 64
 	m := mixedMatrix(rng, 500, n)
-	tr, err := Build(m, newSAXSum(t, n, 8, 8), Options{LeafCapacity: 16})
+	tr, err := Build(m, newSAXSum(t, n, 8), Options{LeafCapacity: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +502,7 @@ func TestResultBufferReuseAcrossK(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	n := 64
 	m := mixedMatrix(rng, 300, n)
-	tr, err := Build(m, newSAXSum(t, n, 8, 8), Options{LeafCapacity: 32})
+	tr, err := Build(m, newSAXSum(t, n, 8), Options{LeafCapacity: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -64,8 +65,8 @@ func mixedMatrix(rng *rand.Rand, count, n int) *distance.Matrix {
 	return m
 }
 
-func newSAXSum(t testing.TB, n, l, bits int) saxSum {
-	q, err := sax.NewQuantizer(n, l, bits)
+func newSAXSum(t testing.TB, n, l int) saxSum {
+	q, err := sax.NewQuantizer(n, l, SymbolBits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestBuildWordsMatchPerRowWords(t *testing.T) {
 	data := mixedMatrix(rng, 1001, 128)
 	sums := map[string]Summarization{
 		"sfa": newSFASum(t, data, sfa.Options{}),
-		"sax": newSAXSum(t, 128, 16, 8),
+		"sax": newSAXSum(t, 128, 16),
 	}
 	for name, sum := range sums {
 		enc := sum.NewIndexEncoder()
@@ -132,7 +133,7 @@ func TestBuildWordsMatchPerRowWords(t *testing.T) {
 }
 
 func TestBuildValidation(t *testing.T) {
-	s := newSAXSum(t, 64, 8, 8)
+	s := newSAXSum(t, 64, 8)
 	if _, err := Build(nil, s, Options{}); err == nil {
 		t.Error("expected error on nil data")
 	}
@@ -146,10 +147,35 @@ func TestBuildValidation(t *testing.T) {
 	}
 }
 
+// A symbol is a byte: every constructor refuses a summarization with fewer
+// bits per symbol, with an error and before any table or word is built.
+func TestBuildRejectsSubByteSymbols(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	m := randomWalkMatrix(rng, 40, 64)
+	q4, err := sax.NewQuantizer(64, 8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum4 := saxSum{q4}
+	tr, err := Build(m, newSAXSum(t, 64, 8), Options{LeafCapacity: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, build := range map[string]func() (*Tree, error){
+		"Build":          func() (*Tree, error) { return Build(m, sum4, Options{}) },
+		"BuildFromWords": func() (*Tree, error) { return BuildFromWords(m, sum4, Options{}, tr.Words()) },
+		"FromShape":      func() (*Tree, error) { return FromShape(m, sum4, Options{}, tr.Shape()) },
+	} {
+		if got, err := build(); err == nil || got != nil || !strings.Contains(err.Error(), "4-bit symbols") {
+			t.Errorf("%s with 4-bit symbols: tree %v, err %v; want a 4-bit symbols error", name, got != nil, err)
+		}
+	}
+}
+
 func TestSearchValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	m := randomWalkMatrix(rng, 50, 64)
-	tr, err := Build(m, newSAXSum(t, 64, 8, 8), Options{LeafCapacity: 16, Workers: 2})
+	tr, err := Build(m, newSAXSum(t, 64, 8), Options{LeafCapacity: 16, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +194,7 @@ func TestExactness1NN(t *testing.T) {
 	n := 96
 	m := mixedMatrix(rng, 600, n)
 	sums := map[string]Summarization{
-		"SAX": newSAXSum(t, n, 16, 8),
+		"SAX": newSAXSum(t, n, 16),
 		"SFA": newSFASum(t, m, sfa.Options{SampleRate: 0.2}),
 	}
 	for name, sum := range sums {
@@ -281,7 +307,7 @@ func TestSearchSelfReturnsZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	n := 64
 	m := randomWalkMatrix(rng, 200, n)
-	tr, err := Build(m, newSAXSum(t, n, 8, 8), Options{LeafCapacity: 16})
+	tr, err := Build(m, newSAXSum(t, n, 8), Options{LeafCapacity: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +353,7 @@ func TestKernelMatchesScalarProperty(t *testing.T) {
 			return false
 		}
 		var out [1]float64
-		newDistTable(&k, 1<<sum.MaxBits()).minDistBlockEA(word, 1, out[:], math.Inf(1), nil)
+		newDistTable(&k).minDistBlockEA(word, 1, out[:], math.Inf(1), nil)
 		return out[0] == k.minDistScalar(word)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -353,9 +379,9 @@ func TestKernelEarlyAbandonProperty(t *testing.T) {
 	for _, sum := range []Summarization{
 		newSFASum(t, m, sfa.Options{SampleRate: 0.5}),
 		newSFASum(t, m, sfa.Options{WordLength: 12, SampleRate: 0.3}),
-		newSAXSum(t, n, 16, 8),
+		newSAXSum(t, n, 16),
 	} {
-		l, alpha := sum.Segments(), 1<<sum.MaxBits()
+		l, alpha := sum.Segments(), simd.Alphabet
 		g := newGatherTables(sum)
 		enc := sum.NewIndexEncoder()
 		words := make([]byte, rows*l)
@@ -386,7 +412,7 @@ func TestKernelEarlyAbandonProperty(t *testing.T) {
 				}
 			}
 			k := kernel{qr: qr, weights: sum.Weights(), g: g, l: l}
-			dt := newDistTable(&k, alpha)
+			dt := newDistTable(&k)
 			for i, v := range dt.flat {
 				if !(v >= 0) {
 					t.Fatalf("%T l=%d trial %d: table entry (%d, %d) = %v for qr %v", sum, l, trial, i/alpha, i%alpha, v, qr)
@@ -401,7 +427,7 @@ func TestKernelEarlyAbandonProperty(t *testing.T) {
 				for _, portable := range []bool{false, true} {
 					var kept int
 					if portable {
-						kept = simd.LookupAccumBlockSurvivorsPortable(words, rows, dt.flat, alpha, out, bsf, surv)
+						kept = simd.LookupAccumBlockSurvivorsPortable(words, rows, dt.flat, out, bsf, surv)
 					} else {
 						kept = dt.minDistBlockEA(words, rows, out, bsf, surv)
 					}
@@ -478,7 +504,7 @@ func TestNodeMinDistTableMatchesBreakpoints(t *testing.T) {
 		m, queries := shapeMatrix(t, shape, 4000, 9)
 		for name, sum := range map[string]Summarization{
 			"SFA": newSFASum(t, m, sfa.Options{SampleRate: 0.2}),
-			"SAX": newSAXSum(t, m.Stride, 16, 8),
+			"SAX": newSAXSum(t, m.Stride, 16),
 		} {
 			tr, err := Build(m, sum, Options{LeafCapacity: 32, Workers: 1})
 			if err != nil {
@@ -490,7 +516,7 @@ func TestNodeMinDistTableMatchesBreakpoints(t *testing.T) {
 			walk = func(n *node) {
 				nodes++
 				want := nodeMinDist(tr.sum, s.qr, n.word, n.cards)
-				got := s.dt.nodeMinDist(s.qword, n.word, n.cards, tr.maxBits)
+				got := s.dt.nodeMinDist(s.qword, n.word, n.cards)
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%s/%s node depth %d word %v cards %v: table %v (%#x) != breakpoints %v (%#x)",
 						shape, name, n.depth, n.word, n.cards, got, math.Float64bits(got), want, math.Float64bits(want))
@@ -532,7 +558,7 @@ func TestStats(t *testing.T) {
 	n := 64
 	count := 500
 	m := mixedMatrix(rng, count, n)
-	tr, err := Build(m, newSAXSum(t, n, 8, 8), Options{LeafCapacity: 20})
+	tr, err := Build(m, newSAXSum(t, n, 8), Options{LeafCapacity: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -570,7 +596,7 @@ func TestLeafCapacityRespected(t *testing.T) {
 	n := 64
 	m := mixedMatrix(rng, 1000, n)
 	const cap = 25
-	tr, err := Build(m, newSAXSum(t, n, 8, 8), Options{LeafCapacity: cap})
+	tr, err := Build(m, newSAXSum(t, n, 8), Options{LeafCapacity: cap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -604,7 +630,7 @@ func TestIdenticalSeriesOverflowLeaf(t *testing.T) {
 		copy(m.Row(i), base)
 	}
 	m.ZNormalizeAll()
-	tr, err := Build(m, newSAXSum(t, n, 8, 8), Options{LeafCapacity: 10})
+	tr, err := Build(m, newSAXSum(t, n, 8), Options{LeafCapacity: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -650,7 +676,7 @@ func TestKNNSet(t *testing.T) {
 func TestBuildPhaseTimings(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	m := mixedMatrix(rng, 300, 64)
-	tr, err := Build(m, newSAXSum(t, 64, 8, 8), Options{LeafCapacity: 16})
+	tr, err := Build(m, newSAXSum(t, 64, 8), Options{LeafCapacity: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -665,7 +691,7 @@ func TestBuildPhaseTimings(t *testing.T) {
 func BenchmarkBuildSAX(b *testing.B) {
 	rng := rand.New(rand.NewSource(13))
 	m := mixedMatrix(rng, 20000, 128)
-	sum := newSAXSum(b, 128, 16, 8)
+	sum := newSAXSum(b, 128, 16)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -37,7 +37,7 @@ func (t *Tree) Insert(series []float64, enc Encoder) (int32, error) {
 		n.count++
 		j := n.split
 		childBits := int(n.children[0].cards[j])
-		shift := uint(t.maxBits - childBits)
+		shift := uint(SymbolBits - childBits)
 		b := (word[j] >> shift) & 1
 		n = n.children[b]
 	}
@@ -106,7 +106,7 @@ func (t *Tree) CheckInvariants() error {
 					if bits == 0 {
 						continue
 					}
-					if word[j]>>(t.maxBits-bits) != n.word[j] {
+					if word[j]>>(SymbolBits-bits) != n.word[j] {
 						return fmt.Errorf("series %d word[%d]=%d violates node prefix %d@%d bits",
 							id, j, word[j], n.word[j], bits)
 					}

@@ -12,22 +12,21 @@ import (
 // summarization, so the tree builds them once; each query's distTable.build
 // reads them, and minDistScalar is the reference that uses them directly.
 //
-// The tables are stored flat ([l*alphabet], indexed j*alphabet+sym) rather
-// than as ragged [][]float64: one allocation, one base pointer, and no
-// per-position slice-header load in the table build's inner loop.
+// The tables are stored flat ([l*simd.Alphabet], indexed
+// j*simd.Alphabet+sym) rather than as ragged [][]float64: one allocation,
+// one base pointer, and no per-position slice-header load in the table
+// build's inner loop.
 type gatherTables struct {
-	lower    []float64 // [l*alphabet]
-	upper    []float64 // [l*alphabet]
-	alphabet int
+	lower []float64 // [l*simd.Alphabet]
+	upper []float64 // [l*simd.Alphabet]
 }
 
 func newGatherTables(s Summarizer) *gatherTables {
 	l := s.Segments()
-	alpha := 1 << s.MaxBits()
+	const alpha = simd.Alphabet
 	g := &gatherTables{
-		lower:    make([]float64, l*alpha),
-		upper:    make([]float64, l*alpha),
-		alphabet: alpha,
+		lower: make([]float64, l*alpha),
+		upper: make([]float64, l*alpha),
 	}
 	for j := 0; j < l; j++ {
 		bps := s.Breakpoints(j)
@@ -66,10 +65,9 @@ type kernel struct {
 // positions; tests assert agreement with distTable and its block kernel.
 func (k *kernel) minDistScalar(word []byte) float64 {
 	var sum float64
-	alpha := k.g.alphabet
 	for j := 0; j < k.l; j++ {
-		sym := int(word[j])
-		lo, hi := k.g.lower[j*alpha+sym], k.g.upper[j*alpha+sym]
+		i := j*simd.Alphabet + int(word[j])
+		lo, hi := k.g.lower[i], k.g.upper[i]
 		var d float64
 		switch {
 		case k.qr[j] < lo:
@@ -91,7 +89,6 @@ func (k *kernel) minDistScalar(word []byte) float64 {
 // and it is the reference the table form is pinned against.
 func nodeMinDist(s Summarizer, qr []float64, word []byte, cards []uint8) float64 {
 	l := s.Segments()
-	maxBits := s.MaxBits()
 	weights := s.Weights()
 	var sum float64
 	for j := 0; j < l; j++ {
@@ -100,7 +97,7 @@ func nodeMinDist(s Summarizer, qr []float64, word []byte, cards []uint8) float64
 			continue // interval is (-inf, +inf): contributes nothing
 		}
 		bps := s.Breakpoints(j)
-		shift := uint(maxBits - bits)
+		shift := uint(SymbolBits - bits)
 		loIdx := int(word[j]) << shift
 		hiIdx := (int(word[j]) + 1) << shift
 		v := qr[j]
@@ -118,29 +115,29 @@ func nodeMinDist(s Summarizer, qr []float64, word []byte, cards []uint8) float64
 // distTable is the LBD kernel of the refinement loop: for
 // one query, precompute the weighted squared distance contribution of every
 // (position, symbol) pair, reducing the per-series LBD to l table lookups
-// plus adds. It trades one l x alphabet build per query for branch-free
+// plus adds. It trades one l x simd.Alphabet build per query for branch-free
 // lookups per series — cheaper than gathering each series' interval bounds
 // from the raw tables (Algorithm 3's Gather_bound), which was measured
 // slower per series and per leaf and is no longer a kernel.
 //
-// The table is one flat []float64 of length l*alphabet indexed
-// j*alphabet+sym: with alphabet 256 and l 16 it is 32 KiB, resident in L1/L2
-// for the whole refinement phase. build reuses the backing array, so a
-// pooled searcher pays zero allocations per query — and skips the rebuild
-// entirely when the query representation is unchanged (repeated queries,
-// batch replays), comparing l cached floats instead of recomputing
-// l*alphabet entries.
+// The table is one flat []float64 of length l*simd.Alphabet indexed
+// j*simd.Alphabet+sym: at l 16 it is 32 KiB, resident in L1/L2 for the
+// whole refinement phase. build reuses the backing array, so a pooled
+// searcher pays zero allocations per query — and skips the rebuild entirely
+// when the query representation is unchanged (repeated queries, batch
+// replays), comparing l cached floats instead of recomputing
+// l*simd.Alphabet entries.
 type distTable struct {
-	flat     []float64 // [l*alphabet] weighted squared distances
-	qrCache  []float64 // query representation the table was built for
-	l        int
-	alphabet int
+	flat    []float64 // [l*simd.Alphabet] weighted squared distances
+	qrCache []float64 // query representation the table was built for
+	l       int
 }
 
 // build (re)fills the table for the kernel's current query representation.
-func (t *distTable) build(k *kernel, alphabet int) {
-	need := k.l * alphabet
-	if len(t.flat) == need && t.l == k.l && t.alphabet == alphabet && sameQR(t.qrCache, k.qr) {
+func (t *distTable) build(k *kernel) {
+	const alpha = simd.Alphabet
+	need := k.l * alpha
+	if len(t.flat) == need && t.l == k.l && sameQR(t.qrCache, k.qr) {
 		return // repeat query: table already matches (NaN never matches, so it always rebuilds)
 	}
 	if cap(t.flat) < need {
@@ -148,14 +145,13 @@ func (t *distTable) build(k *kernel, alphabet int) {
 	}
 	t.flat = t.flat[:need]
 	t.l = k.l
-	t.alphabet = alphabet
 	for j := 0; j < k.l; j++ {
-		row := t.flat[j*alphabet : (j+1)*alphabet]
+		row := t.flat[j*alpha : (j+1)*alpha]
 		v := k.qr[j]
 		w := k.weights[j]
-		glo := k.g.lower[j*k.g.alphabet:]
-		ghi := k.g.upper[j*k.g.alphabet:]
-		for sym := 0; sym < alphabet; sym++ {
+		glo := k.g.lower[j*alpha:]
+		ghi := k.g.upper[j*alpha:]
+		for sym := 0; sym < alpha; sym++ {
 			// Max-style select instead of the two-armed switch: d is the
 			// positive one of (lo-v, v-hi), or zero when v lies inside the
 			// interval (both differences <= 0) or v is NaN (both compares
@@ -191,9 +187,9 @@ func sameQR(cache, qr []float64) bool {
 
 // newDistTable builds a fresh table (test/benchmark convenience; the
 // searcher reuses one table via build).
-func newDistTable(k *kernel, alphabet int) *distTable {
+func newDistTable(k *kernel) *distTable {
 	t := &distTable{}
-	t.build(k, alphabet)
+	t.build(k)
 	return t
 }
 
@@ -205,14 +201,14 @@ func newDistTable(k *kernel, alphabet int) *distTable {
 // clamped into it. That entry is the same w*d*d product the breakpoint
 // form computes — bit for bit, one load per position instead of a
 // breakpoint search.
-func (t *distTable) nodeMinDist(qword, word []byte, cards []uint8, maxBits int) float64 {
+func (t *distTable) nodeMinDist(qword, word []byte, cards []uint8) float64 {
 	var sum float64
 	for j := 0; j < t.l; j++ {
 		bits := int(cards[j])
 		if bits == 0 {
 			continue // interval is (-inf, +inf): contributes nothing
 		}
-		shift := uint(maxBits - bits)
+		shift := uint(SymbolBits - bits)
 		lo := int(word[j]) << shift
 		hi := lo + 1<<shift - 1
 		sym := int(qword[j])
@@ -221,7 +217,7 @@ func (t *distTable) nodeMinDist(qword, word []byte, cards []uint8, maxBits int) 
 		} else if sym > hi {
 			sym = hi
 		}
-		sum += t.flat[j*t.alphabet+sym]
+		sum += t.flat[j*simd.Alphabet+sym]
 	}
 	return sum
 }
@@ -231,7 +227,7 @@ func (t *distTable) nodeMinDist(qword, word []byte, cards []uint8, maxBits int) 
 // feeding one sequential add chain, which keeps the table bit-for-bit
 // against the scalar reference.
 func (t *distTable) minDistEA(word []byte, bsf float64) float64 {
-	return simd.LookupAccumEASeq(word[:t.l], t.flat, t.alphabet, bsf)
+	return simd.LookupAccumEASeq(word[:t.l], t.flat, bsf)
 }
 
 // minDistBlockEA lower-bounds ALL n series of a contiguous SoA word block
@@ -247,5 +243,5 @@ func (t *distTable) minDistEA(word []byte, bsf float64) float64 {
 // positions for every series they already rule out, and opens the
 // series-across-lanes AVX2/AVX-512 tiers (see simd.BlockImpl).
 func (t *distTable) minDistBlockEA(words []byte, n int, out []float64, bsf float64, surv []int32) int {
-	return simd.LookupAccumBlockSurvivors(words, n, t.flat, t.alphabet, out, bsf, surv)
+	return simd.LookupAccumBlockSurvivors(words, n, t.flat, out, bsf, surv)
 }

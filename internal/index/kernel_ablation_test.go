@@ -39,7 +39,7 @@ func TestDistTableMatchesKernelProperty(t *testing.T) {
 			return false
 		}
 		k := kernel{qr: qr, weights: sum.Weights(), g: g, l: 16}
-		dt := newDistTable(&k, 1<<sum.MaxBits())
+		dt := newDistTable(&k)
 		word := make([]byte, 16)
 		if _, err := enc.Word(m.Row(r.Intn(m.Len())), word); err != nil {
 			return false
@@ -77,7 +77,7 @@ func lbdFixture(b *testing.B) (*kernel, *distTable, [][]byte, []byte, int) {
 		b.Fatal(err)
 	}
 	k := &kernel{qr: qr, weights: sum.Weights(), g: g, l: 16}
-	dt := newDistTable(k, 1<<sum.MaxBits())
+	dt := newDistTable(k)
 	const l = 16
 	ragged := make([][]byte, m.Len())
 	block := make([]byte, m.Len()*l)
@@ -141,9 +141,9 @@ func BenchmarkLBDKernels(b *testing.B) {
 		_, dt, _, block, l := lbdFixture(b)
 		rows := len(block) / l
 		out := make([]float64, rows)
+		surv := make([]int32, rows)
 		b.ReportAllocs()
 		b.ResetTimer()
-		surv := make([]int32, rows)
 		for i := 0; i < b.N; i++ {
 			dt.minDistBlockEA(block, rows, out, math.Inf(1), surv)
 		}
@@ -155,7 +155,7 @@ func BenchmarkLBDKernels(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			simd.LookupAccumBlockSurvivorsPortable(block, rows, dt.flat, dt.alphabet, out, math.Inf(1), nil)
+			simd.LookupAccumBlockSurvivorsPortable(block, rows, dt.flat, out, math.Inf(1), nil)
 		}
 	})
 
@@ -166,7 +166,6 @@ func BenchmarkLBDKernels(b *testing.B) {
 // representation, which the qr-cache turns into an l-float compare.
 func BenchmarkDistTableBuild(b *testing.B) {
 	k, dt, _, _, _ := lbdFixture(b)
-	alpha := dt.alphabet
 	qrA := append([]float64(nil), k.qr...)
 	qrB := append([]float64(nil), k.qr...)
 	qrB[0] += 0.25
@@ -178,16 +177,16 @@ func BenchmarkDistTableBuild(b *testing.B) {
 			} else {
 				k.qr = qrB
 			}
-			dt.build(k, alpha)
+			dt.build(k)
 		}
 	})
 	b.Run("Cached", func(b *testing.B) {
 		k.qr = qrA
-		dt.build(k, alpha)
+		dt.build(k)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			dt.build(k, alpha)
+			dt.build(k)
 		}
 	})
 }

@@ -326,7 +326,7 @@ func (s *Searcher) approximateLeaf() *node {
 		best := math.Inf(1)
 		for _, rk := range t.rootKeys {
 			c := t.root[rk]
-			if d := s.dt.nodeMinDist(s.qword, c.word, c.cards, t.maxBits); d < best {
+			if d := s.dt.nodeMinDist(s.qword, c.word, c.cards); d < best {
 				best = d
 				n = c
 			}
@@ -335,7 +335,7 @@ func (s *Searcher) approximateLeaf() *node {
 	for !n.isLeaf() {
 		j := n.split
 		childBits := int(n.children[0].cards[j])
-		shift := uint(t.maxBits - childBits)
+		shift := uint(SymbolBits - childBits)
 		b := (s.qword[j] >> shift) & 1
 		child := n.children[b]
 		if child.count == 0 {
@@ -347,11 +347,11 @@ func (s *Searcher) approximateLeaf() *node {
 }
 
 // buildTable (re)fills the flat per-query LBD table for the current query
-// representation: a fresh build costs one l x alphabet sweep (microseconds),
-// a repeat for the same representation is a qr-cache hit.
+// representation: a fresh build costs one l x simd.Alphabet sweep
+// (microseconds), a repeat for the same representation is a qr-cache hit.
 func (s *Searcher) buildTable() {
 	s.kern.qr = s.qr
-	s.dt.build(&s.kern, s.t.gather.alphabet)
+	s.dt.build(&s.kern)
 }
 
 // drainScratch is one drain worker's scratch of the block refinement path:

@@ -23,7 +23,7 @@ func TestApproximateLeafFallback(t *testing.T) {
 		}
 	}
 	m.ZNormalizeAll()
-	tr, err := Build(m, newSAXSum(t, n, 8, 8), Options{LeafCapacity: 16})
+	tr, err := Build(m, newSAXSum(t, n, 8), Options{LeafCapacity: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestApproximateLeafFallback(t *testing.T) {
 func TestLastStatsPopulated(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	m := mixedMatrix(rng, 300, 64)
-	tr, err := Build(m, newSAXSum(t, 64, 8, 8), Options{LeafCapacity: 16})
+	tr, err := Build(m, newSAXSum(t, 64, 8), Options{LeafCapacity: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestRootFanoutBits(t *testing.T) {
 func TestMoreWorkersThanSubtrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	m := mixedMatrix(rng, 150, 64)
-	tr, err := Build(m, newSAXSum(t, 64, 8, 8), Options{LeafCapacity: 64, Workers: 16, Queues: 16})
+	tr, err := Build(m, newSAXSum(t, 64, 8), Options{LeafCapacity: 64, Workers: 16, Queues: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

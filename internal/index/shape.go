@@ -123,7 +123,7 @@ func (t *Tree) decodeShape(shape TreeShape) error {
 	}
 	// Depth is bounded by the total prefix bits a word can absorb; rejecting
 	// deeper shapes both catches corruption and bounds the decode recursion.
-	maxDepth := 1 + t.l*t.maxBits
+	maxDepth := 1 + t.l*SymbolBits
 	var cur shapeCursor
 	var build func(n *node) error
 	build = func(n *node) error {
@@ -158,8 +158,8 @@ func (t *Tree) decodeShape(shape TreeShape) error {
 		if sp >= t.l {
 			return fmt.Errorf("index: split position %d out of range (word length %d)", sp, t.l)
 		}
-		if int(n.cards[sp]) >= t.maxBits {
-			return fmt.Errorf("index: split at position %d exceeds %d-bit cardinality", sp, t.maxBits)
+		if int(n.cards[sp]) >= SymbolBits {
+			return fmt.Errorf("index: split at position %d exceeds %d-bit cardinality", sp, SymbolBits)
 		}
 		if n.depth >= maxDepth {
 			return fmt.Errorf("index: shape deeper than %d levels", maxDepth)

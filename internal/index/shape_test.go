@@ -22,7 +22,7 @@ func shapeFixture(t *testing.T, n, length int, opts Options) (*Tree, *distance.M
 		}
 	}
 	data.ZNormalizeAll()
-	sum := newSAXSum(t, length, 8, 8)
+	sum := newSAXSum(t, length, 8)
 	tree, err := Build(data, sum, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +182,7 @@ func TestFromShapeRejectsCorruptShapes(t *testing.T) {
 		// The top bit of the first row's first symbol is the first root
 		// child's one-bit prefix at position 0. A flip below every prefix
 		// decodes; the container's shard checksum is what catches it.
-		"flipped prefix bit in block": func(s *TreeShape) { s.LeafBlocks[0] ^= 1 << (tree.maxBits - 1) },
+		"flipped prefix bit in block": func(s *TreeShape) { s.LeafBlocks[0] ^= 1 << (SymbolBits - 1) },
 	}
 	for name, mutate := range mutations {
 		s := TreeShape{

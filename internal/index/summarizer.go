@@ -16,14 +16,18 @@
 // The refinement loop (Algorithm 3's role in the pipeline) is built around
 // data layout rather than emulated intrinsics:
 //
+//   - One symbol width. A symbol is a byte (SymbolBits = 8, the paper's
+//     alphabet of 256): every byte value is a symbol, node prefixes shift
+//     by a constant, and the constructors refuse any other width.
+//
 //   - Flat LBD tables. The per-summarization gather tables and the
 //     per-query distance table are single flat []float64 slices indexed
-//     j*alphabet+sym, not ragged [][]float64: one base pointer, no
+//     j*simd.Alphabet+sym, not ragged [][]float64: one base pointer, no
 //     slice-header loads in the inner loop. The per-query table (distTable)
 //     is the refinement kernel — it folds query position, weights
 //     and breakpoint intervals into one lookup per word position, built
-//     once per query into Searcher-owned scratch (32 KiB at l=16,
-//     alphabet=256; L1/L2-resident for the whole refinement phase) and
+//     once per query into Searcher-owned scratch (32 KiB at l=16;
+//     L1/L2-resident for the whole refinement phase) and
 //     reused outright when the query representation repeats. It is the
 //     only LBD kernel: a leaf's block of words is bounded in one call to
 //     the staged block kernel (distTable.minDistBlockEA, AVX-512 or AVX2
@@ -71,13 +75,22 @@
 //     to collection-global ids at offer time (ShardQuery.IDMul/IDAdd).
 package index
 
+import "repro/internal/simd"
+
+// SymbolBits is the width of every symbol the tree indexes: a symbol is a
+// byte, so a full-cardinality position has simd.Alphabet = 256 symbols and
+// every byte value is one of them. Build, BuildFromWords and FromShape
+// refuse a Summarizer whose MaxBits differs.
+const SymbolBits = simd.SymbolBits
+
 // Summarizer describes a learned or fixed symbolic summarization. The
 // methods must be safe for concurrent use (the tables are immutable after
 // construction).
 type Summarizer interface {
 	// Segments returns the word length l.
 	Segments() int
-	// MaxBits returns the bits per symbol at full cardinality.
+	// MaxBits returns the bits per symbol at full cardinality; the tree
+	// takes only SymbolBits.
 	MaxBits() int
 	// Weights returns the per-position weight w[j] such that the squared
 	// lower-bound distance is sum_j w[j]*d_j^2 (n/l for SAX, the Parseval

@@ -67,7 +67,6 @@ type Tree struct {
 	opts     Options
 	data     *distance.Matrix
 	l        int
-	maxBits  int
 	rootBits int // number of word positions contributing to the root key
 	root     map[uint64]*node
 	rootKeys []uint64
@@ -109,12 +108,14 @@ func newTree(data *distance.Matrix, sum Summarization, opts Options) (*Tree, err
 	if o.LeafCapacity < 1 {
 		return nil, fmt.Errorf("index: leaf capacity must be >= 1, got %d", o.LeafCapacity)
 	}
+	if b := sum.MaxBits(); b != SymbolBits {
+		return nil, fmt.Errorf("index: %d-bit symbols, want %d: a symbol is a byte", b, SymbolBits)
+	}
 	return &Tree{
 		sum:      sum,
 		opts:     o,
 		data:     data,
 		l:        l,
-		maxBits:  sum.MaxBits(),
 		rootBits: rootFanoutBits(data.Len(), o.LeafCapacity, l),
 		root:     make(map[uint64]*node),
 		gather:   newGatherTables(sum),
@@ -237,7 +238,7 @@ func rootFanoutBits(n, leafCapacity, l int) int {
 // variance — the most discriminative values shape the fan-out.
 func (t *Tree) rootKey(word []byte) uint64 {
 	var key uint64
-	top := uint(t.maxBits - 1)
+	top := uint(SymbolBits - 1)
 	for j := 0; j < t.rootBits; j++ {
 		key |= uint64((word[j]>>top)&1) << uint(j)
 	}
@@ -316,10 +317,10 @@ func (t *Tree) split(leaf *node) bool {
 	size := len(leaf.ids)
 	for j := 0; j < t.l; j++ {
 		bits := int(leaf.cards[j])
-		if bits >= t.maxBits {
+		if bits >= SymbolBits {
 			continue
 		}
-		shift := uint(t.maxBits - bits - 1)
+		shift := uint(SymbolBits - bits - 1)
 		ones := 0
 		for r := j; r < len(leaf.words); r += t.l {
 			ones += int((leaf.words[r] >> shift) & 1)
@@ -341,7 +342,7 @@ func (t *Tree) split(leaf *node) bool {
 		return false
 	}
 	j := bestSeg
-	shift := uint(t.maxBits - int(leaf.cards[j]) - 1)
+	shift := uint(SymbolBits - int(leaf.cards[j]) - 1)
 	var kids [2]*node
 	for b := 0; b < 2; b++ {
 		word := append([]byte(nil), leaf.word...)

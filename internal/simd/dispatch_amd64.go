@@ -106,36 +106,36 @@ func projectTiles(basis []float64, l, n int, rows, out []float64) (mt, lt int) {
 // many lanes outlived stage 1; position tails and the AVX2 tier's last
 // n%4 series are finished here. A block no lane of which outlived stage 1
 // has no survivor (the later positions only add), so the list is skipped.
-func lookupAccumBlock(words []byte, n, l int, table []float64, alphabet int, out []float64, bsf float64, surv []int32) int {
+func lookupAccumBlock(words []byte, n, l int, table []float64, out []float64, bsf float64, surv []int32) int {
 	nb := l &^ (lbdBlock - 1)
 	nf := n // series covered by the vector body
 	if !useAVX512 {
 		nf = n &^ 3
 	}
 	if !useAVX2 || nb == 0 || nf == 0 {
-		return lookupAccumBlockRef(words, n, l, table, alphabet, out, bsf, surv)
+		return lookupAccumBlockRef(words, n, l, table, out, bsf, surv)
 	}
 	var alive int
 	if useAVX512 {
-		alive = lookupBlockAVX512(words, n, l, table, alphabet, out, bsf)
+		alive = lookupBlockAVX512(words, n, l, table, out, bsf)
 	} else {
-		alive = lookupBlockAVX2(words, nf, l, table, alphabet, out, bsf)
+		alive = lookupBlockAVX2(words, nf, l, table, out, bsf)
 	}
 	for i := nf; i < n; i++ {
-		out[i] = LookupAccumEASeq(words[i*l:(i+1)*l], table, alphabet, bsf)
+		out[i] = LookupAccumEASeq(words[i*l:(i+1)*l], table, bsf)
 	}
 	if alive == 0 && nf == n {
 		return 0
 	}
 	if nb < l {
-		lookupBlockTail(words, nf, l, nb, table, alphabet, out, bsf)
+		lookupBlockTail(words, nf, l, nb, table, out, bsf)
 	}
 	return survivors(out[:n], bsf, surv)
 }
 
 // lookupBlockTail appends the final sub-8 positions nb..l-1, sequentially,
 // to the partial sum of every series that is still alive.
-func lookupBlockTail(words []byte, n, l, nb int, table []float64, alphabet int, out []float64, bsf float64) {
+func lookupBlockTail(words []byte, n, l, nb int, table []float64, out []float64, bsf float64) {
 	for i := 0; i < n; i++ {
 		sum := out[i]
 		if sum > bsf {
@@ -143,7 +143,7 @@ func lookupBlockTail(words []byte, n, l, nb int, table []float64, alphabet int, 
 		}
 		row := words[i*l+nb : (i+1)*l]
 		for j, sym := range row {
-			sum += table[(nb+j)*alphabet+int(sym)]
+			sum += table[(nb+j)*Alphabet+int(sym)]
 		}
 		out[i] = sum
 	}
@@ -186,10 +186,10 @@ func prefetchLines(row []float64, lines int)
 // The staged lookup bodies need l >= 8 and, for AVX2, n a multiple of 4.
 
 //go:noescape
-func lookupBlockAVX2(words []byte, n, l int, table []float64, alphabet int, out []float64, bsf float64) (alive int)
+func lookupBlockAVX2(words []byte, n, l int, table []float64, out []float64, bsf float64) (alive int)
 
 //go:noescape
-func lookupBlockAVX512(words []byte, n, l int, table []float64, alphabet int, out []float64, bsf float64) (alive int)
+func lookupBlockAVX512(words []byte, n, l int, table []float64, out []float64, bsf float64) (alive int)
 
 //go:noescape
 func survivorsAVX512(out []float64, bsf float64, surv []int32) int

@@ -30,8 +30,8 @@ func dotBlocks16(a, b []float64) (float64, int) {
 
 func projectTiles(basis []float64, l, n int, rows, out []float64) (mt, lt int) { return 0, 0 }
 
-func lookupAccumBlock(words []byte, n, l int, table []float64, alphabet int, out []float64, bsf float64, surv []int32) int {
-	return lookupAccumBlockRef(words, n, l, table, alphabet, out, bsf, surv)
+func lookupAccumBlock(words []byte, n, l int, table []float64, out []float64, bsf float64, surv []int32) int {
+	return lookupAccumBlockRef(words, n, l, table, out, bsf, surv)
 }
 
 func survivors(out []float64, bsf float64, surv []int32) int {

@@ -39,6 +39,16 @@ const edBlock = 16
 // kernels, matching the paper's 8-lane formulation.
 const lbdBlock = 8
 
+// SymbolBits is the width of a word symbol: a symbol is a byte, and every
+// byte value is a symbol.
+const SymbolBits = 8
+
+// Alphabet is the number of symbols per word position, and so the stride
+// of a flat distance table: entry (j, sym) is table[j*Alphabet+sym]. The
+// block kernels' assembly steps one table row per position by
+// Alphabet*8 bytes (go_asm.h's const_Alphabet).
+const Alphabet = 1 << SymbolBits
+
 // SquaredEDEA computes the squared Euclidean distance between equal-length
 // a and b, returning early — with a partial sum already exceeding bound —
 // as soon as the accumulated distance passes bound after any 16-element
@@ -158,12 +168,12 @@ func reduce16(acc *[edBlock]float64) float64 {
 }
 
 // LookupAccumEASeq computes the early-abandoning flat distance-table lower
-// bound: sum over positions j of table[j*alphabet+word[j]], one running
+// bound: sum over positions j of table[j*Alphabet+word[j]], one running
 // scalar add per position with an abandon test after every 8. A returned
 // value > bsf is only a certificate; values <= bsf are exact. It is the
 // per-series refinement kernel and defines the add order the block kernels
 // reproduce lane for lane.
-func LookupAccumEASeq(word []byte, table []float64, alphabet int, bsf float64) float64 {
+func LookupAccumEASeq(word []byte, table []float64, bsf float64) float64 {
 	var sum float64
 	l := len(word)
 	for c := 0; c < l; c += lbdBlock {
@@ -172,27 +182,11 @@ func LookupAccumEASeq(word []byte, table []float64, alphabet int, bsf float64) f
 			end = l
 		}
 		for j := c; j < end; j++ {
-			sum += table[j*alphabet+int(word[j])]
+			sum += table[j*Alphabet+int(word[j])]
 		}
 		if sum > bsf {
 			return sum
 		}
 	}
 	return sum
-}
-
-// checkSymbols rejects word symbols >= alphabet. Without it, a corrupt word
-// would index the wrong table row silently in pure Go (the flat j*alphabet+
-// sym index stays inside the slice for every position but the last) and
-// make the block kernels' assembly gathers read out of bounds. Free for the
-// common alphabet=256 (a byte cannot exceed 255).
-func checkSymbols(word []byte, alphabet int) {
-	if alphabet >= 256 {
-		return
-	}
-	for _, sym := range word {
-		if int(sym) >= alphabet {
-			panic("simd: word symbol outside the alphabet")
-		}
-	}
 }

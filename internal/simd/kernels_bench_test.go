@@ -54,17 +54,15 @@ func BenchmarkDot(b *testing.B) {
 
 func BenchmarkLookupAccumSeq(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
-	const l, alpha = 16, 256
+	const l = 16
 	word := make([]byte, l)
-	table := make([]float64, l*alpha)
-	for j := range word {
-		word[j] = byte(rng.Intn(alpha))
-	}
+	table := make([]float64, l*Alphabet)
+	rng.Read(word)
 	for i := range table {
 		table[i] = rng.Float64()
 	}
 	for i := 0; i < b.N; i++ {
-		LookupAccumEASeq(word, table, alpha, math.Inf(1))
+		LookupAccumEASeq(word, table, math.Inf(1))
 	}
 }
 

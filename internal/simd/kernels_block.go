@@ -29,7 +29,7 @@ package simd
 //     survivors and nothing else.
 //
 // Contract: a survivor's out[i] is exact and BIT-IDENTICAL to
-// LookupAccumEASeq(word i, table, alphabet, +Inf) in every tier. A
+// LookupAccumEASeq(word i, table, +Inf) in every tier. A
 // non-survivor's out[i] is only a certificate, !(out[i] <= bsf), and may
 // differ between tiers (each abandons where its own stages end). The
 // certificate is sound because table entries are nonnegative — a partial sum
@@ -49,44 +49,48 @@ package simd
 
 // LookupAccumBlockSurvivors lower-bounds all n series of a block against
 // the flat distance table: for every series i with
-// sum_j table[j*alphabet+words[i*l+j]] <= bsf (l = len(words)/n) it writes
+// sum_j table[j*Alphabet+words[i*l+j]] <= bsf (l = len(words)/n) it writes
 // that sum to out[i] and appends i to surv, ascending, and returns their
 // number. Every other out[i] holds a partial sum that already exceeds bsf.
 // A nil surv asks for the count alone.
 //
 // Contract: n >= 0, len(words) divisible by n, len(out) >= n, surv nil or
-// len(surv) >= n, len(table) >= l*alphabet, every symbol < alphabet
-// (checked once), table entries nonnegative (not checked).
-func LookupAccumBlockSurvivors(words []byte, n int, table []float64, alphabet int, out []float64, bsf float64, surv []int32) int {
+// len(surv) >= n, len(table) >= l*Alphabet, table entries nonnegative (not
+// checked). Every byte is a symbol, so no word can index past its row.
+func LookupAccumBlockSurvivors(words []byte, n int, table []float64, out []float64, bsf float64, surv []int32) int {
 	if n == 0 {
 		return 0
 	}
-	l := checkLookupBlock(words, n, table, alphabet, out, surv)
-	return lookupAccumBlock(words, n, l, table, alphabet, out, bsf, surv)
+	l := checkLookupBlock(words, n, table, out, surv)
+	return lookupAccumBlock(words, n, l, table, out, bsf, surv)
 }
 
 // LookupAccumBlockEA is LookupAccumBlockSurvivors without a survivor list:
-// out and the survivor count only.
+// out and the survivor count only. alphabet must be Alphabet; it panics
+// otherwise.
 func LookupAccumBlockEA(words []byte, n int, table []float64, alphabet int, out []float64, bsf float64) int {
-	return LookupAccumBlockSurvivors(words, n, table, alphabet, out, bsf, nil)
+	if alphabet != Alphabet {
+		panic(errAlphabet)
+	}
+	return LookupAccumBlockSurvivors(words, n, table, out, bsf, nil)
 }
 
 // LookupAccumBlockSurvivorsPortable is the always-portable reference of
 // LookupAccumBlockSurvivors.
-func LookupAccumBlockSurvivorsPortable(words []byte, n int, table []float64, alphabet int, out []float64, bsf float64, surv []int32) int {
+func LookupAccumBlockSurvivorsPortable(words []byte, n int, table []float64, out []float64, bsf float64, surv []int32) int {
 	if n == 0 {
 		return 0
 	}
-	l := checkLookupBlock(words, n, table, alphabet, out, surv)
-	return lookupAccumBlockRef(words, n, l, table, alphabet, out, bsf, surv)
+	l := checkLookupBlock(words, n, table, out, surv)
+	return lookupAccumBlockRef(words, n, l, table, out, bsf, surv)
 }
 
 // lookupAccumBlockRef is the canonical staged body: every series runs the
 // sequential per-series chain, which abandons after any 8-position group
 // (a branch where the vector tiers drop a lane).
-func lookupAccumBlockRef(words []byte, n, l int, table []float64, alphabet int, out []float64, bsf float64, surv []int32) int {
+func lookupAccumBlockRef(words []byte, n, l int, table []float64, out []float64, bsf float64, surv []int32) int {
 	for i := 0; i < n; i++ {
-		out[i] = LookupAccumEASeq(words[i*l:(i+1)*l], table, alphabet, bsf)
+		out[i] = LookupAccumEASeq(words[i*l:(i+1)*l], table, bsf)
 	}
 	return survivorsRef(out[:n], bsf, surv)
 }
@@ -116,18 +120,23 @@ func survivorsRef(out []float64, bsf float64, surv []int32) int {
 // many series.
 //
 // Contract: the LookupAccumBlockSurvivors shape contract, plus len(qr) and
-// len(weights) >= l and len(lower), len(upper) >= l*alphabet.
+// len(weights) >= l and len(lower), len(upper) >= l*Alphabet. alphabet
+// must be Alphabet; it panics otherwise.
 func LBDGatherBlockEA(words []byte, n int, qr, lower, upper, weights []float64, alphabet int, out []float64, bsf float64) int {
+	if alphabet != Alphabet {
+		panic(errAlphabet)
+	}
 	if n == 0 {
 		return 0
 	}
 	l := checkBlockShape(len(words), n, len(out))
-	checkGatherBlockBounds(l, len(qr), len(weights), len(lower), len(upper), alphabet)
-	checkSymbols(words, alphabet)
+	if len(qr) < l || len(weights) < l || len(lower) < l*Alphabet || len(upper) < l*Alphabet {
+		panic("simd: LBDGatherBlockEA slice lengths violate the kernel contract")
+	}
 	for i := 0; i < n; i++ {
 		var sum float64
 		for j, sym := range words[i*l : (i+1)*l] {
-			sum += lbdBlockTerm(qr[j], lower[j*alphabet+int(sym)], upper[j*alphabet+int(sym)], weights[j])
+			sum += lbdBlockTerm(qr[j], lower[j*Alphabet+int(sym)], upper[j*Alphabet+int(sym)], weights[j])
 		}
 		out[i] = sum
 	}
@@ -164,20 +173,17 @@ func checkBlockShape(nWords, n, nOut int) int {
 // checkLookupBlock validates the whole LookupAccumBlockSurvivors contract
 // once per call — the assembly gathers and the survivor stores rely on it —
 // and returns l.
-func checkLookupBlock(words []byte, n int, table []float64, alphabet int, out []float64, surv []int32) int {
+func checkLookupBlock(words []byte, n int, table []float64, out []float64, surv []int32) int {
 	l := checkBlockShape(len(words), n, len(out))
 	if surv != nil && len(surv) < n {
 		panic("simd: LookupAccumBlockSurvivors survivor list shorter than n")
 	}
-	if alphabet <= 0 || len(table) < l*alphabet {
-		panic("simd: LookupAccumBlockSurvivors table shorter than l*alphabet")
+	if len(table) < l*Alphabet {
+		panic("simd: LookupAccumBlockSurvivors table shorter than l*Alphabet")
 	}
-	checkSymbols(words, alphabet)
 	return l
 }
 
-func checkGatherBlockBounds(l, nq, nw, nlo, nhi, alphabet int) {
-	if alphabet <= 0 || nq < l || nw < l || nlo < l*alphabet || nhi < l*alphabet {
-		panic("simd: LBDGatherBlockEA slice lengths violate the kernel contract")
-	}
-}
+// errAlphabet is the panic of the two entry points that still take an
+// alphabet, for any other than the one the tables are laid out for.
+const errAlphabet = "simd: alphabet must be 256: a symbol is a byte"

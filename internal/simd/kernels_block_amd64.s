@@ -1,6 +1,7 @@
 //go:build amd64 && !noasm
 
 #include "textflag.h"
+#include "go_asm.h"
 
 // Block-granularity LBD kernel bodies. Layout: SERIES across lanes — each
 // vector lane owns one series and accumulates its positions SEQUENTIALLY,
@@ -9,9 +10,9 @@
 //
 // Per 8-position group, ONE VPGATHERQQ pulls 8 symbol bytes per series as
 // a qword (the SoA block rows are contiguous, stride l); each position is
-// then extracted with VPSRLQ/VPAND and turned into a table index
-// j*alphabet+sym feeding a VGATHERQPD, so one gather per position serves
-// 4 (AVX2) or 8 (AVX-512) series.
+// then extracted with VPSRLQ/VPAND into the index of its entry in the
+// position's table row (entry j*Alphabet+sym), feeding a VGATHERQPD, so one
+// gather per position serves 4 (AVX2) or 8 (AVX-512) series.
 //
 // All bodies cover the full 8-position groups (l &^ 7 positions); the Go
 // wrappers append position tails sequentially.
@@ -54,13 +55,18 @@ DATA iota16d<>+48(SB)/8, $0x0000000d0000000c
 DATA iota16d<>+56(SB)/8, $0x0000000f0000000e
 GLOBL iota16d<>(SB), RODATA|NOPTR, $64
 
+// One table row is one word position's Alphabet float64 entries; row 8
+// starts stage 2.
+#define ROW_BYTES (const_Alphabet*8)
+#define ROW8_BYTES (const_Alphabet*64)
+
 // One lookup position, the symbol already taken out of Y2's qwords into Y4:
-// gather the entries of the table row at R8, step R8 to the next row
-// (R15 = alphabet*8 bytes), accumulate. Y13 = gather mask scratch.
+// gather the entries of the table row at R8, step R8 to the next row,
+// accumulate. Y13 = gather mask scratch.
 #define LUT2_ROW \
 	VPCMPEQD   Y13, Y13, Y13; \
 	VGATHERQPD Y13, (R8)(Y4*8), Y5; \
-	ADDQ       R15, R8; \
+	ADDQ       $ROW_BYTES, R8; \
 	VADDPD     Y5, Y0, Y0
 
 #define LUT2_POS(shift) \
@@ -87,34 +93,31 @@ GLOBL iota16d<>(SB), RODATA|NOPTR, $64
 	VPADDQ     Y8, Y1, Y1
 
 // func lookupBlockAVX2(words []byte, n, l int, table []float64,
-//                      alphabet int, out []float64, bsf float64) (alive int)
+//                      out []float64, bsf float64) (alive int)
 //
 // n is a multiple of 4 and l >= 8. Frame: the queue — series indices at
 // 0(SP), partial sums at 64(SP), 8 slots each (at most 3 waiting + 2 new).
-TEXT ·lookupBlockAVX2(SB), NOSPLIT, $128-112
+TEXT ·lookupBlockAVX2(SB), NOSPLIT, $128-104
 	MOVQ words_base+0(FP), SI
 	MOVQ n+24(FP), CX
-	MOVQ l+32(FP), R15
+	MOVQ l+32(FP), BX
 	MOVQ table_base+40(FP), R12
-	MOVQ out_base+72(FP), DI
-
-	MOVQ R15, BX
-	ANDQ $-8, BX                   // nb = l &^ 7
+	MOVQ out_base+64(FP), DI
 
 	// Constants: Y8 = 8, Y6 = 0xff, Y9 = l, Y11 = {0,1,2,3} (qword lanes),
-	// Y14 = bsf; R15 = bytes per table row.
+	// Y14 = bsf.
 	MOVQ         $8, R8
 	VMOVQ        R8, X8
 	VPBROADCASTQ X8, Y8
 	MOVQ         $0xff, R8
 	VMOVQ        R8, X6
 	VPBROADCASTQ X6, Y6
-	VMOVQ        R15, X9
+	VMOVQ        BX, X9
 	VPBROADCASTQ X9, Y9
 	VMOVDQU      iota8<>(SB), Y11
-	VBROADCASTSD bsf+96(FP), Y14
-	MOVQ         alphabet+64(FP), R15
-	SHLQ         $3, R15
+	VBROADCASTSD bsf+88(FP), Y14
+
+	ANDQ $-8, BX                   // nb = l &^ 7
 
 	XORQ DX, DX                    // stripe base series
 	XORQ R9, R9                    // queued lanes
@@ -171,7 +174,7 @@ l2_dense:
 	XORQ R14, R14
 
 l2_stage2:
-	LEAQ (R12)(R15*8), R8          // table row 8
+	LEAQ ROW8_BYTES(R12), R8       // table row 8
 	MOVQ $8, R11
 
 l2_group:
@@ -228,7 +231,7 @@ l2_flush:
 	JMP  l2_pending
 
 l2_done:
-	MOVQ AX, alive+104(FP)
+	MOVQ AX, alive+96(FP)
 	VZEROUPPER
 	RET
 
@@ -241,14 +244,14 @@ l2_done:
 
 // One lookup position under the live-lane mask K3 (K2 is the copy the
 // gather consumes), the symbol already taken out of Z2's qwords into Z4:
-// gather the entries of the table row at R8, step R8 to the next row
-// (R15 = alphabet*8 bytes), accumulate. The row lives in the scalar base
-// and not in the index vector because the ZMM ports are the bottleneck.
+// gather the entries of the table row at R8, step R8 to the next row,
+// accumulate. The row lives in the scalar base and not in the index vector
+// because the ZMM ports are the bottleneck.
 #define LUT5_ROW \
 	VPXORQ     Z5, Z5, Z5; \
 	KMOVW      K3, K2; \
 	VGATHERQPD (R8)(Z4*8), K2, Z5; \
-	ADDQ       R15, R8; \
+	ADDQ       $ROW_BYTES, R8; \
 	VADDPD     Z5, Z0, Z0
 
 #define LUT5_POS(shift) \
@@ -288,32 +291,29 @@ l2_done:
 	DECQ R11
 
 // func lookupBlockAVX512(words []byte, n, l int, table []float64,
-//                        alphabet int, out []float64, bsf float64) (alive int)
+//                        out []float64, bsf float64) (alive int)
 //
 // l >= 8. Frame: the queue — series indices at 0(SP), partial sums at
 // 128(SP), 16 slots each (at most 7 waiting + 5 new; the compress stores
 // write a whole vector at the tail).
-TEXT ·lookupBlockAVX512(SB), NOSPLIT, $256-112
+TEXT ·lookupBlockAVX512(SB), NOSPLIT, $256-104
 	MOVQ words_base+0(FP), SI
 	MOVQ n+24(FP), R13
-	MOVQ l+32(FP), R15
+	MOVQ l+32(FP), BX
 	MOVQ table_base+40(FP), R12
-	MOVQ out_base+72(FP), DI
-
-	MOVQ R15, BX
-	ANDQ $-8, BX
+	MOVQ out_base+64(FP), DI
 
 	// Constants: Z11 = 8, Z6 = 0xff, Z13 = l, Z8 = {0..7} (qword lanes),
-	// Z14 = bsf; R15 = bytes per table row.
+	// Z14 = bsf.
 	MOVQ         $8, R8
 	VPBROADCASTQ R8, Z11
 	MOVQ         $0xff, R8
 	VPBROADCASTQ R8, Z6
-	VPBROADCASTQ R15, Z13
+	VPBROADCASTQ BX, Z13
 	VMOVDQU64    iota8<>(SB), Z8
-	VBROADCASTSD bsf+96(FP), Z14
-	MOVQ         alphabet+64(FP), R15
-	SHLQ         $3, R15
+	VBROADCASTSD bsf+88(FP), Z14
+
+	ANDQ $-8, BX                   // nb = l &^ 7
 
 	XORQ DX, DX                    // stripe base series
 	XORQ R9, R9                    // queued lanes
@@ -375,7 +375,7 @@ l5_dense:
 	KMOVW K1, K3
 
 l5_stage2:
-	LEAQ (R12)(R15*8), R8          // table row 8
+	LEAQ ROW8_BYTES(R12), R8       // table row 8
 	MOVQ $8, R11
 
 l5_group:
@@ -416,7 +416,7 @@ l5_next:
 	JMP  l5_pending
 
 l5_done:
-	MOVQ AX, alive+104(FP)
+	MOVQ AX, alive+96(FP)
 	VZEROUPPER
 	RET
 

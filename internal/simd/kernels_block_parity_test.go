@@ -62,23 +62,29 @@ var blockLs = []int{1, 7, 8, 9, 16, 17, 24, 33}
 // whose entries shrink after the first 8-position group, the way SFA's
 // variance ordering makes them: stage-1 partial sums then sit close to the
 // full sums, so one bound separates dropped lanes, stage-2 casualties and
-// survivors. +Inf entries are planted at looked-up positions.
-func lookupBlockCase(rng *rand.Rand, n, l, alpha int) (words []byte, table []float64) {
+// survivors. With n >= 2 the first word is symbol 0 and the last symbol
+// 255 in every position, so each table row's first and last entries are
+// looked up; +Inf entries are planted at looked-up positions.
+func lookupBlockCase(rng *rand.Rand, n, l int) (words []byte, table []float64) {
 	words = make([]byte, n*l)
-	table = make([]float64, l*alpha)
-	for i := range words {
-		words[i] = byte(rng.Intn(alpha))
-	}
+	table = make([]float64, l*Alphabet)
+	rng.Read(words)
 	for i := range table {
 		scale := 10.0
-		if i/alpha >= lbdBlock {
+		if i/Alphabet >= lbdBlock {
 			scale = 1
 		}
 		table[i] = rng.Float64() * scale
 	}
+	if n >= 2 {
+		clear(words[:l])
+		for i := range words[(n-1)*l:] {
+			words[(n-1)*l+i] = Alphabet - 1
+		}
+	}
 	if n >= 2 && l >= 2 {
-		table[0*alpha+int(words[0])] = math.Inf(1)
-		table[(l-1)*alpha+int(words[(n-1)*l+l-1])] = math.Inf(1)
+		table[0*Alphabet+int(words[0])] = math.Inf(1)
+		table[(l-1)*Alphabet+int(words[(n-1)*l+l-1])] = math.Inf(1)
 	}
 	return
 }
@@ -87,10 +93,10 @@ func lookupBlockCase(rng *rand.Rand, n, l, alpha int) (words []byte, table []flo
 // issue's {0, tiny, mid, +Inf, NaN} with mid taken both inside the stage-1
 // partial sums (a quarter and three quarters of the lanes dropped) and at
 // the median full sum.
-func lookupBlockBounds(words []byte, n, l int, table []float64, alpha int, want []float64) []float64 {
+func lookupBlockBounds(words []byte, n, l int, table []float64, want []float64) []float64 {
 	part := make([]float64, n)
 	for i := range part {
-		part[i] = LookupAccumEASeq(words[i*l:i*l+min(l, lbdBlock)], table, alpha, math.Inf(1))
+		part[i] = LookupAccumEASeq(words[i*l:i*l+min(l, lbdBlock)], table, math.Inf(1))
 	}
 	sort.Float64s(part)
 	full := append([]float64(nil), want...)
@@ -100,8 +106,8 @@ func lookupBlockBounds(words []byte, n, l int, table []float64, alpha int, want 
 
 // checkLookupBlockContract runs one staged kernel on one problem and holds
 // it to the contract in the file comment. want is the per-series oracle.
-func checkLookupBlockContract(t testing.TB, name string, kernel func(words []byte, n int, table []float64, alphabet int, out []float64, bsf float64, surv []int32) int,
-	words []byte, n, l int, table []float64, alpha int, bsf float64, want []float64) int {
+func checkLookupBlockContract(t testing.TB, name string, kernel func(words []byte, n int, table []float64, out []float64, bsf float64, surv []int32) int,
+	words []byte, n, l int, table []float64, bsf float64, want []float64) int {
 	t.Helper()
 	out := make([]float64, n)
 	surv := make([]int32, n)
@@ -109,7 +115,7 @@ func checkLookupBlockContract(t testing.TB, name string, kernel func(words []byt
 		out[i] = math.NaN() // detect unwritten entries
 		surv[i] = -1
 	}
-	k := kernel(words, n, table, alpha, out, bsf, surv)
+	k := kernel(words, n, table, out, bsf, surv)
 	wantK := 0
 	for i := 0; i < n; i++ {
 		switch {
@@ -134,7 +140,7 @@ func checkLookupBlockContract(t testing.TB, name string, kernel func(words []byt
 		t.Fatalf("%s n=%d l=%d bsf=%v: returned %d survivors %v, want %d", name, n, l, bsf, k, surv[:k], wantK)
 	}
 	out2 := make([]float64, n)
-	if k2 := kernel(words, n, table, alpha, out2, bsf, nil); k2 != k {
+	if k2 := kernel(words, n, table, out2, bsf, nil); k2 != k {
 		t.Fatalf("%s n=%d l=%d bsf=%v: %d survivors without a list, %d with", name, n, l, bsf, k2, k)
 	}
 	for i := range out2 {
@@ -147,21 +153,21 @@ func checkLookupBlockContract(t testing.TB, name string, kernel func(words []byt
 
 // seqLoop is the oracle: every series through the sequential per-series
 // kernel, never abandoned.
-func seqLoop(words []byte, n, l int, table []float64, alpha int) []float64 {
+func seqLoop(words []byte, n, l int, table []float64) []float64 {
 	want := make([]float64, n)
 	for i := range want {
-		want[i] = LookupAccumEASeq(words[i*l:(i+1)*l], table, alpha, math.Inf(1))
+		want[i] = LookupAccumEASeq(words[i*l:(i+1)*l], table, math.Inf(1))
 	}
 	return want
 }
 
-func checkLookupBlockAllBounds(t testing.TB, words []byte, n, l int, table []float64, alpha int) {
+func checkLookupBlockAllBounds(t testing.TB, words []byte, n, l int, table []float64) {
 	t.Helper()
-	want := seqLoop(words, n, l, table, alpha)
-	for _, bsf := range lookupBlockBounds(words, n, l, table, alpha, want) {
-		k := checkLookupBlockContract(t, "dispatched/"+BlockImpl(), LookupAccumBlockSurvivors, words, n, l, table, alpha, bsf, want)
-		checkLookupBlockContract(t, "portable", LookupAccumBlockSurvivorsPortable, words, n, l, table, alpha, bsf, want)
-		if k2 := LookupAccumBlockEA(words, n, table, alpha, make([]float64, n), bsf); k2 != k {
+	want := seqLoop(words, n, l, table)
+	for _, bsf := range lookupBlockBounds(words, n, l, table, want) {
+		k := checkLookupBlockContract(t, "dispatched/"+BlockImpl(), LookupAccumBlockSurvivors, words, n, l, table, bsf, want)
+		checkLookupBlockContract(t, "portable", LookupAccumBlockSurvivorsPortable, words, n, l, table, bsf, want)
+		if k2 := LookupAccumBlockEA(words, n, table, Alphabet, make([]float64, n), bsf); k2 != k {
 			t.Fatalf("n=%d l=%d bsf=%v: LookupAccumBlockEA counts %d, the staged kernel %d", n, l, bsf, k2, k)
 		}
 	}
@@ -174,12 +180,10 @@ func TestLookupAccumBlockSurvivorsContract(t *testing.T) {
 		for n := 1; n <= 65; n++ {
 			ns = append(ns, n)
 		}
-		for _, alpha := range []int{2, 256} {
-			for _, n := range ns {
-				for _, l := range blockLs {
-					words, table := lookupBlockCase(rng, n, l, alpha)
-					checkLookupBlockAllBounds(t, words, n, l, table, alpha)
-				}
+		for _, n := range ns {
+			for _, l := range blockLs {
+				words, table := lookupBlockCase(rng, n, l)
+				checkLookupBlockAllBounds(t, words, n, l, table)
 			}
 		}
 	})
@@ -194,13 +198,12 @@ func TestLookupBlockCountParityWithGatherBlock(t *testing.T) {
 		rng := rand.New(rand.NewSource(203))
 		for _, n := range []int{5, 64, 65, 1024} {
 			for _, l := range []int{8, 16, 24, 17} {
-				const alpha = 256
-				words, qr, lower, upper, weights := lbdBlockCase(rng, n, l, alpha)
-				table := intervalTable(qr, lower, upper, weights, l, alpha)
-				want := seqLoop(words, n, l, table, alpha)
-				for _, bsf := range lookupBlockBounds(words, n, l, table, alpha, want) {
-					k := LookupAccumBlockEA(words, n, table, alpha, make([]float64, n), bsf)
-					g := LBDGatherBlockEA(words, n, qr, lower, upper, weights, alpha, make([]float64, n), bsf)
+				words, qr, lower, upper, weights := lbdBlockCase(rng, n, l)
+				table := intervalTable(qr, lower, upper, weights, l)
+				want := seqLoop(words, n, l, table)
+				for _, bsf := range lookupBlockBounds(words, n, l, table, want) {
+					k := LookupAccumBlockEA(words, n, table, Alphabet, make([]float64, n), bsf)
+					g := LBDGatherBlockEA(words, n, qr, lower, upper, weights, Alphabet, make([]float64, n), bsf)
 					if k != g {
 						t.Fatalf("n=%d l=%d bsf=%v: lookup kernel keeps %d series, interval reference %d", n, l, bsf, k, g)
 					}
@@ -211,14 +214,13 @@ func TestLookupBlockCountParityWithGatherBlock(t *testing.T) {
 }
 
 // lbdBlockCase builds a random but structurally valid interval problem: n
-// words of l symbols < alpha, a query representation, nonnegative weights
-// and sorted breakpoints per position (lower[0] = -Inf, upper[alpha-1] =
+// words of l symbols, a query representation, nonnegative weights and
+// sorted breakpoints per position (lower[0] = -Inf, upper[Alphabet-1] =
 // +Inf, shared inner bounds).
-func lbdBlockCase(rng *rand.Rand, n, l, alpha int) (words []byte, qr, lower, upper, weights []float64) {
+func lbdBlockCase(rng *rand.Rand, n, l int) (words []byte, qr, lower, upper, weights []float64) {
+	const alpha = Alphabet
 	words = make([]byte, n*l)
-	for i := range words {
-		words[i] = byte(rng.Intn(alpha))
-	}
+	rng.Read(words)
 	qr = make([]float64, l)
 	weights = make([]float64, l)
 	lower = make([]float64, l*alpha)
@@ -241,12 +243,10 @@ func lbdBlockCase(rng *rand.Rand, n, l, alpha int) (words []byte, qr, lower, upp
 
 // intervalTable is the flat lookup table of an interval problem: entry
 // (j, sym) is the interval reference's own term.
-func intervalTable(qr, lower, upper, weights []float64, l, alpha int) []float64 {
-	table := make([]float64, l*alpha)
-	for j := 0; j < l; j++ {
-		for sym := 0; sym < alpha; sym++ {
-			table[j*alpha+sym] = lbdBlockTerm(qr[j], lower[j*alpha+sym], upper[j*alpha+sym], weights[j])
-		}
+func intervalTable(qr, lower, upper, weights []float64, l int) []float64 {
+	table := make([]float64, l*Alphabet)
+	for i := range table {
+		table[i] = lbdBlockTerm(qr[i/Alphabet], lower[i], upper[i], weights[i/Alphabet])
 	}
 	return table
 }
@@ -261,54 +261,52 @@ func TestLBDGatherBlockParityExhaustive(t *testing.T) {
 func testLBDGatherBlockParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
 	inf := math.Inf(1)
-	for _, alpha := range []int{2, 4, 256} {
-		for _, n := range blockNs {
-			for _, l := range blockLs {
-				words, qr, lower, upper, weights := lbdBlockCase(rng, n, l, alpha)
-				if l > 2 {
-					qr[l/2] = math.NaN()
+	for _, n := range blockNs {
+		for _, l := range blockLs {
+			words, qr, lower, upper, weights := lbdBlockCase(rng, n, l)
+			if l > 2 {
+				qr[l/2] = math.NaN()
+			}
+			want := make([]float64, n)
+			for i := range want {
+				for j, sym := range words[i*l : (i+1)*l] {
+					lo, hi, v := lower[j*Alphabet+int(sym)], upper[j*Alphabet+int(sym)], qr[j]
+					var d float64
+					switch {
+					case v < lo:
+						d = lo - v
+					case v > hi:
+						d = v - hi
+					}
+					want[i] += weights[j] * (d * d)
 				}
-				want := make([]float64, n)
-				for i := range want {
-					for j, sym := range words[i*l : (i+1)*l] {
-						lo, hi, v := lower[j*alpha+int(sym)], upper[j*alpha+int(sym)], qr[j]
-						var d float64
-						switch {
-						case v < lo:
-							d = lo - v
-						case v > hi:
-							d = v - hi
-						}
-						want[i] += weights[j] * (d * d)
+			}
+			table := intervalTable(qr, lower, upper, weights, l)
+			got := make([]float64, n)
+			out := make([]float64, n)
+			surv := make([]int32, n)
+			for _, bsf := range []float64{0, want[n/2], inf} {
+				k := LBDGatherBlockEA(words, n, qr, lower, upper, weights, Alphabet, got, bsf)
+				wantK := 0
+				for i := 0; i < n; i++ {
+					if !eqBits(got[i], want[i]) {
+						t.Fatalf("n=%d l=%d series %d: %v (%#x) != switch form %v (%#x)",
+							n, l, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+					}
+					if want[i] <= bsf {
+						wantK++
 					}
 				}
-				table := intervalTable(qr, lower, upper, weights, l, alpha)
-				got := make([]float64, n)
-				out := make([]float64, n)
-				surv := make([]int32, n)
-				for _, bsf := range []float64{0, want[n/2], inf} {
-					k := LBDGatherBlockEA(words, n, qr, lower, upper, weights, alpha, got, bsf)
-					wantK := 0
-					for i := 0; i < n; i++ {
-						if !eqBits(got[i], want[i]) {
-							t.Fatalf("alpha=%d n=%d l=%d series %d: %v (%#x) != switch form %v (%#x)",
-								alpha, n, l, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
-						}
-						if want[i] <= bsf {
-							wantK++
-						}
-					}
-					if k != wantK {
-						t.Fatalf("alpha=%d n=%d l=%d bsf=%v: survivors %d, want %d", alpha, n, l, bsf, k, wantK)
-					}
-					ks := LookupAccumBlockSurvivors(words, n, table, alpha, out, bsf, surv)
-					if ks != k {
-						t.Fatalf("alpha=%d n=%d l=%d bsf=%v: table kernel keeps %d series, interval reference %d", alpha, n, l, bsf, ks, k)
-					}
-					for _, i := range surv[:ks] {
-						if !eqBits(out[i], want[i]) {
-							t.Fatalf("alpha=%d n=%d l=%d bsf=%v survivor %d: table kernel %v != interval reference %v", alpha, n, l, bsf, i, out[i], want[i])
-						}
+				if k != wantK {
+					t.Fatalf("n=%d l=%d bsf=%v: survivors %d, want %d", n, l, bsf, k, wantK)
+				}
+				ks := LookupAccumBlockSurvivors(words, n, table, out, bsf, surv)
+				if ks != k {
+					t.Fatalf("n=%d l=%d bsf=%v: table kernel keeps %d series, interval reference %d", n, l, bsf, ks, k)
+				}
+				for _, i := range surv[:ks] {
+					if !eqBits(out[i], want[i]) {
+						t.Fatalf("n=%d l=%d bsf=%v survivor %d: table kernel %v != interval reference %v", n, l, bsf, i, out[i], want[i])
 					}
 				}
 			}
@@ -318,9 +316,10 @@ func testLBDGatherBlockParity(t *testing.T) {
 
 // TestBlockKernelContractPanics pins the shape validation: silent
 // out-of-bounds reads in asm would be memory corruption, so violations
-// must panic in the Go wrapper before dispatch.
+// must panic in the Go wrapper before dispatch. The two entry points that
+// still take an alphabet refuse any but Alphabet.
 func TestBlockKernelContractPanics(t *testing.T) {
-	table := make([]float64, 4*8)
+	table := make([]float64, 4*Alphabet)
 	words := make([]byte, 8)
 	out := make([]float64, 2)
 	mustPanic := func(name string, f func()) {
@@ -333,80 +332,83 @@ func TestBlockKernelContractPanics(t *testing.T) {
 		f()
 	}
 	mustPanic("indivisible len(words)", func() {
-		LookupAccumBlockEA(words[:7], 2, table, 8, out, 0)
+		LookupAccumBlockEA(words[:7], 2, table, Alphabet, out, 0)
 	})
 	mustPanic("short out", func() {
-		LookupAccumBlockEA(words, 2, table, 8, out[:1], 0)
+		LookupAccumBlockEA(words, 2, table, Alphabet, out[:1], 0)
 	})
 	mustPanic("negative n", func() {
-		LookupAccumBlockEA(words, -1, table, 8, out, 0)
+		LookupAccumBlockEA(words, -1, table, Alphabet, out, 0)
 	})
 	mustPanic("short table", func() {
-		LookupAccumBlockEA(words, 2, table[:31], 8, out, 0)
+		LookupAccumBlockEA(words, 2, table[:len(table)-1], Alphabet, out, 0)
 	})
 	mustPanic("short survivor list", func() {
-		LookupAccumBlockSurvivors(words, 2, table, 8, out, 0, make([]int32, 1))
+		LookupAccumBlockSurvivors(words, 2, table, out, 0, make([]int32, 1))
 	})
-	mustPanic("symbol out of range", func() {
-		bad := []byte{0, 9, 0, 0, 0, 0, 0, 0}
-		LookupAccumBlockEA(bad, 2, table, 8, out, 0)
+	mustPanic("lookup alphabet 64", func() {
+		LookupAccumBlockEA(words, 2, table, 64, out, 0)
 	})
 	qr := make([]float64, 4)
 	w := make([]float64, 4)
-	lo := make([]float64, 4*8)
-	hi := make([]float64, 4*8)
+	lo := make([]float64, 4*Alphabet)
+	hi := make([]float64, 4*Alphabet)
 	mustPanic("short qr", func() {
-		LBDGatherBlockEA(words, 2, qr[:3], lo, hi, w, 8, out, 0)
+		LBDGatherBlockEA(words, 2, qr[:3], lo, hi, w, Alphabet, out, 0)
 	})
 	mustPanic("short lower", func() {
-		LBDGatherBlockEA(words, 2, qr, lo[:31], hi, w, 8, out, 0)
+		LBDGatherBlockEA(words, 2, qr, lo[:len(lo)-1], hi, w, Alphabet, out, 0)
+	})
+	mustPanic("gather alphabet 512", func() {
+		LBDGatherBlockEA(words, 2, qr, lo, hi, w, 512, out, 0)
 	})
 	// n == 0 must be a no-op, not a panic.
-	if k := LookupAccumBlockEA(nil, 0, table, 8, nil, 0); k != 0 {
+	if k := LookupAccumBlockEA(nil, 0, table, Alphabet, nil, 0); k != 0 {
 		t.Fatalf("n=0: survivors %d, want 0", k)
 	}
 }
 
+// The seeds with n >= 2 look up symbols 0 and 255 in every position (see
+// lookupBlockCase) on every tier.
 func FuzzLookupAccumBlockSurvivors(f *testing.F) {
-	f.Add(int64(1), 9, 16, 8, 10.0)
-	f.Add(int64(2), 64, 7, 3, math.Inf(1))
-	f.Add(int64(3), 1, 1, 1, 0.0)
-	f.Add(int64(4), 65, 24, 8, 41.5)
-	f.Add(int64(5), 1024, 16, 8, math.NaN())
-	f.Fuzz(func(t *testing.T, seed int64, n, l, alphaBits int, bsf float64) {
-		if n < 0 || n > 1100 || l < 1 || l > 64 || alphaBits < 1 || alphaBits > 8 {
+	f.Add(int64(1), 9, 16, 10.0)
+	f.Add(int64(2), 64, 7, math.Inf(1))
+	f.Add(int64(3), 1, 1, 0.0)
+	f.Add(int64(4), 65, 24, 41.5)
+	f.Add(int64(5), 1024, 16, math.NaN())
+	f.Fuzz(func(t *testing.T, seed int64, n, l int, bsf float64) {
+		if n < 0 || n > 1100 || l < 1 || l > 64 {
 			return
 		}
-		alpha := 1 << alphaBits
 		rng := rand.New(rand.NewSource(seed))
 		if n == 0 {
-			if k := LookupAccumBlockSurvivors(nil, 0, make([]float64, l*alpha), alpha, nil, bsf, nil); k != 0 {
+			if k := LookupAccumBlockSurvivors(nil, 0, make([]float64, l*Alphabet), nil, bsf, nil); k != 0 {
 				t.Fatalf("n=0: %d survivors", k)
 			}
 			return
 		}
-		words, table := lookupBlockCase(rng, n, l, alpha)
+		words, table := lookupBlockCase(rng, n, l)
 		for i := range table {
 			if rng.Intn(40) == 0 {
 				table[i] = math.Inf(1)
 			}
 		}
-		want := seqLoop(words, n, l, table, alpha)
+		want := seqLoop(words, n, l, table)
 		forEachBlockTier(t, func(t *testing.T) {
-			checkLookupBlockContract(t, "dispatched/"+BlockImpl(), LookupAccumBlockSurvivors, words, n, l, table, alpha, bsf, want)
-			checkLookupBlockContract(t, "portable", LookupAccumBlockSurvivorsPortable, words, n, l, table, alpha, bsf, want)
-			checkLookupBlockAllBounds(t, words, n, l, table, alpha)
+			checkLookupBlockContract(t, "dispatched/"+BlockImpl(), LookupAccumBlockSurvivors, words, n, l, table, bsf, want)
+			checkLookupBlockContract(t, "portable", LookupAccumBlockSurvivorsPortable, words, n, l, table, bsf, want)
+			checkLookupBlockAllBounds(t, words, n, l, table)
 		})
 	})
 }
 
 // BenchmarkBlockKernels compares the block entry points against the
-// equivalent loop of per-series calls on a leaf-sized block (n=256, l=16,
-// alpha=256 — the shapes the index refinement path actually runs).
+// equivalent loop of per-series calls on a leaf-sized block (n=256, l=16 —
+// the shapes the index refinement path actually runs).
 func BenchmarkBlockKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
-	const n, l, alpha = 256, 16, 256
-	words, table := lookupBlockCase(rng, n, l, alpha)
+	const n, l = 256, 16
+	words, table := lookupBlockCase(rng, n, l)
 	out := make([]float64, n)
 	inf := math.Inf(1)
 	perSeries := func(v float64) float64 { return v / n }
@@ -416,7 +418,7 @@ func BenchmarkBlockKernels(b *testing.B) {
 	// lanes are dropped after stage 1 and the rest is queued or runs dense.
 	part := make([]float64, n)
 	for i := range part {
-		part[i] = LookupAccumEASeq(words[i*l:i*l+lbdBlock], table, alpha, inf)
+		part[i] = LookupAccumEASeq(words[i*l:i*l+lbdBlock], table, inf)
 	}
 	sort.Float64s(part)
 	surv := make([]int32, n)
@@ -427,13 +429,13 @@ func BenchmarkBlockKernels(b *testing.B) {
 		bc := bc
 		b.Run("lookup/block-"+bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				LookupAccumBlockSurvivors(words, n, table, alpha, out, bc.bsf, surv)
+				LookupAccumBlockSurvivors(words, n, table, out, bc.bsf, surv)
 			}
 			b.ReportMetric(perSeries(float64(b.Elapsed().Nanoseconds())/float64(b.N)), "ns/series")
 		})
 		b.Run("lookup/block-portable-"+bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				LookupAccumBlockSurvivorsPortable(words, n, table, alpha, out, bc.bsf, surv)
+				LookupAccumBlockSurvivorsPortable(words, n, table, out, bc.bsf, surv)
 			}
 			b.ReportMetric(perSeries(float64(b.Elapsed().Nanoseconds())/float64(b.N)), "ns/series")
 		})
@@ -441,7 +443,7 @@ func BenchmarkBlockKernels(b *testing.B) {
 	b.Run("lookup/per-series-loop", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for s := 0; s < n; s++ {
-				out[s] = LookupAccumEASeq(words[s*l:(s+1)*l], table, alpha, inf)
+				out[s] = LookupAccumEASeq(words[s*l:(s+1)*l], table, inf)
 			}
 		}
 		b.ReportMetric(perSeries(float64(b.Elapsed().Nanoseconds())/float64(b.N)), "ns/series")

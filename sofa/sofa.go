@@ -145,10 +145,6 @@ func MESSI() Option { return func(c *config) { c.cfg.Method = core.MESSI } }
 // summarization default, DefaultWordLength in internal/sfa).
 func WordLength(l int) Option { return func(c *config) { c.cfg.WordLength = l } }
 
-// SymbolBits sets the bits per symbol, the alphabet being 2^b (default: the
-// summarization default, DefaultBits in internal/sfa).
-func SymbolBits(b int) Option { return func(c *config) { c.cfg.Bits = b } }
-
 // LeafSize sets the tree leaf capacity (default 1024).
 func LeafSize(n int) Option { return func(c *config) { c.cfg.LeafCapacity = n } }
 
@@ -212,8 +208,6 @@ func (c *config) validate() error {
 	switch {
 	case cfg.WordLength < 0:
 		return fmt.Errorf("%w: word length %d", ErrBadConfig, cfg.WordLength)
-	case cfg.Bits < 0 || cfg.Bits > 8:
-		return fmt.Errorf("%w: symbol bits %d (want 1..8)", ErrBadConfig, cfg.Bits)
 	case cfg.LeafCapacity < 0:
 		return fmt.Errorf("%w: leaf size %d", ErrBadConfig, cfg.LeafCapacity)
 	case cfg.Workers < 0:

@@ -112,7 +112,6 @@ func TestBuildSentinelErrors(t *testing.T) {
 		{"negative shards", func() error { _, err := Build(m, Shards(-1)); return err }, ErrBadConfig},
 		{"negative leaf", func() error { _, err := Build(m, LeafSize(-8)); return err }, ErrBadConfig},
 		{"bad sample rate", func() error { _, err := Build(m, SampleRate(1.5)); return err }, ErrBadConfig},
-		{"bad bits", func() error { _, err := Build(m, SymbolBits(12)); return err }, ErrBadConfig},
 		{"negative workers", func() error { _, err := Build(m, Workers(-2)); return err }, ErrBadConfig},
 		{"no rows", func() error { _, err := FromRows(nil); return err }, ErrEmptyData},
 		{"ragged rows", func() error {
