@@ -11,7 +11,7 @@ import (
 type AtomicFieldConfig struct {
 	// DeclaredAtomic pins struct fields that MUST be declared with a
 	// sync/atomic wrapper type (atomic.Int64, atomic.Uint64, atomic.Bool,
-	// ...): the cross-shard best-so-far, quarantine streaks, split counters.
+	// ...): the cross-shard best-so-far, split counters, stream ids.
 	// Keyed "importpath.Struct.Field". A wrapper type makes every access
 	// atomic by construction and self-aligns on 32-bit targets (align64), so
 	// demoting one of these to a plain integer is a data race and, on
@@ -59,7 +59,7 @@ func NewAtomicField(cfg AtomicFieldConfig) *Analyzer {
 		NeedTypes: true,
 		Doc: "enforce atomic access discipline: fields touched via raw sync/atomic must be accessed " +
 			"atomically everywhere and be 64-bit aligned on 32-bit targets; declared hot fields " +
-			"(best-so-far, quarantine streaks, split counters) must keep their atomic wrapper types",
+			"(best-so-far, split counters, stream ids) must keep their atomic wrapper types",
 		Run: func(pass *Pass) error {
 			// Pass 1: collect every field object reaching a raw atomic op,
 			// and check 32-bit alignment for the 64-bit ops.
@@ -352,19 +352,14 @@ func isAtomicWrapper(t types.Type) bool {
 }
 
 // DefaultAtomicFieldConfig pins the repo's concurrently-updated hot fields:
-// the cross-shard best-so-far bound, shard quarantine health, the split
-// counter the persistence guarantees pin, and the stream engine's
-// watchdog/id state.
+// the cross-shard best-so-far bound, the split counter the persistence
+// guarantees pin, and the stream engine's query-id counter.
 func DefaultAtomicFieldConfig() AtomicFieldConfig {
 	return AtomicFieldConfig{
 		DeclaredAtomic: []string{
 			"repro/internal/index.KNNCollector.bound",
 			"repro/internal/index.Tree.splits",
-			"repro/internal/core.shardHealth.panics",
-			"repro/internal/core.shardHealth.quarantined",
-			"repro/internal/core.shardHealth.untrusted",
 			"repro/internal/core.Stream.nextID",
-			"repro/internal/core.Stream.watchdog",
 		},
 	}
 }

@@ -113,9 +113,6 @@ func DefaultRetainConfig() RetainConfig {
 			"internal/bench/churn_experiment.go": {
 				"Search": "churnQPS discards results (throughput only)",
 			},
-			"internal/bench/chaos_experiment.go": {
-				"SearchPlan": "dst=nil (fresh slice per query); ids are counted into coverage before the searcher's next query",
-			},
 			"internal/bench/qps_experiment.go": {
 				"NewStream": "callback only counts completions; res never escapes",
 			},

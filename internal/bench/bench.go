@@ -86,7 +86,7 @@ func (c SuiteConfig) withDefaults() SuiteConfig {
 
 // snapshotData generates the benchmark snapshot dataset — the catalog's
 // first entry at the configured scale — shared by the snapshot experiments
-// (qps, chaos, wal, churn) and generated once per perf report. c must
+// (qps, wal, churn) and generated once per perf report. c must
 // already be defaulted (withDefaults).
 func snapshotData(c SuiteConfig) (dataset.Spec, *distance.Matrix, error) {
 	scaled := c.Datasets[0]
@@ -233,7 +233,6 @@ func Experiments() []Experiment {
 		{"fig15", "Fig 15: critical-difference ranks (Wilcoxon-Holm)", RunFig15},
 		{"approx", "Extension: approximate and \u03b5-bounded search trade-offs (paper Sec VI future work)", RunApprox},
 		{"qps", "Extension: sharded and streaming batched-query throughput", RunQPS},
-		{"chaos", "Extension: degraded-mode throughput, top-k coverage and ε certificates with one shard quarantined", RunChaos},
 		{"wal", "Extension: durable insert throughput by WAL sync policy", RunWAL},
 		{"churn", "Extension: search throughput under tombstone load, compaction pauses, SFA re-learns", RunChurn},
 		{"report", "Extension: kernel + end-to-end perf snapshot (JSON via -json)", RunReport},

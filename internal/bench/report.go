@@ -50,11 +50,6 @@ type PerfReport struct {
 	// warmed pooled searcher (the PR-1 zero-allocation invariant).
 	SearchSteadyStateAllocs float64 `json:"search_steady_state_allocs"`
 
-	// Chaos: degraded-mode operation on the same snapshot with one shard
-	// quarantined — AllowPartial throughput, top-k coverage and the ε
-	// certificate distribution.
-	Chaos *ChaosReport `json:"chaos"`
-
 	// WAL: durable insert throughput by write-ahead-log sync policy on the
 	// same snapshot (the wal experiment's rows) — the per-insert price of
 	// the fsync ladder, plus the replay cost the log imposes on the next
@@ -95,11 +90,6 @@ func RunReport(cfg SuiteConfig, w io.Writer) error {
 	fmt.Fprintln(tw, "wal sync policy\tinserts/s\tµs/insert\treplay ms")
 	for _, r := range rep.WAL {
 		fmt.Fprintf(tw, "\t%s\t%.0f\t%.1f\t%.1f\n", r.Policy, r.InsertsPerSec, r.MicrosPerInsert, r.ReplaySeconds*1e3)
-	}
-	if ch := rep.Chaos; ch != nil {
-		fmt.Fprintf(tw, "chaos (S=%d, shard %d down)\tqps %.0f → %.0f\tcoverage mean %.3f\tε: %d exact / %d finite / %d unbounded\n",
-			ch.Shards, ch.QuarantinedShard, ch.HealthyQPS, ch.DegradedQPS,
-			ch.CoverageMean, ch.EpsilonZero, ch.EpsilonFinite, ch.EpsilonInf)
 	}
 	if cr := rep.Churn; cr != nil {
 		fmt.Fprintln(tw, "churn phase\tlive\ttombstoned\tqueries/s")
@@ -157,10 +147,6 @@ func BuildReport(cfg SuiteConfig) (*PerfReport, error) {
 		return nil, err
 	}
 	rep.SearchSteadyStateAllocs = allocs
-	rep.Chaos, err = chaosReport(c, data)
-	if err != nil {
-		return nil, err
-	}
 	rep.WAL, err = walRows(c, data)
 	if err != nil {
 		return nil, err

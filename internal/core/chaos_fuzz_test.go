@@ -13,11 +13,12 @@ import (
 )
 
 // FuzzFaultSchedule fuzzes the space of injection plans against the query
-// path: any seeded schedule (site × mode × trigger shape) must never let a
-// panic escape the containment layer, must never mislabel a degraded answer
-// as complete, and — whenever the plan happens not to fire — must leave the
-// results bit-identical to the fault-free baseline. Wired into the chaos CI
-// job for a continuous short pass (~20s with -fuzztime).
+// path: under any seeded schedule (site × mode × trigger shape) no panic
+// escapes the containment layer, and every query either fails with an error
+// wrapping ErrDegraded (or the injected error itself) or returns the
+// complete answer, bit-identical to the fault-free baseline — never
+// anything in between. Wired into the chaos CI job for a continuous short
+// pass (~20s with -fuzztime).
 
 var (
 	fuzzOnce     sync.Once
@@ -62,7 +63,6 @@ func FuzzFaultSchedule(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, siteSel, modeSel, schedSel, n uint8, prob uint16, seed uint64, parallel bool) {
 		ix, queries, baseline := fuzzCollection(t)
-		col := ix.Collection()
 		sites := faultinject.Sites()
 		site := sites[int(siteSel)%len(sites)]
 		trig := faultinject.Trigger{Mode: faultinject.Mode(int(modeSel) % 3)}
@@ -78,11 +78,6 @@ func FuzzFaultSchedule(f *testing.F) {
 		trig.Count = uint64(n % 4) // 0 = unbounded
 
 		faultinject.Reset()
-		for i := 0; i < col.Shards(); i++ {
-			if err := col.Reinstate(i); err != nil {
-				t.Fatal(err)
-			}
-		}
 		defer faultinject.Reset()
 		faultinject.Arm(site, trig)
 
@@ -90,43 +85,23 @@ func FuzzFaultSchedule(f *testing.F) {
 		if parallel {
 			s = ix.NewSearcher()
 		} else {
-			s = col.newSearcher(true)
+			s = ix.Collection().newSearcher(true)
 		}
 		for qi, q := range queries {
-			res, err := s.SearchPlan(context.Background(), q, Plan{K: 5, AllowPartial: true}, nil)
-			m := s.LastMeta()
-			switch {
-			case err != nil:
-				// The only acceptable failure is a degraded query with no
-				// survivors (or an all-shard fault): always ErrDegraded.
-				if !errors.Is(err, ErrDegraded) {
-					t.Fatalf("site=%s trig=%+v q=%d: err %v does not wrap ErrDegraded", site, trig, qi, err)
+			res, err := s.SearchPlan(context.Background(), q, Plan{K: 5}, nil)
+			if err != nil {
+				if !errors.Is(err, ErrDegraded) && !faultinject.IsInjected(err) {
+					t.Fatalf("site=%s trig=%+v q=%d: err %v neither wraps ErrDegraded nor is injected", site, trig, qi, err)
 				}
-			case m.ShardsFailed == 0:
-				// Claimed complete: must be bit-identical to the baseline.
-				if len(res) != len(baseline[qi]) {
-					t.Fatalf("site=%s trig=%+v q=%d: %d results, baseline %d", site, trig, qi, len(res), len(baseline[qi]))
-				}
-				for r := range res {
-					if res[r] != baseline[qi][r] {
-						t.Fatalf("site=%s trig=%+v q=%d rank %d: non-degraded %+v != baseline %+v",
-							site, trig, qi, r, res[r], baseline[qi][r])
-					}
-				}
-				if m.EpsilonBound != 0 {
-					t.Fatalf("site=%s trig=%+v q=%d: complete answer with ε=%v", site, trig, qi, m.EpsilonBound)
-				}
-			default:
-				// Degraded but answered: non-empty with a non-negative bound.
-				if len(res) == 0 {
-					t.Fatalf("site=%s trig=%+v q=%d: degraded nil-error answer is empty", site, trig, qi)
-				}
-				if m.EpsilonBound < 0 {
-					t.Fatalf("site=%s trig=%+v q=%d: negative ε %v", site, trig, qi, m.EpsilonBound)
-				}
-				if m.ShardsSearched+m.ShardsFailed != col.Shards() {
-					t.Fatalf("site=%s trig=%+v q=%d: meta %+v does not partition %d shards",
-						site, trig, qi, m, col.Shards())
+				continue
+			}
+			if len(res) != len(baseline[qi]) {
+				t.Fatalf("site=%s trig=%+v q=%d: %d results, baseline %d", site, trig, qi, len(res), len(baseline[qi]))
+			}
+			for r := range res {
+				if res[r] != baseline[qi][r] {
+					t.Fatalf("site=%s trig=%+v q=%d rank %d: answer %+v != baseline %+v",
+						site, trig, qi, r, res[r], baseline[qi][r])
 				}
 			}
 		}

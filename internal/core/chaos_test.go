@@ -6,11 +6,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"math"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/faultinject"
+	"repro/internal/index"
 )
 
 // The chaos suite: deterministic fault injection (panics, errors, transient
@@ -35,227 +36,136 @@ func chaosIndex(tb testing.TB, shards int) (*Index, [][]float64) {
 	return ix, queries
 }
 
-// TestChaosKillOneShardMidQuery is the acceptance matrix: for S ∈ {2,4,8}
-// and every instrumented query-path site, killing one shard mid-query with
-// an injected panic yields — under AllowPartial — non-empty results, an
-// accurate failed-shard count, a sound ε certificate, and never a process
-// panic; after the fault clears, the respawned searcher answers the complete
-// query bit-identically again.
+// baselineAnswers answers every query on a fault-free searcher: the
+// complete answers every later query must reproduce bit for bit.
+func baselineAnswers(tb testing.TB, ix *Index, queries [][]float64, k int) [][]Result {
+	tb.Helper()
+	s := ix.NewSearcher()
+	out := make([][]Result, len(queries))
+	for qi, q := range queries {
+		res, err := s.Search(q, k)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out[qi] = append([]Result(nil), res...)
+	}
+	return out
+}
+
+// sameAnswers fails the test unless got equals want bit for bit.
+func sameAnswers(tb testing.TB, what string, got, want []Result) {
+	tb.Helper()
+	if len(got) != len(want) {
+		tb.Fatalf("%s: %d results, want %d", what, len(got), len(want))
+	}
+	for r := range got {
+		if got[r] != want[r] {
+			tb.Fatalf("%s rank %d: %+v != %+v", what, r, got[r], want[r])
+		}
+	}
+}
+
+// TestChaosKillOneShardMidQuery is the acceptance matrix: for S ∈ {2,4,8},
+// every instrumented shard-stage site and every shard, killing that shard
+// mid-query with an injected panic fails the query with that shard's
+// *PanicError (wrapping ErrDegraded) and never a process panic, replaces
+// that shard's searcher (its scratch is unsafe to reuse) and no other — and
+// the same searcher's next queries equal the baseline bit for bit. A serial
+// searcher reaches each site once per shard in shard order, so the nth call
+// pins the victim; the parallel searcher's first call lands on whichever
+// shard gets there first.
 func TestChaosKillOneShardMidQuery(t *testing.T) {
+	defer faultinject.Reset()
 	const k = 5
+	sites := []string{faultinject.SiteShardSeed, faultinject.SiteShardFinish, faultinject.SiteKernel}
 	for _, shards := range []int{2, 4, 8} {
 		ix, queries := chaosIndex(t, shards)
-		s := ix.NewSearcher()
-		full := make([][]Result, len(queries))
-		for qi, q := range queries {
-			res, err := s.Search(q, k)
-			if err != nil {
-				t.Fatal(err)
+		full := baselineAnswers(t, ix, queries, k)
+		kill := func(s *Searcher, site string, onCall uint64, victim int) {
+			t.Helper()
+			prev := append([]*index.Searcher(nil), s.ss...)
+			faultinject.Arm(site, faultinject.Trigger{Mode: faultinject.ModePanic, OnCall: onCall})
+			_, err := s.Search(queries[0], k)
+			var pe *PanicError
+			if !errors.Is(err, ErrDegraded) || !errors.As(err, &pe) {
+				t.Fatalf("S=%d site=%s: err = %v, want a *PanicError wrapping ErrDegraded", shards, site, err)
 			}
-			full[qi] = append([]Result(nil), res...)
-		}
-		for _, site := range []string{
-			faultinject.SiteShardSeed,
-			faultinject.SiteShardFinish,
-			faultinject.SiteKernel,
-		} {
-			faultinject.Arm(site, faultinject.Trigger{Mode: faultinject.ModePanic, OnCall: 1})
-			res, err := s.SearchPlan(context.Background(), queries[0], Plan{K: k, AllowPartial: true}, nil)
-			if err != nil {
-				t.Fatalf("S=%d site=%s: partial query failed: %v", shards, site, err)
+			if p, ok := pe.Value.(faultinject.Panic); !ok || p.Site != site {
+				t.Fatalf("S=%d site=%s: recovered value %#v, want the injected panic", shards, site, pe.Value)
 			}
-			if len(res) == 0 {
-				t.Fatalf("S=%d site=%s: partial query returned nothing", shards, site)
+			if (victim >= 0 && pe.Shard != victim) || pe.Shard < 0 || pe.Shard >= shards {
+				t.Fatalf("S=%d site=%s: panic attributed to shard %d, want %d", shards, site, pe.Shard, victim)
 			}
-			m := s.LastMeta()
-			if m.ShardsFailed != 1 || m.ShardsSearched != shards-1 {
-				t.Fatalf("S=%d site=%s: meta %+v, want exactly one failed shard", shards, site, m)
+			if len(pe.Stack) == 0 {
+				t.Fatalf("S=%d site=%s: recovered panic carries no stack", shards, site)
 			}
-			if m.EpsilonBound < 0 {
-				t.Fatalf("S=%d site=%s: negative ε %v", shards, site, m.EpsilonBound)
-			}
-			if !math.IsInf(m.EpsilonBound, 1) {
-				for r := range res {
-					got, want := math.Sqrt(res[r].Dist), math.Sqrt(full[0][r].Dist)
-					if got > (1+m.EpsilonBound)*want*(1+1e-9) {
-						t.Fatalf("S=%d site=%s rank %d: %v exceeds (1+%v)·%v — certificate unsound",
-							shards, site, r, got, m.EpsilonBound, want)
-					}
+			for i := range prev {
+				if respawned := s.ss[i] != prev[i]; respawned != (i == pe.Shard) {
+					t.Fatalf("S=%d site=%s: shard %d searcher respawned=%v after a panic in shard %d", shards, site, i, respawned, pe.Shard)
 				}
 			}
 			if fired := faultinject.Fired(site); fired != 1 {
 				t.Fatalf("S=%d site=%s: %d faults fired, want 1", shards, site, fired)
 			}
 			faultinject.Disarm(site)
-			// One panic never quarantines; the respawned shard searcher
-			// answers the complete query again, bit for bit.
-			if got := ix.Collection().Quarantined(); got != nil {
-				t.Fatalf("S=%d site=%s: quarantined %v after a single panic", shards, site, got)
-			}
 			for qi, q := range queries {
 				res, err := s.Search(q, k)
 				if err != nil {
-					t.Fatalf("S=%d site=%s: post-fault query: %v", shards, site, err)
+					t.Fatalf("S=%d site=%s: query after the fault: %v", shards, site, err)
 				}
-				for r := range res {
-					if res[r] != full[qi][r] {
-						t.Fatalf("S=%d site=%s q=%d rank %d: post-fault %+v != %+v",
-							shards, site, qi, r, res[r], full[qi][r])
-					}
-				}
+				sameAnswers(t, fmt.Sprintf("S=%d site=%s shard %d q=%d after the fault", shards, site, pe.Shard, qi), res, full[qi])
 			}
+		}
+		serial := ix.Collection().newSearcher(true)
+		parallel := ix.NewSearcher()
+		for _, site := range sites {
+			for victim := 0; victim < shards; victim++ {
+				kill(serial, site, uint64(victim+1), victim)
+			}
+			kill(parallel, site, 1, -1)
 		}
 	}
 }
 
-// TestChaosFailFastDefault: without AllowPartial an injected shard panic
-// fails the query with an error chain exposing both the sentinel and the
-// recovered panic.
-func TestChaosFailFastDefault(t *testing.T) {
-	ix, queries := chaosIndex(t, 4)
-	defer faultinject.Reset()
-	s := ix.NewSearcher()
-	faultinject.Arm(faultinject.SiteShardFinish, faultinject.Trigger{Mode: faultinject.ModePanic, OnCall: 1})
-	_, err := s.Search(queries[0], 5)
-	if !errors.Is(err, ErrDegraded) {
-		t.Fatalf("fail-fast err = %v, want ErrDegraded", err)
-	}
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("fail-fast err = %v, want *PanicError in the chain", err)
-	}
-	if _, ok := pe.Value.(faultinject.Panic); !ok {
-		t.Fatalf("recovered panic value %T, want faultinject.Panic", pe.Value)
-	}
-	if pe.Shard < 0 || pe.Shard >= 4 {
-		t.Fatalf("panic attributed to shard %d", pe.Shard)
-	}
-	if len(pe.Stack) == 0 {
-		t.Fatal("recovered panic carries no stack")
-	}
-}
-
-// TestChaosErrorModeShardFault: injected (non-panic) engine errors are shard
-// faults too — attributed, degradable, and visible through errors.Is/As.
+// TestChaosErrorModeShardFault: injected (non-panic) engine errors at every
+// shard-stage site are shard faults too — they fail the query with a
+// *ShardError wrapping both ErrDegraded and the injected cause, and the
+// next query answers the baseline bit for bit.
 func TestChaosErrorModeShardFault(t *testing.T) {
 	ix, queries := chaosIndex(t, 4)
 	defer faultinject.Reset()
+	full := baselineAnswers(t, ix, queries, 5)
 	s := ix.NewSearcher()
-	faultinject.Arm(faultinject.SiteShardSeed, faultinject.Trigger{Mode: faultinject.ModeError, OnCall: 1})
-	_, err := s.Search(queries[0], 5)
-	if !errors.Is(err, ErrDegraded) {
-		t.Fatalf("err = %v, want ErrDegraded", err)
-	}
-	var se *ShardError
-	if !errors.As(err, &se) {
-		t.Fatalf("err = %v, want *ShardError", err)
-	}
-	if !faultinject.IsInjected(se.Err) {
-		t.Fatalf("shard error cause %v is not the injected error", se.Err)
-	}
-	faultinject.Reset()
-	faultinject.Arm(faultinject.SiteShardSeed, faultinject.Trigger{Mode: faultinject.ModeError, OnCall: 1})
-	res, err := s.SearchPlan(context.Background(), queries[0], Plan{K: 5, AllowPartial: true}, nil)
-	if err != nil || len(res) == 0 {
-		t.Fatalf("partial with injected error: %v (%d results)", err, len(res))
-	}
-	if m := s.LastMeta(); m.ShardsFailed != 1 {
-		t.Fatalf("meta %+v", m)
-	}
-}
-
-// TestChaosQuarantineAfterConsecutivePanics drives one shard to the
-// quarantine threshold with a deterministic schedule: on a serial searcher
-// over 2 shards, an every-2nd-call seed panic hits shard 1 on every query
-// until the third strike quarantines it, after which the hook is no longer
-// reached and the degraded answers keep flowing.
-func TestChaosQuarantineAfterConsecutivePanics(t *testing.T) {
-	ix, queries := chaosIndex(t, 2)
-	defer faultinject.Reset()
-	col := ix.Collection()
-	s := col.newSearcher(true)
-	faultinject.Arm(faultinject.SiteShardSeed, faultinject.Trigger{Mode: faultinject.ModePanic, EveryN: 2})
-	for strike := 1; strike <= 3; strike++ {
-		res, err := s.SearchPlan(context.Background(), queries[0], Plan{K: 5, AllowPartial: true}, nil)
-		if err != nil || len(res) == 0 {
-			t.Fatalf("strike %d: %v (%d results)", strike, err, len(res))
+	for _, site := range []string{faultinject.SiteShardSeed, faultinject.SiteShardFinish, faultinject.SiteKernel} {
+		faultinject.Arm(site, faultinject.Trigger{Mode: faultinject.ModeError, OnCall: 1})
+		_, err := s.Search(queries[0], 5)
+		if !errors.Is(err, ErrDegraded) {
+			t.Fatalf("site=%s: err = %v, want ErrDegraded", site, err)
 		}
-		if m := s.LastMeta(); m.ShardsFailed != 1 {
-			t.Fatalf("strike %d: meta %+v", strike, m)
+		var se *ShardError
+		if !errors.As(err, &se) {
+			t.Fatalf("site=%s: err = %v, want *ShardError", site, err)
 		}
-		want := []int(nil)
-		if strike >= 3 {
-			want = []int{1}
+		if !faultinject.IsInjected(se.Err) {
+			t.Fatalf("site=%s: shard error cause %v is not the injected error", site, se.Err)
 		}
-		got := col.Quarantined()
-		if len(got) != len(want) || (len(got) == 1 && got[0] != want[0]) {
-			t.Fatalf("strike %d: quarantined %v, want %v", strike, got, want)
+		faultinject.Disarm(site)
+		res, err := s.Search(queries[0], 5)
+		if err != nil {
+			t.Fatalf("site=%s: query after the fault: %v", site, err)
 		}
-	}
-	// The quarantined shard is gated before its hook site: the armed trigger
-	// stops firing, and queries stay degraded-but-answered.
-	calls := faultinject.Calls(faultinject.SiteShardSeed)
-	res, err := s.SearchPlan(context.Background(), queries[1], Plan{K: 5, AllowPartial: true}, nil)
-	if err != nil || len(res) == 0 {
-		t.Fatalf("post-quarantine query: %v", err)
-	}
-	if got := faultinject.Calls(faultinject.SiteShardSeed); got != calls+1 {
-		t.Fatalf("seed hook reached %d times post-quarantine, want %d (healthy shard only)", got-calls, 1)
-	}
-	// Reinstate + disarm restores complete answers.
-	faultinject.Reset()
-	if err := col.Reinstate(1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.SearchPlan(context.Background(), queries[0], Plan{K: 5}, nil); err != nil {
-		t.Fatalf("post-reinstate: %v", err)
-	}
-	if m := s.LastMeta(); m.ShardsFailed != 0 || m.ShardsSearched != 2 {
-		t.Fatalf("post-reinstate meta %+v", m)
-	}
-}
-
-// TestChaosPanicCounterResetsOnSuccess: the quarantine policy counts
-// consecutive faulting queries — a fully successful search of the shard
-// resets its strike count, so intermittent faults never accumulate to
-// quarantine.
-func TestChaosPanicCounterResetsOnSuccess(t *testing.T) {
-	ix, queries := chaosIndex(t, 2)
-	defer faultinject.Reset()
-	col := ix.Collection()
-	s := col.newSearcher(true)
-	for round := 0; round < 4; round++ {
-		faultinject.Arm(faultinject.SiteShardSeed, faultinject.Trigger{Mode: faultinject.ModePanic, OnCall: 1})
-		if _, err := s.SearchPlan(context.Background(), queries[0], Plan{K: 5, AllowPartial: true}, nil); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		faultinject.Disarm(faultinject.SiteShardSeed)
-		// A clean query in between resets every shard's strikes.
-		if _, err := s.SearchPlan(context.Background(), queries[1], Plan{K: 5}, nil); err != nil {
-			t.Fatalf("round %d healthy query: %v", round, err)
-		}
-	}
-	if got := col.Quarantined(); got != nil {
-		t.Fatalf("intermittent faults quarantined %v", got)
-	}
-	for i := range col.health {
-		if n := col.health[i].panics.Load(); n != 0 {
-			t.Fatalf("shard %d strike count %d after healthy query", i, n)
-		}
+		sameAnswers(t, "site="+site+" after the fault", res, full[0])
 	}
 }
 
 // TestChaosStreamWorkerPanic: an injected panic in a stream worker costs that
-// query (answered with a *PanicError) and nothing else — the worker survives,
-// respawns its searcher, and answers the next query exactly.
+// query (answered with a *PanicError wrapping ErrDegraded) and nothing else —
+// the worker survives, respawns its searcher, and answers the next query
+// exactly.
 func TestChaosStreamWorkerPanic(t *testing.T) {
 	ix, queries := chaosIndex(t, 2)
 	defer faultinject.Reset()
-	want, err := ix.NewSearcher().Search(queries[1], 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCopy := append([]Result(nil), want...)
+	full := baselineAnswers(t, ix, queries, 5)
 
 	type answer struct {
 		res []Result
@@ -277,20 +187,13 @@ func TestChaosStreamWorkerPanic(t *testing.T) {
 	}
 	a1, a2 := <-got, <-got
 	var pe *PanicError
-	if !errors.As(a1.err, &pe) || pe.Shard != -1 {
+	if !errors.Is(a1.err, ErrDegraded) || !errors.As(a1.err, &pe) || pe.Shard != -1 {
 		t.Fatalf("injected worker panic answered with %v, want *PanicError (shard -1)", a1.err)
 	}
 	if a2.err != nil {
 		t.Fatalf("query after worker panic: %v", a2.err)
 	}
-	if len(a2.res) != len(wantCopy) {
-		t.Fatalf("%d results after respawn, want %d", len(a2.res), len(wantCopy))
-	}
-	for i := range wantCopy {
-		if a2.res[i] != wantCopy[i] {
-			t.Fatalf("rank %d after respawn: %+v != %+v", i, a2.res[i], wantCopy[i])
-		}
-	}
+	sameAnswers(t, "after respawn", a2.res, full[1])
 	st.Close()
 }
 
@@ -348,12 +251,20 @@ func TestChaosBatchWorkerError(t *testing.T) {
 }
 
 // TestChaosStreamSubmitError: injected submit-side faults surface to the
-// submitter, not the handler, and do not poison the stream.
+// submitter, not the handler, and do not poison the stream: the next query
+// is answered exactly.
 func TestChaosStreamSubmitError(t *testing.T) {
 	ix, queries := chaosIndex(t, 2)
 	defer faultinject.Reset()
-	got := make(chan error, 1)
-	st, err := ix.NewStream(5, 1, func(qid uint64, res []Result, err error) { got <- err })
+	full := baselineAnswers(t, ix, queries, 5)
+	type answer struct {
+		res []Result
+		err error
+	}
+	got := make(chan answer, 1)
+	st, err := ix.NewStream(5, 1, func(qid uint64, res []Result, err error) {
+		got <- answer{append([]Result(nil), res...), err}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,9 +275,11 @@ func TestChaosStreamSubmitError(t *testing.T) {
 	if _, err := st.Submit(queries[0]); err != nil {
 		t.Fatalf("submit after injected fault: %v", err)
 	}
-	if err := <-got; err != nil {
-		t.Fatalf("handler err: %v", err)
+	a := <-got
+	if a.err != nil {
+		t.Fatalf("handler err: %v", a.err)
 	}
+	sameAnswers(t, "after the submit fault", a.res, full[0])
 	st.Close()
 }
 
@@ -440,8 +353,8 @@ func TestChaosDisarmedIsClean(t *testing.T) {
 		base[qi] = append([]Result(nil), res...)
 	}
 	faultinject.Arm(faultinject.SiteShardFinish, faultinject.Trigger{Mode: faultinject.ModePanic, OnCall: 1})
-	if _, err := s.SearchPlan(context.Background(), queries[0], Plan{K: 5, AllowPartial: true}, nil); err != nil {
-		t.Fatal(err)
+	if _, err := s.Search(queries[0], 5); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("armed query: %v, want ErrDegraded", err)
 	}
 	faultinject.Reset()
 	for qi, q := range queries {

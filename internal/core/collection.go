@@ -87,13 +87,6 @@ type Collection struct {
 	// Auto policy may spawn after a mutation.
 	compactingBG atomic.Bool
 
-	// health tracks per-shard fault state (panic counts, quarantine); see
-	// fault.go. len(health) == len(states) always. A shard may have a nil
-	// tree when it was quarantined at load time (corrupt payload under
-	// LoadOptions.QuarantineCorruptShards); such shards are permanently
-	// quarantined and untrusted.
-	health []shardHealth
-
 	// searchers pools serial collection searchers for SearchBatch and the
 	// streaming engine, so repeated batches and stream workers reuse
 	// per-shard scratch instead of rebuilding it.
@@ -113,13 +106,13 @@ type Collection struct {
 // never edits — it builds a replacement and swaps the pointer.
 type shardState struct {
 	tree *index.Tree
-	data *distance.Matrix // tree's matrix; kept even when tree == nil (load quarantine)
+	data *distance.Matrix // tree's matrix
 	// pubOf maps tree-local ids to stable public ids; nil while the shard
 	// still has the round-robin identity layout (pub = local*S + shard).
 	pubOf []int32
 	// relearned marks a shard whose quantization was re-learned from its
-	// survivors at compaction; its tree carries its own summarization, so
-	// certificate representations must use the tree's encoder.
+	// survivors at compaction; its tree carries its own summarization, which
+	// Save writes alongside the collection's.
 	relearned bool
 	// enc is the lazily created encoder mutations use to word new series
 	// (guarded by the collection mutex).
@@ -129,7 +122,7 @@ type shardState struct {
 // state returns shard i's current state (never nil once built/loaded).
 func (c *Collection) state(i int) *shardState { return c.states[i].Load() }
 
-// tree returns shard i's current tree (nil for load-quarantined shards).
+// tree returns shard i's current tree.
 func (c *Collection) tree(i int) *index.Tree { return c.state(i).tree }
 
 // BuildCollection constructs a sharded index over data (which must contain
@@ -253,7 +246,6 @@ func (c *Collection) shardOptions() index.Options {
 // and Load (rebuild from saved words).
 func (c *Collection) buildShardTrees(sdata []*distance.Matrix, build func(i int) (*index.Tree, error)) error {
 	c.states = make([]atomic.Pointer[shardState], len(sdata))
-	c.health = make([]shardHealth, len(sdata))
 	c.epochs = make([]atomic.Uint64, len(sdata))
 	c.relearnChurn = make([]atomic.Int64, len(sdata))
 	trees := make([]*index.Tree, len(sdata))
@@ -274,14 +266,6 @@ func (c *Collection) buildShardTrees(sdata []*distance.Matrix, build func(i int)
 	}
 	for i, t := range trees {
 		c.states[i].Store(&shardState{tree: t, data: sdata[i]})
-		if t == nil {
-			// The build callback quarantined this shard (corrupt payload
-			// under LoadOptions.QuarantineCorruptShards): no tree, no
-			// certificate, permanently skipped.
-			c.health[i].quarantined.Store(true)
-			c.health[i].untrusted.Store(true)
-			continue
-		}
 		if t.TransformSeconds > c.TransformSeconds {
 			c.TransformSeconds = t.TransformSeconds
 		}
@@ -383,15 +367,9 @@ func (c *Collection) Stats() index.Stats {
 // CheckInvariants verifies every shard tree's structural invariants, then
 // the collection-level id-mapping invariants (pub2loc and the per-shard
 // pubOf tables are mutually consistent bijections over the live series).
-// Shards quarantined at load time have no tree and are skipped: the
-// collection is valid as the degraded collection it declared itself to be.
 func (c *Collection) CheckInvariants() error {
 	for i := range c.states {
-		t := c.tree(i)
-		if t == nil {
-			continue
-		}
-		if err := t.CheckInvariants(); err != nil {
+		if err := c.tree(i).CheckInvariants(); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
@@ -405,30 +383,21 @@ func (c *Collection) checkMappingInvariants() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	phys, dead := 0, 0
-	treeless := false // load-quarantined shards hold rows no tree accounts for
 	for i := range c.states {
 		st := c.state(i)
-		if st.tree == nil {
-			treeless = true
-			continue
-		}
 		phys += st.tree.Len()
 		dead += st.tree.TombstoneCount()
 		if st.pubOf != nil && len(st.pubOf) != st.tree.Len() {
 			return fmt.Errorf("core: shard %d pubOf has %d entries for %d rows", i, len(st.pubOf), st.tree.Len())
 		}
 	}
-	if treeless {
-		if phys > c.total {
-			return fmt.Errorf("core: physical rows %d > recorded total %d", phys, c.total)
-		}
-	} else if phys != c.total {
+	if phys != c.total {
 		return fmt.Errorf("core: physical rows %d != recorded total %d", phys, c.total)
 	}
 	if got := int(c.live.Load() + c.tomb.Load()); got != c.total {
 		return fmt.Errorf("core: live %d + tombstoned %d != total %d", c.live.Load(), c.tomb.Load(), c.total)
 	}
-	if td := int(c.tomb.Load()); td != dead && (!treeless || td < dead) {
+	if td := int(c.tomb.Load()); td != dead {
 		return fmt.Errorf("core: tombstone counter %d != bitmap total %d", td, dead)
 	}
 	if c.pub2loc == nil {
@@ -449,9 +418,6 @@ func (c *Collection) checkMappingInvariants() error {
 		liveMapped++
 		shard, local := int(v%s), int32(v/s)
 		st := c.state(shard)
-		if st.tree == nil {
-			continue
-		}
 		if int(local) >= st.tree.Len() {
 			return fmt.Errorf("core: id %d maps past shard %d (%d >= %d)", pub, shard, local, st.tree.Len())
 		}
@@ -484,11 +450,6 @@ func (c *Collection) Insert(series []float64) (index.ID, error) {
 
 func (c *Collection) insertLocked(series []float64) (index.ID, error) {
 	shard := c.insertTargetLocked()
-	// Inserting into a quarantined shard would strand the series in a tree
-	// searches skip (silent data loss); refuse instead.
-	if err := c.shardGate(shard); err != nil {
-		return 0, err
-	}
 	st := c.state(shard)
 	if st.enc == nil {
 		st.enc = st.tree.Encoder()
@@ -510,27 +471,14 @@ func (c *Collection) insertLocked(series []float64) (index.ID, error) {
 	return pub, nil
 }
 
-// insertGate reports whether the next Insert would be refused at the shard
-// gate — the durable store preflights with it so a doomed insert never
-// reaches the write-ahead log.
-func (c *Collection) insertGate() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.shardGate(c.insertTargetLocked())
-}
-
 // mutationGate reports whether a Delete or Upsert of pub would be refused —
-// unknown or tombstoned id, or quarantined home shard — without applying
-// anything. The durable store's WAL-before-apply discipline preflights with
-// it.
+// unknown or tombstoned id — without applying anything. The durable store's
+// WAL-before-apply discipline preflights with it.
 func (c *Collection) mutationGate(pub index.ID) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	shard, _, err := c.lookupLocked(pub)
-	if err != nil {
-		return err
-	}
-	return c.shardGate(shard)
+	_, _, err := c.lookupLocked(pub)
+	return err
 }
 
 // nextPubID returns the public id the next Insert will assign.
@@ -542,18 +490,11 @@ func (c *Collection) nextPubID() index.ID {
 
 // insertTargetLocked picks the shard for the next insert: fewest physical
 // rows, lowest index on ties. For append-only histories this reproduces the
-// round-robin placement exactly, preserving the identity id layout. A
-// load-quarantined shard has no tree and counts zero rows, so it is always
-// the pick — and the shard gate then refuses the insert, exactly like the
-// historical placement refusing to skip the hole.
+// round-robin placement exactly, preserving the identity id layout.
 func (c *Collection) insertTargetLocked() int {
 	best, bestLen := 0, math.MaxInt
 	for i := range c.states {
-		n := 0
-		if t := c.tree(i); t != nil {
-			n = t.Len()
-		}
-		if n < bestLen {
+		if n := c.tree(i).Len(); n < bestLen {
 			best, bestLen = i, n
 		}
 	}
@@ -578,9 +519,6 @@ func (c *Collection) Delete(pub index.ID) error {
 func (c *Collection) deleteLocked(pub index.ID) error {
 	shard, local, err := c.lookupLocked(pub)
 	if err != nil {
-		return err
-	}
-	if err := c.shardGate(shard); err != nil {
 		return err
 	}
 	if faultinject.Enabled {
@@ -623,13 +561,7 @@ func (c *Collection) upsertLocked(pub index.ID, series []float64) error {
 	if err != nil {
 		return err
 	}
-	if err := c.shardGate(oldShard); err != nil {
-		return err
-	}
 	target := c.insertTargetLocked()
-	if err := c.shardGate(target); err != nil {
-		return err
-	}
 	if faultinject.Enabled {
 		if err := faultinject.Hook(faultinject.SiteTombstone); err != nil {
 			return err
@@ -679,7 +611,7 @@ func (c *Collection) lookupLocked(pub index.ID) (shard int, local int32, err err
 		return int(v % s), int32(v / s), nil
 	}
 	shard, local = int(int64(pub)%s), int32(int64(pub)/s)
-	if t := c.tree(shard); t != nil && t.Tombstoned(local) {
+	if c.tree(shard).Tombstoned(local) {
 		return 0, 0, fmt.Errorf("core: id %d: %w", pub, ErrTombstoned)
 	}
 	return shard, local, nil
@@ -703,9 +635,6 @@ func (c *Collection) materializeLocked() {
 	}
 	for i := range c.states {
 		st := c.state(i)
-		if st.tree == nil {
-			continue
-		}
 		n := st.tree.Len()
 		pubOf := make([]int32, n)
 		for local := 0; local < n; local++ {
@@ -780,10 +709,6 @@ func (c *Collection) CompactShard(i int) error {
 func (c *Collection) compactOnce(i int, final bool) (done bool, err error) {
 	c.mu.Lock()
 	st := c.state(i)
-	if st.tree == nil {
-		c.mu.Unlock()
-		return true, &ShardError{Shard: i, Err: ErrShardQuarantined}
-	}
 	tree := st.tree
 	n := tree.Len()
 	deadCount := tree.TombstoneCount()
@@ -923,7 +848,7 @@ func (c *Collection) MaybeCompact() error {
 	for i := range c.states {
 		c.mu.Lock()
 		t := c.tree(i)
-		due := t != nil && t.Len() > 0 &&
+		due := t.Len() > 0 &&
 			float64(t.TombstoneCount()) >= p.MaxTombstoneFraction*float64(t.Len())
 		c.mu.Unlock()
 		if !due {

@@ -79,12 +79,6 @@ type Config struct {
 	// single-shard build. See the README for how to pick S.
 	Shards int
 
-	// QuarantineAfter is how many consecutive panicking queries quarantine a
-	// shard (default 3). A shard whose tree fails its invariant check after
-	// a panic is quarantined immediately regardless. See Collection's fault
-	// isolation contract (fault.go) and Plan.AllowPartial.
-	QuarantineAfter int
-
 	// Compaction governs tombstone reclamation and SFA re-learning for
 	// mutable workloads; the zero value disables automatic compaction
 	// (CompactShard remains available). See CompactionPolicy.

@@ -53,8 +53,7 @@ const savedIndexVersion = 6
 // corruption that breaks its structure and a bit flip inside a payload would
 // otherwise load cleanly and silently change answers: Checksum covers the
 // header and DataBytes, ShardChecksums[i] shard i's payload — so a flip there
-// indicts one shard, and LoadOptions.QuarantineCorruptShards can load the
-// healthy rest as a degraded collection.
+// fails the load with an error naming the shard.
 type savedIndex struct {
 	Version      int
 	Method       Method
@@ -279,19 +278,11 @@ func unpackShape(p packedShape) (index.TreeShape, error) {
 // Save serializes the index to w: summarization tables, series data, each
 // shard's finalized tree shape and leaf blocks so Load is a direct decode,
 // per-shard payload checksums so load-time corruption is attributable to
-// (and optionally quarantined at) shard granularity, and the mutable-index
-// state (tombstone bitmaps, public-id tables, re-learned shard quantizations,
-// mutation sequence). See savedIndex for the layout.
+// one shard, and the mutable-index state (tombstone bitmaps, public-id
+// tables, re-learned shard quantizations, mutation sequence). See savedIndex
+// for the layout.
 func Save(ix *Index, w io.Writer) error {
 	col := ix.col
-	for i := range col.states {
-		if col.tree(i) == nil {
-			// A load-quarantined shard has no tree (and its saved payload was
-			// corrupt): a container written without it would silently drop
-			// 1/S of the collection under healthy-looking checksums.
-			return fmt.Errorf("core: cannot save: %w", &ShardError{Shard: i, Err: ErrShardQuarantined})
-		}
-	}
 	bw := bufio.NewWriterSize(w, 1<<20)
 	s := savedIndex{
 		Version:        savedIndexVersion,
@@ -390,11 +381,6 @@ func (c *Collection) applySavedMutationState(s *savedIndex) error {
 			return fmt.Errorf("core: shard %d tombstone count %d negative", i, n)
 		}
 		dead += n
-		if st.tree == nil {
-			// Load-quarantined shard: no tree to install the bitmap into; the
-			// counters still account for its saved tombstones.
-			continue
-		}
 		if n == 0 && s.ShardDead[i] == nil {
 			continue
 		}
@@ -557,23 +543,6 @@ type LoadStats struct {
 	TreeSeconds float64
 	// TotalSeconds is the whole Load call.
 	TotalSeconds float64
-	// QuarantinedShards lists the shards whose payloads failed their
-	// checksums and were quarantined under
-	// LoadOptions.QuarantineCorruptShards (nil for a clean load).
-	QuarantinedShards []int
-}
-
-// LoadOptions controls degraded-mode loading.
-type LoadOptions struct {
-	// QuarantineCorruptShards accepts a container with corrupt per-shard
-	// payloads as a degraded collection: shards whose checksum fails load
-	// with no tree, permanently quarantined (searches skip them,
-	// partial-result queries report them failed with an unbounded ε, Insert
-	// and Save refuse them), while every healthy shard loads normally. The
-	// default (false) fails the whole load on any corruption. A container
-	// whose every shard is corrupt fails to load regardless, as does one
-	// whose global checksum (header, SFA tables, series data) fails.
-	QuarantineCorruptShards bool
 }
 
 // countingReader counts bytes consumed from the underlying reader.
@@ -639,9 +608,10 @@ func isTransientRead(err error) bool {
 // the underlying data, against which results remain exact). Shard trees are
 // decoded directly from their saved shapes, in parallel across shards. A
 // container in any version but the current one fails with
-// ErrUnsupportedVersion. Transient read errors from r (the net-style
-// Temporary contract) are retried under a bounded backoff before the load
-// fails.
+// ErrUnsupportedVersion, and one whose checksums fail — globally, or for one
+// shard's payload, which the error names — fails the load. Transient read
+// errors from r (the net-style Temporary contract) are retried under a
+// bounded backoff before the load fails.
 func Load(r io.Reader) (*Index, error) {
 	return LoadWithStats(r, nil)
 }
@@ -649,13 +619,6 @@ func Load(r io.Reader) (*Index, error) {
 // LoadWithStats is Load with phase timings: when st is non-nil it is filled
 // with the container version, byte count and decode/tree split.
 func LoadWithStats(r io.Reader, st *LoadStats) (*Index, error) {
-	return LoadWithOptions(r, LoadOptions{}, st)
-}
-
-// LoadWithOptions is LoadWithStats with degraded-mode control: see
-// LoadOptions.QuarantineCorruptShards for loading a partially corrupt
-// container as a degraded collection. st may be nil.
-func LoadWithOptions(r io.Reader, opts LoadOptions, st *LoadStats) (*Index, error) {
 	start := time.Now()
 	cr := &countingReader{r: r}
 	br := bufio.NewReaderSize(&retryReader{r: cr}, 1<<20)
@@ -673,8 +636,7 @@ func LoadWithOptions(r io.Reader, opts LoadOptions, st *LoadStats) (*Index, erro
 			"(see README \"Persistence\" for the upgrade path): %w",
 			s.Version, savedIndexVersion, ErrUnsupportedVersion)
 	}
-	corrupt, err := s.verify(opts)
-	if err != nil {
+	if err := s.verify(); err != nil {
 		return nil, err
 	}
 	// Decode the float32 data (shard-major: shard 0's rows, then shard 1's,
@@ -735,12 +697,7 @@ func LoadWithOptions(r io.Reader, opts LoadOptions, st *LoadStats) (*Index, erro
 	// invariant, each leaf block row against its leaf's prefixes).
 	treeOpts := col.shardOptions()
 	treeStart := time.Now()
-	err = col.buildShardTrees(sdata, func(i int) (*index.Tree, error) {
-		if corrupt != nil && corrupt[i] {
-			// Quarantined at load: no tree. buildShardTrees marks the
-			// shard quarantined and untrusted.
-			return nil, nil
-		}
+	err := col.buildShardTrees(sdata, func(i int) (*index.Tree, error) {
 		shape, err := unpackShape(s.ShardShapes[i])
 		if err != nil {
 			return nil, err
@@ -769,92 +726,76 @@ func LoadWithOptions(r io.Reader, opts LoadOptions, st *LoadStats) (*Index, erro
 		st.DecodeSeconds = decodeSeconds
 		st.TreeSeconds = time.Since(treeStart).Seconds()
 		st.TotalSeconds = time.Since(start).Seconds()
-		st.QuarantinedShards = col.Quarantined()
 	}
 	return &Index{col: col, TreeSeconds: col.TreeSeconds}, nil
 }
 
 // verify checks a decoded container before any of it is used: table sizes
 // against the shard count, both checksum tiers, then the header bounds every
-// later size computation depends on, then the payload lengths. It returns
-// the shards whose payload checksum failed and that
-// LoadOptions.QuarantineCorruptShards converts into load-time quarantine
-// instead of load failure (nil for a clean load).
-func (s *savedIndex) verify(opts LoadOptions) (corrupt []bool, err error) {
+// later size computation depends on, then the payload lengths.
+func (s *savedIndex) verify() error {
 	if s.Shards < 1 || len(s.ShardShapes) != s.Shards || len(s.ShardChecksums) != s.Shards {
-		return nil, fmt.Errorf("core: corrupt shard table (%d shards, %d tree shapes, %d checksums)",
+		return fmt.Errorf("core: corrupt shard table (%d shards, %d tree shapes, %d checksums)",
 			s.Shards, len(s.ShardShapes), len(s.ShardChecksums))
 	}
 	if got := globalChecksum(s); got != s.Checksum {
-		return nil, fmt.Errorf("core: payload checksum mismatch (%08x, header says %08x)", got, s.Checksum)
+		return fmt.Errorf("core: payload checksum mismatch (%08x, header says %08x)", got, s.Checksum)
 	}
-	nCorrupt := 0
 	for i := range s.ShardChecksums {
-		if shardChecksum(s.ShardShapes[i]) == s.ShardChecksums[i] {
-			continue
+		if shardChecksum(s.ShardShapes[i]) != s.ShardChecksums[i] {
+			return fmt.Errorf("core: shard %d payload checksum mismatch", i)
 		}
-		if !opts.QuarantineCorruptShards {
-			return nil, fmt.Errorf("core: shard %d payload checksum mismatch (load with QuarantineCorruptShards to keep the healthy shards)", i)
-		}
-		if corrupt == nil {
-			corrupt = make([]bool, s.Shards)
-		}
-		corrupt[i] = true
-		nCorrupt++
-	}
-	if nCorrupt == s.Shards {
-		return nil, fmt.Errorf("core: every shard payload failed its checksum; nothing to load")
 	}
 	// Header sanity, before any size computation depends on it: each bound
 	// also keeps Count*SeriesLen and Count*WordLength inside int range, so a
 	// forged header cannot wrap a length check around integer overflow.
 	if s.Count < 1 || s.Count > math.MaxInt32 {
-		return nil, fmt.Errorf("core: corrupt series count %d", s.Count)
+		return fmt.Errorf("core: corrupt series count %d", s.Count)
 	}
 	if s.SeriesLen < 1 {
-		return nil, fmt.Errorf("core: corrupt series length %d", s.SeriesLen)
+		return fmt.Errorf("core: corrupt series length %d", s.SeriesLen)
 	}
 	if int64(s.Count)*int64(s.SeriesLen) > 1<<40 {
 		// Far beyond any container Save can produce in practice, yet small
 		// enough that every downstream size computation (x8 for float64,
 		// x4 for the packed bytes) stays inside int64.
-		return nil, fmt.Errorf("core: index dimensions %d x %d overflow", s.Count, s.SeriesLen)
+		return fmt.Errorf("core: index dimensions %d x %d overflow", s.Count, s.SeriesLen)
 	}
 	if s.WordLength < 1 || s.WordLength > 64 {
-		return nil, fmt.Errorf("core: corrupt word length %d", s.WordLength)
+		return fmt.Errorf("core: corrupt word length %d", s.WordLength)
 	}
 	if s.Bits != index.SymbolBits {
-		return nil, fmt.Errorf("core: corrupt symbol bits %d", s.Bits)
+		return fmt.Errorf("core: corrupt symbol bits %d", s.Bits)
 	}
 	if s.LeafCapacity < 1 {
-		return nil, fmt.Errorf("core: corrupt leaf capacity %d", s.LeafCapacity)
+		return fmt.Errorf("core: corrupt leaf capacity %d", s.LeafCapacity)
 	}
 	if s.Shards > s.Count {
-		return nil, fmt.Errorf("core: %d shards for %d series", s.Shards, s.Count)
+		return fmt.Errorf("core: %d shards for %d series", s.Shards, s.Count)
 	}
 	if len(s.ShardCounts) != s.Shards || len(s.ShardDead) != s.Shards || len(s.ShardDeadCounts) != s.Shards {
-		return nil, fmt.Errorf("core: corrupt shard tables (%d/%d/%d entries for %d shards)",
+		return fmt.Errorf("core: corrupt shard tables (%d/%d/%d entries for %d shards)",
 			len(s.ShardCounts), len(s.ShardDead), len(s.ShardDeadCounts), s.Shards)
 	}
 	if s.ShardPubs != nil && len(s.ShardPubs) != s.Shards {
-		return nil, fmt.Errorf("core: corrupt id tables (%d for %d shards)", len(s.ShardPubs), s.Shards)
+		return fmt.Errorf("core: corrupt id tables (%d for %d shards)", len(s.ShardPubs), s.Shards)
 	}
 	if s.ShardSFA != nil && len(s.ShardSFA) != s.Shards {
-		return nil, fmt.Errorf("core: corrupt per-shard SFA tables (%d for %d shards)", len(s.ShardSFA), s.Shards)
+		return fmt.Errorf("core: corrupt per-shard SFA tables (%d for %d shards)", len(s.ShardSFA), s.Shards)
 	}
 	if s.Method != SOFA && s.ShardSFA != nil {
-		return nil, fmt.Errorf("core: non-SOFA container carries per-shard SFA state")
+		return fmt.Errorf("core: non-SOFA container carries per-shard SFA state")
 	}
 	// An SFA state transforms rows of its own length N, and FromState sizes
 	// the projection basis by it: a state must describe the stored rows, in
 	// the index's one symbol width.
 	if s.SFA != nil && (s.SFA.N != s.SeriesLen || s.SFA.Bits != index.SymbolBits) {
-		return nil, fmt.Errorf("core: SFA state for series length %d at %d bits, container holds %d at %d",
+		return fmt.Errorf("core: SFA state for series length %d at %d bits, container holds %d at %d",
 			s.SFA.N, s.SFA.Bits, s.SeriesLen, index.SymbolBits)
 	}
 	for i := range s.ShardSFA {
 		if own := s.ownSFA(i); own != nil && (own.N != s.SeriesLen || own.Bits != index.SymbolBits) {
-			return nil, fmt.Errorf("core: shard %d SFA state for series length %d at %d bits, container holds %d at %d",
+			return fmt.Errorf("core: shard %d SFA state for series length %d at %d bits, container holds %d at %d",
 				i, own.N, own.Bits, s.SeriesLen, index.SymbolBits)
 		}
 	}
@@ -862,22 +803,22 @@ func (s *savedIndex) verify(opts LoadOptions) (corrupt []bool, err error) {
 	// Count are ordered either way; only the id-table bijection
 	// (applySavedMutationState) ties them together.
 	if s.PubCount < 1 || s.PubCount > math.MaxInt32 {
-		return nil, fmt.Errorf("core: corrupt public id count %d", s.PubCount)
+		return fmt.Errorf("core: corrupt public id count %d", s.PubCount)
 	}
 	rows := 0
 	for i, n := range s.ShardCounts {
 		if n < 1 {
-			return nil, fmt.Errorf("core: corrupt shard %d row count %d", i, n)
+			return fmt.Errorf("core: corrupt shard %d row count %d", i, n)
 		}
 		rows += int(n)
 	}
 	if rows != s.Count {
-		return nil, fmt.Errorf("core: shard row counts sum to %d, header says %d", rows, s.Count)
+		return fmt.Errorf("core: shard row counts sum to %d, header says %d", rows, s.Count)
 	}
 	if int64(len(s.DataBytes)) != int64(s.Count)*int64(s.SeriesLen)*4 {
-		return nil, fmt.Errorf("core: data length %d bytes, want %d", len(s.DataBytes), s.Count*s.SeriesLen*4)
+		return fmt.Errorf("core: data length %d bytes, want %d", len(s.DataBytes), s.Count*s.SeriesLen*4)
 	}
-	return corrupt, nil
+	return nil
 }
 
 // LoadFile reads an index from a file.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -42,16 +41,8 @@ type Searcher struct {
 	resBuf []index.Result
 	errs   []error // per-shard outcome of the current query: errs[i] != nil when shard i is out
 
-	// meta describes the last query's execution (see LastMeta).
+	// meta describes the last query's collection state (see LastMeta).
 	meta QueryMeta
-
-	// Certificate scratch for degraded queries, lazily allocated on the
-	// first fault so healthy steady-state searches stay allocation-free. The
-	// representation is recomputed here rather than borrowed from a shard
-	// searcher, whose scratch a panic may have corrupted.
-	certEnc index.Encoder
-	certBuf []float64
-	certQR  []float64
 
 	// serial runs the shards sequentially on the calling goroutine (each
 	// shard searcher is single-threaded too); used by SearchBatch workers
@@ -91,20 +82,16 @@ func (s *Searcher) refreshShards() {
 	}
 }
 
-// adoptShard pins shard i to state cur with a fresh tree searcher (none for
-// a shard quarantined at load, which has no tree). It is also how a shard
-// searcher is replaced after a panic: the old one's scratch (queues,
-// collector registration, tables) is in an undefined state, so it is
-// discarded rather than reused — the price of a fault, not of the steady
+// adoptShard pins shard i to state cur with a fresh tree searcher. It is
+// also how a shard searcher is replaced after a panic: the old one's scratch
+// (queues, collector registration, tables) is in an undefined state, so it
+// is discarded rather than reused — the price of a fault, not of the steady
 // state.
 func (s *Searcher) adoptShard(i int, cur *shardState) {
 	s.states[i] = cur
-	switch {
-	case cur.tree == nil:
-		s.ss[i] = nil
-	case s.serial:
+	if s.serial {
 		s.ss[i] = cur.tree.NewSerialSearcher()
-	default:
+	} else {
 		s.ss[i] = cur.tree.NewSearcher()
 	}
 }
@@ -159,15 +146,6 @@ type Plan struct {
 	// once passed. Checked at shard granularity, so an expired query stops
 	// between shard stages instead of running to completion.
 	Deadline time.Time
-	// AllowPartial accepts degraded answers: when one or more shards fail
-	// (panic, fault, or quarantine), the query returns the merged results of
-	// the surviving shards with nil error instead of failing, and
-	// Searcher.LastMeta carries the shard counts plus the ε certificate
-	// bounding the degradation. A degraded query that would return zero
-	// results still fails (with an error wrapping ErrDegraded): an empty
-	// answer certifies nothing. Cancellation and deadline expiry remain
-	// errors regardless — the caller asked the query to stop.
-	AllowPartial bool
 }
 
 // queryErr reports why in-flight query work must stop: context cancellation
@@ -218,26 +196,22 @@ func (s *Searcher) SearchPlan(ctx context.Context, query []float64, p Plan, dst 
 // run is the one executor: a seeding phase first (every shard's approximate
 // stage feeds the shared collector, so each shard's exact stage starts from
 // the best bound any shard established), then — unless the plan is
-// approximate — the exact phase, then resolveFaults.
+// approximate — the exact phase, then firstErr.
 //
 // Faults are contained at shard granularity: a panic or engine error inside
-// one shard's stage is recorded in s.errs[i] (and fed to the health policy —
-// see fault.go) without touching the other shards, and resolveFaults decides
-// afterwards whether the query fails (the default) or returns the
-// survivors' partial answer with an ε certificate (p.AllowPartial). A shard
-// whose errs entry is set takes no further part in the query.
+// one shard's stage is recorded in s.errs[i] without touching the other
+// shards, the shard takes no further part in the query, and the query fails
+// with the recorded error (see fault.go).
 func (s *Searcher) run(ctx context.Context, query []float64, p Plan) error {
 	s.kn.Reset(p.K)
 	s.refreshShards()
 	s.meta = s.baseMeta()
-	for i := range s.ss {
-		s.errs[i] = s.c.shardGate(i)
-	}
+	clear(s.errs)
 	s.phase(ctx, query, p, false)
 	if !p.Approximate {
 		s.phase(ctx, query, p, true)
 	}
-	return s.resolveFaults(query, p.AllowPartial)
+	return s.firstErr()
 }
 
 // phase runs one stage — seeding, or the exact stage when finish is set —
@@ -274,7 +248,7 @@ func (s *Searcher) phase(ctx context.Context, query []float64, p Plan, finish bo
 // stage runs one stage of shard i and records its outcome in s.errs[i].
 // Cancellation (ctx or plan deadline) is checked first, so a cancelled
 // query does no further shard work: every remaining stage records the
-// cancellation instead of running, and resolveFaults returns it.
+// cancellation instead of running, and firstErr returns it.
 func (s *Searcher) stage(ctx context.Context, query []float64, p Plan, i int, finish bool) {
 	if err := queryErr(ctx, p.Deadline); err != nil {
 		s.errs[i] = err
@@ -289,15 +263,14 @@ func (s *Searcher) stage(ctx context.Context, query []float64, p Plan, i int, fi
 
 // seedShardSafe runs shard i's seeding stage with panic containment: a
 // panic in the engine (or one of its internal worker goroutines, which
-// forward theirs) comes back as a *PanicError, feeds the quarantine policy,
-// and costs this searcher's shard-i searcher (respawned fresh — its scratch
-// is unsafe to reuse). Engine errors are attributed to the shard. The
-// deferred recover is open-coded by the compiler, preserving the
-// allocation-free healthy path.
+// forward theirs) comes back as a *PanicError and costs this searcher's
+// shard-i searcher (respawned fresh — its scratch is unsafe to reuse).
+// Engine errors are attributed to the shard. The deferred recover is
+// open-coded by the compiler, preserving the allocation-free healthy path.
 func (s *Searcher) seedShardSafe(i int, query []float64, k int, epsilon float64) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = s.c.recordShardPanic(i, r)
+			err = shardPanic(i, r)
 			s.adoptShard(i, s.c.state(i))
 		}
 	}()
@@ -308,57 +281,38 @@ func (s *Searcher) seedShardSafe(i int, query []float64, k int, epsilon float64)
 }
 
 // finishShardSafe runs shard i's exact stage under the same containment
-// contract as seedShardSafe; a fully completed shard resets its
-// consecutive-panic count.
+// contract as seedShardSafe.
 func (s *Searcher) finishShardSafe(i int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = s.c.recordShardPanic(i, r)
+			err = shardPanic(i, r)
 			s.adoptShard(i, s.c.state(i))
 		}
 	}()
 	if err := s.ss[i].FinishShard(); err != nil {
 		return &ShardError{Shard: i, Err: err}
 	}
-	s.c.health[i].panics.Store(0)
 	return nil
 }
 
-// resolveFaults inspects the per-shard outcomes recorded by run and settles
-// the query: cancellation errors abort it unchanged; shard faults either
-// fail it (fail-fast, the default) or are absorbed into a degraded answer
-// with meta and certificate (allowPartial) — unless nothing survived, in
-// which case the partial answer would be empty and the query fails even
-// under allowPartial. A failed query certifies nothing, so its meta carries
-// an unbounded EpsilonBound.
-func (s *Searcher) resolveFaults(query []float64, allowPartial bool) error {
+// firstErr settles the query from the per-shard outcomes recorded by run:
+// a cancellation error aborts it unchanged, otherwise the first shard fault
+// fails it, and with no error at all the collector holds the complete
+// answer.
+func (s *Searcher) firstErr() error {
 	var firstFault error
-	failed := 0
-	for i := range s.ss {
-		err := s.errs[i]
+	for _, err := range s.errs {
 		if err == nil {
 			continue
 		}
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			s.meta.EpsilonBound = math.Inf(1)
 			return err
 		}
-		failed++
 		if firstFault == nil {
 			firstFault = err
 		}
 	}
-	s.meta.ShardsSearched = len(s.ss) - failed
-	s.meta.ShardsFailed = failed
-	if failed == 0 {
-		return nil
-	}
-	if !allowPartial || s.kn.Len() == 0 {
-		s.meta.EpsilonBound = math.Inf(1)
-		return firstFault
-	}
-	s.meta.EpsilonBound = s.certificate(query)
-	return nil
+	return firstFault
 }
 
 // searchOwned executes p into the searcher-owned result buffer: the
@@ -408,9 +362,6 @@ func (s *Searcher) SearchEpsilon(query []float64, k int, epsilon float64) ([]ind
 func (s *Searcher) LastStats() index.SearchStats {
 	var agg index.SearchStats
 	for _, sub := range s.ss {
-		if sub == nil {
-			continue
-		}
 		st := sub.LastStats()
 		agg.NodesVisited += st.NodesVisited
 		agg.LeavesRefined += st.LeavesRefined
@@ -519,7 +470,7 @@ func (c *Collection) SearchBatchPlan(ctx context.Context, qs []PlanQuery, worker
 }
 
 // batchQuery answers one query of a batch on the worker's pooled searcher
-// with panic containment: shard-level faults are already absorbed inside
+// with panic containment: shard-level faults are already contained inside
 // SearchPlan, and anything that still escapes — a fault outside any shard
 // stage (collector, result copy) — comes back as a *PanicError instead of
 // killing the process. The searcher such a panic unwound through has

@@ -284,15 +284,8 @@ func (st *Store) WALSize() int64 { return st.wal.Size() }
 // so every later write refuses with the original failure; Close and Recover
 // to resume (recovery truncates whatever the failure left behind).
 func (st *Store) Insert(series []float64) (index.ID, error) {
-	// Preflight the shard gate so a doomed insert (quarantined target shard)
-	// is refused before it reaches the log — otherwise the WAL would hold a
-	// record recovery replays into an index that rejected it.
-	c := st.ix.col
-	if err := c.insertGate(); err != nil {
-		return 0, err
-	}
 	prevSize, prevNext := st.wal.size, st.wal.next
-	if err := st.wal.AppendInsert(uint64(c.nextPubID()), series); err != nil {
+	if err := st.wal.AppendInsert(uint64(st.ix.col.nextPubID()), series); err != nil {
 		return 0, err
 	}
 	id, err := st.ix.Insert(series)
@@ -324,11 +317,7 @@ func (st *Store) Delete(id index.ID) error {
 // stable: the upsert record is appended to the WAL before the replacement
 // is applied. See Collection.Upsert for the mutation semantics.
 func (st *Store) Upsert(id index.ID, series []float64) error {
-	c := st.ix.col
-	if err := c.mutationGate(id); err != nil {
-		return err
-	}
-	if err := c.insertGate(); err != nil {
+	if err := st.ix.col.mutationGate(id); err != nil {
 		return err
 	}
 	prevSize, prevNext := st.wal.size, st.wal.next

@@ -8,7 +8,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/index"
@@ -51,33 +50,10 @@ type Stream struct {
 
 	nextID atomic.Uint64
 
-	// watchdog bounds how long a Submit may wait on a full channel before
-	// concluding the workers are stuck (nanoseconds; 0 blocks forever). See
-	// SetWatchdog.
-	watchdog atomic.Int64
-
 	// mu guards the closed transition: Submit holds it shared while sending
 	// so Close cannot close the channel under an in-flight send.
 	mu     sync.RWMutex
 	closed bool
-}
-
-// defaultWatchdog is the submit-side stall deadline streams start with:
-// long enough that no healthy query path ever trips it, short enough that a
-// deadlocked worker pool surfaces as ErrStreamStalled rather than a hung
-// submitter.
-const defaultWatchdog = 30 * time.Second
-
-// SetWatchdog sets how long Submit/SubmitPlan may wait for a worker to
-// accept a query once the bounded channel is full before failing with
-// ErrStreamStalled. d = 0 disables the watchdog (block indefinitely — the
-// pre-fault-isolation behaviour). Safe to call concurrently with submits;
-// in-flight waits keep the deadline they started with.
-func (st *Stream) SetWatchdog(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	st.watchdog.Store(int64(d))
 }
 
 // streamJob is one enqueued query: the id returned by Submit, a pooled copy
@@ -119,7 +95,6 @@ func (c *Collection) NewStream(k, workers int, handle func(qid uint64, res []ind
 		handle: handle,
 		jobs:   make(chan streamJob, 2*workers),
 	}
-	st.watchdog.Store(int64(defaultWatchdog))
 	st.bufs.New = func() any {
 		buf := make([]float64, c.stride)
 		return &buf
@@ -150,7 +125,7 @@ func (st *Stream) worker() {
 }
 
 // answer executes one stream job with panic containment: shard-level faults
-// are already absorbed inside SearchPlan, and anything that still escapes —
+// are already contained inside SearchPlan, and anything that still escapes —
 // a fault outside any shard stage — is converted to a *PanicError delivered
 // through the stream's normal error callback, with the worker's searcher
 // respawned fresh. The worker itself never dies: a panicking query costs
@@ -210,33 +185,8 @@ func (st *Stream) SubmitPlan(query []float64, p Plan) (uint64, error) {
 		st.bufs.Put(buf)
 		return 0, ErrStreamClosed
 	}
-	job := streamJob{id: id, q: buf, plan: p}
-	// Fast path: channel has room — no timer, no allocations, nothing new on
-	// the steady-state submit path.
-	select {
-	case st.jobs <- job:
-		return id, nil
-	default:
-	}
-	wd := time.Duration(st.watchdog.Load())
-	if wd == 0 {
-		st.jobs <- job
-		return id, nil
-	}
-	// Slow path: the channel is full, meaning every worker is busy and the
-	// backlog is at capacity. Healthy backpressure clears in the time of one
-	// query; a stalled worker pool (hung shard, livelocked callback) never
-	// clears, and without a deadline the stall would propagate to the
-	// submitter. The timer costs an allocation only on this path.
-	timer := time.NewTimer(wd)
-	defer timer.Stop()
-	select {
-	case st.jobs <- job:
-		return id, nil
-	case <-timer.C:
-		st.bufs.Put(buf)
-		return 0, ErrStreamStalled
-	}
+	st.jobs <- streamJob{id: id, q: buf, plan: p}
+	return id, nil
 }
 
 // Close stops accepting submissions, waits for every in-flight query's

@@ -10,9 +10,7 @@ import (
 )
 
 // Stream lifecycle under adversarial timing (run with -race in CI): Close
-// racing Submit, concurrent double Close, and the submit-side watchdog that
-// turns a stalled worker pool into ErrStreamStalled instead of a hung
-// submitter.
+// racing Submit, and concurrent double Close.
 
 // TestStreamCloseSubmitRace races many submitters against Close: every
 // Submit must either enqueue (and be answered exactly once) or fail with
@@ -84,109 +82,4 @@ func TestStreamCloseSubmitRace(t *testing.T) {
 			t.Fatalf("round %d: %d accepted submits, %d answers", round, want, got)
 		}
 	}
-}
-
-// TestStreamWatchdogStall: when every worker is stuck and the backlog is
-// full, Submit fails with ErrStreamStalled after the watchdog deadline
-// instead of blocking forever — and the stream recovers once the stall
-// clears.
-func TestStreamWatchdogStall(t *testing.T) {
-	rng := rand.New(rand.NewSource(862))
-	data := mixedMatrix(rng, 200, 32)
-	ix, err := Build(data, Config{Method: MESSI, LeafCapacity: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	release := make(chan struct{})
-	var answered atomic.Int64
-	st, err := ix.NewStream(3, 1, func(qid uint64, res []Result, err error) {
-		if err != nil {
-			t.Errorf("query %d: %v", qid, err)
-		}
-		answered.Add(1)
-		<-release // the worker stalls inside the callback
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.SetWatchdog(30 * time.Millisecond)
-	// One query occupies the worker; two more fill the bounded channel
-	// (capacity 2 per worker). The exact split depends on scheduling; keep
-	// submitting until a submit fails, which must be ErrStreamStalled and
-	// must take at least roughly the watchdog deadline.
-	stalled := false
-	for i := 0; i < 5; i++ {
-		start := time.Now()
-		_, err := st.Submit(data.Row(i))
-		if err == nil {
-			continue
-		}
-		if !errors.Is(err, ErrStreamStalled) {
-			t.Fatalf("submit %d err = %v, want ErrStreamStalled", i, err)
-		}
-		if el := time.Since(start); el < 20*time.Millisecond {
-			t.Fatalf("submit %d stalled after %v, before the watchdog deadline", i, el)
-		}
-		stalled = true
-		break
-	}
-	if !stalled {
-		t.Fatal("no submit tripped the watchdog despite a stalled worker")
-	}
-	// Clearing the stall restores the stream: the backlog drains and new
-	// submits are accepted and answered.
-	close(release)
-	deadline := time.After(5 * time.Second)
-	for {
-		if _, err := st.Submit(data.Row(0)); err == nil {
-			break
-		} else if !errors.Is(err, ErrStreamStalled) {
-			t.Fatalf("post-recovery submit: %v", err)
-		}
-		select {
-		case <-deadline:
-			t.Fatal("stream never recovered after the stall cleared")
-		default:
-		}
-	}
-	st.Close()
-	if answered.Load() == 0 {
-		t.Fatal("no queries were answered")
-	}
-}
-
-// TestStreamWatchdogConfig pins SetWatchdog's clamping: negative durations
-// disable the watchdog like zero does (block-forever semantics), and the
-// setting is safe to flip concurrently with submits.
-func TestStreamWatchdogConfig(t *testing.T) {
-	rng := rand.New(rand.NewSource(863))
-	data := mixedMatrix(rng, 100, 32)
-	ix, err := Build(data, Config{Method: MESSI, LeafCapacity: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := ix.NewStream(3, 1, func(uint64, []Result, error) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.SetWatchdog(-time.Second)
-	if got := st.watchdog.Load(); got != 0 {
-		t.Fatalf("negative watchdog stored as %d, want 0 (disabled)", got)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 3; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				st.SetWatchdog(time.Duration(g+1) * time.Second)
-				if _, err := st.Submit(data.Row(i % data.Len())); err != nil {
-					t.Errorf("submit: %v", err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	st.Close()
 }

@@ -80,38 +80,6 @@ func (k *kernel) minDistScalar(word []byte) float64 {
 	return sum
 }
 
-// nodeMinDist computes the squared lower-bound distance between the query
-// representation and a variable-cardinality node word (cards[j] bits of
-// prefix per position; cards[j] == 0 means the position is unconstrained)
-// from the summarization's breakpoints. Queries descend the tree through
-// distTable.nodeMinDist, which reads the same products out of the per-query
-// table; this form needs no table and serves MinRootBound's certificate,
-// and it is the reference the table form is pinned against.
-func nodeMinDist(s Summarizer, qr []float64, word []byte, cards []uint8) float64 {
-	l := s.Segments()
-	weights := s.Weights()
-	var sum float64
-	for j := 0; j < l; j++ {
-		bits := int(cards[j])
-		if bits == 0 {
-			continue // interval is (-inf, +inf): contributes nothing
-		}
-		bps := s.Breakpoints(j)
-		shift := uint(SymbolBits - bits)
-		loIdx := int(word[j]) << shift
-		hiIdx := (int(word[j]) + 1) << shift
-		v := qr[j]
-		var d float64
-		if loIdx > 0 && v < bps[loIdx-1] {
-			d = bps[loIdx-1] - v
-		} else if hiIdx <= len(bps) && v > bps[hiIdx-1] {
-			d = v - bps[hiIdx-1]
-		}
-		sum += weights[j] * d * d
-	}
-	return sum
-}
-
 // distTable is the LBD kernel of the refinement loop: for
 // one query, precompute the weighted squared distance contribution of every
 // (position, symbol) pair, reducing the per-series LBD to l table lookups

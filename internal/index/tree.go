@@ -569,8 +569,7 @@ func (t *Tree) CopyWords(dst []byte, pos []int32) {
 func (t *Tree) Encoder() Encoder { return t.sum.NewIndexEncoder() }
 
 // Sum returns the tree's summarization. A compacted shard that re-learned
-// its quantization carries its own; the collection's certificate path uses
-// this to compute shard-correct query representations.
+// its quantization carries its own; compaction and Save read it from here.
 func (t *Tree) Sum() Summarization { return t.sum }
 
 // Data returns the tree's underlying series matrix (aliased; do not

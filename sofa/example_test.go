@@ -85,44 +85,6 @@ func ExampleIndex_SearchBatch() {
 	// Output: 2 3 4
 }
 
-// A query against an index with an unavailable shard fails by default;
-// AllowPartial accepts the degraded answer instead, and WithQueryStats
-// reports the shard accounting plus a live ε certificate for it.
-func ExampleAllowPartial() {
-	data := exampleData(256, 64)
-	ix, err := sofa.Build(data, sofa.Shards(4), sofa.SampleRate(1))
-	if err != nil {
-		panic(err)
-	}
-	// Simulate losing shard 1 (queries skip it exactly as they would a
-	// shard quarantined after repeated faults).
-	if err := ix.QuarantineShard(1); err != nil {
-		panic(err)
-	}
-
-	q := sofa.Query{Series: data.Row(3), K: 5}
-
-	// The fail-fast default refuses to answer from a degraded index.
-	_, err = ix.Search(context.Background(), q)
-	fmt.Println("fail-fast degraded:", errors.Is(err, sofa.ErrDegraded))
-
-	// AllowPartial answers from the surviving shards. The certificate says
-	// every returned distance is within (1+ε) of the complete answer's;
-	// ε = +Inf means the lost shard's index bound cannot rule out a better
-	// neighbor hiding there, so the answer comes with no distance guarantee.
-	var stats sofa.QueryStats
-	res, err := ix.Search(context.Background(), q.With(sofa.AllowPartial(), sofa.WithQueryStats(&stats)))
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("partial: %d results from %d of %d shards, ε bounded: %v\n",
-		len(res), stats.ShardsSearched, stats.ShardsSearched+stats.ShardsFailed,
-		!math.IsInf(stats.EpsilonBound, 1))
-	// Output:
-	// fail-fast degraded: true
-	// partial: 5 results from 3 of 4 shards, ε bounded: false
-}
-
 // The stream is the engine for sustained traffic: persistent workers,
 // bounded backpressure, callback-scoped results.
 func ExampleIndex_NewStream() {

@@ -19,27 +19,12 @@ type LoadOption func(*loadConfig)
 
 type loadConfig struct {
 	stats *LoadStats
-	opts  core.LoadOptions
 }
 
-// WithLoadStats records the load's phase timings, container version, byte
-// count and quarantined shards into dst.
+// WithLoadStats records the load's phase timings, container version and
+// byte count into dst.
 func WithLoadStats(dst *LoadStats) LoadOption {
 	return func(c *loadConfig) { c.stats = dst }
-}
-
-// AllowQuarantinedShards accepts a container with corrupt shard payloads as
-// a degraded index: shards whose per-shard checksum fails load
-// with no tree and permanently quarantined — searches skip them (failing
-// fail-fast queries, degrading AllowPartial queries with an unbounded ε),
-// Insert refuses them, and Save refuses the whole degraded index — while
-// every healthy shard loads normally. QuarantinedShards (and
-// LoadStats.QuarantinedShards via WithLoadStats) report which shards were
-// lost. Without this option any corruption fails the whole load. A container
-// whose every shard is corrupt, or whose global checksum (header, SFA tables,
-// series data) fails, does not load regardless.
-func AllowQuarantinedShards() LoadOption {
-	return func(c *loadConfig) { c.opts.QuarantineCorruptShards = true }
 }
 
 // Save writes the index to w in the container format (version 6, the only
@@ -49,10 +34,7 @@ func AllowQuarantinedShards() LoadOption {
 // with the leaf refinement blocks, which hold its words — so Load
 // reconstructs every shard tree by direct decode instead of rebuilding it —
 // under a global checksum plus per-shard payload checksums, so load-time
-// corruption is attributable to (and optionally survivable at) shard
-// granularity. Saving an index that holds a load-quarantined shard fails
-// with ErrShardQuarantined: the container would silently drop that shard's
-// series.
+// corruption is attributable to one shard.
 func Save(x *Index, w io.Writer) error { return core.Save(x.ix, w) }
 
 // SaveFile writes the index to a file; see Save.
@@ -60,17 +42,18 @@ func SaveFile(x *Index, path string) error { return core.SaveFile(x.ix, path) }
 
 // Load reads an index previously written by Save; a container in any other
 // format version fails with ErrUnsupportedVersion. The shard count is part
-// of the saved index. Transient read errors from r (the net-style Temporary
-// contract) are retried under a bounded backoff before the load fails. Pass
-// WithLoadStats to observe the load's phase breakdown, and
-// AllowQuarantinedShards to keep the healthy shards of a partially corrupt
-// container.
+// of the saved index. The load is all or nothing: a container whose global
+// checksum fails, or whose payload for any one shard fails its checksum,
+// does not load, and the error names the corrupt shard — an index missing a
+// shard could not answer exactly. Transient read errors from r (the
+// net-style Temporary contract) are retried under a bounded backoff before
+// the load fails. Pass WithLoadStats to observe the load's phase breakdown.
 func Load(r io.Reader, opts ...LoadOption) (*Index, error) {
 	var c loadConfig
 	for _, opt := range opts {
 		opt(&c)
 	}
-	ix, err := core.LoadWithOptions(r, c.opts, c.stats)
+	ix, err := core.LoadWithStats(r, c.stats)
 	if err != nil {
 		return nil, err
 	}

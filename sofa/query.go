@@ -29,12 +29,11 @@ type Query struct {
 
 // queryOpts is the per-query execution plan accumulated by With.
 type queryOpts struct {
-	approximate  bool
-	epsilon      float64
-	deadline     time.Time
-	allowPartial bool
-	stats        *SearchStats
-	qstats       *QueryStats
+	approximate bool
+	epsilon     float64
+	deadline    time.Time
+	stats       *SearchStats
+	qstats      *QueryStats
 }
 
 // QueryOption adjusts how one Query executes.
@@ -76,22 +75,6 @@ func Deadline(t time.Time) QueryOption {
 	return func(o *queryOpts) { o.deadline = t }
 }
 
-// AllowPartial accepts degraded answers. By default a query fails with an
-// error wrapping ErrDegraded when any shard cannot contribute — a contained
-// panic, an engine fault, or a quarantined shard. With AllowPartial the
-// query instead returns the merged results of the surviving shards with nil
-// error, and the WithQueryStats option reports how many shards failed plus a
-// live ε certificate: every returned distance is within a (1+ε) factor of
-// what the complete search would have returned (ε = 0 certifies the partial
-// answer identical; ε = +Inf means the failed shards cannot be bounded).
-//
-// A degraded query that would return zero results still fails — an empty
-// answer certifies nothing — and cancellation or deadline expiry remains an
-// error regardless: the caller asked the query to stop.
-func AllowPartial() QueryOption {
-	return func(o *queryOpts) { o.allowPartial = true }
-}
-
 // WithStats records the query's work counters (nodes visited, leaves
 // refined, lower bounds and real distances computed) into dst after a
 // successful Search or SearchInto. Batch and stream execution ignore it.
@@ -99,23 +82,13 @@ func WithStats(dst *SearchStats) QueryOption {
 	return func(o *queryOpts) { o.stats = dst }
 }
 
-// QueryStats describes how one Search or SearchInto call executed: the
-// pruning-power work counters plus the fault-isolation outcome — shard
-// participation and, for degraded answers, the ε certificate (see
-// AllowPartial). For a fully healthy query ShardsFailed is 0 and
-// EpsilonBound is 0.
+// QueryStats describes how one successful Search or SearchInto call
+// executed: the pruning-power work counters plus the index state the query
+// ran against. A query that returns an answer searched every shard — a
+// shard that cannot contribute fails the query with ErrDegraded instead —
+// so there is no partial outcome to report.
 type QueryStats struct {
 	SearchStats
-	// ShardsSearched and ShardsFailed partition the index's shards for this
-	// query; ShardsFailed counts quarantined (skipped) shards as well as
-	// shards that faulted mid-query.
-	ShardsSearched int
-	ShardsFailed   int
-	// EpsilonBound is the degraded answer's certificate: every returned
-	// distance is within a (1+EpsilonBound) factor of the complete search's.
-	// 0 when the answer is provably identical to the complete one; +Inf when
-	// the failed shards cannot be bounded.
-	EpsilonBound float64
 	// Live and Tombstoned snapshot the index's mutation state as the query
 	// started: live series searched, and deleted-but-unreclaimed rows the
 	// refinement stage skipped over.
@@ -131,11 +104,10 @@ type QueryStats struct {
 	RelearnChurnFraction float64
 }
 
-// WithQueryStats records the query's work counters and fault-isolation
-// outcome into dst after a successful Search or SearchInto — the degraded-
-// answer half (shard counts, ε certificate) is what AllowPartial callers
-// inspect to decide whether a partial answer is good enough. Batch and
-// stream execution ignore it.
+// WithQueryStats records the query's work counters and the index's mutation
+// state (live and tombstoned rows, compaction and re-learn counts) into dst
+// after a successful Search or SearchInto. Batch and stream execution
+// ignore it.
 func WithQueryStats(dst *QueryStats) QueryOption {
 	return func(o *queryOpts) { o.qstats = dst }
 }
@@ -153,11 +125,10 @@ func (x *Index) plan(q Query) (core.Plan, error) {
 		return core.Plan{}, fmt.Errorf("%w: got %v", ErrBadEpsilon, q.opts.epsilon)
 	}
 	return core.Plan{
-		K:            q.K,
-		Epsilon:      q.opts.epsilon,
-		Approximate:  q.opts.approximate,
-		Deadline:     q.opts.deadline,
-		AllowPartial: q.opts.allowPartial,
+		K:           q.K,
+		Epsilon:     q.opts.epsilon,
+		Approximate: q.opts.approximate,
+		Deadline:    q.opts.deadline,
 	}, nil
 }
 
@@ -212,9 +183,6 @@ func (x *Index) searchInto(ctx context.Context, q Query, dst []Result) ([]Result
 		m := s.LastMeta()
 		*q.opts.qstats = QueryStats{
 			SearchStats:          s.LastStats(),
-			ShardsSearched:       m.ShardsSearched,
-			ShardsFailed:         m.ShardsFailed,
-			EpsilonBound:         m.EpsilonBound,
 			Live:                 m.Live,
 			Tombstoned:           m.Tombstoned,
 			Compactions:          m.Compactions,

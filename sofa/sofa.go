@@ -60,24 +60,15 @@ var (
 	ErrStreamClosed = errors.New("sofa: stream is closed")
 )
 
-// Fault-isolation sentinels. These are shared with the engine so errors.Is
-// matches anywhere in a wrapped chain: every shard-fault error produced by a
-// query wraps ErrDegraded, and operations refused because of quarantine wrap
-// ErrShardQuarantined (which itself wraps ErrDegraded).
-var (
-	// ErrDegraded reports that one or more shards did not contribute to an
-	// operation — a contained panic, an engine fault, or a quarantined shard.
-	// Fail-fast queries (the default) return it; AllowPartial queries absorb
-	// it into a degraded answer unless nothing survived.
-	ErrDegraded = core.ErrDegraded
-	// ErrShardQuarantined reports an operation against a quarantined shard:
-	// a query routed to it (fail-fast), an Insert destined for it, or a Save
-	// of a collection holding one.
-	ErrShardQuarantined = core.ErrShardQuarantined
-	// ErrStreamStalled is returned by Stream.Submit when every stream worker
-	// has been stuck past the watchdog deadline (see Stream.SetWatchdog).
-	ErrStreamStalled = core.ErrStreamStalled
-)
+// ErrDegraded reports that a query failed because one or more shards could
+// not contribute to it — a panic contained inside a shard's search or a
+// query worker, or an engine fault. The index answers completely or not at all:
+// it never returns an answer missing a shard, because that answer would not
+// be exact. The error is shared with the engine so errors.Is matches it
+// anywhere in a wrapped chain. The fault costs only the query it hit: the
+// engine state the panic unwound through is replaced, and the next query
+// answers exactly again.
+var ErrDegraded = core.ErrDegraded
 
 // Mutation sentinels, returned by Delete and Upsert. Match them with
 // errors.Is.
@@ -178,14 +169,6 @@ func MaxCoeffs(m int) Option { return func(c *config) { c.cfg.MaxCoeffs = m } }
 // Seed sets the sampling seed for the SFA learning stage (default 1).
 func Seed(s int64) Option { return func(c *config) { c.cfg.Seed = s } }
 
-// QuarantineAfter sets how many consecutive panicking queries quarantine a
-// shard (default 3). A shard whose tree fails its structural invariant check
-// after a contained panic is quarantined immediately regardless of this
-// threshold. See the package's failure semantics: quarantined shards are
-// skipped by searches (degrading them), refused by Insert, and reported by
-// QuarantinedShards.
-func QuarantineAfter(n int) Option { return func(c *config) { c.cfg.QuarantineAfter = n } }
-
 // Compaction is the tombstone-reclamation policy of a mutable index: when a
 // shard is rebuilt without its deleted rows, and when such a rebuild also
 // re-learns the shard's SFA quantization from the surviving series. The zero
@@ -218,8 +201,6 @@ func (c *config) validate() error {
 		return fmt.Errorf("%w: sample rate %v (want 0..1)", ErrBadConfig, cfg.SampleRate)
 	case cfg.MaxCoeffs < 0:
 		return fmt.Errorf("%w: max coefficients %d", ErrBadConfig, cfg.MaxCoeffs)
-	case cfg.QuarantineAfter < 0:
-		return fmt.Errorf("%w: quarantine threshold %d", ErrBadConfig, cfg.QuarantineAfter)
 	case cfg.Compaction.MaxTombstoneFraction > 1:
 		return fmt.Errorf("%w: max tombstone fraction %v (want 0..1)", ErrBadConfig, cfg.Compaction.MaxTombstoneFraction)
 	}
@@ -318,8 +299,6 @@ func (x *Index) MeanSelectedCoefficient() (mean float64, ok bool) {
 // externally for mixed workloads. The series is summarized with the index's
 // existing learned quantization; bins are re-learned only at a compaction
 // that crosses the configured CompactionPolicy's RelearnChurnFraction.
-// Inserting into a quarantined shard fails with ErrShardQuarantined (the
-// series would otherwise be stranded in a tree searches skip).
 func (x *Index) Insert(series []float64) (ID, error) {
 	if len(series) != x.SeriesLen() {
 		return 0, fmt.Errorf("%w: series length %d, want %d", ErrBadSeriesLength, len(series), x.SeriesLen())
@@ -365,27 +344,3 @@ func (x *Index) Compact() error { return x.ix.MaybeCompact() }
 // carried by the index — the space a compaction would reclaim. Len counts
 // live series only, so Len()+Tombstoned() is the physical row count.
 func (x *Index) Tombstoned() int { return x.ix.Collection().Tombstoned() }
-
-// QuarantineShard manually quarantines one shard: subsequent searches skip
-// it (failing fail-fast queries with ErrShardQuarantined, degrading
-// AllowPartial queries) and Insert refuses it. It is the operational handle
-// behind the automatic quarantine policy — useful for taking a shard out of
-// service deterministically (maintenance, suspected corruption) and for
-// exercising degraded behavior in tests.
-func (x *Index) QuarantineShard(i int) error {
-	return x.ix.Collection().Quarantine(i)
-}
-
-// ReinstateShard clears one shard's quarantine and fault history after the
-// cause has been fixed. Reinstating a shard that lost its tree (quarantined
-// at load time by AllowQuarantinedShards) fails: the data is gone until the
-// collection is rebuilt.
-func (x *Index) ReinstateShard(i int) error {
-	return x.ix.Collection().Reinstate(i)
-}
-
-// QuarantinedShards returns the indices of the currently quarantined shards
-// in ascending order (nil when the index is fully healthy).
-func (x *Index) QuarantinedShards() []int {
-	return x.ix.Collection().Quarantined()
-}

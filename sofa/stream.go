@@ -3,7 +3,6 @@ package sofa
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 )
@@ -70,16 +69,6 @@ func (st *Stream) Submit(q Query) (uint64, error) {
 	}
 	return id, nil
 }
-
-// SetWatchdog bounds how long Submit may wait for a worker to accept a
-// query once the bounded channel is full before failing with
-// ErrStreamStalled — the guard against a hung worker pool (a stuck shard, a
-// livelocked callback) propagating its stall to every submitter. Streams
-// start with a 30-second deadline; d = 0 disables the watchdog (Submit
-// blocks indefinitely, the pure-backpressure behavior). Safe to call
-// concurrently with submits; in-flight waits keep the deadline they started
-// with.
-func (st *Stream) SetWatchdog(d time.Duration) { st.st.SetWatchdog(d) }
 
 // Close stops accepting submissions, waits for every in-flight query's
 // callback to complete, and releases the workers. Close is idempotent.
