@@ -130,4 +130,3 @@ func BenchmarkSOFAQuerySmooth(b *testing.B)    { benchQuery(b, core.SOFA, "SALD"
 func BenchmarkMESSIQuerySmooth(b *testing.B)   { benchQuery(b, core.MESSI, "SALD") }
 
 func BenchmarkApproxTradeoff(b *testing.B) { runExperiment(b, "approx") }
-func BenchmarkShardedQPS(b *testing.B)     { runExperiment(b, "qps") }

@@ -1,5 +1,8 @@
-// Command sofa-bench regenerates the paper's tables and figures over the
-// synthetic benchmark.
+// Command sofa-bench regenerates the paper's tables and figures (Section V)
+// over the synthetic benchmark: each experiment ID names the figure or table
+// it reproduces, plus "approx" for the approximate-search trade-off the
+// paper leaves to future work. Speed claims are made with the benchmark
+// module in benchmark/, not with this command.
 //
 // Usage:
 //
@@ -30,8 +33,6 @@ func main() {
 		leaf    = flag.Int("leaf", 0, "tree leaf capacity (default 256)")
 		seed    = flag.Int64("seed", 0, "generator seed (default 1)")
 		quick   = flag.Bool("quick", false, "reduced 5-dataset suite at 1/4 scale")
-		shards  = flag.Int("shards", 0, "shard count for the sharded-throughput experiment (default 4)")
-		jsonOut = flag.String("json", "", "write the 'report' experiment's perf snapshot to this JSON file")
 	)
 	flag.Parse()
 
@@ -57,12 +58,6 @@ func main() {
 	}
 	if *seed != 0 {
 		cfg.Seed = *seed
-	}
-	if *shards > 0 {
-		cfg.Shards = *shards
-	}
-	if *jsonOut != "" {
-		cfg.JSONPath = *jsonOut
 	}
 	if *cores != "" {
 		var cc []int

@@ -110,15 +110,6 @@ func DefaultRetainConfig() RetainConfig {
 			"internal/bench/bench.go": {
 				"Search": "timeTreeQueries/timeScanQueries discard results (latency only)",
 			},
-			"internal/bench/churn_experiment.go": {
-				"Search": "churnQPS discards results (throughput only)",
-			},
-			"internal/bench/qps_experiment.go": {
-				"NewStream": "callback only counts completions; res never escapes",
-			},
-			"internal/bench/report.go": {
-				"Search": "searchSteadyStateAllocs discards results (alloc count only)",
-			},
 			"internal/core/search.go": {
 				"Search":     "Search1 extracts res[0]",
 				"SearchPlan": "searchOwned appends into the searcher's own resBuf and forwards the documented owned-slice contract; batchQuery passes dst=nil, so each query's results are freshly allocated and caller-owned",

@@ -1,7 +1,8 @@
 // Package bench is the experiment harness: it regenerates every table and
 // figure of the paper's evaluation (Section V) over the synthetic benchmark
 // of internal/dataset. Each experiment prints the same rows/series the paper
-// reports; EXPERIMENTS.md records how the measured shapes compare.
+// reports, and every experiment is named after the artefact it reproduces.
+// Speed claims are made with the benchmark module (benchmark/), not here.
 package bench
 
 import (
@@ -39,12 +40,6 @@ type SuiteConfig struct {
 	LeafCapacity int
 	// Seed drives all generators.
 	Seed int64
-	// Shards is the shard count the sharded-throughput experiment (qps)
-	// compares against the single tree (default 4).
-	Shards int
-	// JSONPath, when set, makes the "report" experiment write its
-	// machine-readable performance snapshot (PerfReport) to this file.
-	JSONPath string
 }
 
 func (c SuiteConfig) withDefaults() SuiteConfig {
@@ -78,27 +73,7 @@ func (c SuiteConfig) withDefaults() SuiteConfig {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.Shards == 0 {
-		c.Shards = 4
-	}
 	return c
-}
-
-// snapshotData generates the benchmark snapshot dataset — the catalog's
-// first entry at the configured scale — shared by the snapshot experiments
-// (qps, wal, churn) and generated once per perf report. c must
-// already be defaulted (withDefaults).
-func snapshotData(c SuiteConfig) (dataset.Spec, *distance.Matrix, error) {
-	scaled := c.Datasets[0]
-	scaled.Count = int(float64(scaled.Count) * c.Scale)
-	if scaled.Count < 200 {
-		scaled.Count = 200
-	}
-	data, err := dataset.Generate(scaled, c.Seed)
-	if err != nil {
-		return scaled, nil, fmt.Errorf("generating %s: %w", scaled.Name, err)
-	}
-	return scaled, data, nil
 }
 
 // Quick returns a reduced configuration for smoke tests and testing.B
@@ -232,10 +207,6 @@ func Experiments() []Experiment {
 		{"table6", "Table VI / Fig 14 right: TLB on the 17 SOFA datasets", RunTable6},
 		{"fig15", "Fig 15: critical-difference ranks (Wilcoxon-Holm)", RunFig15},
 		{"approx", "Extension: approximate and \u03b5-bounded search trade-offs (paper Sec VI future work)", RunApprox},
-		{"qps", "Extension: sharded and streaming batched-query throughput", RunQPS},
-		{"wal", "Extension: durable insert throughput by WAL sync policy", RunWAL},
-		{"churn", "Extension: search throughput under tombstone load, compaction pauses, SFA re-learns", RunChurn},
-		{"report", "Extension: kernel + end-to-end perf snapshot (JSON via -json)", RunReport},
 	}
 }
 

@@ -2,12 +2,9 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
-	"flag"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -65,140 +62,24 @@ func TestQuickConfig(t *testing.T) {
 }
 
 func TestExperimentRegistry(t *testing.T) {
+	// The harness reproduces the paper's figures and tables, in paper
+	// order, plus the approximate-search trade-off; nothing else.
+	want := []string{"fig1", "fig2", "fig7", "fig8", "table2", "table3", "fig10", "fig11",
+		"fig12", "table4", "fig13", "table5", "table6", "fig15", "approx"}
 	exps := Experiments()
-	if len(exps) != 19 {
-		t.Fatalf("%d experiments, want 19", len(exps))
-	}
-	seen := map[string]bool{}
+	var got []string
 	for _, e := range exps {
-		if seen[e.ID] {
-			t.Errorf("duplicate experiment %q", e.ID)
-		}
-		seen[e.ID] = true
+		got = append(got, e.ID)
 		if e.Title == "" || e.Run == nil {
 			t.Errorf("experiment %q incomplete", e.ID)
 		}
 	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("experiments %v, want %v", got, want)
+	}
 	var buf bytes.Buffer
 	if err := RunByID("definitely-not-an-experiment", tiny(), &buf); err == nil {
 		t.Error("expected unknown-experiment error")
-	}
-}
-
-func TestRunQPS(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := tiny()
-	cfg.Shards = 2
-	if err := RunQPS(cfg, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "SOFA stream") || !strings.Contains(out, "flat batch") {
-		t.Errorf("unexpected output:\n%s", out)
-	}
-}
-
-func TestRunWAL(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := tiny()
-	cfg.Shards = 2
-	if err := RunWAL(cfg, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"sync policy", "none", "interval", "always", "replay ms"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("wal output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestRunChurn(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := tiny()
-	cfg.Shards = 2
-	if err := RunChurn(cfg, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"baseline", "churn 30%", "compacted", "compaction pauses", "re-learns"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("churn output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestRunReport(t *testing.T) {
-	// Shrink testing.Benchmark's target time so the ten kernel
-	// microbenchmarks don't dominate the test suite; restore whatever the
-	// invocation had (a user's -benchtime must survive into the package's
-	// real benchmarks).
-	prev := flag.Lookup("test.benchtime").Value.String()
-	if err := flag.Set("test.benchtime", "5ms"); err != nil {
-		t.Fatal(err)
-	}
-	defer flag.Set("test.benchtime", prev)
-	cfg := tiny()
-	cfg.Shards = 2
-	cfg.JSONPath = filepath.Join(t.TempDir(), "perf.json")
-	var buf bytes.Buffer
-	if err := RunReport(cfg, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"ed_ea_", "table_lookup_seq", "block_table_lookup_portable", "SOFA stream"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("report output missing %q:\n%s", want, out)
-		}
-	}
-	blob, err := os.ReadFile(cfg.JSONPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep PerfReport
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		t.Fatalf("report JSON does not parse: %v", err)
-	}
-	if rep.PR != 10 || len(rep.Kernels) == 0 || len(rep.EndToEnd) == 0 {
-		t.Errorf("report incomplete: %+v", rep)
-	}
-	if rep.SIMDBlock != "avx512" && rep.SIMDBlock != "avx2" && rep.SIMDBlock != "portable" {
-		t.Errorf("bad simd_block field %q", rep.SIMDBlock)
-	}
-	if len(rep.WAL) != 3 {
-		t.Fatalf("report wal rows incomplete: %+v", rep.WAL)
-	}
-	for i, want := range []string{"none", "interval", "always"} {
-		r := rep.WAL[i]
-		if r.Policy != want || r.InsertsPerSec <= 0 || r.WALBytes <= 0 || r.ReplaySeconds <= 0 {
-			t.Errorf("degenerate wal row: %+v (want policy %q)", r, want)
-		}
-	}
-	if rep.SIMD != "avx2" && rep.SIMD != "portable" {
-		t.Errorf("bad simd field %q", rep.SIMD)
-	}
-	for _, k := range rep.Kernels {
-		if k.NsPerOp <= 0 {
-			t.Errorf("kernel %s has non-positive ns/op %v", k.Name, k.NsPerOp)
-		}
-	}
-	if !raceEnabled && rep.SearchSteadyStateAllocs != 0 {
-		t.Errorf("steady-state Search allocates %v allocs/op, want 0", rep.SearchSteadyStateAllocs)
-	}
-	if rep.Churn == nil || len(rep.Churn.Rows) != 4 {
-		t.Fatalf("report churn section incomplete: %+v", rep.Churn)
-	}
-	for i, want := range []string{"baseline", "churn 10%", "churn 30%", "compacted"} {
-		r := rep.Churn.Rows[i]
-		if r.Phase != want || r.QPS <= 0 || r.Live <= 0 {
-			t.Errorf("degenerate churn row: %+v (want phase %q)", r, want)
-		}
-	}
-	if last := rep.Churn.Rows[3]; last.Tombstoned != 0 {
-		t.Errorf("compacted churn row still carries %d tombstones", last.Tombstoned)
-	}
-	if rep.Churn.Compactions < int64(rep.Churn.Shards) || rep.Churn.CompactMaxMs <= 0 {
-		t.Errorf("churn compaction accounting: %+v", rep.Churn)
 	}
 }
 

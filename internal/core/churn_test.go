@@ -230,7 +230,7 @@ func TestChurnOracle(t *testing.T) {
 	if got := ix.Collection().Tombstoned(); got >= tombBefore {
 		t.Fatalf("compaction left %d tombstones of %d", got, tombBefore)
 	}
-	if got := ix.Collection().Compactions(); got == 0 {
+	if got := ix.Collection().compactions.Load(); got == 0 {
 		t.Fatal("compaction counter did not advance")
 	}
 	checkChurnCounters(t, ix, m)

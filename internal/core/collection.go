@@ -296,11 +296,6 @@ func (c *Collection) Tombstoned() int { return int(c.tomb.Load()) }
 // this sequence.
 func (c *Collection) MutSeq() uint64 { return c.mutSeq.Load() }
 
-// Compactions and Relearns return the lifetime counts of shard compactions
-// and of compactions that re-learned a shard's SFA quantization.
-func (c *Collection) Compactions() int64 { return c.compactions.Load() }
-func (c *Collection) Relearns() int64    { return c.relearns.Load() }
-
 // SeriesLen returns the length of the indexed series.
 func (c *Collection) SeriesLen() int { return c.stride }
 

@@ -231,7 +231,7 @@ func TestSaveLoadPartiallyRelearned(t *testing.T) {
 	if err := orig.CompactShard(relearned); err != nil {
 		t.Fatal(err)
 	}
-	if got := orig.Collection().Relearns(); got != 1 {
+	if got := orig.Collection().relearns.Load(); got != 1 {
 		t.Fatalf("%d shards re-learned, want exactly 1 — the test lost its subject", got)
 	}
 	var buf bytes.Buffer

@@ -77,7 +77,7 @@ type Spec struct {
 	// HeavyTail draws amplitudes from an exponential rather than Gaussian
 	// distribution (vector datasets; breaks the N(0,1) assumption).
 	HeavyTail bool
-	// PaperCount and note document the original dataset for EXPERIMENTS.md.
+	// PaperCount is the size of the original dataset in the paper.
 	PaperCount int64
 }
 

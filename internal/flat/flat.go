@@ -61,20 +61,14 @@ func (ix *Index) Search(query []float64, k int) ([]index.Result, error) {
 		return nil, fmt.Errorf("flat: k must be >= 1, got %d", k)
 	}
 	q := distance.ZNormalized(query)
-	return ix.searchNormalized(q, k, index.NewKNNCollector(k)), nil
+	kn := index.NewKNNCollector(k)
+	ix.scan(q, kn)
+	return kn.Results(), nil
 }
 
-// searchNormalized scans every row against the already-normalized query,
-// collecting into kn (which the caller Resets for reuse across a batch).
-func (ix *Index) searchNormalized(q []float64, k int, kn *index.KNNCollector) []index.Result {
-	ix.scanInto(q, kn, 1, 0)
-	return kn.Results()
-}
-
-// scanInto scans every row against the already-normalized query, offering
-// row i under id i*idMul + idAdd — the identity for a stand-alone index,
-// the round-robin inverse for a shard of Sharded.
-func (ix *Index) scanInto(q []float64, kn *index.KNNCollector, idMul, idAdd int32) {
+// scan offers every row, under its row index, to kn for the
+// already-normalized query.
+func (ix *Index) scan(q []float64, kn *index.KNNCollector) {
 	var qn float64
 	for _, v := range q {
 		qn += v * v
@@ -85,25 +79,17 @@ func (ix *Index) scanInto(q []float64, kn *index.KNNCollector, idMul, idAdd int3
 		if d < 0 {
 			d = 0 // guard rounding for near-identical vectors
 		}
-		kn.Offer(index.ID(int32(i)*idMul+idAdd), d)
+		kn.Offer(index.ID(i), d)
 	}
 }
 
 // SearchBatch answers a batch of queries, distributing whole queries across
-// the configured workers (the paper's FAISS mini-batch protocol). Results
-// are returned in query order.
+// the configured workers (the paper's FAISS mini-batch protocol). Each
+// worker reuses its z-normalized query buffer and k-NN collector across the
+// batch, so the scan loop performs no per-query allocations. Results are
+// returned in query order.
 func (ix *Index) SearchBatch(queries *distance.Matrix, k int) ([][]index.Result, error) {
-	return batchScan(queries, k, ix.workers, ix.data.Stride, func(q []float64, kn *index.KNNCollector) {
-		ix.scanInto(q, kn, 1, 0)
-	})
-}
-
-// batchScan is the shared mini-batch worker loop of the plain and sharded
-// flat indexes: whole queries are distributed across workers, each worker
-// reusing its z-normalized query buffer and k-NN collector across the batch
-// so the scan loop performs no per-query allocations. scan fills kn with
-// the (already normalized) query's candidates.
-func batchScan(queries *distance.Matrix, k, workers, stride int, scan func(q []float64, kn *index.KNNCollector)) ([][]index.Result, error) {
+	stride := ix.data.Stride
 	if queries == nil || queries.Len() == 0 {
 		return nil, fmt.Errorf("flat: empty query batch")
 	}
@@ -116,9 +102,7 @@ func batchScan(queries *distance.Matrix, k, workers, stride int, scan func(q []f
 	out := make([][]index.Result, queries.Len())
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
-	if workers > queries.Len() {
-		workers = queries.Len()
-	}
+	workers := min(ix.workers, queries.Len())
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -133,7 +117,7 @@ func batchScan(queries *distance.Matrix, k, workers, stride int, scan func(q []f
 				copy(qbuf, queries.Row(i))
 				distance.ZNormalize(qbuf)
 				kn.Reset(k)
-				scan(qbuf, kn)
+				ix.scan(qbuf, kn)
 				out[i] = kn.Results()
 			}
 		}()

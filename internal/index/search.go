@@ -117,16 +117,6 @@ func (s *KNNCollector) Offer(id ID, d float64) bool {
 	return true
 }
 
-// Len returns how many results the collector currently holds (at most k).
-// The collection layer's partial-result path uses it to tell a degraded
-// answer with survivors from one with nothing to return.
-func (s *KNNCollector) Len() int {
-	s.mu.Lock()
-	n := len(s.heap)
-	s.mu.Unlock()
-	return n
-}
-
 // Results returns the collected answers sorted by ascending distance.
 func (s *KNNCollector) Results() []Result {
 	return s.ResultsAppend(nil)

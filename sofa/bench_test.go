@@ -7,11 +7,11 @@ import (
 	"testing"
 )
 
-// BenchmarkBatchSearchQPS drives the public SearchBatch API over the fixture
-// of the BENCH_pr3.json batch snapshot — same generator seed, dataset shape
-// (20000 x 128), leaf capacity, SFA sampling rate, k and query count — so the
-// cost of the public boundary (per-query plans, context checks, caller-owned
-// copies) is directly comparable against it.
+// BenchmarkBatchSearchQPS drives the public SearchBatch API over a fixed-seed
+// 20000 x 128 matrix (leaf capacity 256, SFA sampling rate 0.05, k = 10,
+// 4 x GOMAXPROCS queries per batch), so it prices the public boundary
+// (per-query plans, context checks, caller-owned copies) on top of the
+// batch engine.
 func BenchmarkBatchSearchQPS(b *testing.B) {
 	rng := rand.New(rand.NewSource(53))
 	m := mixedMatrix(rng, 20000, 128)
