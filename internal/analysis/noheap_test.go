@@ -140,3 +140,27 @@ func TestBudgetRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// The faultinject build compiles allocating hooks into the gated packages
+// on purpose; the gate skips that tag set (with a line saying why) instead
+// of holding it to the release budget. Here it must not even compile: the
+// module has no budget, which would otherwise be a finding.
+func TestNoHeapSkipsFaultinject(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"go.mod":     "module escfix\n\ngo 1.24\n",
+		"esc/esc.go": escLeaky,
+	})
+	a := NewNoHeap(NoHeapConfig{Packages: []string{"escfix/esc"}, BudgetFile: "budget.txt"})
+	for _, tags := range []string{"faultinject", "noasm,faultinject"} {
+		diags, err := RunOn([]*Analyzer{a}, dir, tags, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(diags) != 0 {
+			t.Fatalf("-tags %s: %v", tags, diags)
+		}
+	}
+	if diags, err := RunOn([]*Analyzer{a}, dir, "noasm", nil); err != nil || len(diags) == 0 {
+		t.Fatalf("-tags noasm: the gate skipped (%v, %v)", diags, err)
+	}
+}

@@ -238,15 +238,16 @@ func TestChaosBatchWorkerPanic(t *testing.T) {
 	}
 }
 
-// TestChaosBatchWorkerError: error-mode injection fails the batch with the
-// injected error itself (no panic machinery involved).
+// TestChaosBatchWorkerError: error-mode injection fails the batch with an
+// error wrapping ErrDegraded and the injected error (no panic machinery
+// involved).
 func TestChaosBatchWorkerError(t *testing.T) {
 	ix, queries := chaosIndex(t, 2)
 	defer faultinject.Reset()
 	qs := []PlanQuery{{Series: queries[0], Plan: Plan{K: 5}}, {Series: queries[1], Plan: Plan{K: 5}}}
 	faultinject.Arm(faultinject.SiteBatchWorker, faultinject.Trigger{Mode: faultinject.ModeError, OnCall: 1})
-	if _, err := ix.Collection().SearchBatchPlan(context.Background(), qs, 2); !faultinject.IsInjected(err) {
-		t.Fatalf("batch err = %v, want injected", err)
+	if _, err := ix.Collection().SearchBatchPlan(context.Background(), qs, 2); !faultinject.IsInjected(err) || !errors.Is(err, ErrDegraded) {
+		t.Fatalf("batch err = %v, want injected and ErrDegraded", err)
 	}
 }
 
@@ -281,6 +282,80 @@ func TestChaosStreamSubmitError(t *testing.T) {
 	}
 	sameAnswers(t, "after the submit fault", a.res, full[0])
 	st.Close()
+}
+
+// TestChaosOutsideShardSites is the fail-fast table of the three sites
+// outside any shard — batch/worker, stream/worker and stream/submit — under
+// both fault modes: an injected error comes back wrapping ErrDegraded and
+// the injected error, an injected panic as a *PanicError (shard -1, also
+// wrapping ErrDegraded) carrying the injected value, never a crash; and the
+// next query on the same batch engine or stream is answered exactly.
+func TestChaosOutsideShardSites(t *testing.T) {
+	ix, queries := chaosIndex(t, 2)
+	defer faultinject.Reset()
+	full := baselineAnswers(t, ix, queries, 5)
+	col := ix.Collection()
+
+	type answer struct {
+		res []Result
+		err error
+	}
+	// query answers queries[0] through the site's engine and returns its
+	// result and the fault it met, if any.
+	query := map[string]func() answer{
+		faultinject.SiteBatchWorker: func() answer {
+			res, err := col.SearchBatchPlan(context.Background(), []PlanQuery{{Series: queries[0], Plan: Plan{K: 5}}}, 1)
+			if err != nil {
+				return answer{err: err}
+			}
+			return answer{res: res[0]}
+		},
+	}
+	got := make(chan answer, 1)
+	st, err := ix.NewStream(5, 1, func(qid uint64, res []Result, err error) {
+		got <- answer{append([]Result(nil), res...), err}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	viaStream := func() answer {
+		if _, err := st.Submit(queries[0]); err != nil {
+			return answer{err: err}
+		}
+		return <-got
+	}
+	query[faultinject.SiteStreamWorker] = viaStream
+	query[faultinject.SiteStreamSubmit] = viaStream
+
+	for _, site := range []string{faultinject.SiteBatchWorker, faultinject.SiteStreamWorker, faultinject.SiteStreamSubmit} {
+		for _, mode := range []faultinject.Mode{faultinject.ModeError, faultinject.ModePanic} {
+			t.Run(fmt.Sprintf("%s/%v", site, mode), func(t *testing.T) {
+				faultinject.Arm(site, faultinject.Trigger{Mode: mode, OnCall: 1})
+				a := query[site]()
+				faultinject.Disarm(site)
+				if !errors.Is(a.err, ErrDegraded) {
+					t.Fatalf("err = %v, want one wrapping ErrDegraded", a.err)
+				}
+				var pe *PanicError
+				switch {
+				case mode == faultinject.ModeError && !faultinject.IsInjected(a.err):
+					t.Fatalf("err = %v, want the injected error", a.err)
+				case mode == faultinject.ModePanic && (!errors.As(a.err, &pe) || pe.Shard != -1):
+					t.Fatalf("err = %v, want a *PanicError (shard -1)", a.err)
+				case mode == faultinject.ModePanic:
+					if _, ok := pe.Value.(faultinject.Panic); !ok {
+						t.Fatalf("recovered value %T, want faultinject.Panic", pe.Value)
+					}
+				}
+				next := query[site]()
+				if next.err != nil {
+					t.Fatalf("query after the fault: %v", next.err)
+				}
+				sameAnswers(t, "after the fault", next.res, full[0])
+			})
+		}
+	}
 }
 
 // TestChaosPersistReadFaults covers the loader's retry ladder: a bounded

@@ -55,6 +55,13 @@ func (e *PanicError) Error() string {
 
 func (e *PanicError) Unwrap() error { return ErrDegraded }
 
+// outsideShard wraps an error raised outside any shard — in a batch or
+// stream worker, or in Stream.SubmitPlan — so that it fails the query the
+// way a shard fault does: errors.Is finds ErrDegraded, errors.As the cause.
+func outsideShard(err error) error {
+	return fmt.Errorf("%w: %w", ErrDegraded, err)
+}
+
 // ShardError attributes a fault to one shard. It wraps both ErrDegraded and
 // the underlying cause, so errors.Is works against the sentinel and
 // errors.As against the cause.
@@ -87,9 +94,9 @@ type QueryMeta struct {
 	RelearnChurnFraction float64
 }
 
-// shardPanic converts a recovered panic in shard i's search into a
-// *PanicError, keeping the original stack when a tree worker goroutine
-// forwarded it.
+// shardPanic converts a recovered panic in shard i's search (i = -1:
+// outside any shard) into a *PanicError, keeping the original stack when a
+// tree worker goroutine forwarded it.
 func shardPanic(i int, r any) error {
 	if wp, ok := r.(index.WorkerPanic); ok {
 		return &PanicError{Shard: i, Value: wp.Value, Stack: wp.Stack}

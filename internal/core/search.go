@@ -487,7 +487,7 @@ func (c *Collection) batchQuery(ctx context.Context, s **Searcher, q PlanQuery) 
 	}
 	if faultinject.Enabled {
 		if err := faultinject.Hook(faultinject.SiteBatchWorker); err != nil {
-			return nil, err
+			return nil, outsideShard(err)
 		}
 	}
 	return (*s).SearchPlan(ctx, q.Series, q.Plan, nil)

@@ -142,7 +142,7 @@ func (st *Stream) answer(s **Searcher, job streamJob) (res []index.Result, err e
 	}()
 	if faultinject.Enabled {
 		if err := faultinject.Hook(faultinject.SiteStreamWorker); err != nil {
-			return nil, err
+			return nil, outsideShard(err)
 		}
 	}
 	return (*s).searchOwned(context.Background(), *job.q, job.plan)
@@ -171,7 +171,7 @@ func (st *Stream) SubmitPlan(query []float64, p Plan) (uint64, error) {
 		return 0, fmt.Errorf("core: epsilon must be >= 0, got %v", p.Epsilon)
 	}
 	if faultinject.Enabled {
-		if err := faultinject.Hook(faultinject.SiteStreamSubmit); err != nil {
+		if err := submitFault(); err != nil {
 			return 0, err
 		}
 	}
@@ -187,6 +187,23 @@ func (st *Stream) SubmitPlan(query []float64, p Plan) (uint64, error) {
 	}
 	st.jobs <- streamJob{id: id, q: buf, plan: p}
 	return id, nil
+}
+
+// submitFault runs SubmitPlan's injection site under a query's
+// containment: an injected panic comes back as a *PanicError (shard -1), an
+// injected error wrapped as a fault outside any shard.
+func submitFault() (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = shardPanic(-1, r)
+		}
+	}()
+	if faultinject.Enabled {
+		if err := faultinject.Hook(faultinject.SiteStreamSubmit); err != nil {
+			return outsideShard(err)
+		}
+	}
+	return nil
 }
 
 // Close stops accepting submissions, waits for every in-flight query's

@@ -208,7 +208,7 @@ func TestBlockRefinementMatchesPerSeriesTombstonedSeed(t *testing.T) {
 func walkWithoutPrefetch(s *Searcher, leaf *node, q []float64, kn *KNNCollector, ds *drainScratch) (nED int64) {
 	lbd, surv := ds.forLeaf(len(leaf.ids))
 	bound := kn.Bound()
-	surv = surv[:s.dt.minDistBlockEA(leaf.words, len(leaf.ids), lbd, bound, surv)]
+	surv = surv[:s.dt.minDistBlockEA(leaf.words, len(leaf.ids), lbd, bound, surv, &ds.fast)]
 	block := 0
 	for _, i := range surv {
 		if b := int(i) / boundRefreshInterval; b != block {

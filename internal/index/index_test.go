@@ -353,7 +353,7 @@ func TestKernelMatchesScalarProperty(t *testing.T) {
 			return false
 		}
 		var out [1]float64
-		newDistTable(&k).minDistBlockEA(word, 1, out[:], math.Inf(1), nil)
+		newDistTable(&k).minDistBlockEA(word, 1, out[:], math.Inf(1), nil, nil)
 		return out[0] == k.minDistScalar(word)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -396,6 +396,7 @@ func TestKernelEarlyAbandonProperty(t *testing.T) {
 		exact := make([]float64, rows)
 		out := make([]float64, rows)
 		surv := make([]int32, rows)
+		var fs fastScan
 		for trial := 0; trial < 20; trial++ {
 			query := make([]float64, n)
 			for j := range query {
@@ -424,28 +425,32 @@ func TestKernelEarlyAbandonProperty(t *testing.T) {
 			sorted := append([]float64(nil), exact...)
 			sort.Float64s(sorted)
 			for _, bsf := range []float64{0, sorted[rows/10], sorted[rows/2], sorted[rows-3], math.Inf(1)} {
-				for _, portable := range []bool{false, true} {
+				for _, kern := range []string{"staged", "portable", "fastscan"} {
 					var kept int
-					if portable {
+					switch kern {
+					case "portable":
 						kept = simd.LookupAccumBlockSurvivorsPortable(words, rows, dt.flat, out, bsf, surv)
-					} else {
-						kept = dt.minDistBlockEA(words, rows, out, bsf, surv)
+					case "staged":
+						kept = dt.minDistBlockEA(words, rows, out, bsf, surv, nil)
+					default:
+						kept = dt.minDistBlockEA(words, rows, out, bsf, surv, &fs)
 					}
 					want := 0
 					for i, e := range exact {
 						if e > bsf {
-							if !(out[i] > bsf) {
-								t.Fatalf("%T l=%d trial %d bsf=%v portable=%v: series %d (bound %v) is no survivor but out = %v", sum, l, trial, bsf, portable, i, e, out[i])
+							// The fast scan leaves a non-survivor's out unspecified.
+							if kern != "fastscan" && !(out[i] > bsf) {
+								t.Fatalf("%T l=%d trial %d bsf=%v %s: series %d (bound %v) is no survivor but out = %v", sum, l, trial, bsf, kern, i, e, out[i])
 							}
 							continue
 						}
 						if want >= kept || surv[want] != int32(i) || out[i] != e {
-							t.Fatalf("%T l=%d trial %d bsf=%v portable=%v: series %d (bound %v) missing from survivors %v", sum, l, trial, bsf, portable, i, e, surv[:kept])
+							t.Fatalf("%T l=%d trial %d bsf=%v %s: series %d (bound %v) missing from survivors %v", sum, l, trial, bsf, kern, i, e, surv[:kept])
 						}
 						want++
 					}
 					if kept != want {
-						t.Fatalf("%T l=%d trial %d bsf=%v portable=%v: %d survivors, minDistScalar keeps %d", sum, l, trial, bsf, portable, kept, want)
+						t.Fatalf("%T l=%d trial %d bsf=%v %s: %d survivors, minDistScalar keeps %d", sum, l, trial, bsf, kern, kept, want)
 					}
 				}
 			}

@@ -99,6 +99,7 @@ type distTable struct {
 	flat    []float64 // [l*simd.Alphabet] weighted squared distances
 	qrCache []float64 // query representation the table was built for
 	l       int
+	gen     uint64 // counts the builds that changed flat; fastScan compares it
 }
 
 // build (re)fills the table for the kernel's current query representation.
@@ -113,6 +114,7 @@ func (t *distTable) build(k *kernel) {
 	}
 	t.flat = t.flat[:need]
 	t.l = k.l
+	t.gen++
 	for j := 0; j < k.l; j++ {
 		row := t.flat[j*alpha : (j+1)*alpha]
 		v := k.qr[j]
@@ -199,17 +201,34 @@ func (t *distTable) minDistEA(word []byte, bsf float64) float64 {
 }
 
 // minDistBlockEA lower-bounds ALL n series of a contiguous SoA word block
-// (n rows of l symbols — exactly a leaf's refinement block) in one staged
+// (n rows of l symbols — exactly a leaf's refinement block) in one block
 // kernel call: the indices of the series whose bound is <= bsf go to surv,
 // ascending, and their number is returned; out[i] of such a survivor is
-// exact and bit-identical to minDistEA's sequential value, out[i] of any
-// other series is a partial sum that already exceeds bsf. The per-series
-// certificates of minDistEA and these land on the same side of any bound
-// >= bsf because table entries are nonnegative. This is the refinement
-// kernel (minDistEA stays as the per-series reference tests compare it
-// against): it pays dispatch and bounds checks once per leaf, stops after the first eight
-// positions for every series they already rule out, and opens the
-// series-across-lanes AVX2/AVX-512 tiers (see simd.BlockImpl).
-func (t *distTable) minDistBlockEA(words []byte, n int, out []float64, bsf float64, surv []int32) int {
-	return simd.LookupAccumBlockSurvivors(words, n, t.flat, out, bsf, surv)
+// exact and bit-identical to minDistEA's sequential value. This is the
+// refinement kernel (minDistEA stays as the per-series reference tests
+// compare it against): it pays dispatch and bounds checks once per leaf and
+// opens the series-across-lanes tiers (see simd.BlockImpl).
+//
+// With a fastScan (a drain worker's), the block runs the byte pass first
+// (simd.LookupAccumBlockFastScan: a uint8 copy of the table, 64 series per
+// instruction, the exact chain on its survivors only) and the out[i] of a
+// non-survivor is unspecified. With fs nil it runs the staged float64 kernel,
+// and out[i] of a non-survivor is a partial sum that already exceeds bsf.
+func (t *distTable) minDistBlockEA(words []byte, n int, out []float64, bsf float64, surv []int32, fs *fastScan) int {
+	if fs == nil {
+		return simd.LookupAccumBlockSurvivors(words, n, t.flat, out, bsf, surv)
+	}
+	if fs.gen != t.gen {
+		fs.bt.Reset()
+		fs.gen = t.gen
+	}
+	return simd.LookupAccumBlockFastScan(words, n, t.flat, &fs.bt, out, bsf, surv)
+}
+
+// fastScan is one drain worker's byte table and the distTable build it was
+// quantized from: a rebuilt table (a new query) makes it stale. Its buffers
+// are allocated at the first block it serves and reused after.
+type fastScan struct {
+	bt  simd.ByteTable
+	gen uint64
 }

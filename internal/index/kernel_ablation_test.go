@@ -145,7 +145,7 @@ func BenchmarkLBDKernels(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			dt.minDistBlockEA(block, rows, out, math.Inf(1), surv)
+			dt.minDistBlockEA(block, rows, out, math.Inf(1), surv, nil)
 		}
 	})
 	b.Run("BlockTablePortable", func(b *testing.B) {

@@ -346,12 +346,13 @@ func (s *Searcher) buildTable() {
 
 // drainScratch is one drain worker's scratch of the block refinement path:
 // the block kernel's two outputs — the members' LBDs and the survivor
-// list — and the running mean that sizes the walk's row prefetch. The
-// buffers grow to the largest leaf seen and are then reused, keeping the
-// steady-state query path allocation-free.
+// list — its byte table, and the running mean that sizes the walk's row
+// prefetch. The buffers grow to the largest leaf seen and are then reused,
+// keeping the steady-state query path allocation-free.
 type drainScratch struct {
 	lbd  []float64
 	surv []int32
+	fast fastScan
 
 	// edLines is the running mean (rate prefetchRate) of the 64-byte lines
 	// this worker's recent EDs read; it starts at zero.
@@ -416,7 +417,7 @@ func (s *Searcher) walkSurvivors(leaf *node, q []float64, kn *KNNCollector, scal
 	}
 	lbd, surv := ds.forLeaf(n)
 	bound := kn.Bound()
-	surv = surv[:s.dt.minDistBlockEA(leaf.words, n, lbd, bound*scale, surv)]
+	surv = surv[:s.dt.minDistBlockEA(leaf.words, n, lbd, bound*scale, surv, &ds.fast)]
 	t := s.t
 	dead := t.dead
 	block := 0

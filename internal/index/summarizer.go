@@ -30,8 +30,10 @@
 //     L1/L2-resident for the whole refinement phase) and
 //     reused outright when the query representation repeats. It is the
 //     only LBD kernel: a leaf's block of words is bounded in one call to
-//     the staged block kernel (distTable.minDistBlockEA, AVX-512 or AVX2
-//     assembly through internal/simd), and kernel.minDistScalar, which
+//     the block kernel (distTable.minDistBlockEA through internal/simd: on
+//     the AVX-512 VBMI tier a byte pass over a per-worker uint8 copy of the
+//     table, the exact float64 chain only for the series it keeps; the
+//     staged AVX-512 or AVX2 kernel elsewhere), and kernel.minDistScalar, which
 //     reads the interval tables directly, is the reference tests hold it
 //     to; BenchmarkLBDKernels compares the table variants. Real Euclidean
 //     distances dispatch to AVX2+FMA assembly the same way

@@ -60,3 +60,15 @@ func detectAVX512() bool {
 	const avx512f = 1 << 16
 	return b7&avx512f != 0
 }
+
+// detectVBMI reports the byte instructions of the byte pass: AVX512BW
+// (saturating byte adds, byte compares, 64-bit masks) and AVX512_VBMI (byte
+// permutes). The caller has already checked AVX512F and the OS state.
+func detectVBMI() bool {
+	_, b7, c7, _ := cpuid(7, 0)
+	const (
+		avx512bw   = 1 << 30 // EBX
+		avx512vbmi = 1 << 1  // ECX
+	)
+	return b7&avx512bw != 0 && c7&avx512vbmi != 0
+}

@@ -19,6 +19,12 @@ var useAVX2 = os.Getenv("SOFA_NOSIMD") == "" && detectAVX2FMA()
 // for same-binary tier A/Bs.
 var useAVX512 = useAVX2 && os.Getenv("SOFA_NOAVX512") == "" && detectAVX512()
 
+// useVBMI gates the byte pass of LookupAccumBlockFastScan, the tier above
+// AVX-512: it needs the AVX-512 tier (so SOFA_NOAVX512 and SOFA_NOSIMD turn
+// it off too) plus the BW and VBMI byte instructions. Below it the fast-scan
+// entry runs the exact staged kernel of the tier.
+var useVBMI = useAVX512 && detectVBMI()
+
 // Impl names the active kernel implementation: "avx2" when the hardware
 // kernels are dispatched, "portable" otherwise.
 func Impl() string {
@@ -28,18 +34,22 @@ func Impl() string {
 	return "portable"
 }
 
-// BlockImpl names the implementation serving the block kernels: "avx512",
-// "avx2" or "portable". It is reported separately from Impl because the
-// AVX-512 tier exists only at block granularity.
+// BlockImpl names the implementation serving the block kernels:
+// "avx512vbmi" (the AVX-512 kernels plus the byte pass), "avx512", "avx2" or
+// "portable". It is reported separately from Impl because the AVX-512 tiers
+// exist only at block granularity.
 func BlockImpl() string {
+	if useVBMI {
+		return "avx512vbmi"
+	}
 	if useAVX512 {
 		return "avx512"
 	}
 	return Impl()
 }
 
-// HasAVX512 reports whether the AVX-512 block tier is active (CI's
-// skip-not-fail lane logs it explicitly).
+// HasAVX512 reports whether an AVX-512 block tier (avx512 or avx512vbmi) is
+// active.
 func HasAVX512() bool { return useAVX512 }
 
 func edBlocks16(a, b []float64, bound float64) (float64, int) {
@@ -149,6 +159,21 @@ func lookupBlockTail(words []byte, n, l, nb int, table []float64, out []float64,
 	}
 }
 
+// lookupByteBlock runs the byte pass and the exact pass of its survivors on
+// the VBMI tier (the only tier LookupAccumBlockFastScan calls it on).
+func lookupByteBlock(words []byte, n, l int, bt *ByteTable, table []float64, thr int, bsf float64, out []float64, surv []int32, base int) (survivors, kept int) {
+	return lookupByteVBMI(words, n, l, bt.q, &bt.perm, table, thr, bsf, out, surv, base)
+}
+
+// quantizeTable is quantizeRef, in assembly on the VBMI tier.
+func quantizeTable(table []float64, scale float64, q []uint8) {
+	if useVBMI {
+		quantizeVBMI(table, scale, q)
+		return
+	}
+	quantizeRef(table, scale, q)
+}
+
 // survivors is survivorsRef, with VPCOMPRESSD writing the list on the
 // AVX-512 tier.
 func survivors(out []float64, bsf float64, surv []int32) int {
@@ -190,6 +215,14 @@ func lookupBlockAVX2(words []byte, n, l int, table []float64, out []float64, bsf
 
 //go:noescape
 func lookupBlockAVX512(words []byte, n, l int, table []float64, out []float64, bsf float64) (alive int)
+
+// Byte pass assembly (kernels_byte_amd64.s).
+
+//go:noescape
+func lookupByteVBMI(words []byte, n, l int, q []uint8, perm *[3][64]byte, table []float64, thr int, bsf float64, out []float64, surv []int32, base int) (survivors, kept int)
+
+//go:noescape
+func quantizeVBMI(table []float64, scale float64, q []uint8)
 
 //go:noescape
 func survivorsAVX512(out []float64, bsf float64, surv []int32) int

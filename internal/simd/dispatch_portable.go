@@ -34,6 +34,17 @@ func lookupAccumBlock(words []byte, n, l int, table []float64, out []float64, bs
 	return lookupAccumBlockRef(words, n, l, table, out, bsf, surv)
 }
 
+// useVBMI is the byte pass's gate: off on the portable build, where
+// LookupAccumBlockFastScan runs the reference.
+const useVBMI = false
+
+// lookupByteBlock is never called on the portable build (useVBMI is false).
+func lookupByteBlock(words []byte, n, l int, bt *ByteTable, table []float64, thr int, bsf float64, out []float64, surv []int32, base int) (survivors, kept int) {
+	return 0, 0
+}
+
+func quantizeTable(table []float64, scale float64, q []uint8) { quantizeRef(table, scale, q) }
+
 func survivors(out []float64, bsf float64, surv []int32) int {
 	return survivorsRef(out, bsf, surv)
 }

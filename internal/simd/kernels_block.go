@@ -1,51 +1,54 @@
 package simd
 
-// Block-granularity LBD kernels: one call lower-bounds an ENTIRE SoA leaf
+// Block-granularity LBD kernels: one call lower-bounds an ENTIRE leaf
 // block — n contiguous words of l symbols, row-major, exactly the layout of
-// the index's per-leaf refinement blocks (which alias the decoded container
-// payload, so the layout is not the kernels' to change). The per-series kernels pay
-// their dispatch, bounds-check and early-abandon bookkeeping once PER
-// SERIES; at l=16 that overhead is comparable to the arithmetic itself. The
-// block kernels pay it once per LEAF and lay the SERIES across vector lanes:
-// each lane accumulates its own series sequentially over positions, so no
-// reduction tree reorders the adds and every tier produces the bits of the
-// sequential per-series chain (LookupAccumEASeq).
+// the index's per-leaf refinement blocks, which alias the decoded container
+// payload (a different layout would be a container format change). The
+// per-series kernels pay their dispatch, bounds-check and early-abandon
+// bookkeeping once PER SERIES; at l=16 that overhead is comparable to the
+// arithmetic itself. The block kernels pay it once per LEAF and lay the
+// SERIES across vector lanes: each lane accumulates its own series
+// sequentially over positions, so no reduction tree reorders the adds and
+// every tier produces the bits of the sequential per-series chain
+// (LookupAccumEASeq).
 //
-// The table-lookup kernel is Algorithm 3's early abandoning at block
-// granularity, in two stages. SFA orders word positions by descending
-// variance, so the first 8-position group carries most of the distance:
+// Two kernels share that contract:
 //
-//   - stage 1 accumulates that group for every series of the block; a lane
-//     whose partial sum already exceeds bsf is dropped and keeps the partial
-//     sum as its certificate;
-//   - stage 2 runs the remaining groups only where a lane is still alive.
-//     A stripe that kept most of its lanes simply continues in place, all
-//     of it — exactly the unstaged loop, whose gathers wait for no verdict;
-//     the survivors of sparser stripes are compacted into a pending vector
-//     that runs once it is full, so the gathers stay busy when few series
-//     survive. The choice is read off the mask stage 1 just computed;
-//   - finally the indices of the series with full sum <= bsf are written,
-//     ascending, into a caller-pooled list, so the refinement loop walks
-//     survivors and nothing else.
+//   - the staged float64 kernel (LookupAccumBlockSurvivors, this file) is
+//     Algorithm 3's early abandoning at block granularity. SFA orders word
+//     positions by descending variance, so the first 8-position group carries
+//     most of the distance: stage 1 accumulates that group for every series
+//     and drops a lane whose partial sum already exceeds bsf (the partial sum
+//     is its certificate); stage 2 runs the remaining groups only where a
+//     lane is still alive, in place for a stripe that kept most of its lanes
+//     and through a queue of the survivors of sparser stripes, so the gathers
+//     stay busy when few series survive. Finally the indices of the series
+//     with full sum <= bsf are written, ascending, into a caller-pooled list,
+//     so the refinement loop walks survivors and nothing else;
+//   - the fast scan (LookupAccumBlockFastScan, kernels_byte.go) puts a byte
+//     pass in front on the AVX-512 VBMI tier: the table rounded down to
+//     uint8, 64 series per instruction, and the exact chain only for the
+//     series that pass keeps. The index's drain workers run it.
 //
 // Contract: a survivor's out[i] is exact and BIT-IDENTICAL to
-// LookupAccumEASeq(word i, table, +Inf) in every tier. A
-// non-survivor's out[i] is only a certificate, !(out[i] <= bsf), and may
-// differ between tiers (each abandons where its own stages end). The
-// certificate is sound because table entries are nonnegative — a partial sum
-// never exceeds the full one; the kernel does not check that. Because a
-// survivor's value is exact, callers can re-test it against a fresher
-// (smaller) bound for free.
+// LookupAccumEASeq(word i, table, +Inf) in every tier. A non-survivor's
+// out[i] is, in the staged kernel, only a certificate, !(out[i] <= bsf),
+// which may differ between tiers (each abandons where its own stages end).
+// The certificate is sound because table entries are nonnegative — a
+// partial sum never exceeds the full one; the kernel does not check that.
+// Because a survivor's value is exact, callers can re-test it against a
+// fresher (smaller) bound for free.
 //
 // LBDGatherBlockEA computes the same bound from the raw quantization
 // intervals (Algorithm 3's Gather_bound) in pure Go. No search runs it: it
 // is the interval-form reference the table kernel is checked against.
 //
-// Dispatch: an AVX-512 tier (8 series per stripe, K-masked tail stripes)
-// above an AVX2 tier (4 series per stripe, remainder series through the
-// reference) above the pure-Go reference; see BlockImpl. Sub-8 position
-// tails (l not a multiple of 8; never the case for the index's l=16) are
-// finished in Go, appended sequentially so the per-lane add order holds.
+// Dispatch (see BlockImpl): avx512vbmi (the fast scan's byte pass, with the
+// AVX-512 staged kernel beneath it), avx512 (8 series per stripe, K-masked
+// tail stripes), avx2 (4 series per stripe, remainder series through the
+// reference), then the pure-Go reference. Sub-8 position tails (l not a
+// multiple of 8; never the case for the index's l=16) are finished in Go,
+// appended sequentially so the per-lane add order holds.
 
 // LookupAccumBlockSurvivors lower-bounds all n series of a block against
 // the flat distance table: for every series i with
@@ -172,7 +175,10 @@ func checkBlockShape(nWords, n, nOut int) int {
 
 // checkLookupBlock validates the whole LookupAccumBlockSurvivors contract
 // once per call — the assembly gathers and the survivor stores rely on it —
-// and returns l.
+// and returns l. It is not inlined: one call per leaf costs nothing, and its
+// panic values then exist once, not once per entry point.
+//
+//go:noinline
 func checkLookupBlock(words []byte, n int, table []float64, out []float64, surv []int32) int {
 	l := checkBlockShape(len(words), n, len(out))
 	if surv != nil && len(surv) < n {

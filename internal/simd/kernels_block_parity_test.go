@@ -21,6 +21,7 @@ package simd
 // table entries, NaN bounds and NaN query lanes.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -30,17 +31,17 @@ import (
 
 func TestBlockImplReported(t *testing.T) {
 	impl := BlockImpl()
-	if impl != "avx512" && impl != "avx2" && impl != "portable" {
-		t.Fatalf("BlockImpl() = %q, want avx512, avx2 or portable", impl)
+	if impl != "avx512vbmi" && impl != "avx512" && impl != "avx2" && impl != "portable" {
+		t.Fatalf("BlockImpl() = %q, want avx512vbmi, avx512, avx2 or portable", impl)
 	}
 	t.Logf("block kernel implementation: %s (per-series: %s)", impl, Impl())
 }
 
 // TestBlockImplMatchesEnv pins the block-kernel dispatch tier when
 // WANT_SIMD_BLOCK is set, the same guard TestImplMatchesEnv provides for
-// the per-series kernels. CI's AVX-512 lane sets WANT_SIMD_BLOCK=avx512
-// only after probing the runner, and the SOFA_NOAVX512 lane sets
-// WANT_SIMD_BLOCK=avx2 to prove the pin works.
+// the per-series kernels. CI's AVX-512 lane sets WANT_SIMD_BLOCK to the
+// AVX-512 tier it probed (avx512vbmi or avx512), and the SOFA_NOAVX512 lane
+// sets WANT_SIMD_BLOCK=avx2 to prove the pin works.
 func TestBlockImplMatchesEnv(t *testing.T) {
 	want := os.Getenv("WANT_SIMD_BLOCK")
 	if want == "" {
@@ -369,9 +370,14 @@ func TestBlockKernelContractPanics(t *testing.T) {
 }
 
 // The seeds with n >= 2 look up symbols 0 and 255 in every position (see
-// lookupBlockCase) on every tier.
+// lookupBlockCase) on every tier; odd seeds use byteAdversarialTable's grid
+// of a step Δ instead of lookupBlockCase's table.
 func FuzzLookupAccumBlockSurvivors(f *testing.F) {
 	f.Add(int64(1), 9, 16, 10.0)
+	f.Add(int64(6), 65, 32, 3.0)
+	f.Add(int64(7), 63, 48, 0x1p-10)
+	f.Add(int64(8), 1024, 64, 40.0)
+	f.Add(int64(9), 200, 16, 0x1p-1040)
 	f.Add(int64(2), 64, 7, math.Inf(1))
 	f.Add(int64(3), 1, 1, 0.0)
 	f.Add(int64(4), 65, 24, 41.5)
@@ -388,6 +394,9 @@ func FuzzLookupAccumBlockSurvivors(f *testing.F) {
 			return
 		}
 		words, table := lookupBlockCase(rng, n, l)
+		if seed%2 == 1 {
+			table = byteAdversarialTable(rng, l, int(seed%64)-32)
+		}
 		for i := range table {
 			if rng.Intn(40) == 0 {
 				table[i] = math.Inf(1)
@@ -398,20 +407,40 @@ func FuzzLookupAccumBlockSurvivors(f *testing.F) {
 			checkLookupBlockContract(t, "dispatched/"+BlockImpl(), LookupAccumBlockSurvivors, words, n, l, table, bsf, want)
 			checkLookupBlockContract(t, "portable", LookupAccumBlockSurvivorsPortable, words, n, l, table, bsf, want)
 			checkLookupBlockAllBounds(t, words, n, l, table)
+			// The fast-scan entry: the byte pass drops only exact-dropped
+			// series, and hands back the staged kernel's survivors and bits.
+			var bt ByteTable
+			checkFastScan(t, &bt, words, n, l, table, bsf, want)
+			for _, b := range byteCaseBounds(want) {
+				bt.Reset()
+				checkFastScan(t, &bt, words, n, l, table, b, want)
+			}
 		})
 	})
 }
 
 // BenchmarkBlockKernels compares the block entry points against the
-// equivalent loop of per-series calls on a leaf-sized block (n=256, l=16 —
-// the shapes the index refinement path actually runs).
+// equivalent loop of per-series calls on a leaf-sized block (n=256 at l=16
+// and l=32, the shapes the index refinement path runs), and the fast-scan
+// entry (byte pass, then the exact chain on what it keeps) against the
+// staged kernel at the same bounds. fastscan keeps its byte table across
+// calls, as a drain worker does between requantizations; fastscan-requant
+// requantizes on every call, the cost of a leaf that meets a new bound.
 func BenchmarkBlockKernels(b *testing.B) {
+	for _, l := range []int{16, 32} {
+		benchBlockKernels(b, l)
+	}
+}
+
+func benchBlockKernels(b *testing.B, l int) {
 	rng := rand.New(rand.NewSource(42))
-	const n, l = 256, 16
+	const n = 256
 	words, table := lookupBlockCase(rng, n, l)
 	out := make([]float64, n)
 	inf := math.Inf(1)
-	perSeries := func(v float64) float64 { return v / n }
+	perSeries := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/series")
+	}
 
 	// The bound in the name is where the abandon test sits: at +Inf every
 	// lane runs both stages, at p50 of the stage-1 partial sums half the
@@ -422,30 +451,45 @@ func BenchmarkBlockKernels(b *testing.B) {
 	}
 	sort.Float64s(part)
 	surv := make([]int32, n)
+	var bt ByteTable
 	for _, bc := range []struct {
 		name string
 		bsf  float64
 	}{{"inf", inf}, {"p90", part[9*n/10]}, {"p50", part[n/2]}, {"p05", part[n/20]}} {
 		bc := bc
-		b.Run("lookup/block-"+bc.name, func(b *testing.B) {
+		b.Run(fmt.Sprintf("l=%d/lookup/block-%s", l, bc.name), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				LookupAccumBlockSurvivors(words, n, table, out, bc.bsf, surv)
 			}
-			b.ReportMetric(perSeries(float64(b.Elapsed().Nanoseconds())/float64(b.N)), "ns/series")
+			perSeries(b)
 		})
-		b.Run("lookup/block-portable-"+bc.name, func(b *testing.B) {
+		b.Run(fmt.Sprintf("l=%d/lookup/block-portable-%s", l, bc.name), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				LookupAccumBlockSurvivorsPortable(words, n, table, out, bc.bsf, surv)
 			}
-			b.ReportMetric(perSeries(float64(b.Elapsed().Nanoseconds())/float64(b.N)), "ns/series")
+			perSeries(b)
+		})
+		b.Run(fmt.Sprintf("l=%d/lookup/fastscan-%s-%s", l, BlockImpl(), bc.name), func(b *testing.B) {
+			bt.Reset()
+			for i := 0; i < b.N; i++ {
+				LookupAccumBlockFastScan(words, n, table, &bt, out, bc.bsf, surv)
+			}
+			perSeries(b)
+		})
+		b.Run(fmt.Sprintf("l=%d/lookup/fastscan-requant-%s-%s", l, BlockImpl(), bc.name), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				bt.Reset()
+				LookupAccumBlockFastScan(words, n, table, &bt, out, bc.bsf, surv)
+			}
+			perSeries(b)
 		})
 	}
-	b.Run("lookup/per-series-loop", func(b *testing.B) {
+	b.Run(fmt.Sprintf("l=%d/lookup/per-series-loop", l), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for s := 0; s < n; s++ {
 				out[s] = LookupAccumEASeq(words[s*l:(s+1)*l], table, inf)
 			}
 		}
-		b.ReportMetric(perSeries(float64(b.Elapsed().Nanoseconds())/float64(b.N)), "ns/series")
+		perSeries(b)
 	})
 }

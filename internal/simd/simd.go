@@ -21,8 +21,13 @@
 //   - kernels_block.go and kernels_block_amd64.s hold the block tier: one
 //     call lower-bounds a whole leaf (series across lanes, AVX-512 over
 //     AVX2 over the reference), the table-lookup kernel in two
-//     early-abandoning stages that hand the caller a survivor list. It is
-//     the only LBD kernel the index runs; LBDGatherBlockEA, the same bound
-//     computed from the raw intervals (Algorithm 3's Gather_bound), is a
-//     pure-Go reference with no assembly tier.
+//     early-abandoning stages that hand the caller a survivor list;
+//     LBDGatherBlockEA, the same bound computed from the raw intervals
+//     (Algorithm 3's Gather_bound), is a pure-Go reference with no assembly
+//     tier;
+//   - kernels_byte.go and kernels_byte_amd64.s hold the fast scan, the LBD
+//     kernel the index runs: on the AVX-512 VBMI tier a byte pass over a
+//     uint8 copy of the table (64 series per instruction) keeps the series
+//     whose rounded-down bound passes, and only those run the exact chain;
+//     every other tier runs the staged kernel.
 package simd
