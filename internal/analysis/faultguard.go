@@ -132,8 +132,8 @@ func DefaultFaultGuardConfig() FaultGuardConfig {
 		HookSites: map[string]map[string]bool{
 			"internal/core/collection.go": {"SiteTombstone": true, "SiteCompactSwap": true},
 			"internal/core/persist.go":    {"SitePersistRead": true, "SitePersistWrite": true, "SiteCheckpointRename": true},
-			"internal/core/search.go":     {"SiteBatchWorker": true},
-			"internal/core/stream.go":     {"SiteStreamWorker": true, "SiteStreamSubmit": true},
+			"internal/core/search.go":     {"SiteQueryWorker": true},
+			"internal/core/stream.go":     {"SiteStreamSubmit": true},
 			"internal/core/wal.go":        {"SiteWALAppend": true, "SiteWALSync": true},
 			"internal/index/approx.go":    {"SiteKernel": true},
 			"internal/index/shard.go":     {"SiteShardSeed": true, "SiteShardFinish": true, "SiteKernel": true},

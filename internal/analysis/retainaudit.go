@@ -112,7 +112,7 @@ func DefaultRetainConfig() RetainConfig {
 			},
 			"internal/core/search.go": {
 				"Search":     "Search1 extracts res[0]",
-				"SearchPlan": "searchOwned appends into the searcher's own resBuf and forwards the documented owned-slice contract; batchQuery passes dst=nil, so each query's results are freshly allocated and caller-owned",
+				"SearchPlan": "searchOwned appends into the searcher's own resBuf and forwards the documented owned-slice contract; answer passes SearchBatchPlan's dst=nil (each batch query's results freshly allocated and caller-owned) or a stream worker's own buffer (callback-scoped)",
 			},
 			"internal/core/core.go": {
 				"NewStream": "doc example in package comment context; Index.NewStream forwards the callback-scoped contract",

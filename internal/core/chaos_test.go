@@ -158,99 +158,6 @@ func TestChaosErrorModeShardFault(t *testing.T) {
 	}
 }
 
-// TestChaosStreamWorkerPanic: an injected panic in a stream worker costs that
-// query (answered with a *PanicError wrapping ErrDegraded) and nothing else —
-// the worker survives, respawns its searcher, and answers the next query
-// exactly.
-func TestChaosStreamWorkerPanic(t *testing.T) {
-	ix, queries := chaosIndex(t, 2)
-	defer faultinject.Reset()
-	full := baselineAnswers(t, ix, queries, 5)
-
-	type answer struct {
-		res []Result
-		err error
-	}
-	got := make(chan answer, 2)
-	st, err := ix.NewStream(5, 1, func(qid uint64, res []Result, err error) {
-		got <- answer{append([]Result(nil), res...), err}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	faultinject.Arm(faultinject.SiteStreamWorker, faultinject.Trigger{Mode: faultinject.ModePanic, OnCall: 1})
-	if _, err := st.Submit(queries[0]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Submit(queries[1]); err != nil {
-		t.Fatal(err)
-	}
-	a1, a2 := <-got, <-got
-	var pe *PanicError
-	if !errors.Is(a1.err, ErrDegraded) || !errors.As(a1.err, &pe) || pe.Shard != -1 {
-		t.Fatalf("injected worker panic answered with %v, want *PanicError (shard -1)", a1.err)
-	}
-	if a2.err != nil {
-		t.Fatalf("query after worker panic: %v", a2.err)
-	}
-	sameAnswers(t, "after respawn", a2.res, full[1])
-	st.Close()
-}
-
-// TestChaosBatchWorkerPanic: an injected panic inside a SearchBatchPlan
-// worker — outside any shard's containment — fails that batch with a
-// *PanicError (shard -1) instead of killing the process, keeps the searcher
-// it unwound through out of the pool, and the next batch answers exactly.
-func TestChaosBatchWorkerPanic(t *testing.T) {
-	ix, queries := chaosIndex(t, 2)
-	defer faultinject.Reset()
-	col := ix.Collection()
-	qs := make([]PlanQuery, len(queries))
-	for i, q := range queries {
-		qs[i] = PlanQuery{Series: q, Plan: Plan{K: 5}}
-	}
-	want, err := col.SearchBatchPlan(context.Background(), qs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		faultinject.Arm(faultinject.SiteBatchWorker, faultinject.Trigger{Mode: faultinject.ModePanic, OnCall: 2})
-		_, err := col.SearchBatchPlan(context.Background(), qs, workers)
-		var pe *PanicError
-		if !errors.As(err, &pe) || pe.Shard != -1 {
-			t.Fatalf("workers=%d: batch err = %v, want *PanicError (shard -1)", workers, err)
-		}
-		if _, ok := pe.Value.(faultinject.Panic); !ok {
-			t.Fatalf("workers=%d: recovered value %T, want faultinject.Panic", workers, pe.Value)
-		}
-		faultinject.Disarm(faultinject.SiteBatchWorker)
-		got, err := col.SearchBatchPlan(context.Background(), qs, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: batch after fault: %v", workers, err)
-		}
-		for qi := range want {
-			for r := range want[qi] {
-				if got[qi][r] != want[qi][r] {
-					t.Fatalf("workers=%d q=%d rank %d: %+v != %+v after fault", workers, qi, r, got[qi][r], want[qi][r])
-				}
-			}
-		}
-	}
-}
-
-// TestChaosBatchWorkerError: error-mode injection fails the batch with an
-// error wrapping ErrDegraded and the injected error (no panic machinery
-// involved).
-func TestChaosBatchWorkerError(t *testing.T) {
-	ix, queries := chaosIndex(t, 2)
-	defer faultinject.Reset()
-	qs := []PlanQuery{{Series: queries[0], Plan: Plan{K: 5}}, {Series: queries[1], Plan: Plan{K: 5}}}
-	faultinject.Arm(faultinject.SiteBatchWorker, faultinject.Trigger{Mode: faultinject.ModeError, OnCall: 1})
-	if _, err := ix.Collection().SearchBatchPlan(context.Background(), qs, 2); !faultinject.IsInjected(err) || !errors.Is(err, ErrDegraded) {
-		t.Fatalf("batch err = %v, want injected and ErrDegraded", err)
-	}
-}
-
 // TestChaosStreamSubmitError: injected submit-side faults surface to the
 // submitter, not the handler, and do not poison the stream: the next query
 // is answered exactly.
@@ -284,32 +191,34 @@ func TestChaosStreamSubmitError(t *testing.T) {
 	st.Close()
 }
 
-// TestChaosOutsideShardSites is the fail-fast table of the three sites
-// outside any shard — batch/worker, stream/worker and stream/submit — under
-// both fault modes: an injected error comes back wrapping ErrDegraded and
-// the injected error, an injected panic as a *PanicError (shard -1, also
-// wrapping ErrDegraded) carrying the injected value, never a crash; and the
-// next query on the same batch engine or stream is answered exactly.
+// TestChaosOutsideShardSites is the fail-fast table of the sites outside
+// any shard — query/worker, the per-query step that batch and stream
+// workers share, and stream/submit — on every engine that reaches them
+// (a batch at 1 and 4 workers, a one-worker stream), under both fault
+// modes. The fault fires on the second query: an injected error comes back
+// wrapping ErrDegraded and the injected error, an injected panic as a
+// *PanicError (shard -1, also wrapping ErrDegraded) carrying the injected
+// value, never a crash. The next batch at the same worker count, or the
+// next stream queries, then answer every query bit-identically: the worker
+// that met the fault respawned its searcher and lives on.
 func TestChaosOutsideShardSites(t *testing.T) {
 	ix, queries := chaosIndex(t, 2)
 	defer faultinject.Reset()
 	full := baselineAnswers(t, ix, queries, 5)
 	col := ix.Collection()
+	qs := make([]PlanQuery, len(queries))
+	for i, q := range queries {
+		qs[i] = PlanQuery{Series: q, Plan: Plan{K: 5}}
+	}
 
+	// An engine answers every query, or stops at the first fault it meets.
+	type engine func() ([][]Result, error)
+	batch := func(workers int) engine {
+		return func() ([][]Result, error) { return col.SearchBatchPlan(context.Background(), qs, workers) }
+	}
 	type answer struct {
 		res []Result
 		err error
-	}
-	// query answers queries[0] through the site's engine and returns its
-	// result and the fault it met, if any.
-	query := map[string]func() answer{
-		faultinject.SiteBatchWorker: func() answer {
-			res, err := col.SearchBatchPlan(context.Background(), []PlanQuery{{Series: queries[0], Plan: Plan{K: 5}}}, 1)
-			if err != nil {
-				return answer{err: err}
-			}
-			return answer{res: res[0]}
-		},
 	}
 	got := make(chan answer, 1)
 	st, err := ix.NewStream(5, 1, func(qid uint64, res []Result, err error) {
@@ -319,40 +228,57 @@ func TestChaosOutsideShardSites(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	viaStream := func() answer {
-		if _, err := st.Submit(queries[0]); err != nil {
-			return answer{err: err}
+	stream := func() ([][]Result, error) {
+		out := make([][]Result, len(queries))
+		for qi, q := range queries {
+			if _, err := st.Submit(q); err != nil {
+				return nil, err
+			}
+			a := <-got
+			if a.err != nil {
+				return nil, a.err
+			}
+			out[qi] = a.res
 		}
-		return <-got
+		return out, nil
 	}
-	query[faultinject.SiteStreamWorker] = viaStream
-	query[faultinject.SiteStreamSubmit] = viaStream
 
-	for _, site := range []string{faultinject.SiteBatchWorker, faultinject.SiteStreamWorker, faultinject.SiteStreamSubmit} {
+	for _, c := range []struct {
+		engine string
+		site   string
+		run    engine
+	}{
+		{"batch-w1", faultinject.SiteQueryWorker, batch(1)},
+		{"batch-w4", faultinject.SiteQueryWorker, batch(4)},
+		{"stream", faultinject.SiteQueryWorker, stream},
+		{"stream", faultinject.SiteStreamSubmit, stream},
+	} {
 		for _, mode := range []faultinject.Mode{faultinject.ModeError, faultinject.ModePanic} {
-			t.Run(fmt.Sprintf("%s/%v", site, mode), func(t *testing.T) {
-				faultinject.Arm(site, faultinject.Trigger{Mode: mode, OnCall: 1})
-				a := query[site]()
-				faultinject.Disarm(site)
-				if !errors.Is(a.err, ErrDegraded) {
-					t.Fatalf("err = %v, want one wrapping ErrDegraded", a.err)
+			t.Run(fmt.Sprintf("%s/%s/%v", c.engine, c.site, mode), func(t *testing.T) {
+				faultinject.Arm(c.site, faultinject.Trigger{Mode: mode, OnCall: 2})
+				_, err := c.run()
+				faultinject.Disarm(c.site)
+				if !errors.Is(err, ErrDegraded) {
+					t.Fatalf("err = %v, want one wrapping ErrDegraded", err)
 				}
 				var pe *PanicError
 				switch {
-				case mode == faultinject.ModeError && !faultinject.IsInjected(a.err):
-					t.Fatalf("err = %v, want the injected error", a.err)
-				case mode == faultinject.ModePanic && (!errors.As(a.err, &pe) || pe.Shard != -1):
-					t.Fatalf("err = %v, want a *PanicError (shard -1)", a.err)
+				case mode == faultinject.ModeError && !faultinject.IsInjected(err):
+					t.Fatalf("err = %v, want the injected error", err)
+				case mode == faultinject.ModePanic && (!errors.As(err, &pe) || pe.Shard != -1):
+					t.Fatalf("err = %v, want a *PanicError (shard -1)", err)
 				case mode == faultinject.ModePanic:
 					if _, ok := pe.Value.(faultinject.Panic); !ok {
 						t.Fatalf("recovered value %T, want faultinject.Panic", pe.Value)
 					}
 				}
-				next := query[site]()
-				if next.err != nil {
-					t.Fatalf("query after the fault: %v", next.err)
+				next, err := c.run()
+				if err != nil {
+					t.Fatalf("queries after the fault: %v", err)
 				}
-				sameAnswers(t, "after the fault", next.res, full[0])
+				for qi := range full {
+					sameAnswers(t, fmt.Sprintf("query %d after the fault", qi), next[qi], full[qi])
+				}
 			})
 		}
 	}

@@ -225,17 +225,9 @@ func (c *Collection) shardOptions() index.Options {
 	if perShard < 1 {
 		perShard = 1
 	}
-	queues := 0
-	if c.cfg.Queues > 0 {
-		queues = c.cfg.Queues / c.cfg.Shards
-		if queues < 1 {
-			queues = 1
-		}
-	}
 	return index.Options{
 		LeafCapacity: c.cfg.LeafCapacity,
 		Workers:      perShard,
-		Queues:       queues,
 	}
 }
 

@@ -71,7 +71,6 @@ type Config struct {
 	WordLength   int // symbols per word (default sfa.DefaultWordLength)
 	LeafCapacity int // tree leaf size (default 1024)
 	Workers      int // build/query parallelism budget across shards (default GOMAXPROCS)
-	Queues       int // query priority queues across shards (default Workers)
 
 	// Shards is the number of index shards (default 1). Each shard is an
 	// independent tree over 1/S of the series; searches merge per-shard

@@ -38,8 +38,10 @@ var ErrTombstoned = errors.New("core: id tombstoned")
 
 // PanicError is a recovered query panic converted to an error: the original
 // panic value plus the stack of the panicking goroutine. Shard is the shard
-// whose search panicked, or -1 when the panic was outside any shard (e.g. in
-// a stream worker before shard dispatch). It wraps ErrDegraded.
+// whose search panicked, or -1 when the panic was outside any shard: in the
+// per-query step that batch and stream workers share (Collection.answer,
+// which then respawns the worker's searcher), or in Stream.SubmitPlan. It
+// wraps ErrDegraded.
 type PanicError struct {
 	Shard int
 	Value any
@@ -55,9 +57,10 @@ func (e *PanicError) Error() string {
 
 func (e *PanicError) Unwrap() error { return ErrDegraded }
 
-// outsideShard wraps an error raised outside any shard — in a batch or
-// stream worker, or in Stream.SubmitPlan — so that it fails the query the
-// way a shard fault does: errors.Is finds ErrDegraded, errors.As the cause.
+// outsideShard wraps an error raised outside any shard — in the per-query
+// step of a batch or stream worker, or in Stream.SubmitPlan — so that it
+// fails the query the way a shard fault does: errors.Is finds ErrDegraded,
+// errors.As the cause.
 func outsideShard(err error) error {
 	return fmt.Errorf("%w: %w", ErrDegraded, err)
 }

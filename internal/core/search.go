@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,7 +19,9 @@ import (
 // SearchPlan, SearchBatch/SearchBatchPlan and the streaming engine — lowers
 // its query to a Plan and runs it through Searcher.run, which seeds every
 // shard into one shared collector and then finishes every shard against it.
-// A single-shard collection is that same path with one shard.
+// A single-shard collection is that same path with one shard. The batch and
+// streaming engines share one per-query step around it (answer): one
+// injection site, one panic policy.
 
 // Searcher answers similarity queries against the collection. Create one
 // per querying goroutine. Result slices returned by Search and its variants
@@ -148,6 +149,24 @@ type Plan struct {
 	Deadline time.Time
 }
 
+// check reports why p cannot answer query on c: k < 1, a negative epsilon
+// or a query of the wrong length. SearchPlan runs it per query (so a batch
+// checks each of its queries as it runs) and Stream.SubmitPlan at
+// submission, so an invalid stream query fails its submitter rather than
+// reaching the handler.
+func (p Plan) check(query []float64, c *Collection) error {
+	if p.K < 1 {
+		return fmt.Errorf("core: k must be >= 1, got %d", p.K)
+	}
+	if p.Epsilon < 0 {
+		return fmt.Errorf("core: epsilon must be >= 0, got %v", p.Epsilon)
+	}
+	if len(query) != c.stride {
+		return fmt.Errorf("core: query length %d, want %d", len(query), c.stride)
+	}
+	return nil
+}
+
 // queryErr reports why in-flight query work must stop: context cancellation
 // (or context deadline) first, then plan-deadline expiry. The ctx.Err check
 // is skipped for non-cancellable contexts (Done() == nil), keeping the
@@ -172,14 +191,8 @@ func queryErr(ctx context.Context, deadline time.Time) error {
 // fresh slice. Exact, ε-approximate and best-leaf-approximate search are all
 // the same path here, selected by the plan.
 func (s *Searcher) SearchPlan(ctx context.Context, query []float64, p Plan, dst []index.Result) ([]index.Result, error) {
-	if p.K < 1 {
-		return nil, fmt.Errorf("core: k must be >= 1, got %d", p.K)
-	}
-	if p.Epsilon < 0 {
-		return nil, fmt.Errorf("core: epsilon must be >= 0, got %v", p.Epsilon)
-	}
-	if len(query) != s.c.stride {
-		return nil, fmt.Errorf("core: query length %d, want %d", len(query), s.c.stride)
+	if err := p.check(query, s.c); err != nil {
+		return nil, err
 	}
 	if err := queryErr(ctx, p.Deadline); err != nil {
 		return nil, err
@@ -245,54 +258,35 @@ func (s *Searcher) phase(ctx context.Context, query []float64, p Plan, finish bo
 	wg.Wait()
 }
 
-// stage runs one stage of shard i and records its outcome in s.errs[i].
-// Cancellation (ctx or plan deadline) is checked first, so a cancelled
-// query does no further shard work: every remaining stage records the
-// cancellation instead of running, and firstErr returns it.
+// stage runs one stage of shard i — seeding, or the exact stage when finish
+// is set — and records its outcome in s.errs[i]. Cancellation (ctx or plan
+// deadline) is checked first, so a cancelled query does no further shard
+// work: every remaining stage records the cancellation, and firstErr
+// returns it. Engine errors are attributed to the shard; a panic in the
+// engine (or one its worker goroutines forwarded) is recorded as a
+// *PanicError and costs the shard-i searcher, respawned fresh because its
+// scratch is unsafe to reuse. The deferred recover is open-coded by the
+// compiler, preserving the allocation-free healthy path.
 func (s *Searcher) stage(ctx context.Context, query []float64, p Plan, i int, finish bool) {
 	if err := queryErr(ctx, p.Deadline); err != nil {
 		s.errs[i] = err
 		return
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			s.errs[i] = shardPanic(i, r)
+			s.adoptShard(i, s.c.state(i))
+		}
+	}()
+	var err error
 	if finish {
-		s.errs[i] = s.finishShardSafe(i)
+		err = s.ss[i].FinishShard()
 	} else {
-		s.errs[i] = s.seedShardSafe(i, query, p.K, p.Epsilon)
+		err = s.ss[i].SeedShard(query, p.K, s.shardQuery(i, p.Epsilon))
 	}
-}
-
-// seedShardSafe runs shard i's seeding stage with panic containment: a
-// panic in the engine (or one of its internal worker goroutines, which
-// forward theirs) comes back as a *PanicError and costs this searcher's
-// shard-i searcher (respawned fresh — its scratch is unsafe to reuse).
-// Engine errors are attributed to the shard. The deferred recover is
-// open-coded by the compiler, preserving the allocation-free healthy path.
-func (s *Searcher) seedShardSafe(i int, query []float64, k int, epsilon float64) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = shardPanic(i, r)
-			s.adoptShard(i, s.c.state(i))
-		}
-	}()
-	if err := s.ss[i].SeedShard(query, k, s.shardQuery(i, epsilon)); err != nil {
-		return &ShardError{Shard: i, Err: err}
+	if err != nil {
+		s.errs[i] = &ShardError{Shard: i, Err: err}
 	}
-	return nil
-}
-
-// finishShardSafe runs shard i's exact stage under the same containment
-// contract as seedShardSafe.
-func (s *Searcher) finishShardSafe(i int) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = shardPanic(i, r)
-			s.adoptShard(i, s.c.state(i))
-		}
-	}()
-	if err := s.ss[i].FinishShard(); err != nil {
-		return &ShardError{Shard: i, Err: err}
-	}
-	return nil
 }
 
 // firstErr settles the query from the per-shard outcomes recorded by run:
@@ -379,16 +373,10 @@ func (s *Searcher) LastStats() index.SearchStats {
 // steady state should use NewStream (callback-scoped results).
 //
 // SearchBatch is the fixed-k convenience over SearchBatchPlan, the unified
-// context-aware batch path.
+// context-aware batch path, which checks k and the query length per query.
 func (c *Collection) SearchBatch(queries *distance.Matrix, k, workers int) ([][]index.Result, error) {
 	if queries == nil || queries.Len() == 0 {
 		return nil, fmt.Errorf("core: empty query batch")
-	}
-	if queries.Stride != c.stride {
-		return nil, fmt.Errorf("core: query length %d, want %d", queries.Stride, c.stride)
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("core: k must be >= 1, got %d", k)
 	}
 	qs := make([]PlanQuery, queries.Len())
 	for i := range qs {
@@ -407,8 +395,9 @@ type PlanQuery struct {
 
 // SearchBatchPlan answers a heterogeneous batch of planned queries with
 // inter-query parallelism: up to workers queries run concurrently, each
-// handled end-to-end (all shards) by a pooled serial searcher. workers <= 0
-// selects GOMAXPROCS; a single worker runs inline on the calling goroutine.
+// handled end-to-end (all shards) by a pooled serial searcher through the
+// per-query step the stream shares (answer). workers <= 0 selects
+// GOMAXPROCS; a single worker runs inline on the calling goroutine.
 // Results are in query order and caller-owned (freshly allocated per
 // query). Per-query validation (length, k, epsilon) happens when each query
 // executes, via SearchPlan.
@@ -417,8 +406,10 @@ type PlanQuery struct {
 // started) and, through SearchPlan, at shard granularity inside each query,
 // so cancelling ctx stops a large batch mid-flight. Any error — a ctx
 // error, an invalid query, an individual query's expired plan deadline, or
-// a recovered panic (*PanicError) — aborts the whole batch: every worker
-// stops before its next query, and one of the observed errors is returned.
+// a recovered panic (*PanicError, after which the worker's searcher is
+// respawned and goes back to the pool) — aborts the whole batch: every
+// worker stops before its next query, and one of the observed errors is
+// returned.
 func (c *Collection) SearchBatchPlan(ctx context.Context, qs []PlanQuery, workers int) ([][]index.Result, error) {
 	if len(qs) == 0 {
 		return nil, fmt.Errorf("core: empty query batch")
@@ -440,13 +431,11 @@ func (c *Collection) SearchBatchPlan(ctx context.Context, qs []PlanQuery, worker
 			if i >= len(qs) || abort.Load() {
 				break
 			}
-			if out[i], errs[w] = c.batchQuery(ctx, &s, qs[i]); errs[w] != nil {
+			if out[i], errs[w] = c.answer(ctx, &s, qs[i].Series, qs[i].Plan, nil); errs[w] != nil {
 				abort.Store(true)
 			}
 		}
-		if s != nil {
-			c.searchers.Put(s)
-		}
+		c.searchers.Put(s)
 	}
 	if workers == 1 {
 		work(0)
@@ -469,26 +458,29 @@ func (c *Collection) SearchBatchPlan(ctx context.Context, qs []PlanQuery, worker
 	return out, nil
 }
 
-// batchQuery answers one query of a batch on the worker's pooled searcher
-// with panic containment: shard-level faults are already contained inside
-// SearchPlan, and anything that still escapes — a fault outside any shard
-// stage (collector, result copy) — comes back as a *PanicError instead of
-// killing the process. The searcher such a panic unwound through has
-// undefined scratch, so *s is cleared and never returns to the pool.
-func (c *Collection) batchQuery(ctx context.Context, s **Searcher, q PlanQuery) (res []index.Result, err error) {
+// answer is the one per-query step of the batch and stream engines: it
+// answers q under p on the worker's pooled serial searcher *s, appending the
+// answers to dst. ctx is checked first, then the worker's injection site
+// fires, then SearchPlan runs. Shard faults are contained inside SearchPlan;
+// a panic that still escapes — outside any shard stage (the hook, the
+// collector, the result copy) — comes back as a *PanicError (shard -1,
+// wrapping ErrDegraded), and *s is respawned fresh, because the searcher
+// the panic unwound through has undefined scratch. A fault costs its query,
+// never the worker: the batch or stream answers the next query exactly.
+func (c *Collection) answer(ctx context.Context, s **Searcher, q []float64, p Plan, dst []index.Result) (res []index.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			*s = nil
-			res, err = nil, &PanicError{Shard: -1, Value: r, Stack: debug.Stack()}
+			res, err = nil, shardPanic(-1, r)
+			*s = c.newSearcher(true)
 		}
 	}()
 	if err := queryErr(ctx, time.Time{}); err != nil {
 		return nil, err
 	}
 	if faultinject.Enabled {
-		if err := faultinject.Hook(faultinject.SiteBatchWorker); err != nil {
+		if err := faultinject.Hook(faultinject.SiteQueryWorker); err != nil {
 			return nil, outsideShard(err)
 		}
 	}
-	return (*s).SearchPlan(ctx, q.Series, q.Plan, nil)
+	return (*s).SearchPlan(ctx, q, p, dst)
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -106,10 +105,14 @@ func (c *Collection) NewStream(k, workers int, handle func(qid uint64, res []ind
 	return st, nil
 }
 
-// worker consumes queries until the stream closes, answering each on a
-// pooled serial searcher shared with SearchBatch. Results are appended into
-// the searcher's own buffer, so the callback-scoped slice costs no per-query
-// allocation in steady state.
+// worker consumes queries until the stream closes, answering each through
+// the collection's per-query step (Collection.answer) on a pooled serial
+// searcher shared with SearchBatch. Results are appended into the worker's
+// own buffer, so the callback-scoped slice costs no per-query allocation in
+// steady state. A query's fault — a recovered panic included — reaches the
+// handler as that query's error; the worker lives on. Panics in the handler
+// itself are outside this contract and remain fatal (they are caller bugs,
+// and swallowing them would hide them).
 func (st *Stream) worker() {
 	defer st.wg.Done()
 	s := st.c.serialSearcher()
@@ -117,35 +120,15 @@ func (st *Stream) worker() {
 	// recovered panic, and the pool must receive the replacement, never the
 	// searcher whose scratch the panic corrupted.
 	defer func() { st.c.searchers.Put(s) }()
+	var buf []index.Result
 	for job := range st.jobs {
-		res, err := st.answer(&s, job)
+		res, err := st.c.answer(context.Background(), &s, *job.q, job.plan, buf[:0])
+		if err == nil {
+			buf = res
+		}
 		st.handle(job.id, res, err)
 		st.bufs.Put(job.q)
 	}
-}
-
-// answer executes one stream job with panic containment: shard-level faults
-// are already contained inside SearchPlan, and anything that still escapes —
-// a fault outside any shard stage — is converted to a *PanicError delivered
-// through the stream's normal error callback, with the worker's searcher
-// respawned fresh. The worker itself never dies: a panicking query costs
-// that query, not the stream. Panics in the user's handle callback are
-// outside this contract and remain fatal (they are caller bugs, and
-// swallowing them would hide them).
-func (st *Stream) answer(s **Searcher, job streamJob) (res []index.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res = nil
-			err = &PanicError{Shard: -1, Value: r, Stack: debug.Stack()}
-			*s = st.c.newSearcher(true)
-		}
-	}()
-	if faultinject.Enabled {
-		if err := faultinject.Hook(faultinject.SiteStreamWorker); err != nil {
-			return nil, outsideShard(err)
-		}
-	}
-	return (*s).searchOwned(context.Background(), *job.q, job.plan)
 }
 
 // Submit enqueues one query under the stream's default k. The query is
@@ -161,14 +144,8 @@ func (st *Stream) Submit(query []float64) (uint64, error) {
 // Like Submit, the query values are copied before SubmitPlan returns and
 // the call blocks for backpressure while the bounded channel is full.
 func (st *Stream) SubmitPlan(query []float64, p Plan) (uint64, error) {
-	if len(query) != st.c.stride {
-		return 0, fmt.Errorf("core: query length %d, want %d", len(query), st.c.stride)
-	}
-	if p.K < 1 {
-		return 0, fmt.Errorf("core: k must be >= 1, got %d", p.K)
-	}
-	if p.Epsilon < 0 {
-		return 0, fmt.Errorf("core: epsilon must be >= 0, got %v", p.Epsilon)
+	if err := p.check(query, st.c); err != nil {
+		return 0, err
 	}
 	if faultinject.Enabled {
 		if err := submitFault(); err != nil {

@@ -47,15 +47,15 @@ func TestEveryNTrigger(t *testing.T) {
 
 func TestPanicTrigger(t *testing.T) {
 	defer Reset()
-	Arm(SiteStreamWorker, Trigger{Mode: ModePanic, OnCall: 1})
+	Arm(SiteQueryWorker, Trigger{Mode: ModePanic, OnCall: 1})
 	defer func() {
 		r := recover()
 		p, ok := r.(Panic)
-		if !ok || p.Site != SiteStreamWorker {
-			t.Fatalf("recovered %v, want faultinject.Panic at %s", r, SiteStreamWorker)
+		if !ok || p.Site != SiteQueryWorker {
+			t.Fatalf("recovered %v, want faultinject.Panic at %s", r, SiteQueryWorker)
 		}
 	}()
-	Hook(SiteStreamWorker)
+	Hook(SiteQueryWorker)
 	t.Fatal("hook did not panic")
 }
 
@@ -112,7 +112,7 @@ func TestArmRejectsUnknownSite(t *testing.T) {
 // concurrency (the call counter hands each call a unique number).
 func TestConcurrentNthCall(t *testing.T) {
 	defer Reset()
-	Arm(SiteBatchWorker, Trigger{Mode: ModeError, OnCall: 50})
+	Arm(SiteQueryWorker, Trigger{Mode: ModeError, OnCall: 50})
 	var wg sync.WaitGroup
 	var fired sync.Map
 	for w := 0; w < 8; w++ {
@@ -120,7 +120,7 @@ func TestConcurrentNthCall(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				if err := Hook(SiteBatchWorker); err != nil {
+				if err := Hook(SiteQueryWorker); err != nil {
 					fired.Store(i, err)
 				}
 			}

@@ -40,13 +40,10 @@ const (
 	// SiteStreamSubmit fires in Stream.SubmitPlan before the query is
 	// enqueued.
 	SiteStreamSubmit = "stream/submit"
-	// SiteStreamWorker fires in the stream worker loop before each query
-	// executes.
-	SiteStreamWorker = "stream/worker"
-	// SiteBatchWorker fires in Collection.SearchBatchPlan's per-query step
-	// before each query executes — outside any shard's containment, under
-	// the batch's own recover.
-	SiteBatchWorker = "batch/worker"
+	// SiteQueryWorker fires in the per-query step that SearchBatchPlan's
+	// workers and the stream workers share, before each query executes —
+	// outside any shard's containment, under that step's own recover.
+	SiteQueryWorker = "query/worker"
 	// SiteWALAppend fires in WAL.Append before the record bytes reach the
 	// file. A fatal firing additionally tears the record (half its bytes are
 	// written), modelling a crash mid-append.
@@ -74,15 +71,14 @@ const (
 // siteList enumerates every valid hook site; Sites returns a copy for the
 // audit and the fuzz harness. A function (rather than an exported var)
 // keeps release binaries free of faultinject data symbols.
-func siteList() [13]string {
-	return [13]string{
+func siteList() [12]string {
+	return [12]string{
 		SiteShardSeed,
 		SiteShardFinish,
 		SiteKernel,
 		SitePersistRead,
 		SiteStreamSubmit,
-		SiteStreamWorker,
-		SiteBatchWorker,
+		SiteQueryWorker,
 		SiteWALAppend,
 		SiteWALSync,
 		SiteCheckpointRename,

@@ -27,7 +27,7 @@ func TestSearchZeroAllocSteadyState(t *testing.T) {
 		"SAX": newSAXSum(t, n, 16),
 	} {
 		t.Run(name, func(t *testing.T) {
-			tr, err := Build(m, sum, Options{LeafCapacity: 64, Workers: 1, Queues: 1})
+			tr, err := Build(m, sum, Options{LeafCapacity: 64, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,7 +151,7 @@ func TestBlockRefinementMatchesPerSeries(t *testing.T) {
 		m, queries := shapeMatrix(t, shape, 3000, 44)
 		sum := newSFASum(t, m, sfa.Options{SampleRate: 0.2})
 		for _, tombstones := range []bool{false, true} {
-			tr, err := Build(m, sum, Options{LeafCapacity: 200, Workers: 1, Queues: 1})
+			tr, err := Build(m, sum, Options{LeafCapacity: 200, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,7 +176,7 @@ func TestBlockRefinementMatchesPerSeries(t *testing.T) {
 func TestBlockRefinementMatchesPerSeriesTombstonedSeed(t *testing.T) {
 	m, queries := shapeMatrix(t, "SIFT1b", 3000, 45)
 	sum := newSFASum(t, m, sfa.Options{SampleRate: 0.2})
-	tr, err := Build(m, sum, Options{LeafCapacity: 1024, Workers: 1, Queues: 1})
+	tr, err := Build(m, sum, Options{LeafCapacity: 1024, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func BenchmarkRefineRandomRows(b *testing.B) {
 	const k = 10
 	m, queries := shapeMatrix(b, "SIFT1b", 1<<16, 46)
 	sum := newSFASum(b, m, sfa.Options{SampleRate: 0.05})
-	tr, err := Build(m, sum, Options{LeafCapacity: 1024, Workers: 1, Queues: 1})
+	tr, err := Build(m, sum, Options{LeafCapacity: 1024, Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func compareBlockToPerSeries(t *testing.T, name string, tr *Tree, queries *dista
 func TestParallelSearchAllocsDoNotScaleWithLeaves(t *testing.T) {
 	m, queries := shapeMatrix(t, "LenDB", 6000, 47)
 	sum := newSFASum(t, m, sfa.Options{SampleRate: 0.2})
-	tr, err := Build(m, sum, Options{LeafCapacity: 1024, Workers: 2, Queues: 2})
+	tr, err := Build(m, sum, Options{LeafCapacity: 1024, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

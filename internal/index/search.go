@@ -233,7 +233,7 @@ func (t *Tree) NewSearcher() *Searcher {
 		qr:      make([]float64, t.l),
 		qword:   make([]byte, t.l),
 		kern:    kernel{weights: t.sum.Weights(), g: t.gather, l: t.l},
-		set:     queue.NewSet[*node](t.opts.Queues),
+		set:     queue.NewSet[*node](t.opts.Workers),
 		scratch: make([]drainScratch, max(t.opts.Workers, 1)),
 		idMul:   1,
 	}

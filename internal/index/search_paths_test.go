@@ -108,7 +108,7 @@ func TestRootFanoutBits(t *testing.T) {
 func TestMoreWorkersThanSubtrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	m := mixedMatrix(rng, 150, 64)
-	tr, err := Build(m, newSAXSum(t, 64, 8), Options{LeafCapacity: 64, Workers: 16, Queues: 16})
+	tr, err := Build(m, newSAXSum(t, 64, 8), Options{LeafCapacity: 64, Workers: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,11 +18,9 @@ type Options struct {
 	// splits (the paper's leaf-size parameter; default 1024, the harness
 	// sweeps it for Fig. 11).
 	LeafCapacity int
-	// Workers is the parallelism for build and query (default GOMAXPROCS).
+	// Workers is the parallelism for build and query (default GOMAXPROCS);
+	// a query drains one priority queue per worker, the paper's setup.
 	Workers int
-	// Queues is the number of priority queues used during query answering
-	// (default = Workers, matching the paper's setup).
-	Queues int
 }
 
 func (o Options) withDefaults() Options {
@@ -31,9 +29,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Workers == 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Queues == 0 {
-		o.Queues = o.Workers
 	}
 	return o
 }
