@@ -83,57 +83,38 @@ func evaluate(v variant, alpha int, train, test *distance.Matrix) (tlb, pruning 
 	for 1<<bits < alpha {
 		bits++
 	}
-	n := train.Stride
-	var lbs [][]float64 // [query][candidate] squared lower bounds
+	var q *sfa.Quantizer
 	if v.isSAX {
-		q, err := sax.NewQuantizer(n, wordLength, bits)
+		sq, err := sax.NewQuantizer(train.Stride, wordLength, bits)
 		if err != nil {
 			return 0, 0, err
 		}
-		words := make([]byte, train.Len()*wordLength)
-		scratch := make([]float64, wordLength)
-		for i := 0; i < train.Len(); i++ {
-			if _, err := q.Word(train.Row(i), words[i*wordLength:(i+1)*wordLength], scratch); err != nil {
-				return 0, 0, err
-			}
-		}
-		qr := make([]float64, wordLength)
-		for qi := 0; qi < test.Len(); qi++ {
-			if _, err := q.QueryRepr(test.Row(qi), qr); err != nil {
-				return 0, 0, err
-			}
-			row := make([]float64, train.Len())
-			for i := range row {
-				row[i] = q.MinDist(qr, words[i*wordLength:(i+1)*wordLength])
-			}
-			lbs = append(lbs, row)
-		}
+		q = sq.Quantizer
 	} else {
-		q, err := sfa.Learn(train, sfa.Options{
+		q, err = sfa.Learn(train, sfa.Options{
 			WordLength: wordLength, Bits: bits,
 			Binning: v.binning, Selection: v.selection, SampleRate: 1,
 		})
 		if err != nil {
 			return 0, 0, err
 		}
-		tr := q.NewTransformer()
-		words := make([]byte, train.Len()*wordLength)
-		for i := 0; i < train.Len(); i++ {
-			if _, err := tr.Word(train.Row(i), words[i*wordLength:(i+1)*wordLength]); err != nil {
-				return 0, 0, err
-			}
+	}
+	tr := q.NewTransformer()
+	words := make([]byte, train.Len()*wordLength)
+	if err := tr.Words(train.Data, words); err != nil {
+		return 0, 0, err
+	}
+	var lbs [][]float64 // [query][candidate] squared lower bounds
+	qr := make([]float64, wordLength)
+	for qi := 0; qi < test.Len(); qi++ {
+		if _, err := tr.QueryRepr(test.Row(qi), qr); err != nil {
+			return 0, 0, err
 		}
-		qr := make([]float64, wordLength)
-		for qi := 0; qi < test.Len(); qi++ {
-			if _, err := tr.QueryRepr(test.Row(qi), qr); err != nil {
-				return 0, 0, err
-			}
-			row := make([]float64, train.Len())
-			for i := range row {
-				row[i] = q.MinDist(qr, words[i*wordLength:(i+1)*wordLength])
-			}
-			lbs = append(lbs, row)
+		row := make([]float64, train.Len())
+		for i := range row {
+			row[i] = q.MinDist(qr, words[i*wordLength:(i+1)*wordLength])
 		}
+		lbs = append(lbs, row)
 	}
 	// TLB and pruning power against the true distances.
 	var tlbSum float64

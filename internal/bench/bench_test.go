@@ -11,6 +11,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/distance"
 	"repro/internal/fft"
+	"repro/internal/sax"
 	"repro/internal/stats"
 )
 
@@ -303,7 +304,14 @@ func TestFFTReconstructionBeatsPAAOnHighFreq(t *testing.T) {
 		row[j] = math.Sin(2*math.Pi*40*float64(j)/float64(n)) + 0.05*rng.NormFloat64()
 	}
 	distance.ZNormalize(row)
-	paaErr := paaReconstructionMSE(row, 8)
+	sq, err := sax.NewQuantizer(n, 8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paaErr, err := paaReconstructionMSE(sq.NewEncoder(), row, make([]float64, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
 	plan := mustPlan(t, n)
 	fftErr, err := fftReconstructionMSE(plan, row, 8)
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/distance"
 	"repro/internal/fft"
-	"repro/internal/paa"
 	"repro/internal/sax"
 	"repro/internal/sfa"
 	"repro/internal/stats"
@@ -33,16 +32,25 @@ func RunFig1(cfg SuiteConfig, w io.Writer) error {
 			return err
 		}
 		plan := fft.MustPlan(m.Stride)
+		sq, err := sax.NewQuantizer(m.Stride, values, 8)
+		if err != nil {
+			return err
+		}
+		paa, means := sq.NewEncoder(), make([]float64, values)
 		var paaMSE, fftMSE float64
 		var allValues []float64
 		for i := 0; i < m.Len(); i++ {
 			row := m.Row(i)
 			allValues = append(allValues, row...)
-			paaMSE += paaReconstructionMSE(row, values)
+			p, err := paaReconstructionMSE(paa, row, means)
+			if err != nil {
+				return err
+			}
 			e, err := fftReconstructionMSE(plan, row, values)
 			if err != nil {
 				return err
 			}
+			paaMSE += p
 			fftMSE += e
 		}
 		paaMSE /= float64(m.Len())
@@ -63,23 +71,21 @@ func RunFig1(cfg SuiteConfig, w io.Writer) error {
 	return nil
 }
 
-// paaReconstructionMSE reconstructs the series from l segment means
-// (repeating each mean across its segment) and returns the MSE.
-func paaReconstructionMSE(row []float64, l int) float64 {
-	n := len(row)
-	means := make([]float64, l)
-	paa.MustTransform(row, l, means)
+// paaReconstructionMSE reconstructs the series from its segment means, an
+// iSAX encoder's query representation written into means (repeating each
+// mean across its segment), and returns the MSE.
+func paaReconstructionMSE(paa *sfa.Transformer, row, means []float64) (float64, error) {
+	means, err := paa.QueryRepr(row, means)
+	if err != nil {
+		return 0, err
+	}
+	n, l := len(row), len(means)
 	var mse float64
-	segLen := float64(n) / float64(l)
 	for j := 0; j < n; j++ {
-		seg := int(float64(j) / segLen)
-		if seg >= l {
-			seg = l - 1
-		}
-		d := row[j] - means[seg]
+		d := row[j] - means[j*l/n]
 		mse += d * d
 	}
-	return mse / float64(n)
+	return mse / float64(n), nil
 }
 
 // fftReconstructionMSE keeps the l/2 complex coefficients with the largest
@@ -158,7 +164,7 @@ func RunFig2(_ SuiteConfig, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		saxWord, err := sq.Word(series, make([]byte, l), nil)
+		saxWord, err := sq.NewEncoder().Word(series, make([]byte, l))
 		if err != nil {
 			return err
 		}

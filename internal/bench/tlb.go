@@ -22,39 +22,17 @@ const tlbWordLength = 16 // the paper fixes l = 16 for the ablation
 // for one method at one alphabet size. train is the collection (and the
 // MCB learning set), test the queries, following the paper's protocol.
 func tlbForMethod(m tlbMethod, bits int, train, test *distance.Matrix) (float64, error) {
-	n := train.Stride
 	l := tlbWordLength
-	var sum float64
-	var count int
+	var q *sfa.Quantizer
 	if m.IsSAX {
-		q, err := sax.NewQuantizer(n, l, bits)
+		sq, err := sax.NewQuantizer(train.Stride, l, bits)
 		if err != nil {
 			return 0, err
 		}
-		words := make([]byte, train.Len()*l)
-		scratch := make([]float64, l)
-		for i := 0; i < train.Len(); i++ {
-			if _, err := q.Word(train.Row(i), words[i*l:(i+1)*l], scratch); err != nil {
-				return 0, err
-			}
-		}
-		qr := make([]float64, l)
-		for qi := 0; qi < test.Len(); qi++ {
-			if _, err := q.QueryRepr(test.Row(qi), qr); err != nil {
-				return 0, err
-			}
-			for i := 0; i < train.Len(); i++ {
-				ed := math.Sqrt(distance.SquaredED(test.Row(qi), train.Row(i)))
-				if ed == 0 {
-					continue
-				}
-				lb := math.Sqrt(q.MinDist(qr, words[i*l:(i+1)*l]))
-				sum += lb / ed
-				count++
-			}
-		}
+		q = sq.Quantizer
 	} else {
-		q, err := sfa.Learn(train, sfa.Options{
+		var err error
+		q, err = sfa.Learn(train, sfa.Options{
 			WordLength: l,
 			Bits:       bits,
 			Binning:    m.Binning,
@@ -64,27 +42,27 @@ func tlbForMethod(m tlbMethod, bits int, train, test *distance.Matrix) (float64,
 		if err != nil {
 			return 0, err
 		}
-		tr := q.NewTransformer()
-		words := make([]byte, train.Len()*l)
-		for i := 0; i < train.Len(); i++ {
-			if _, err := tr.Word(train.Row(i), words[i*l:(i+1)*l]); err != nil {
-				return 0, err
-			}
+	}
+	tr := q.NewTransformer()
+	words := make([]byte, train.Len()*l)
+	if err := tr.Words(train.Data, words); err != nil {
+		return 0, err
+	}
+	var sum float64
+	var count int
+	qr := make([]float64, l)
+	for qi := 0; qi < test.Len(); qi++ {
+		if _, err := tr.QueryRepr(test.Row(qi), qr); err != nil {
+			return 0, err
 		}
-		qr := make([]float64, l)
-		for qi := 0; qi < test.Len(); qi++ {
-			if _, err := tr.QueryRepr(test.Row(qi), qr); err != nil {
-				return 0, err
+		for i := 0; i < train.Len(); i++ {
+			ed := math.Sqrt(distance.SquaredED(test.Row(qi), train.Row(i)))
+			if ed == 0 {
+				continue
 			}
-			for i := 0; i < train.Len(); i++ {
-				ed := math.Sqrt(distance.SquaredED(test.Row(qi), train.Row(i)))
-				if ed == 0 {
-					continue
-				}
-				lb := math.Sqrt(q.MinDist(qr, words[i*l:(i+1)*l]))
-				sum += lb / ed
-				count++
-			}
+			lb := math.Sqrt(q.MinDist(qr, words[i*l:(i+1)*l]))
+			sum += lb / ed
+			count++
 		}
 	}
 	if count == 0 {

@@ -192,7 +192,7 @@ func newSummarization(data *distance.Matrix, cfg Config) (index.Summarization, *
 		if err != nil {
 			return nil, nil, 0, err
 		}
-		return saxSummarization{q}, nil, 0, nil
+		return summarization{q.Quantizer}, nil, 0, nil
 	case SOFA:
 		start := time.Now()
 		q, err := sfa.Learn(data, sfa.Options{
@@ -207,7 +207,7 @@ func newSummarization(data *distance.Matrix, cfg Config) (index.Summarization, *
 		if err != nil {
 			return nil, nil, 0, err
 		}
-		return sfaSummarization{q}, q, time.Since(start).Seconds(), nil
+		return summarization{q}, q, time.Since(start).Seconds(), nil
 	default:
 		return nil, nil, 0, fmt.Errorf("core: unknown method %v", cfg.Method)
 	}
@@ -778,7 +778,7 @@ func (c *Collection) compactOnce(i int, final bool) (done bool, err error) {
 			}
 			return true, fmt.Errorf("core: compaction re-learn of shard %d: %w", i, lerr)
 		}
-		newTree, berr = index.Build(data, sfaSummarization{q}, c.shardOptions())
+		newTree, berr = index.Build(data, summarization{q}, c.shardOptions())
 	}
 	if berr != nil {
 		if final {

@@ -8,6 +8,9 @@
 //   - MESSI uses iSAX — PAA means under fixed Normal-distribution
 //     quantization (internal/sax).
 //
+// Both are one quantizer type, sfa.Quantizer (a projection basis, breakpoint
+// tables and weights), behind one index adapter.
+//
 // Every entry point routes through the Collection layer: an index made of S
 // shards (Config.Shards; default 1), each an independent tree over a
 // disjoint round-robin slice of the series, sharing one learned
@@ -31,7 +34,6 @@ import (
 
 	"repro/internal/distance"
 	"repro/internal/index"
-	"repro/internal/sax"
 	"repro/internal/sfa"
 )
 
@@ -104,15 +106,11 @@ type Index struct {
 	TreeSeconds      float64 // tree construction
 }
 
-// saxSummarization and sfaSummarization adapt the two quantizers to the
-// index.Summarization interface.
-type saxSummarization struct{ *sax.Quantizer }
+// summarization adapts a quantizer, SFA's or iSAX's (both are
+// sfa.Quantizers), to the index.Summarization interface.
+type summarization struct{ *sfa.Quantizer }
 
-func (s saxSummarization) NewIndexEncoder() index.Encoder { return s.Quantizer.NewEncoder() }
-
-type sfaSummarization struct{ *sfa.Quantizer }
-
-func (s sfaSummarization) NewIndexEncoder() index.Encoder { return s.Quantizer.NewTransformer() }
+func (s summarization) NewIndexEncoder() index.Encoder { return s.Quantizer.NewTransformer() }
 
 // Build constructs an index over data, which must contain z-normalized
 // series (use Matrix.ZNormalizeAll; Build returns the paper's z-normalized

@@ -358,7 +358,7 @@ func (c *Collection) fillSavedMutationState(s *savedIndex) {
 			if !st.relearned {
 				continue
 			}
-			if q, ok := st.tree.Sum().(sfaSummarization); ok {
+			if q, ok := st.tree.Sum().(summarization); ok {
 				sq := q.Quantizer.State()
 				s.ShardSFA[i] = &sq
 			}
@@ -685,7 +685,7 @@ func LoadWithStats(r io.Reader, st *LoadStats) (*Index, error) {
 			return nil, err
 		}
 		col.sfaQ = q
-		sum = sfaSummarization{q}
+		sum = summarization{q}
 	default:
 		return nil, fmt.Errorf("core: unknown method %v in saved index", s.Method)
 	}
@@ -710,7 +710,7 @@ func LoadWithStats(r io.Reader, st *LoadStats) (*Index, error) {
 			if err != nil {
 				return nil, fmt.Errorf("core: shard %d SFA state: %w", i, err)
 			}
-			shardSum = sfaSummarization{q}
+			shardSum = summarization{q}
 		}
 		return index.FromShape(sdata[i], shardSum, treeOpts, shape)
 	})

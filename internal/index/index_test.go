@@ -8,18 +8,16 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/dataset"
 	"repro/internal/distance"
 	"repro/internal/sax"
 	"repro/internal/sfa"
 	"repro/internal/simd"
 )
 
-// Local Summarization adapters (the public ones live in internal/core; the
-// index package stays free of sax/sfa imports outside tests).
-type saxSum struct{ *sax.Quantizer }
-
-func (s saxSum) NewIndexEncoder() Encoder { return s.Quantizer.NewEncoder() }
-
+// The local Summarization adapter, for SFA and iSAX quantizers alike (the
+// public one lives in internal/core; the index package stays free of
+// sax/sfa imports outside tests).
 type sfaSum struct{ *sfa.Quantizer }
 
 func (s sfaSum) NewIndexEncoder() Encoder { return s.Quantizer.NewTransformer() }
@@ -65,12 +63,12 @@ func mixedMatrix(rng *rand.Rand, count, n int) *distance.Matrix {
 	return m
 }
 
-func newSAXSum(t testing.TB, n, l int) saxSum {
+func newSAXSum(t testing.TB, n, l int) sfaSum {
 	q, err := sax.NewQuantizer(n, l, SymbolBits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return saxSum{q}
+	return sfaSum{q.Quantizer}
 }
 
 func newSFASum(t testing.TB, data *distance.Matrix, opts sfa.Options) sfaSum {
@@ -156,7 +154,7 @@ func TestBuildRejectsSubByteSymbols(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum4 := saxSum{q4}
+	sum4 := sfaSum{q4.Quantizer}
 	tr, err := Build(m, newSAXSum(t, 64, 8), Options{LeafCapacity: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -376,7 +374,7 @@ func TestKernelEarlyAbandonProperty(t *testing.T) {
 	m := mixedMatrix(rng, 300, n)
 	rows := m.Len()
 	big := []float64{1e6, 1e150, 1e200, math.MaxFloat64}
-	for _, sum := range []Summarization{
+	for si, sum := range []Summarization{
 		newSFASum(t, m, sfa.Options{SampleRate: 0.5}),
 		newSFASum(t, m, sfa.Options{WordLength: 12, SampleRate: 0.3}),
 		newSAXSum(t, n, 16),
@@ -416,7 +414,7 @@ func TestKernelEarlyAbandonProperty(t *testing.T) {
 			dt := newDistTable(&k)
 			for i, v := range dt.flat {
 				if !(v >= 0) {
-					t.Fatalf("%T l=%d trial %d: table entry (%d, %d) = %v for qr %v", sum, l, trial, i/alpha, i%alpha, v, qr)
+					t.Fatalf("summarization %d l=%d trial %d: table entry (%d, %d) = %v for qr %v", si, l, trial, i/alpha, i%alpha, v, qr)
 				}
 			}
 			for i := range exact {
@@ -440,17 +438,17 @@ func TestKernelEarlyAbandonProperty(t *testing.T) {
 						if e > bsf {
 							// The fast scan leaves a non-survivor's out unspecified.
 							if kern != "fastscan" && !(out[i] > bsf) {
-								t.Fatalf("%T l=%d trial %d bsf=%v %s: series %d (bound %v) is no survivor but out = %v", sum, l, trial, bsf, kern, i, e, out[i])
+								t.Fatalf("summarization %d l=%d trial %d bsf=%v %s: series %d (bound %v) is no survivor but out = %v", si, l, trial, bsf, kern, i, e, out[i])
 							}
 							continue
 						}
 						if want >= kept || surv[want] != int32(i) || out[i] != e {
-							t.Fatalf("%T l=%d trial %d bsf=%v %s: series %d (bound %v) missing from survivors %v", sum, l, trial, bsf, kern, i, e, surv[:kept])
+							t.Fatalf("summarization %d l=%d trial %d bsf=%v %s: series %d (bound %v) missing from survivors %v", si, l, trial, bsf, kern, i, e, surv[:kept])
 						}
 						want++
 					}
 					if kept != want {
-						t.Fatalf("%T l=%d trial %d bsf=%v %s: %d survivors, minDistScalar keeps %d", sum, l, trial, bsf, kern, kept, want)
+						t.Fatalf("summarization %d l=%d trial %d bsf=%v %s: %d survivors, minDistScalar keeps %d", si, l, trial, bsf, kern, kept, want)
 					}
 				}
 			}
@@ -498,7 +496,7 @@ func TestNodeMinDistMatchesSAX(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := saxSum{sq}
+	sum := sfaSum{sq.Quantizer}
 	rng := rand.New(rand.NewSource(8))
 	enc := sum.NewIndexEncoder()
 	for trial := 0; trial < 100; trial++ {
@@ -525,6 +523,87 @@ func TestNodeMinDistMatchesSAX(t *testing.T) {
 		got := nodeMinDist(sum, qr, word, cards)
 		if math.Abs(got-want) > 1e-12*(want+1) {
 			t.Fatalf("trial %d bits=%d: got %v want %v", trial, bits, got, want)
+		}
+	}
+}
+
+// iSAX as a projection at word lengths that do not divide the series
+// length — the BigANN stand-in's 100 points at l = 16, and 16,385 points at
+// l = 13, where segment boundaries fall inside points — lower-bounds every
+// pair exhaustively: the full-cardinality MinDist and the prefix bound at
+// every cardinality (uniform, and one random mix per pair) stay <= ED² +
+// 1e-9. The index's table LBD — per series, in both block kernels, and at
+// the nodes of the descent — equals the quantizer's own MinDist bit for
+// bit, so the tree prunes exactly what the reference bound prunes.
+func TestProjectedSAXBoundsExhaustive(t *testing.T) {
+	bigANN, _ := shapeMatrix(t, "BigANN", 200, 4)
+	long, err := dataset.Generate(dataset.Spec{Name: "long", Count: 40, Length: 16385, Family: dataset.Seismic, HFShare: 0.5, Burst: true}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, c := range []struct {
+		m *distance.Matrix
+		l int
+	}{{bigANN, 16}, {long, 13}} {
+		n, rows, l := c.m.Stride, c.m.Len(), c.l
+		sum := newSAXSum(t, n, l)
+		enc, g := sum.NewIndexEncoder(), newGatherTables(sum)
+		words := make([]byte, rows*l)
+		if err := enc.Words(c.m.Data, words); err != nil {
+			t.Fatal(err)
+		}
+		qr, qword := make([]float64, l), make([]byte, l)
+		prefix, cards := make([]byte, l), make([]uint8, l)
+		block, surv := make([]float64, rows), make([]int32, rows)
+		var fs fastScan
+		for qi := 0; qi < rows; qi++ {
+			query := c.m.Row(qi)
+			if _, err := enc.QueryRepr(query, qr); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := enc.Word(query, qword); err != nil {
+				t.Fatal(err)
+			}
+			k := kernel{qr: qr, weights: sum.Weights(), g: g, l: l}
+			dt := newDistTable(&k)
+			for _, bfs := range []*fastScan{nil, &fs} {
+				if kept := dt.minDistBlockEA(words, rows, block, math.Inf(1), surv, bfs); kept != rows {
+					t.Fatalf("n=%d l=%d query %d: %d of %d series survive an infinite bound", n, l, qi, kept, rows)
+				}
+				for i := 0; i < rows; i++ {
+					if want := sum.MinDist(qr, words[i*l:(i+1)*l]); math.Float64bits(block[i]) != math.Float64bits(want) {
+						t.Fatalf("n=%d l=%d pair (%d,%d) fastScan=%v: block LBD %v != MinDist %v", n, l, qi, i, bfs != nil, block[i], want)
+					}
+				}
+			}
+			for i := 0; i < rows; i++ {
+				word := words[i*l : (i+1)*l]
+				ed := distance.SquaredED(query, c.m.Row(i))
+				lbd := sum.MinDist(qr, word)
+				if got := dt.minDistEA(word, math.Inf(1)); math.Float64bits(got) != math.Float64bits(lbd) {
+					t.Fatalf("n=%d l=%d pair (%d,%d): table LBD %v != MinDist %v", n, l, qi, i, got, lbd)
+				}
+				if lbd > ed+1e-9 {
+					t.Fatalf("n=%d l=%d pair (%d,%d): MinDist %v > ED² %v", n, l, qi, i, lbd, ed)
+				}
+				for bits := 0; bits <= SymbolBits; bits++ {
+					for j := range word {
+						cards[j] = uint8(bits)
+						if bits == 0 { // the last round mixes cardinalities
+							cards[j] = uint8(1 + rng.Intn(SymbolBits))
+						}
+						prefix[j] = word[j] >> (SymbolBits - int(cards[j]))
+					}
+					pb := sum.MinDistVariable(qr, prefix, cards)
+					if pb > ed+1e-9 || pb > lbd {
+						t.Fatalf("n=%d l=%d pair (%d,%d) cards %v: prefix bound %v exceeds ED² %v or MinDist %v", n, l, qi, i, cards, pb, ed, lbd)
+					}
+					if got := dt.nodeMinDist(qword, prefix, cards); math.Float64bits(got) != math.Float64bits(pb) {
+						t.Fatalf("n=%d l=%d pair (%d,%d) cards %v: node table LBD %v != MinDistVariable %v", n, l, qi, i, cards, got, pb)
+					}
+				}
+			}
 		}
 	}
 }

@@ -6,10 +6,12 @@
 // SIMD-structured early-abandoning distance kernels.
 //
 // The tree is generic over the summarization: MESSI instantiates it with
-// iSAX (sax.Quantizer), SOFA with SFA (sfa.Quantizer). Both provide
-// full-cardinality words per series, a real-valued query-side
-// representation, and per-position breakpoint tables whose prefix structure
-// defines the variable-cardinality node intervals.
+// iSAX, SOFA with SFA. Both are one type, sfa.Quantizer — a projection
+// basis (segment means for iSAX, selected DFT values for SFA), per-position
+// breakpoint tables and weights — so both provide full-cardinality words per
+// series and a real-valued query-side representation through one word path,
+// and per-position breakpoint tables whose prefix structure defines the
+// variable-cardinality node intervals.
 //
 // # Query hot-path layout
 //
@@ -104,24 +106,24 @@ type Summarizer interface {
 }
 
 // Encoder transforms raw series under a Summarizer. Encoders are
-// per-goroutine (they own scratch buffers: the PAA values for SAX, the
-// selected DFT values of a block of series for SFA).
+// per-goroutine: they own the scratch that holds the projected values of a
+// block of series (sfa.Transformer, for SFA and iSAX alike).
 type Encoder interface {
 	// Word writes the full-cardinality word of series into dst.
 	Word(series []float64, dst []byte) ([]byte, error)
 	// Words writes the full-cardinality words of a block of series, held
 	// back to back in rows, into dst: word r at dst[r*l:(r+1)*l],
 	// byte-identical to Word of series r. The build transforms each
-	// worker's chunk with one call; SFA projects the block with a
-	// register-tiled kernel (simd.Project), SAX loops over Word.
+	// worker's chunk with one call, which projects the block with a
+	// register-tiled kernel (simd.Project) and quantizes the values.
 	Words(rows []float64, dst []byte) error
 	// QueryRepr writes the real-valued query-side representation (PAA of the
 	// query for SAX, selected DFT values for SFA) into dst.
 	QueryRepr(query []float64, dst []float64) ([]float64, error)
 }
 
-// Summarization couples a Summarizer with an Encoder factory. Both
-// sax.Quantizer and the sfa adapter satisfy it.
+// Summarization couples a Summarizer with an Encoder factory. core's one
+// adapter over sfa.Quantizer satisfies it, for SOFA and MESSI alike.
 type Summarization interface {
 	Summarizer
 	NewIndexEncoder() Encoder

@@ -1,33 +1,26 @@
-// Package sax implements the (indexable) Symbolic Aggregate approXimation:
-// PAA segmentation followed by a fixed quantization whose breakpoints are
-// equal-depth bins of the standard Normal distribution N(0,1). iSAX extends
-// SAX words with per-segment variable cardinality, which is what the
-// MESSI-style tree exploits for node splits. SAX provides a distance
-// (mindist) between a query's PAA and a SAX word that lower-bounds the true
-// Euclidean distance — the GEMINI requirement.
+// Package sax builds the (indexable) Symbolic Aggregate approXimation, the
+// summarization of the MESSI baseline, as an sfa.Quantizer: PAA is a
+// projection onto l segment-mean rows, quantized against the equal-depth
+// bins of the standard Normal distribution N(0,1) at every position under
+// weight n/l, so an iSAX word takes SFA's word path (simd.Project, then one
+// quantization) and its lower bound is SFA's MinDist. iSAX's per-segment
+// variable cardinality is the quantizer's symbol-prefix semantics, which
+// the tree exploits for node splits.
 package sax
 
 import (
 	"fmt"
-	"math"
 
-	"repro/internal/paa"
+	"repro/internal/sfa"
 	"repro/internal/stats"
 )
 
-// Quantizer holds the fixed N(0,1) breakpoint table for a given series
-// length, word length and alphabet. It is immutable after construction and
-// safe for concurrent use.
-type Quantizer struct {
-	n       int       // series length
-	l       int       // word length (number of segments)
-	bits    int       // bits per symbol; alphabet size is 1<<bits
-	bps     []float64 // (1<<bits)-1 interior breakpoints of N(0,1)
-	weights []float64 // per-segment squared-distance weight: n/l
-}
+// Quantizer is the fixed iSAX summarization for one series length, word
+// length and alphabet. It is immutable and safe for concurrent use.
+type Quantizer struct{ *sfa.Quantizer }
 
-// NewQuantizer builds a SAX quantizer for series of length n, l segments and
-// 2^bits symbols. The paper's default is l=16, bits=8 (alphabet 256).
+// NewQuantizer builds an iSAX quantizer for series of length n, l segments
+// and 2^bits symbols. The paper's default is l=16, bits=8 (alphabet 256).
 func NewQuantizer(n, l, bits int) (*Quantizer, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("sax: series length must be >= 1, got %d", n)
@@ -43,135 +36,32 @@ func NewQuantizer(n, l, bits int) (*Quantizer, error) {
 	for i := range bps {
 		bps[i] = stats.NormalQuantile(float64(i+1) / float64(alpha))
 	}
-	w := make([]float64, l)
-	segLen := float64(n) / float64(l)
-	for i := range w {
-		w[i] = segLen
+	tables, weights := make([][]float64, l), make([]float64, l)
+	for j := range tables {
+		// Lin et al.'s sqrt(n/l) factor, squared.
+		tables[j], weights[j] = bps, float64(n)/float64(l)
 	}
-	return &Quantizer{n: n, l: l, bits: bits, bps: bps, weights: w}, nil
+	return &Quantizer{sfa.New(n, bits, paaBasis(n, l), tables, weights)}, nil
 }
 
-// Segments returns the word length l.
-func (q *Quantizer) Segments() int { return q.l }
-
-// SeriesLen returns the series length n the quantizer was built for.
-func (q *Quantizer) SeriesLen() int { return q.n }
-
-// MaxBits returns the number of bits per symbol at full cardinality.
-func (q *Quantizer) MaxBits() int { return q.bits }
-
-// Weights returns the per-segment weights w such that the squared mindist is
-// sum_j w[j]*d_j². For SAX every weight is n/l (Lin et al.'s sqrt(n/l)
-// factor, squared).
-func (q *Quantizer) Weights() []float64 { return q.weights }
-
-// Breakpoints returns the full-cardinality interior breakpoints for segment
-// seg. SAX uses the same Normal-distribution table for every segment.
-func (q *Quantizer) Breakpoints(seg int) []float64 { return q.bps }
-
-// QueryRepr computes the query-side real-valued representation (the PAA of
-// the query) into dst and returns dst[:l].
-func (q *Quantizer) QueryRepr(query []float64, dst []float64) ([]float64, error) {
-	if len(query) != q.n {
-		return nil, fmt.Errorf("sax: query length %d, want %d", len(query), q.n)
+// paaBasis returns the row-major l×n matrix whose row j averages segment j.
+// Scaled by l, point t covers [t·l, (t+1)·l) and segment j covers
+// [j·n, (j+1)·n), so point t weighs overlap/n in segment j: 1/(n/l) when l
+// divides n, and split exactly between two segments at a boundary that
+// falls inside it when it does not. The overlaps are integers, so every
+// point's overlaps sum to exactly l and every segment's to exactly n.
+func paaBasis(n, l int) []float64 {
+	basis := make([]float64, l*n)
+	for j := 0; j < l; j++ {
+		row := basis[j*n : (j+1)*n]
+		for t := j * n / l; t*l < (j+1)*n; t++ {
+			overlap := min((t+1)*l, (j+1)*n) - max(t*l, j*n)
+			row[t] = float64(overlap) / float64(n)
+		}
 	}
-	return paa.Transform(query, q.l, dst)
+	return basis
 }
 
-// Word computes the full-cardinality SAX word of series into dst (length >=
-// l) and returns dst[:l]. The scratch slice must have length >= l and is
-// used for the intermediate PAA; pass nil to allocate.
-func (q *Quantizer) Word(series []float64, dst []byte, scratch []float64) ([]byte, error) {
-	if len(series) != q.n {
-		return nil, fmt.Errorf("sax: series length %d, want %d", len(series), q.n)
-	}
-	if len(dst) < q.l {
-		return nil, fmt.Errorf("sax: dst length %d < %d", len(dst), q.l)
-	}
-	if scratch == nil {
-		scratch = make([]float64, q.l)
-	}
-	means, err := paa.Transform(series, q.l, scratch)
-	if err != nil {
-		return nil, err
-	}
-	for j, m := range means {
-		dst[j] = byte(stats.BinIndex(q.bps, m))
-	}
-	return dst[:q.l], nil
-}
-
-// SymbolBounds returns the value interval [lo, hi) covered by the given
-// symbol prefix of width bits in segment seg. bits == MaxBits() addresses a
-// single full-cardinality symbol; fewer bits address the merged interval of
-// all symbols sharing that prefix, which is how iSAX variable cardinality
-// works. lo may be -Inf and hi may be +Inf at the extremes.
-func (q *Quantizer) SymbolBounds(seg int, bits int, prefix byte) (lo, hi float64) {
-	return prefixBounds(q.bps, q.bits, bits, prefix)
-}
-
-// prefixBounds implements the shared prefix-interval lookup over a
-// full-cardinality breakpoint table; sfa reuses it via BoundsFromTable.
-func prefixBounds(bps []float64, maxBits, bits int, prefix byte) (lo, hi float64) {
-	shift := uint(maxBits - bits)
-	loIdx := int(prefix) << shift // first full-card bin in the prefix group
-	hiIdx := (int(prefix) + 1) << shift
-	if loIdx == 0 {
-		lo = math.Inf(-1)
-	} else {
-		lo = bps[loIdx-1]
-	}
-	if hiIdx >= len(bps)+1 {
-		hi = math.Inf(1)
-	} else {
-		hi = bps[hiIdx-1]
-	}
-	return lo, hi
-}
-
-// BoundsFromTable exposes prefixBounds for other summarizations (SFA) that
-// share the variable-cardinality prefix semantics over their own learned
-// breakpoint tables.
-func BoundsFromTable(bps []float64, maxBits, bits int, prefix byte) (lo, hi float64) {
-	return prefixBounds(bps, maxBits, bits, prefix)
-}
-
-// MinDist computes the squared iSAX lower-bounding distance between the
-// query PAA qr and a full-cardinality word. It is the scalar reference
-// implementation (the index uses the SIMD-structured kernel); both must
-// agree exactly.
-func (q *Quantizer) MinDist(qr []float64, word []byte) float64 {
-	var sum float64
-	for j := 0; j < q.l; j++ {
-		lo, hi := q.SymbolBounds(j, q.bits, word[j])
-		d := breakpointDist(qr[j], lo, hi)
-		sum += q.weights[j] * d * d
-	}
-	return sum
-}
-
-// MinDistVariable computes the squared mindist against a word whose j-th
-// segment uses cards[j] bits (iSAX variable cardinality); word symbols are
-// prefixes right-aligned in the low bits.
-func (q *Quantizer) MinDistVariable(qr []float64, word []byte, cards []uint8) float64 {
-	var sum float64
-	for j := 0; j < q.l; j++ {
-		lo, hi := q.SymbolBounds(j, int(cards[j]), word[j])
-		d := breakpointDist(qr[j], lo, hi)
-		sum += q.weights[j] * d * d
-	}
-	return sum
-}
-
-// breakpointDist is Eq. 2 of the paper: the distance from value v to the
-// interval [lo, hi).
-func breakpointDist(v, lo, hi float64) float64 {
-	switch {
-	case v < lo:
-		return lo - v
-	case v > hi:
-		return v - hi
-	default:
-		return 0
-	}
-}
+// NewEncoder returns a per-goroutine encoder for the quantizer: the
+// sfa.Transformer every summarization shares.
+func (q *Quantizer) NewEncoder() *sfa.Transformer { return q.NewTransformer() }

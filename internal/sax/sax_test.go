@@ -9,6 +9,32 @@ import (
 	"repro/internal/distance"
 )
 
+// encode returns the query representation (the segment means) and the
+// full-cardinality word of series under q.
+func encode(q *Quantizer, series []float64) ([]float64, []byte, error) {
+	enc, l := q.NewEncoder(), q.Segments()
+	qr, err := enc.QueryRepr(series, make([]float64, l))
+	if err != nil {
+		return nil, nil, err
+	}
+	word, err := enc.Word(series, make([]byte, l))
+	return qr, word, err
+}
+
+// means returns the segment means of x under an l-segment quantizer.
+func means(t *testing.T, x []float64, l int) []float64 {
+	t.Helper()
+	q, err := NewQuantizer(len(x), l, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qr, _, err := encode(q, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return qr
+}
+
 func TestNewQuantizerValidation(t *testing.T) {
 	cases := []struct{ n, l, bits int }{
 		{0, 1, 8}, {16, 0, 8}, {16, 32, 8}, {16, 4, 0}, {16, 4, 9},
@@ -36,6 +62,13 @@ func TestAccessors(t *testing.T) {
 			t.Errorf("weight %v, want 16", w)
 		}
 	}
+	// A fractional segment length weighs each segment by it: 100/16.
+	q, _ = NewQuantizer(100, 16, 8)
+	for _, w := range q.Weights() {
+		if w != 6.25 {
+			t.Errorf("weight %v, want 6.25", w)
+		}
+	}
 }
 
 func TestBreakpointsSymmetricAndSorted(t *testing.T) {
@@ -56,6 +89,131 @@ func TestBreakpointsSymmetricAndSorted(t *testing.T) {
 	if math.Abs(bps[127]) > 1e-12 {
 		t.Errorf("middle breakpoint %v, want 0", bps[127])
 	}
+	// Every position reads the same N(0,1) table.
+	for j := 1; j < q.Segments(); j++ {
+		if &q.Breakpoints(j)[0] != &bps[0] {
+			t.Errorf("position %d has its own table", j)
+		}
+	}
+}
+
+// The PAA basis: integer overlaps, so each point's weights sum to exactly l/n
+// (its overlaps to exactly l) and each segment's to exactly 1 (its overlaps
+// to exactly n), with no weight outside the row — at shapes where l divides
+// n and where the segment boundaries fall inside points.
+func TestPAABasisIntegerOverlaps(t *testing.T) {
+	for _, c := range []struct{ n, l int }{{256, 16}, {100, 16}, {16385, 13}, {999, 15}, {5, 2}, {7, 7}, {3, 1}} {
+		basis := paaBasis(c.n, c.l)
+		if len(basis) != c.l*c.n {
+			t.Fatalf("n=%d l=%d: basis length %d", c.n, c.l, len(basis))
+		}
+		pointSum := make([]int, c.n)
+		for j := 0; j < c.l; j++ {
+			segSum := 0
+			for tt, w := range basis[j*c.n : (j+1)*c.n] {
+				ov := int(math.Round(w * float64(c.n)))
+				if w != float64(ov)/float64(c.n) || ov < 0 || ov > c.l {
+					t.Fatalf("n=%d l=%d: weight %v of point %d in segment %d is not an overlap/n", c.n, c.l, w, tt, j)
+				}
+				segSum += ov
+				pointSum[tt] += ov
+			}
+			if segSum != c.n {
+				t.Errorf("n=%d l=%d: segment %d overlaps sum to %d, want %d", c.n, c.l, j, segSum, c.n)
+			}
+		}
+		for tt, s := range pointSum {
+			if s != c.l {
+				t.Fatalf("n=%d l=%d: point %d overlaps sum to %d, want %d", c.n, c.l, tt, s, c.l)
+			}
+		}
+	}
+}
+
+func TestQueryReprEvenDivision(t *testing.T) {
+	got := means(t, []float64{1, 1, 2, 2, 3, 3, 4, 4}, 4)
+	for i, want := range []float64{1, 2, 3, 4} {
+		if got[i] != want {
+			t.Errorf("segment %d: got %v want %v", i, got[i], want)
+		}
+	}
+}
+
+func TestQueryReprSingleSegment(t *testing.T) {
+	if got := means(t, []float64{2, 4, 6}, 1); math.Abs(got[0]-4) > 1e-12 {
+		t.Errorf("got %v, want 4", got[0])
+	}
+}
+
+func TestQueryReprIdentity(t *testing.T) {
+	// l == n: PAA is the identity.
+	x := []float64{3, 1, 4, 1, 5}
+	got := means(t, x, 5)
+	for i := range x {
+		if got[i] != x[i] {
+			t.Errorf("identity violated at %d: %v != %v", i, got[i], x[i])
+		}
+	}
+}
+
+func TestQueryReprFractional(t *testing.T) {
+	// n=5, l=2: segments cover [0,2.5) and [2.5,5).
+	got := means(t, []float64{1, 1, 1, 3, 3}, 2)
+	// Segment 0: 1*1 + 1*1 + 1*0.5 = 2.5 over 2.5 -> 1.
+	// Segment 1: 1*0.5 + 3 + 3 = 6.5 over 2.5 -> 2.6.
+	if math.Abs(got[0]-1) > 1e-12 || math.Abs(got[1]-2.6) > 1e-12 {
+		t.Errorf("got %v, want [1 2.6]", got)
+	}
+}
+
+// Property: PAA preserves the overall mean (the mean of the segment means
+// equals the series mean), for any length and segment count.
+func TestMeanPreservationProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(300)
+		l := 1 + rng.Intn(n)
+		x := make([]float64, n)
+		var mean float64
+		for i := range x {
+			x[i] = rng.NormFloat64()
+			mean += x[i]
+		}
+		mean /= float64(n)
+		var paaMean float64
+		for _, v := range means(t, x, l) {
+			paaMean += v
+		}
+		paaMean /= float64(l)
+		return math.Abs(mean-paaMean) <= 1e-9
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: each PAA value lies within [min(x), max(x)].
+func TestRangeProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(100)
+		l := 1 + rng.Intn(n)
+		x := make([]float64, n)
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+			lo, hi = math.Min(lo, x[i]), math.Max(hi, x[i])
+		}
+		for _, v := range means(t, x, l) {
+			if v < lo-1e-9 || v > hi+1e-9 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestWordKnownValues(t *testing.T) {
@@ -66,7 +224,7 @@ func TestWordKnownValues(t *testing.T) {
 	}
 	// PAA values: -2, -0.3, 0.3, 2 -> symbols 0, 1, 2, 3.
 	series := []float64{-2, -2, -0.3, -0.3, 0.3, 0.3, 2, 2}
-	word, err := q.Word(series, make([]byte, 4), nil)
+	word, err := q.NewEncoder().Word(series, make([]byte, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,14 +238,18 @@ func TestWordKnownValues(t *testing.T) {
 
 func TestWordValidation(t *testing.T) {
 	q, _ := NewQuantizer(16, 4, 8)
-	if _, err := q.Word(make([]float64, 8), make([]byte, 4), nil); err == nil {
+	enc := q.NewEncoder()
+	if _, err := enc.Word(make([]float64, 8), make([]byte, 4)); err == nil {
 		t.Error("expected series length error")
 	}
-	if _, err := q.Word(make([]float64, 16), make([]byte, 2), nil); err == nil {
+	if _, err := enc.Word(make([]float64, 16), make([]byte, 2)); err == nil {
 		t.Error("expected dst length error")
 	}
-	if _, err := q.QueryRepr(make([]float64, 8), make([]float64, 4)); err == nil {
+	if _, err := enc.QueryRepr(make([]float64, 8), make([]float64, 4)); err == nil {
 		t.Error("expected query length error")
+	}
+	if _, err := enc.QueryRepr(make([]float64, 16), make([]float64, 3)); err == nil {
+		t.Error("expected query dst length error")
 	}
 }
 
@@ -141,63 +303,66 @@ func randomZNorm(rng *rand.Rand, n int) []float64 {
 	return x
 }
 
+// shapes are the (n, l) pairs the bound properties run at: l dividing n,
+// and segment boundaries inside points (BigANN's 100/16 among them).
+var shapes = []struct{ n, l int }{{96, 16}, {64, 8}, {100, 16}, {61, 7}}
+
 // The GEMINI invariant: mindist(PAA(Q), word(S)) <= ed²(Q, S).
 func TestLowerBoundProperty(t *testing.T) {
-	q, err := NewQuantizer(96, 16, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		qs := randomZNorm(rng, 96)
-		cs := randomZNorm(rng, 96)
-		qr, err := q.QueryRepr(qs, make([]float64, 16))
+	for _, c := range shapes {
+		q, err := NewQuantizer(c.n, c.l, 8)
 		if err != nil {
-			return false
+			t.Fatal(err)
 		}
-		word, err := q.Word(cs, make([]byte, 16), nil)
-		if err != nil {
-			return false
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			qs, cs := randomZNorm(rng, c.n), randomZNorm(rng, c.n)
+			qr, _, err := encode(q, qs)
+			if err != nil {
+				return false
+			}
+			_, word, err := encode(q, cs)
+			if err != nil {
+				return false
+			}
+			return q.MinDist(qr, word) <= distance.SquaredED(qs, cs)+1e-9
 		}
-		lb := q.MinDist(qr, word)
-		ed2 := distance.SquaredED(qs, cs)
-		return lb <= ed2+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Fatalf("n=%d l=%d: %v", c.n, c.l, err)
+		}
 	}
 }
 
 // Lower cardinality can only loosen (reduce) the mindist, never raise it.
 func TestCardinalityMonotonicityProperty(t *testing.T) {
-	q, err := NewQuantizer(64, 8, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		qs := randomZNorm(rng, 64)
-		cs := randomZNorm(rng, 64)
-		qr, _ := q.QueryRepr(qs, make([]float64, 8))
-		word, _ := q.Word(cs, make([]byte, 8), nil)
-		prev := math.Inf(1)
-		for bits := 8; bits >= 1; bits-- {
-			w := make([]byte, 8)
-			cards := make([]uint8, 8)
-			for j := range w {
-				w[j] = word[j] >> (8 - bits)
-				cards[j] = uint8(bits)
-			}
-			d := q.MinDistVariable(qr, w, cards)
-			if d > prev+1e-12 {
-				return false
-			}
-			prev = d
+	for _, c := range shapes {
+		q, err := NewQuantizer(c.n, c.l, 8)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			qr, _, _ := encode(q, randomZNorm(rng, c.n))
+			_, word, _ := encode(q, randomZNorm(rng, c.n))
+			prev := math.Inf(1)
+			for bits := 8; bits >= 1; bits-- {
+				w := make([]byte, c.l)
+				cards := make([]uint8, c.l)
+				for j := range w {
+					w[j] = word[j] >> (8 - bits)
+					cards[j] = uint8(bits)
+				}
+				d := q.MinDistVariable(qr, w, cards)
+				if d > prev+1e-12 {
+					return false
+				}
+				prev = d
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Fatalf("n=%d l=%d: %v", c.n, c.l, err)
+		}
 	}
 }
 
@@ -205,10 +370,8 @@ func TestCardinalityMonotonicityProperty(t *testing.T) {
 func TestMinDistVariableMatchesFull(t *testing.T) {
 	q, _ := NewQuantizer(64, 8, 8)
 	rng := rand.New(rand.NewSource(42))
-	qs := randomZNorm(rng, 64)
-	cs := randomZNorm(rng, 64)
-	qr, _ := q.QueryRepr(qs, make([]float64, 8))
-	word, _ := q.Word(cs, make([]byte, 8), nil)
+	qr, _, _ := encode(q, randomZNorm(rng, 64))
+	_, word, _ := encode(q, randomZNorm(rng, 64))
 	cards := []uint8{8, 8, 8, 8, 8, 8, 8, 8}
 	if d1, d2 := q.MinDist(qr, word), q.MinDistVariable(qr, word, cards); d1 != d2 {
 		t.Errorf("full-cardinality mismatch: %v vs %v", d1, d2)
@@ -220,9 +383,7 @@ func TestMinDistSelfIsZeroish(t *testing.T) {
 	// inside their own bins.
 	q, _ := NewQuantizer(128, 16, 8)
 	rng := rand.New(rand.NewSource(7))
-	s := randomZNorm(rng, 128)
-	qr, _ := q.QueryRepr(s, make([]float64, 16))
-	word, _ := q.Word(s, make([]byte, 16), nil)
+	qr, word, _ := encode(q, randomZNorm(rng, 128))
 	if d := q.MinDist(qr, word); d != 0 {
 		t.Errorf("self mindist %v, want 0", d)
 	}
@@ -241,10 +402,8 @@ func TestTightnessImprovesWithAlphabet(t *testing.T) {
 		var sum float64
 		const trials = 50
 		for i := 0; i < trials; i++ {
-			a := randomZNorm(rng, n)
-			b := randomZNorm(rng, n)
-			qr, _ := q.QueryRepr(a, make([]float64, 16))
-			w, _ := q.Word(b, make([]byte, 16), nil)
+			qr, _, _ := encode(q, randomZNorm(rng, n))
+			_, w, _ := encode(q, randomZNorm(rng, n))
 			sum += q.MinDist(qr, w)
 		}
 		mean := sum / trials
@@ -255,27 +414,14 @@ func TestTightnessImprovesWithAlphabet(t *testing.T) {
 	}
 }
 
-func TestBoundsFromTable(t *testing.T) {
-	bps := []float64{1, 2, 3}
-	lo, hi := BoundsFromTable(bps, 2, 2, 0)
-	if !math.IsInf(lo, -1) || hi != 1 {
-		t.Errorf("(%v,%v)", lo, hi)
-	}
-	lo, hi = BoundsFromTable(bps, 2, 1, 1)
-	if lo != 2 || !math.IsInf(hi, 1) {
-		t.Errorf("(%v,%v)", lo, hi)
-	}
-}
-
 func BenchmarkWord256(b *testing.B) {
 	q, _ := NewQuantizer(256, 16, 8)
 	rng := rand.New(rand.NewSource(1))
 	s := randomZNorm(rng, 256)
-	dst := make([]byte, 16)
-	scratch := make([]float64, 16)
+	enc, dst := q.NewEncoder(), make([]byte, 16)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := q.Word(s, dst, scratch); err != nil {
+		if _, err := enc.Word(s, dst); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -284,10 +430,8 @@ func BenchmarkWord256(b *testing.B) {
 func BenchmarkMinDist(b *testing.B) {
 	q, _ := NewQuantizer(256, 16, 8)
 	rng := rand.New(rand.NewSource(2))
-	qs := randomZNorm(rng, 256)
-	cs := randomZNorm(rng, 256)
-	qr, _ := q.QueryRepr(qs, make([]float64, 16))
-	w, _ := q.Word(cs, make([]byte, 16), nil)
+	qr, _, _ := encode(q, randomZNorm(rng, 256))
+	_, w, _ := encode(q, randomZNorm(rng, 256))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		q.MinDist(qr, w)

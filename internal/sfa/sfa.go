@@ -1,35 +1,36 @@
-// Package sfa implements the Symbolic Fourier Approximation and its learned
-// quantization, Multiple Coefficient Binning (MCB) — the paper's core
-// summarization (Section IV-E):
+// Package sfa implements the projection quantizer both summarizations are
+// words of: an l×n basis, one breakpoint table per word position, and one
+// weight per position. A word is the projection of a series onto the basis,
+// each value quantized against its own position's table; the lower bound is
+// the weighted sum of each query value's squared distance to its symbol's
+// interval (Eq. 2). SFA and iSAX differ only in the three parts:
 //
-//  1. Transformation: series are mapped to the frequency domain with the DFT
-//     (coefficients scaled by 1/sqrt(n) so Parseval yields the Euclidean
-//     lower bound of Eq. 1 directly). A word keeps only l real/imaginary
-//     values, and each is one dot product of the series with a precomputed
-//     scaled cos or -sin row. The quantizer holds those l rows as an l×n
-//     projection basis, so a transform is a projection and no FFT: one
-//     simd.Project call computes the l values of a whole block of series
-//     (Transformer.Words), register-tiled so each basis row is loaded once
-//     per few series, and one series (Word, QueryRepr) is the same call on
-//     a block of one. Every value is bit-identical to simd.Dot of the
-//     series with its basis row, in every kernel tier.
-//  2. Feature selection: of the first MaxCoeffs complex coefficients, the l
-//     real/imaginary values with the highest variance are retained (the
-//     paper's novel selection; the classical first-l strategy is kept for
-//     the ablation study).
-//  3. Learned quantization: each retained value gets its own alphabet-sized
-//     bin table learned from a sample of the data, with equi-width
-//     (the paper's choice) or equi-depth (original SFA) binning. On an
-//     equi-width table a value's bin is guessed from the first breakpoint
-//     and the mean bin width, then corrected against the table with a few
-//     compares, so the symbol is exactly stats.BinIndex's in O(1); other
-//     tables take the binary search.
+//   - SFA, the paper's summarization (Section IV-E), is learned by Learn
+//     with Multiple Coefficient Binning (MCB). Each basis row is one real
+//     or imaginary part of a DFT coefficient, cos(2πkt/n)/√n or
+//     -sin(2πkt/n)/√n (scaled so Parseval yields the Euclidean lower bound
+//     of Eq. 1 directly, under weight 2, or 1 for Nyquist). Of the first
+//     MaxCoeffs complex coefficients, the l values with the highest
+//     variance over a sample are kept (the paper's selection; the classical
+//     first-l strategy is kept for the ablation study), and each gets its
+//     own alphabet-sized bin table learned from the sample, equi-width (the
+//     paper's choice) or equi-depth (original SFA).
+//   - iSAX, MESSI's summarization, is fixed: internal/sax builds it with New
+//     from the PAA basis, the N(0,1) table at every position and weight n/l.
+//
+// One simd.Project call computes the l values of a whole block of series
+// (Transformer.Words), register-tiled so each basis row is loaded once per
+// few series, and one series (Word, QueryRepr) is the same call on a block
+// of one; every value is bit-identical to simd.Dot of the series with its
+// basis row, in every kernel tier. On an equi-width table a value's bin is
+// guessed from the first breakpoint and the mean bin width, then corrected
+// against the table with a few compares, so the symbol is exactly
+// stats.BinIndex's in O(1); other tables take the binary search.
 //
 // A word is the quantization of the query representation (Transformer.Word
 // quantizes Transformer.QueryRepr), so both come from one arithmetic and a
-// value on a breakpoint falls on the same side of it in each. The words
-// admit a lower-bounding distance to the true Euclidean distance (Eq. 2),
-// which the SOFA index uses for GEMINI-style pruning.
+// value on a breakpoint falls on the same side of it in each. The index
+// uses the lower bound for GEMINI-style pruning.
 package sfa
 
 import (
@@ -39,7 +40,6 @@ import (
 	"sort"
 
 	"repro/internal/distance"
-	"repro/internal/sax"
 	"repro/internal/simd"
 	"repro/internal/stats"
 )
@@ -145,40 +145,52 @@ func (o Options) withDefaults(n int) Options {
 	return o
 }
 
-// Quantizer is a learned SFA summarization: the selected Fourier-value
-// indices, their per-value breakpoint tables, and the projection basis
-// derived from the indices. It is immutable after Learn and safe for
-// concurrent use; per-goroutine scratch lives in Transformer.
+// Quantizer is a projection summarization: the basis, the per-position
+// breakpoint tables and weights, and for a learned SFA quantizer the
+// selected Fourier-value indices the basis was derived from. It is immutable
+// after construction and safe for concurrent use; per-goroutine scratch
+// lives in Transformer.
 type Quantizer struct {
-	n       int   // series length
-	l       int   // word length (number of values)
-	bits    int   // bits per symbol
-	indices []int // selected value indices into the interleaved spectrum,
-	// ordered by decreasing variance (early-abandon priority)
-	variances []float64  // variance of each selected value, same order
-	bins      []binTable // l tables of (1<<bits)-1 breakpoints
-	weights   []float64  // Parseval weight per value: 2, or 1 for Nyquist
-	nCoeffs   int        // candidate pool plus DC: every index is < 2*nCoeffs
-	// basis is the l×n row-major projection of a series onto the selected
-	// values (row j yields value indices[j]). Derived from indices and n,
-	// never persisted.
-	basis []float64
+	n       int        // series length
+	l       int        // word length (number of values)
+	bits    int        // bits per symbol
+	basis   []float64  // l×n row-major projection; row j yields value j
+	bins    []binTable // l tables of (1<<bits)-1 breakpoints
+	weights []float64  // lower-bound weight per value
+	// SFA only (nil and 0 for a quantizer built by New): the selected
+	// value indices into the interleaved spectrum, ordered by decreasing
+	// variance (early-abandon priority), their variances, and the candidate
+	// pool plus DC (every index is < 2*nCoeffs). The basis is derived from
+	// indices and n, never persisted.
+	indices   []int
+	variances []float64
+	nCoeffs   int
 }
 
-// newQuantizer assembles a quantizer from its learned tables and derives
-// the projection basis and bin locators; Learn and FromState both end here.
-func newQuantizer(n, bits, nCoeffs int, indices []int, variances, weights []float64, bps [][]float64) *Quantizer {
+// New assembles a quantizer for series of length n from a row-major l×n
+// projection basis, one sorted table of (1<<bits)-1 breakpoints per word
+// position (tables may share storage) and one weight per position, where
+// l = len(bps). The caller guarantees the lower bound: for every pair of
+// series, the weighted sum of squared differences of their projected values
+// must not exceed their squared Euclidean distance.
+func New(n, bits int, basis []float64, bps [][]float64, weights []float64) *Quantizer {
 	q := &Quantizer{
-		n: n, l: len(indices), bits: bits, nCoeffs: nCoeffs,
-		indices:   indices,
-		variances: variances,
-		weights:   weights,
-		bins:      make([]binTable, len(bps)),
-		basis:     projectionBasis(n, indices),
+		n: n, l: len(bps), bits: bits,
+		basis:   basis,
+		bins:    make([]binTable, len(bps)),
+		weights: weights,
 	}
 	for j, b := range bps {
 		q.bins[j] = newBinTable(b)
 	}
+	return q
+}
+
+// newQuantizer assembles a learned SFA quantizer and derives its projection
+// basis; Learn and FromState both end here.
+func newQuantizer(n, bits, nCoeffs int, indices []int, variances, weights []float64, bps [][]float64) *Quantizer {
+	q := New(n, bits, projectionBasis(n, indices), bps, weights)
+	q.indices, q.variances, q.nCoeffs = indices, variances, nCoeffs
 	return q
 }
 
@@ -446,15 +458,16 @@ func (q *Quantizer) SeriesLen() int { return q.n }
 // MaxBits returns the bits per symbol at full cardinality.
 func (q *Quantizer) MaxBits() int { return q.bits }
 
-// Weights returns the per-value Parseval weights.
+// Weights returns the per-position lower-bound weights: the Parseval
+// multiplicity for SFA, n/l for iSAX.
 func (q *Quantizer) Weights() []float64 { return q.weights }
 
-// Breakpoints returns the learned full-cardinality breakpoint table for the
-// j-th word position.
+// Breakpoints returns the full-cardinality breakpoint table for the j-th
+// word position.
 func (q *Quantizer) Breakpoints(j int) []float64 { return q.bins[j].bps }
 
 // Indices returns the selected interleaved-spectrum value indices in
-// priority (descending variance) order.
+// priority (descending variance) order; nil for a quantizer built by New.
 func (q *Quantizer) Indices() []int { return q.indices }
 
 // Variances returns the sample variance of each selected value.
@@ -473,16 +486,29 @@ func (q *Quantizer) MeanCoefficientIndex() float64 {
 	return s / float64(len(q.indices))
 }
 
-// SymbolBounds returns the value interval covered by a symbol prefix of
-// width bits at word position j (variable-cardinality semantics shared with
-// iSAX).
+// SymbolBounds returns the value interval [lo, hi) covered by a symbol
+// prefix of width bits at word position j. bits == MaxBits() addresses a
+// single full-cardinality symbol; fewer bits address the merged interval of
+// all symbols sharing that prefix (iSAX variable cardinality). lo may be
+// -Inf and hi +Inf at the extremes.
 func (q *Quantizer) SymbolBounds(j int, bits int, prefix byte) (lo, hi float64) {
-	return sax.BoundsFromTable(q.bins[j].bps, q.bits, bits, prefix)
+	bps := q.bins[j].bps
+	shift := uint(q.bits - bits)
+	loIdx := int(prefix) << shift // first full-cardinality bin of the prefix
+	hiIdx := (int(prefix) + 1) << shift
+	lo, hi = math.Inf(-1), math.Inf(1)
+	if loIdx > 0 {
+		lo = bps[loIdx-1]
+	}
+	if hiIdx <= len(bps) {
+		hi = bps[hiIdx-1]
+	}
+	return lo, hi
 }
 
-// MinDist computes the squared SFA lower-bounding distance (Eq. 2 summed
-// with Parseval weights) between the query's selected DFT values qr and a
-// full-cardinality word. Scalar reference implementation.
+// MinDist computes the squared lower-bounding distance (Eq. 2 summed under
+// the weights) between the query representation qr and a full-cardinality
+// word. Scalar reference implementation.
 func (q *Quantizer) MinDist(qr []float64, word []byte) float64 {
 	var sum float64
 	for j := 0; j < q.l; j++ {
@@ -494,7 +520,8 @@ func (q *Quantizer) MinDist(qr []float64, word []byte) float64 {
 }
 
 // MinDistVariable computes the squared mindist against a variable-
-// cardinality word (cards[j] bits per position).
+// cardinality word (cards[j] bits per position; word symbols are prefixes
+// right-aligned in the low bits).
 func (q *Quantizer) MinDistVariable(qr []float64, word []byte, cards []uint8) float64 {
 	var sum float64
 	for j := 0; j < q.l; j++ {
@@ -505,6 +532,8 @@ func (q *Quantizer) MinDistVariable(qr []float64, word []byte, cards []uint8) fl
 	return sum
 }
 
+// breakpointDist is Eq. 2 of the paper: the distance from value v to the
+// interval [lo, hi).
 func breakpointDist(v, lo, hi float64) float64 {
 	switch {
 	case v < lo:
@@ -521,7 +550,7 @@ func breakpointDist(v, lo, hi float64) float64 {
 // (16 KiB) at l = 32, stay in L1d for the quantization that follows.
 const wordsBlock = 64
 
-// Transformer transforms series under a learned Quantizer, holding the
+// Transformer transforms series under a Quantizer, holding the
 // per-goroutine scratch Words quantizes from. Not safe for concurrent use;
 // create one per worker.
 type Transformer struct {
@@ -534,9 +563,9 @@ func (q *Quantizer) NewTransformer() *Transformer {
 	return &Transformer{q: q, vals: make([]float64, q.l)}
 }
 
-// QueryRepr computes the query-side representation — the selected scaled DFT
-// values in priority order, simd.Project of query onto the basis — into dst
-// (length >= l), returning dst[:l].
+// QueryRepr computes the query-side representation — simd.Project of query
+// onto the basis: SFA's selected scaled DFT values in priority order, or
+// iSAX's segment means — into dst (length >= l), returning dst[:l].
 func (t *Transformer) QueryRepr(query []float64, dst []float64) ([]float64, error) {
 	q := t.q
 	if len(query) != q.n {
@@ -549,7 +578,7 @@ func (t *Transformer) QueryRepr(query []float64, dst []float64) ([]float64, erro
 	return dst[:q.l], nil
 }
 
-// Word computes the full-cardinality SFA word of series (Algorithm 2) into
+// Word computes the full-cardinality word of series (Algorithm 2) into
 // dst (length >= l), returning dst[:l]: the quantization of QueryRepr(series),
 // computed as Words on a block of one.
 func (t *Transformer) Word(series []float64, dst []byte) ([]byte, error) {
@@ -603,8 +632,9 @@ func (q *Quantizer) quantize(vals []float64, dst []byte) {
 	}
 }
 
-// State is the serializable form of a learned Quantizer, used by index
-// persistence. All slices are deep copies.
+// State is the serializable form of a learned SFA Quantizer, used by index
+// persistence (an iSAX quantizer is derived from n and l, never saved). All
+// slices are deep copies.
 type State struct {
 	N, L, Bits, NCoeffs int
 	Indices             []int

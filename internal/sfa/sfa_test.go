@@ -633,6 +633,24 @@ func TestFromStateRejectsForgedStates(t *testing.T) {
 	}
 }
 
+// SymbolBounds reads the interval of a symbol prefix off its position's own
+// table: the merged bins of every full-cardinality symbol sharing it.
+func TestSymbolBoundsPrefixes(t *testing.T) {
+	q := New(4, 2, make([]float64, 4), [][]float64{{1, 2, 3}}, []float64{1})
+	for _, c := range []struct {
+		bits   int
+		prefix byte
+		lo, hi float64
+	}{
+		{2, 0, math.Inf(-1), 1}, {2, 1, 1, 2}, {2, 3, 3, math.Inf(1)},
+		{1, 0, math.Inf(-1), 2}, {1, 1, 2, math.Inf(1)},
+	} {
+		if lo, hi := q.SymbolBounds(0, c.bits, c.prefix); lo != c.lo || hi != c.hi {
+			t.Errorf("prefix %d@%d bits: (%v,%v), want (%v,%v)", c.prefix, c.bits, lo, hi, c.lo, c.hi)
+		}
+	}
+}
+
 func TestMeanCoefficientIndex(t *testing.T) {
 	q := &Quantizer{indices: []int{16, 17, 18, 19}} // coeffs 8,8,9,9
 	if got := q.MeanCoefficientIndex(); got != 8.5 {

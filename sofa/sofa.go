@@ -39,7 +39,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/sfa"
 )
 
 // Sentinel errors returned (possibly wrapped with detail) by Build and the
@@ -149,25 +148,9 @@ func Workers(n int) Option { return func(c *config) { c.cfg.Workers = n } }
 // single-shard build.
 func Shards(s int) Option { return func(c *config) { c.cfg.Shards = s } }
 
-// EquiDepthBinning switches SFA to equi-depth (equal sample mass) bins,
-// the original SFA strategy; the default is the paper's equi-width bins.
-func EquiDepthBinning() Option { return func(c *config) { c.cfg.Binning = sfa.EquiDepth } }
-
-// FirstCoefficients switches SFA coefficient selection to the classical
-// low-pass choice (first l values); the default keeps the l values with
-// the highest variance over the sample.
-func FirstCoefficients() Option { return func(c *config) { c.cfg.Selection = sfa.FirstCoefficients } }
-
 // SampleRate sets the fraction of the collection the SFA bins are learned
 // from (default 0.01).
 func SampleRate(r float64) Option { return func(c *config) { c.cfg.SampleRate = r } }
-
-// MaxCoeffs sets the number of candidate complex DFT coefficients SFA
-// selects from (default 16).
-func MaxCoeffs(m int) Option { return func(c *config) { c.cfg.MaxCoeffs = m } }
-
-// Seed sets the sampling seed for the SFA learning stage (default 1).
-func Seed(s int64) Option { return func(c *config) { c.cfg.Seed = s } }
 
 // Compaction is the tombstone-reclamation policy of a mutable index: when a
 // shard is rebuilt without its deleted rows, and when such a rebuild also
@@ -199,8 +182,6 @@ func (c *config) validate() error {
 		return fmt.Errorf("%w: shards %d", ErrBadConfig, cfg.Shards)
 	case cfg.SampleRate < 0 || cfg.SampleRate > 1:
 		return fmt.Errorf("%w: sample rate %v (want 0..1)", ErrBadConfig, cfg.SampleRate)
-	case cfg.MaxCoeffs < 0:
-		return fmt.Errorf("%w: max coefficients %d", ErrBadConfig, cfg.MaxCoeffs)
 	case cfg.Compaction.MaxTombstoneFraction > 1:
 		return fmt.Errorf("%w: max tombstone fraction %v (want 0..1)", ErrBadConfig, cfg.Compaction.MaxTombstoneFraction)
 	}

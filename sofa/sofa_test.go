@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/scan"
 )
 
 // mixedMatrix generates the test collection used across the repo: a third
@@ -237,6 +239,48 @@ func TestSearchExact(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// MESSI at a word length that does not divide the series length: 16,385
+// points in 13 segments put segment boundaries inside points, and the last
+// segment's rounded end past the last point. The build must succeed and
+// answer exactly what the sequential scan answers. The basis behind it is
+// checked exactly at this shape in internal/sax (TestPAABasisIntegerOverlaps).
+func TestMESSIFractionalSegments(t *testing.T) {
+	const n, count, k = 16385, 120, 5
+	rng := rand.New(rand.NewSource(13))
+	m := mixedMatrix(rng, count, n)
+	ix, err := Build(m, MESSI(), WordLength(13), LeafSize(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := scan.New(m, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for qi := 0; qi < 6; qi++ {
+		q := randQuery(rng, n)
+		if qi%2 == 1 {
+			copy(q, m.Row(rng.Intn(count))) // a query with an exact match
+		}
+		res, err := ix.Search(ctx, Query{Series: q, K: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sc.Search(q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) != len(want) {
+			t.Fatalf("query %d: %d results, scan %d", qi, len(res), len(want))
+		}
+		for i := range want {
+			if uint64(res[i].ID) != uint64(want[i].ID) || math.Abs(res[i].Dist-want[i].Dist) > 1e-9*(want[i].Dist+1) {
+				t.Fatalf("query %d rank %d: got %+v, scan %+v", qi, i, res[i], want[i])
+			}
+		}
 	}
 }
 
