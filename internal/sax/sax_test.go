@@ -57,16 +57,27 @@ func TestAccessors(t *testing.T) {
 	if len(q.Breakpoints(0)) != 255 {
 		t.Errorf("breakpoints: %d", len(q.Breakpoints(0)))
 	}
-	for _, w := range q.Weights() {
-		if w != 16 { // n/l = 256/16
-			t.Errorf("weight %v, want 16", w)
+}
+
+// The iSAX weight of every segment is the segment length n/l, fractional
+// where l does not divide n.
+func TestSegmentLength(t *testing.T) {
+	for _, c := range []struct {
+		n, l int
+		want float64
+	}{{256, 16, 16}, {100, 16, 6.25}, {5, 2, 2.5}, {7, 7, 1}, {3, 1, 3}} {
+		q, err := NewQuantizer(c.n, c.l, 8)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// A fractional segment length weighs each segment by it: 100/16.
-	q, _ = NewQuantizer(100, 16, 8)
-	for _, w := range q.Weights() {
-		if w != 6.25 {
-			t.Errorf("weight %v, want 6.25", w)
+		ws := q.Weights()
+		if len(ws) != c.l {
+			t.Fatalf("n=%d l=%d: %d weights", c.n, c.l, len(ws))
+		}
+		for j, w := range ws {
+			if w != c.want {
+				t.Errorf("n=%d l=%d: weight %d is %v, want %v", c.n, c.l, j, w, c.want)
+			}
 		}
 	}
 }
@@ -153,6 +164,23 @@ func TestQueryReprIdentity(t *testing.T) {
 		if got[i] != x[i] {
 			t.Errorf("identity violated at %d: %v != %v", i, got[i], x[i])
 		}
+	}
+}
+
+// The segment means are only defined for 1 <= l <= n and need l slots.
+func TestQueryReprValidation(t *testing.T) {
+	if _, err := NewQuantizer(3, 0, 8); err == nil {
+		t.Error("expected error for l=0")
+	}
+	if _, err := NewQuantizer(3, 4, 8); err == nil {
+		t.Error("expected error for l>n")
+	}
+	q, err := NewQuantizer(3, 2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.NewEncoder().QueryRepr([]float64{1, 2, 3}, make([]float64, 1)); err == nil {
+		t.Error("expected error for small dst")
 	}
 }
 
