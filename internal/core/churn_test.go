@@ -5,7 +5,9 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/distance"
@@ -57,12 +59,12 @@ func (m *churnModel) delete(id index.ID) {
 func (m *churnModel) pick(rng *rand.Rand) index.ID { return m.ids[rng.Intn(len(m.ids))] }
 
 // modelKNN is the brute-force oracle: exact k-NN over the model's live
-// series, sorted by (distance, id).
-func (m *churnModel) modelKNN(query []float64, k int) []index.Result {
+// series under dist, sorted by (distance, id).
+func (m *churnModel) modelKNN(query []float64, k int, dist func(a, b []float64) float64) []index.Result {
 	q := distance.ZNormalized(query)
 	res := make([]index.Result, 0, len(m.ids))
 	for _, id := range m.ids {
-		res = append(res, index.Result{ID: id, Dist: distance.SquaredED(m.live[id], q)})
+		res = append(res, index.Result{ID: id, Dist: dist(m.live[id], q)})
 	}
 	sort.Slice(res, func(i, j int) bool {
 		if res[i].Dist != res[j].Dist {
@@ -82,7 +84,7 @@ func (m *churnModel) modelKNN(query []float64, k int) []index.Result {
 // fixed seeds make any divergence deterministic).
 func checkAgainstModel(t *testing.T, m *churnModel, got []index.Result, query []float64, k int) {
 	t.Helper()
-	want := m.modelKNN(query, k)
+	want := m.modelKNN(query, k, distance.SquaredED)
 	if len(got) != len(want) {
 		t.Fatalf("%d results, oracle has %d", len(got), len(want))
 	}
@@ -405,9 +407,10 @@ func TestChurnDurable(t *testing.T) {
 	}
 }
 
-// TestChurnConcurrentCompaction exercises the concurrency contract —
-// mutations may run concurrently with background compaction — under the race
-// detector, then checks the surviving state against the oracle.
+// TestChurnConcurrentCompaction exercises the write side of the concurrency
+// contract — mutations may run concurrently with compaction on another
+// goroutine, and wait for its rebuild — under the race detector, then checks
+// the surviving state against the oracle.
 func TestChurnConcurrentCompaction(t *testing.T) {
 	const n, k = 32, 5
 	rng := rand.New(rand.NewSource(4103))
@@ -450,6 +453,92 @@ func TestChurnConcurrentCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkAgainstModel(t, m, res, q, k)
+	}
+}
+
+// TestCompactionConcurrentSearch pins the read side of the RCU swap: two
+// goroutines, each with its own searcher, query while a third compacts every
+// shard of a collection carrying ~30% tombstones. A search keeps whichever
+// shard state it pinned, old or rebuilt, so every answer must be
+// bit-identical to the brute-force answer over the survivors, computed with
+// the kernel exact refinement runs (simd.SquaredEDEA, never abandoning).
+func TestCompactionConcurrentSearch(t *testing.T) {
+	const n, k, queries = 32, 5, 6
+	for _, shards := range []int{2, 4} {
+		rng := rand.New(rand.NewSource(4105))
+		data := mixedMatrix(rng, 2000, n)
+		ix, err := Build(data, Config{Method: SOFA, LeafCapacity: 16, SampleRate: 0.5, Shards: shards, Workers: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := newChurnModel(data)
+		for id := index.ID(0); int(id) < data.Len(); id++ {
+			if rng.Float64() < 0.3 {
+				if err := ix.Delete(id); err != nil {
+					t.Fatal(err)
+				}
+				m.delete(id)
+			}
+		}
+		refineED := func(a, b []float64) float64 { return distance.SquaredEDEarlyAbandon(a, b, math.Inf(1)) }
+		qs := make([][]float64, queries)
+		want := make([][]index.Result, queries)
+		for qi := range qs {
+			qs[qi] = churnSeries(rng, n)
+			want[qi] = m.modelKNN(qs[qi], k, refineED)
+		}
+
+		// Both searchers answer one query before compaction starts and keep
+		// querying until it is done. A cycle that starts after that runs
+		// every query against the rebuilt shards, and is the last.
+		var ready, wg sync.WaitGroup
+		done := make(chan struct{})
+		for g := 0; g < 2; g++ {
+			ready.Add(1)
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				s := ix.NewSearcher()
+				for cycle := 0; ; cycle++ {
+					var last bool
+					select {
+					case <-done:
+						last = true
+					default:
+					}
+					for j := 0; j < queries; j++ {
+						qi := (j + g) % queries
+						got, err := s.Search(qs[qi], k)
+						if cycle == 0 && j == 0 {
+							ready.Done()
+						}
+						if err != nil {
+							t.Errorf("S=%d searcher %d: %v", shards, g, err)
+							return
+						}
+						if !reflect.DeepEqual(got, want[qi]) {
+							t.Errorf("S=%d searcher %d query %d: got %v, want %v", shards, g, qi, got, want[qi])
+							return
+						}
+					}
+					if last {
+						return
+					}
+				}
+			}(g)
+		}
+		ready.Wait()
+		for i := 0; i < shards; i++ {
+			if err := ix.CompactShard(i); err != nil {
+				t.Errorf("S=%d: compact shard %d: %v", shards, i, err)
+			}
+		}
+		close(done)
+		wg.Wait()
+		if got := ix.Collection().Tombstoned(); got != 0 {
+			t.Errorf("S=%d: %d tombstones left after compacting every shard", shards, got)
+		}
+		checkChurnCounters(t, ix, m)
 	}
 }
 

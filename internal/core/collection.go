@@ -33,15 +33,15 @@ import (
 // is the cross-shard best-so-far, so shards prune each other and the
 // collector holds the global top-k with no post-merge.
 //
-// Mutation contract: Delete and Upsert join Insert behind one internal
-// mutex, so writers may be concurrent with each other and with compaction;
-// searches remain lock-free and require external synchronization against
-// mutations (the original Insert contract). CompactShard is the exception
-// on both sides: it is safe to run concurrently with searches AND with
-// mutations — it rebuilds a shard off-line from a snapshot and publishes
-// the result RCU-style through the shard's atomic state pointer, so
+// Mutation contract: Insert, Delete, Upsert and compaction serialize on one
+// internal mutex, so writers may be concurrent with each other and with
+// compaction, and a writer waits while a shard is rebuilt. Searches never
+// take the mutex and require external synchronization against mutations
+// (the original Insert contract). CompactShard is the exception: it is safe
+// to run concurrently with searches, because it builds a replacement shard
+// and publishes it RCU-style through the shard's atomic state pointer, so
 // in-flight queries keep the consistent shard they started on and never
-// block on the rebuild.
+// wait for the rebuild.
 type Collection struct {
 	method Method
 	cfg    Config // effective (defaulted) configuration; cfg.Shards == len(states)
@@ -58,8 +58,8 @@ type Collection struct {
 	total  int // physical series across all shards (live + tombstoned)
 	stride int
 
-	// Mutation state. mu serializes Insert/Delete/Upsert and compaction's
-	// snapshot/swap sections against each other; searches never take it.
+	// Mutation state. mu serializes Insert/Delete/Upsert and compaction
+	// against each other; searches never take it.
 	mu sync.Mutex
 	// pubCount is the number of public ids ever assigned (Insert returns
 	// pubCount++). pub2loc maps a public id to its physical slot packed as
@@ -68,12 +68,9 @@ type Collection struct {
 	// the first upsert or compaction diverges physical from public ids.
 	pubCount int64
 	pub2loc  []int64
-	// epochs[i] counts mutations touching shard i; compaction validates its
-	// snapshot against it before an optimistic (unlocked-build) swap.
 	// relearnChurn[i] counts mutations since shard i's quantization was
 	// learned — the signal that decides an SFA re-learn at compaction.
-	epochs       []atomic.Uint64
-	relearnChurn []atomic.Int64
+	relearnChurn []int64
 	// live/tomb/compactions/relearns are collection-wide counters searches
 	// read lock-free into QueryMeta.
 	live        atomic.Int64
@@ -83,9 +80,6 @@ type Collection struct {
 	// mutSeq numbers every applied mutation; the WAL stamps records with it
 	// and recovery resumes from the checkpointed value.
 	mutSeq atomic.Uint64
-	// compactingBG guards the single background compaction goroutine the
-	// Auto policy may spawn after a mutation.
-	compactingBG atomic.Bool
 
 	// searchers pools serial collection searchers for SearchBatch and the
 	// streaming engine, so repeated batches and stream workers reuse
@@ -238,8 +232,7 @@ func (c *Collection) shardOptions() index.Options {
 // and Load (rebuild from saved words).
 func (c *Collection) buildShardTrees(sdata []*distance.Matrix, build func(i int) (*index.Tree, error)) error {
 	c.states = make([]atomic.Pointer[shardState], len(sdata))
-	c.epochs = make([]atomic.Uint64, len(sdata))
-	c.relearnChurn = make([]atomic.Int64, len(sdata))
+	c.relearnChurn = make([]int64, len(sdata))
 	trees := make([]*index.Tree, len(sdata))
 	errs := make([]error, len(sdata))
 	var wg sync.WaitGroup
@@ -454,7 +447,6 @@ func (c *Collection) insertLocked(series []float64) (index.ID, error) {
 	c.total++
 	c.live.Add(1)
 	c.mutSeq.Add(1)
-	c.epochs[shard].Add(1)
 	return pub, nil
 }
 
@@ -495,12 +487,8 @@ func (c *Collection) insertTargetLocked() int {
 // returns ErrTombstoned.
 func (c *Collection) Delete(pub index.ID) error {
 	c.mu.Lock()
-	err := c.deleteLocked(pub)
-	c.mu.Unlock()
-	if err == nil {
-		c.maybeAutoCompact()
-	}
-	return err
+	defer c.mu.Unlock()
+	return c.deleteLocked(pub)
 }
 
 func (c *Collection) deleteLocked(pub index.ID) error {
@@ -522,8 +510,7 @@ func (c *Collection) deleteLocked(pub index.ID) error {
 	c.live.Add(-1)
 	c.tomb.Add(1)
 	c.mutSeq.Add(1)
-	c.epochs[shard].Add(1)
-	c.relearnChurn[shard].Add(1)
+	c.relearnChurn[shard]++
 	return nil
 }
 
@@ -535,12 +522,8 @@ func (c *Collection) deleteLocked(pub index.ID) error {
 // ErrTombstoned (an upsert is a replacement, not a resurrection).
 func (c *Collection) Upsert(pub index.ID, series []float64) error {
 	c.mu.Lock()
-	err := c.upsertLocked(pub, series)
-	c.mu.Unlock()
-	if err == nil {
-		c.maybeAutoCompact()
-	}
-	return err
+	defer c.mu.Unlock()
+	return c.upsertLocked(pub, series)
 }
 
 func (c *Collection) upsertLocked(pub index.ID, series []float64) error {
@@ -575,11 +558,9 @@ func (c *Collection) upsertLocked(pub index.ID, series []float64) error {
 	c.total++
 	c.tomb.Add(1) // old row tombstoned, new row live: the live count is unchanged
 	c.mutSeq.Add(1)
-	c.epochs[oldShard].Add(1)
-	c.relearnChurn[oldShard].Add(1)
+	c.relearnChurn[oldShard]++
 	if target != oldShard {
-		c.epochs[target].Add(1)
-		c.relearnChurn[target].Add(1)
+		c.relearnChurn[target]++
 	}
 	return nil
 }
@@ -610,7 +591,9 @@ func (c *Collection) lookupLocked(pub index.ID) (shard int, local int32, err err
 // directions are pure arithmetic and the tables stay nil; afterwards the
 // tables are authoritative. Tombstoned rows keep their public id in pubOf
 // (refinement skips them before ids matter) while pub2loc marks the id
-// deleted.
+// deleted. Each table is published on a copy of the shard's state, never
+// written into the state a concurrent search may have pinned: a compaction,
+// which runs alongside searches, can be the first to materialize.
 func (c *Collection) materializeLocked() {
 	if c.pub2loc != nil {
 		return
@@ -630,7 +613,9 @@ func (c *Collection) materializeLocked() {
 				c.pub2loc[int64(local)*s+int64(i)] = -1
 			}
 		}
-		st.pubOf = pubOf
+		next := *st
+		next.pubOf = pubOf
+		c.states[i].Store(&next)
 	}
 }
 
@@ -650,25 +635,14 @@ type CompactionPolicy struct {
 	// data-independent. Re-learning changes only pruning power, never
 	// results: exactness comes from the lower-bounding frame, not the bins.
 	RelearnChurnFraction float64
-	// Auto compacts in the background: after a mutation, a single background
-	// goroutine runs MaybeCompact if none is already running. Queries never
-	// block on it (the swap is RCU), and mutations only contend on the
-	// mutation lock during snapshot and swap.
-	Auto bool
 }
-
-// compactRetries is how many optimistic (build outside the lock) compaction
-// attempts are made before the final attempt holds the mutation lock across
-// the rebuild to guarantee progress.
-const compactRetries = 2
 
 // CompactShard rebuilds shard i from its surviving (non-tombstoned) series
 // and atomically swaps the rebuilt shard in, reclaiming tombstone space.
-// In-flight queries keep the state they started with (RCU: the old tree is
-// never modified, only unpublished); mutations serialize against the
-// snapshot and swap sections only, not the rebuild, which runs outside the
-// lock and revalidates the shard's mutation epoch before swapping —
-// retrying if writers raced it, and holding the lock for the final attempt.
+// The whole rebuild holds the mutation lock, so writers wait for it; readers
+// never do: in-flight queries keep the state they started with (RCU: the old
+// tree is never modified, only unpublished) and later ones pick up the new
+// state.
 //
 // On a SOFA collection whose shard churn has reached
 // CompactionPolicy.RelearnChurnFraction, the rebuild re-learns the shard's
@@ -681,42 +655,22 @@ func (c *Collection) CompactShard(i int) error {
 	if i < 0 || i >= len(c.states) {
 		return fmt.Errorf("core: shard %d out of range [0,%d)", i, len(c.states))
 	}
-	for attempt := 0; ; attempt++ {
-		done, err := c.compactOnce(i, attempt >= compactRetries)
-		if done {
-			return err
-		}
-	}
-}
-
-// compactOnce runs one compaction attempt on shard i: snapshot under the
-// lock, build (outside the lock unless final), revalidate the epoch, swap.
-// done == false requests an optimistic retry after losing a race with
-// writers.
-func (c *Collection) compactOnce(i int, final bool) (done bool, err error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	st := c.state(i)
 	tree := st.tree
 	n := tree.Len()
 	deadCount := tree.TombstoneCount()
-	if deadCount == 0 {
-		c.mu.Unlock()
-		return true, nil // nothing to reclaim
-	}
 	live := n - deadCount
-	if live == 0 {
-		// An index cannot be built over zero series; keep the fully
-		// tombstoned shard as is (refinement already skips every row) until
-		// inserts repopulate it.
-		c.mu.Unlock()
-		return true, nil
+	if deadCount == 0 || live == 0 {
+		// Nothing to reclaim, or nothing to build over: an index cannot be
+		// built over zero series, so a fully tombstoned shard stays as is
+		// (refinement already skips every row) until inserts repopulate it.
+		return nil
 	}
-	epoch := c.epochs[i].Load()
-	churn := c.relearnChurn[i].Load()
 	relearn := c.method == SOFA && c.cfg.Compaction.RelearnChurnFraction > 0 &&
-		float64(churn) >= c.cfg.Compaction.RelearnChurnFraction*float64(live)
+		float64(c.relearnChurn[i]) >= c.cfg.Compaction.RelearnChurnFraction*float64(live)
 	sum := tree.Sum()
-	l := sum.Segments()
 	s := int32(len(c.states))
 	data := distance.NewMatrix(live, c.stride)
 	pubs := make([]int32, live)
@@ -726,7 +680,7 @@ func (c *Collection) compactOnce(i int, final bool) (done bool, err error) {
 	var words []byte
 	var pos []int32
 	if !relearn {
-		words = make([]byte, live*l)
+		words = make([]byte, live*sum.Segments())
 		pos = make([]int32, n)
 	}
 	j := 0
@@ -748,56 +702,28 @@ func (c *Collection) compactOnce(i int, final bool) (done bool, err error) {
 		}
 		j++
 	}
-	if pos != nil {
-		tree.CopyWords(words, pos)
-	}
-	if !final {
-		c.mu.Unlock()
-	}
 
 	// The rebuild: survivors only, dense local ids, fresh tree. A shard that
 	// was already re-learned keeps its own summarization unless this
 	// compaction re-learns again; only a re-learn re-transforms the rows.
 	var newTree *index.Tree
-	var berr error
-	if !relearn {
-		newTree, berr = index.BuildFromWords(data, sum, c.shardOptions(), words)
+	var err error
+	if relearn {
+		if sum, _, _, err = newSummarization(data, c.cfg); err != nil {
+			return fmt.Errorf("core: compaction re-learn of shard %d: %w", i, err)
+		}
+		newTree, err = index.Build(data, sum, c.shardOptions())
 	} else {
-		q, lerr := sfa.Learn(data, sfa.Options{
-			WordLength: c.cfg.WordLength,
-			Bits:       index.SymbolBits,
-			Binning:    c.cfg.Binning,
-			Selection:  c.cfg.Selection,
-			SampleRate: c.cfg.SampleRate,
-			MaxCoeffs:  c.cfg.MaxCoeffs,
-			Seed:       c.cfg.Seed,
-		})
-		if lerr != nil {
-			if final {
-				c.mu.Unlock()
-			}
-			return true, fmt.Errorf("core: compaction re-learn of shard %d: %w", i, lerr)
-		}
-		newTree, berr = index.Build(data, summarization{q}, c.shardOptions())
+		tree.CopyWords(words, pos)
+		newTree, err = index.BuildFromWords(data, sum, c.shardOptions(), words)
 	}
-	if berr != nil {
-		if final {
-			c.mu.Unlock()
-		}
-		return true, fmt.Errorf("core: compaction rebuild of shard %d: %w", i, berr)
+	if err != nil {
+		return fmt.Errorf("core: compaction rebuild of shard %d: %w", i, err)
 	}
 
-	if !final {
-		c.mu.Lock()
-		if c.epochs[i].Load() != epoch {
-			c.mu.Unlock()
-			return false, nil // writers raced the rebuild; retry with a fresh snapshot
-		}
-	}
 	if faultinject.Enabled {
-		if ferr := faultinject.Hook(faultinject.SiteCompactSwap); ferr != nil {
-			c.mu.Unlock()
-			return true, ferr // fault before the swap: the old state stands untouched
+		if err := faultinject.Hook(faultinject.SiteCompactSwap); err != nil {
+			return err // fault before the swap: the old state stands untouched
 		}
 	}
 	c.materializeLocked()
@@ -813,20 +739,17 @@ func (c *Collection) compactOnce(i int, final bool) (done bool, err error) {
 	c.total -= deadCount
 	c.tomb.Add(int64(-deadCount))
 	c.compactions.Add(1)
-	c.epochs[i].Add(1) // invalidate any concurrent compaction's snapshot of this shard
 	if relearn {
 		c.relearns.Add(1)
-		// The epoch held from snapshot to swap, so no churn accrued since.
-		c.relearnChurn[i].Store(0)
+		c.relearnChurn[i] = 0
 	}
-	c.mu.Unlock()
-	return true, nil
+	return nil
 }
 
 // MaybeCompact compacts every shard whose tombstoned fraction has reached
-// CompactionPolicy.MaxTombstoneFraction — the policy-driven entry point the
-// Auto mode runs in the background and callers can invoke directly after a
-// deletion burst. Returns the first compaction error.
+// CompactionPolicy.MaxTombstoneFraction — the policy-driven entry point for
+// callers that schedule compaction themselves, e.g. after a deletion burst.
+// Returns the first compaction error.
 func (c *Collection) MaybeCompact() error {
 	p := c.cfg.Compaction
 	if p.MaxTombstoneFraction <= 0 {
@@ -846,21 +769,4 @@ func (c *Collection) MaybeCompact() error {
 		}
 	}
 	return nil
-}
-
-// maybeAutoCompact spawns the single background MaybeCompact pass the Auto
-// policy allows, if none is already running.
-func (c *Collection) maybeAutoCompact() {
-	if !c.cfg.Compaction.Auto {
-		return
-	}
-	if !c.compactingBG.CompareAndSwap(false, true) {
-		return
-	}
-	go func() {
-		defer c.compactingBG.Store(false)
-		// Best-effort background pass: an error leaves the tombstones in
-		// place and the next mutation retriggers the policy.
-		_ = c.MaybeCompact()
-	}()
 }

@@ -48,7 +48,9 @@ func leafSets(s index.TreeShape) index.TreeShape {
 // TestLoadDirectDecode pins the load contract: loading a container performs
 // zero leaf splits (direct shape decode), and the decoded tree of every
 // shard is the tree a re-bucket + re-split of the same words builds — same
-// topology, same leaf membership — across shard counts.
+// topology, same leaf membership — across shard counts. LoadStats reports
+// the container's version and size, and its decode and tree phases fit
+// inside the total.
 func TestLoadDirectDecode(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	data := mixedMatrix(rng, 700, 96)
@@ -77,6 +79,12 @@ func TestLoadDirectDecode(t *testing.T) {
 		}
 		if st.Bytes != int64(buf.Len()) {
 			t.Errorf("S=%d: stats read %d bytes of a %d-byte container", shards, st.Bytes, buf.Len())
+		}
+		if st.TotalSeconds <= 0 || st.DecodeSeconds <= 0 {
+			t.Errorf("S=%d: empty phase timings: %+v", shards, st)
+		}
+		if st.TotalSeconds < st.DecodeSeconds+st.TreeSeconds {
+			t.Errorf("S=%d: phases exceed total: %+v", shards, st)
 		}
 		if err := loaded.CheckInvariants(); err != nil {
 			t.Fatalf("S=%d: loaded invariants: %v", shards, err)

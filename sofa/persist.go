@@ -7,26 +7,6 @@ import (
 	"repro/internal/core"
 )
 
-// LoadStats reports where a Load spent its time and what it did — the
-// persistence counterpart of the WithStats query option. DecodeSeconds
-// covers container decode, checksums and data re-normalization; TreeSeconds
-// is the parallel per-shard tree phase, a direct decode of each saved tree
-// shape (no re-splitting).
-type LoadStats = core.LoadStats
-
-// LoadOption configures Load/LoadFile.
-type LoadOption func(*loadConfig)
-
-type loadConfig struct {
-	stats *LoadStats
-}
-
-// WithLoadStats records the load's phase timings, container version and
-// byte count into dst.
-func WithLoadStats(dst *LoadStats) LoadOption {
-	return func(c *loadConfig) { c.stats = dst }
-}
-
 // Save writes the index to w in the container format (version 6, the only
 // one): float32 series data shard by shard, the learned summarization state,
 // the mutation state (tombstones, public-id tables, re-learned shard
@@ -47,13 +27,9 @@ func SaveFile(x *Index, path string) error { return core.SaveFile(x.ix, path) }
 // does not load, and the error names the corrupt shard — an index missing a
 // shard could not answer exactly. Transient read errors from r (the
 // net-style Temporary contract) are retried under a bounded backoff before
-// the load fails. Pass WithLoadStats to observe the load's phase breakdown.
-func Load(r io.Reader, opts ...LoadOption) (*Index, error) {
-	var c loadConfig
-	for _, opt := range opts {
-		opt(&c)
-	}
-	ix, err := core.LoadWithStats(r, c.stats)
+// the load fails.
+func Load(r io.Reader) (*Index, error) {
+	ix, err := core.Load(r)
 	if err != nil {
 		return nil, err
 	}
@@ -61,11 +37,11 @@ func Load(r io.Reader, opts ...LoadOption) (*Index, error) {
 }
 
 // LoadFile reads an index from a file; see Load.
-func LoadFile(path string, opts ...LoadOption) (*Index, error) {
+func LoadFile(path string) (*Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return Load(f, opts...)
+	return Load(f)
 }

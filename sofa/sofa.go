@@ -152,20 +152,20 @@ func Shards(s int) Option { return func(c *config) { c.cfg.Shards = s } }
 // from (default 0.01).
 func SampleRate(r float64) Option { return func(c *config) { c.cfg.SampleRate = r } }
 
-// Compaction is the tombstone-reclamation policy of a mutable index: when a
-// shard is rebuilt without its deleted rows, and when such a rebuild also
-// re-learns the shard's SFA quantization from the surviving series. The zero
-// value disables automatic compaction (explicit Compact/CompactShard calls
-// still work).
+// Compaction is the tombstone-reclamation policy of a mutable index: which
+// shards Compact rebuilds without their deleted rows, and when such a
+// rebuild also re-learns the shard's SFA quantization from the surviving
+// series. Compaction runs only when the caller calls Compact or
+// CompactShard; there is no background mode. The zero value makes Compact a
+// no-op (CompactShard still compacts).
 type Compaction = core.CompactionPolicy
 
 // CompactionPolicy sets the index's compaction policy. With
-// p.MaxTombstoneFraction > 0, MaybeCompact (and, with p.Auto, a background
-// pass after each mutation) rebuilds any shard whose tombstoned fraction
-// reaches it; with p.RelearnChurnFraction > 0 a compaction whose accumulated
-// churn crosses that fraction of the shard's live series re-learns the SFA
-// bins from the survivors. Re-learning changes only pruning power, never
-// results.
+// p.MaxTombstoneFraction > 0, Compact rebuilds any shard whose tombstoned
+// fraction reaches it; with p.RelearnChurnFraction > 0 a compaction whose
+// accumulated churn crosses that fraction of the shard's live series
+// re-learns the SFA bins from the survivors. Re-learning changes only
+// pruning power, never results.
 func CompactionPolicy(p Compaction) Option { return func(c *config) { c.cfg.Compaction = p } }
 
 // validate rejects option values Build must not silently default.
@@ -191,7 +191,8 @@ func (c *config) validate() error {
 // Index is a built similarity index over a collection of series. It is safe
 // for concurrent Search/SearchInto/SearchBatch/stream use from any number of
 // goroutines. Mutations — Insert, Delete, Upsert, compaction — are safe with
-// each other but must be synchronized against searches (see each method's
+// each other; Insert, Delete and Upsert must be synchronized against
+// searches, while compaction runs alongside them (see each method's
 // contract).
 type Index struct {
 	ix *core.Index
@@ -307,18 +308,18 @@ func (x *Index) Upsert(id ID, series []float64) error {
 }
 
 // CompactShard rebuilds one shard without its deleted rows and atomically
-// swaps the rebuilt shard in (RCU: in-flight queries keep the state they
-// started with and never block). On a SOFA index whose accumulated churn has
-// crossed the configured RelearnChurnFraction, the rebuild also re-learns
-// the shard's SFA quantization from the survivors. Live ids, search results
-// and result ordering are unchanged by compaction.
+// swaps the rebuilt shard in. Writers (Insert, Delete, Upsert) wait for the
+// rebuild; readers never do: in-flight queries keep the state they started
+// with, later ones see the rebuilt shard. On a SOFA index whose accumulated
+// churn has crossed the configured RelearnChurnFraction, the rebuild also
+// re-learns the shard's SFA quantization from the survivors. Live ids,
+// search results and result ordering are unchanged by compaction.
 func (x *Index) CompactShard(i int) error { return x.ix.CompactShard(i) }
 
 // Compact applies the configured compaction policy across all shards,
 // rebuilding every shard whose tombstoned fraction has reached
-// MaxTombstoneFraction — the explicit entry point for callers that schedule
-// compaction themselves (with Compaction.Auto it also runs in the background
-// after mutations).
+// MaxTombstoneFraction, one CompactShard at a time. It is the only
+// policy-driven entry point: the index never compacts on its own.
 func (x *Index) Compact() error { return x.ix.MaybeCompact() }
 
 // Tombstoned returns the number of deleted-but-unreclaimed rows currently
